@@ -9,7 +9,7 @@ from .core import (Config, ZERO, ClassFlags, DomainError, OrbitCollision,
 from .generators import (SWAP_12, SWAP_13, SWAP_23, HeadLocal, HeadShift,
                          Particle, Perm4, SafeRewrite, SymbolPerm,
                          TransportWord, apply_instruction, apply_word,
-                         invert_instruction, invert_word, size_report)
+                         invert_word, size_report)
 from .transporter import (BuzzPlan, Reading, canonical_great, first_buzz_schedule,
                           make_canonical, make_good, make_great, phi_clock,
                           pipeline, transport, verify)
@@ -21,7 +21,7 @@ __all__ = [
     "from_tracks", "orbit_equal", "shift", "tracks", "validate_tuple",
     "SWAP_12", "SWAP_13", "SWAP_23", "HeadLocal", "HeadShift", "Particle",
     "Perm4", "SafeRewrite", "SymbolPerm", "TransportWord",
-    "apply_instruction", "apply_word", "invert_instruction", "invert_word",
+    "apply_instruction", "apply_word", "invert_word",
     "size_report", "BuzzPlan", "Reading", "canonical_great",
     "first_buzz_schedule", "make_canonical", "make_good", "make_great",
     "phi_clock", "pipeline", "transport", "verify",

@@ -1,6 +1,5 @@
 """Auxiliary invariants: the k(X) case table for finite permutation
-subshifts with a brute-force oracle, a non-shift witness search, and
-sampled commutation checks."""
+subshifts with a brute-force oracle, and a non-shift witness search."""
 
 from __future__ import annotations
 
@@ -223,40 +222,3 @@ def find_nonshift_witness(word: TransportWord, support_bound: int = 2,
         return IsShift(shifts.pop())
     return Inconclusive()
 
-
-# -- sampled commutation check --------------------------------------------
-
-
-@dataclass(frozen=True)
-class AllCommuted:
-    pass
-
-
-@dataclass(frozen=True)
-class CounterExample:
-    x: Config
-
-
-def _sample_configs(samples: int, seed: int) -> list[Config]:
-    configs = [Config.from_word(0, w) for w in _canonical_words(3, 3)]
-    rng = random.Random(seed)
-    for _ in range(samples):
-        cells = {}
-        for _ in range(rng.randrange(1, 6)):
-            cells[rng.randrange(-8, 9)] = rng.randrange(1, 4)
-        if cells:
-            configs.append(Config.from_cells(cells))
-    return configs
-
-
-def check_commute(wa: TransportWord, wb: TransportWord,
-                  samples: int = 200, seed: int = 1
-                  ) -> Union[AllCommuted, CounterExample]:
-    """Semi-decision: evaluate both compositions on a small exhaustive set
-    plus seeded random configurations and report the first disagreement."""
-    for x in _sample_configs(samples, seed):
-        ab = apply_word(apply_word(x, wb), wa)
-        ba = apply_word(apply_word(x, wa), wb)
-        if ab != ba:
-            return CounterExample(x)
-    return AllCommuted()

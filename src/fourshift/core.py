@@ -40,6 +40,17 @@ class PositionOverflow(DomainError):
     """A cell position left the supported integer range."""
 
 
+class ParseError(DomainError):
+    """Text or JSON input that does not encode a valid value."""
+
+
+def json_int(v: object) -> int:
+    """An integer field read from JSON: floats and booleans are rejected."""
+    if type(v) is not int:
+        raise ParseError(f"not a JSON integer: {v!r}")
+    return v
+
+
 def _check_pos(p: int) -> int:
     if not -POSITION_LIMIT <= p <= POSITION_LIMIT:
         raise PositionOverflow(f"position {p} out of range")
@@ -106,6 +117,10 @@ class Config:
             if q > p:
                 return 0
         return 0
+
+    def window(self, positions: Iterable[int]) -> str:
+        """The symbols at `positions`, in order, as a digit string."""
+        return "".join(str(self.sym(p)) for p in positions)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.cells)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import get_args
 
 from . import safety
-from .core import Config, DomainError, TupleK, from_tracks, tracks
+from .core import Config, DomainError, TupleK, from_tracks, json_int, tracks
 from .permbuild import WordPerm
 
 
@@ -47,16 +47,50 @@ SWAP_13 = Perm4((0, 3, 2, 1))
 SWAP_23 = Perm4((0, 1, 3, 2))
 
 
+def head_window(q: int, r: int) -> list[int]:
+    """Positions of the radius-r window around a head at q, q excluded."""
+    return [*range(q - r, q), *range(q + 1, q + r + 1)]
+
+
 @dataclass(frozen=True)
 class Particle:
     """P^e: moves every particle e cells to the left, walls stay put."""
 
     e: int
+    OP = "P"
+
+    def apply(self, x: Config) -> Config:
+        particles, walls = tracks(x)
+        return from_tracks((p - self.e for p in particles), walls)
+
+    def inverse(self) -> "Particle":
+        return Particle(-self.e)
+
+    def to_obj(self) -> dict:
+        return {"op": self.OP, "e": self.e}
+
+    @classmethod
+    def from_obj(cls, obj) -> "Particle":
+        return cls(json_int(obj["e"]))
 
 
 @dataclass(frozen=True)
 class SymbolPerm:
     perm: Perm4
+    OP = "SYM"
+
+    def apply(self, x: Config) -> Config:
+        return Config.from_cells((p, self.perm.apply(s)) for p, s in x.cells)
+
+    def inverse(self) -> "SymbolPerm":
+        return SymbolPerm(self.perm.inverse())
+
+    def to_obj(self) -> dict:
+        return {"op": self.OP, "img": list(self.perm.img)}
+
+    @classmethod
+    def from_obj(cls, obj) -> "SymbolPerm":
+        return cls(Perm4(tuple(json_int(v) for v in obj["img"])))
 
 
 @dataclass(frozen=True)
@@ -66,6 +100,7 @@ class HeadLocal:
 
     r: int
     wp: WordPerm
+    OP = "HL"
 
     def __post_init__(self):
         if self.r < 1:
@@ -73,20 +108,81 @@ class HeadLocal:
         if self.wp.length != 2 * self.r:
             raise IllFormedInstruction("window permutation length must be 2r")
 
+    def apply(self, x: Config) -> Config:
+        # heads at least 2r+3 apart keep every other head out of the window
+        heads = sorted(p for p, s in x.cells if s == 3)
+        isolated = [q for q in heads if all(
+            q == p or abs(q - p) >= 2 * self.r + 3 for p in heads)]
+        if not isolated:
+            return x
+        cells = x.as_dict()
+        for q in isolated:
+            positions = head_window(q, self.r)
+            for p, ch in zip(positions, self.wp.apply(x.window(positions))):
+                cells.pop(p, None)
+                if ch != "0":
+                    cells[p] = int(ch)
+        return Config.from_cells(cells)
+
+    def inverse(self) -> "HeadLocal":
+        return HeadLocal(self.r, self.wp.inverse())
+
+    def to_obj(self) -> dict:
+        return {"op": self.OP, "r": self.r,
+                "map": [list(p) for p in sorted(self.wp.moved)]}
+
+    @classmethod
+    def from_obj(cls, obj) -> "HeadLocal":
+        r = json_int(obj["r"])
+        moved = tuple(sorted((s, d) for s, d in obj["map"]))
+        return cls(r, WordPerm(2 * r, moved))
+
 
 @dataclass(frozen=True)
 class HeadShift:
     """e-th power of the simulated shift of an isolated head."""
 
     e: int
+    OP = "HS"
+
+    def apply(self, x: Config) -> Config:
+        step = 1 if self.e > 0 else -1
+        for _ in range(abs(self.e)):
+            x = safety.head_shift_once(x, step)
+        return x
+
+    def inverse(self) -> "HeadShift":
+        return HeadShift(-self.e)
+
+    def to_obj(self) -> dict:
+        return {"op": self.OP, "e": self.e}
+
+    @classmethod
+    def from_obj(cls, obj) -> "HeadShift":
+        return cls(json_int(obj["e"]))
 
 
 @dataclass(frozen=True)
 class SafeRewrite:
     spec: safety.SafeRewriteSpec
+    OP = "SR"
+
+    def apply(self, x: Config) -> Config:
+        return safety.apply_safe_rewrite(x, self.spec)
+
+    def inverse(self) -> "SafeRewrite":
+        return SafeRewrite(safety.invert_spec(self.spec))
+
+    def to_obj(self) -> dict:
+        return {"op": self.OP, **self.spec.to_obj()}
+
+    @classmethod
+    def from_obj(cls, obj) -> "SafeRewrite":
+        return cls(safety.SafeRewriteSpec.from_obj(obj))
 
 
 Instruction = Particle | SymbolPerm | HeadLocal | HeadShift | SafeRewrite
+OPS = {cls.OP: cls for cls in get_args(Instruction)}
 
 
 @dataclass(frozen=True)
@@ -100,57 +196,8 @@ class TransportWord:
         return TransportWord(self.steps + other.steps)
 
 
-def _apply_particle(x: Config, e: int) -> Config:
-    particles, walls = tracks(x)
-    return from_tracks((p - e for p in particles), walls)
-
-
-def _apply_symbol_perm(x: Config, perm: Perm4) -> Config:
-    return Config.from_cells((p, perm.apply(s)) for p, s in x.cells)
-
-
-def _apply_head_local(x: Config, ins: HeadLocal) -> Config:
-    r = ins.r
-    heads = sorted(p for p, s in x.cells if s == 3)
-    isolated = [q for q in heads
-                if all(q == p or abs(q - p) >= 2 * r + 3 for p in heads)]
-    if not isolated:
-        return x
-    cells = x.as_dict()
-    for q in isolated:
-        window = "".join(str(x.sym(q + d)) for d in (*range(-r, 0), *range(1, r + 1)))
-        if "3" in window:
-            raise IllFormedInstruction("head inside an isolated window")
-        out = ins.wp.apply(window)
-        offsets = (*range(-r, 0), *range(1, r + 1))
-        for d in offsets:
-            cells.pop(q + d, None)
-        for d, ch in zip(offsets, out):
-            if ch != "0":
-                cells[q + d] = int(ch)
-    return Config.from_cells(cells)
-
-
-def _apply_head_shift(x: Config, e: int) -> Config:
-    step = 1 if e > 0 else -1
-    cur = x
-    for _ in range(abs(e)):
-        cur = safety.head_shift_once(cur, step)
-    return cur
-
-
 def apply_instruction(x: Config, ins: Instruction) -> Config:
-    if isinstance(ins, Particle):
-        return _apply_particle(x, ins.e)
-    if isinstance(ins, SymbolPerm):
-        return _apply_symbol_perm(x, ins.perm)
-    if isinstance(ins, HeadLocal):
-        return _apply_head_local(x, ins)
-    if isinstance(ins, HeadShift):
-        return _apply_head_shift(x, ins.e)
-    if isinstance(ins, SafeRewrite):
-        return safety.apply_safe_rewrite(x, ins.spec)
-    raise IllFormedInstruction(f"unknown instruction {ins!r}")
+    return ins.apply(x)
 
 
 def apply_word(target: Config | TupleK, word: TransportWord):
@@ -166,22 +213,8 @@ def apply_word(target: Config | TupleK, word: TransportWord):
     return cur
 
 
-def invert_instruction(ins: Instruction) -> Instruction:
-    if isinstance(ins, Particle):
-        return Particle(-ins.e)
-    if isinstance(ins, SymbolPerm):
-        return SymbolPerm(ins.perm.inverse())
-    if isinstance(ins, HeadLocal):
-        return HeadLocal(ins.r, ins.wp.inverse())
-    if isinstance(ins, HeadShift):
-        return HeadShift(-ins.e)
-    if isinstance(ins, SafeRewrite):
-        return SafeRewrite(safety.invert_spec(ins.spec))
-    raise IllFormedInstruction(f"unknown instruction {ins!r}")
-
-
 def invert_word(word: TransportWord) -> TransportWord:
-    return TransportWord(tuple(invert_instruction(i) for i in reversed(word.steps)))
+    return TransportWord(tuple(ins.inverse() for ins in reversed(word.steps)))
 
 
 def size_report(word: TransportWord) -> dict[str, int]:

@@ -35,10 +35,7 @@ def orbit_permutation_instruction(t: TupleK, beta: tuple[int, ...]) -> SafeRewri
             # supports must fit in [-m, m-1]
             m = max(m, p + 1, -p)
 
-    def padded(c) -> str:
-        return "".join(str(c.sym(p)) for p in range(-3 * m, 3 * m))
-
-    words = [padded(c) for c in t]
+    words = [c.window(range(-3 * m, 3 * m)) for c in t]
     pairs = [(words[i], words[beta.index(i)]) for i in range(k)]
     spec = make_zero_padded_spec(words, pairs)
     return SafeRewrite(spec)

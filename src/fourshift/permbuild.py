@@ -4,17 +4,14 @@ A WordPerm stores only its moved pairs; everything else is fixed.  The main
 construction completes a partial injection into a permutation and, if needed,
 composes it with one extra transposition to make it even while keeping every
 requested pair intact.
-
-Also contains the ``G0`` layer: words of shifts and local window permutations
-acting on head-free configurations, with the shift-counting homomorphism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Config, DomainError, shift
+from .core import DomainError
 
 TRACK_ALPHABET = "012"
 
@@ -29,10 +26,6 @@ class DuplicateTarget(DomainError):
 
 class NoRoom(DomainError):
     """Not enough untouched words are left for a parity-fixing transposition."""
-
-
-class HeadSymbolPresent(DomainError):
-    """A G0 word was applied to a configuration containing the head symbol."""
 
 
 def _check_word(w: str, length: int) -> str:
@@ -204,54 +197,3 @@ def build_mapping_perm(pairs: Sequence[tuple[str, str]], length: int) -> WordPer
     protected = frozenset(s for s, _ in pairs) | frozenset(d for _, d in pairs)
     return make_even(wp, length, protected)
 
-
-# --- the G0 layer: shifts and local window permutations on {0,1,2}-points ---
-
-@dataclass(frozen=True)
-class G0Shift:
-    e: int
-
-
-@dataclass(frozen=True)
-class G0Local:
-    lo: int
-    hi: int  # inclusive absolute neighborhood [lo, hi]
-    wp: WordPerm
-
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise DomainError("empty neighborhood")
-        if self.wp.length != self.hi - self.lo + 1:
-            raise DomainError("word length does not match neighborhood size")
-
-
-G0Step = G0Shift | G0Local
-G0Word = tuple[G0Step, ...]
-
-
-def _window_word(x: Config, lo: int, hi: int) -> str:
-    return "".join(str(x.sym(p)) for p in range(lo, hi + 1))
-
-
-def g0_apply(y: Config, word: Sequence[G0Step]) -> Config:
-    """Fold the G0 steps left to right over a head-free configuration."""
-    if any(s == 3 for _, s in y.cells):
-        raise HeadSymbolPresent("G0 acts on {0,1,2}-configurations only")
-    cur = y
-    for step in word:
-        if isinstance(step, G0Shift):
-            cur = shift(cur, step.e)
-        else:
-            w = _window_word(cur, step.lo, step.hi)
-            out = step.wp.apply(w)
-            cells = {p: s for p, s in cur.cells if not step.lo <= p <= step.hi}
-            for i, ch in enumerate(out):
-                if ch != "0":
-                    cells[step.lo + i] = int(ch)
-            cur = Config.from_cells(cells)
-    return cur
-
-
-def g0_psi(word: Sequence[G0Step]) -> int:
-    """Shift-counting homomorphism: local steps contribute 0."""
-    return sum(step.e for step in word if isinstance(step, G0Shift))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import Config, DomainError
+from .core import Config, DomainError, json_int
 
 SIGMA_SIZE = 4
 HEAD_CHAR = "3"
@@ -98,8 +98,7 @@ def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
         k = wset.length
         out = []
         for i in range(lo - k + 1, hi + 1):
-            w = "".join(str(x.sym(i + j)) for j in range(k))
-            if w in wset.words:
+            if x.window(range(i, i + k)) in wset.words:
                 out.append(i)
         return frozenset(out)
     if isinstance(wset, HeadLayoutWords):
@@ -278,7 +277,60 @@ class SafeRewriteSpec:
     pi: WordMap
     ell: int
     m_rad: int
-    relaxed: bool = False
+
+    def to_obj(self) -> dict:
+        """Word-file fields: the head-gap families and rules by name, radii
+        equal to the strict bounds as "strict"."""
+        strict = strict_params(self.k, self.h)
+        return {
+            "k": self.k, "h": self.h,
+            "U": _word_set_to_obj(self.U), "V": _word_set_to_obj(self.V),
+            "map": (self.pi.tag if isinstance(self.pi, RuleWordMap)
+                    else [list(p) for p in sorted(self.pi.pairs)]),
+            "ell": "strict" if self.ell == strict.ell else self.ell,
+            "mrad": "strict" if self.m_rad == strict.m_rad else self.m_rad,
+        }
+
+    @staticmethod
+    def from_obj(obj) -> "SafeRewriteSpec":
+        """Inverse of to_obj.  Explicit specs are rebuilt through the
+        constructors that validate them and named rules must match their
+        constant exactly, so a word file cannot carry an unsafe rewrite."""
+        k, h = json_int(obj["k"]), json_int(obj["h"])
+        words, markers, pairs = obj["U"], obj["V"], obj["map"]
+        if isinstance(pairs, str):
+            for spec in (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC):
+                fields = spec.to_obj()
+                if fields == {key: obj[key] for key in fields}:
+                    return spec
+            raise IllFormedSpec(f"fields do not match the rule {pairs!r}")
+        if not isinstance(words, list):
+            raise IllFormedSpec("U must list its words")
+        ell, m_rad = (None if obj[key] == "strict" else json_int(obj[key])
+                      for key in ("ell", "mrad"))
+        if markers == "NONZERO_N":
+            spec = make_zero_padded_spec(words, pairs)
+            if ell not in (None, spec.ell) or m_rad not in (None, spec.m_rad):
+                raise IllFormedSpec("zero-padded radii must be the strict ones")
+        elif isinstance(markers, list):
+            spec = make_explicit_spec(words, markers, pairs, ell, m_rad)
+        else:
+            raise IllFormedSpec(f"bad marker set {markers!r}")
+        if (spec.k, spec.h) != (k, h):
+            raise IllFormedSpec("k and h do not match the word lengths")
+        return spec
+
+
+def _word_set_to_obj(ws: WordSetDesc) -> object:
+    if ws == SIGMA3_PI_WORDS:
+        return "SIGMA3_PI"
+    if ws == SIGMA3_TAU_WORDS:
+        return "SIGMA3_TAU"
+    if isinstance(ws, NonzeroWords):
+        return "NONZERO_N"
+    if isinstance(ws, ExplicitWords):
+        return sorted(ws.words)
+    raise IllFormedSpec(f"unserializable word set {ws!r}")
 
 
 def _boundary_equivalent(u: str, v: str, ell: int) -> bool:
@@ -287,8 +339,8 @@ def _boundary_equivalent(u: str, v: str, ell: int) -> bool:
 
 def make_explicit_spec(words: Iterable[str], marker_words: Iterable[str],
                        pairs: Iterable[tuple[str, str]],
-                       ell: int | None = None, m_rad: int | None = None,
-                       relaxed: bool = False) -> SafeRewriteSpec:
+                       ell: int | None = None,
+                       m_rad: int | None = None) -> SafeRewriteSpec:
     """Build and validate a rewrite spec with explicit U, V and mapping."""
     U = ExplicitWords.of(words)
     V = ExplicitWords.of(marker_words)
@@ -310,18 +362,15 @@ def make_explicit_spec(words: Iterable[str], marker_words: Iterable[str],
         ell = strict.ell
     if m_rad is None:
         m_rad = strict.m_rad
-    if not relaxed:
-        if ell < strict.ell or m_rad < strict.m_rad:
-            raise IllFormedSpec("radii below the strict bounds; use relaxed mode")
-        if V.words == frozenset({HEAD_CHAR}) and k % 3 == 0:
-            bad = validate_sufficient_safety(U.words, 3, k // 3)
-        else:
-            bad = Violation("no applicable safety validator", ())
-        if bad is not None:
-            raise IllFormedSpec(f"safety validation failed: {bad.reason}")
-    if m_rad < k:
-        raise IllFormedSpec("m_rad smaller than the word length")
-    return SafeRewriteSpec(k, h, U, V, pi, ell, m_rad, relaxed)
+    if ell < strict.ell or m_rad < strict.m_rad:
+        raise IllFormedSpec("radii below the strict bounds")
+    if V.words == frozenset({HEAD_CHAR}) and k % 3 == 0:
+        bad = validate_sufficient_safety(U.words, 3, k // 3)
+    else:
+        bad = Violation("no applicable safety validator", ())
+    if bad is not None:
+        raise IllFormedSpec(f"safety validation failed: {bad.reason}")
+    return SafeRewriteSpec(k, h, U, V, pi, ell, m_rad)
 
 
 def make_zero_padded_spec(words: Iterable[str],
@@ -378,8 +427,7 @@ def apply_safe_rewrite(x: Config, spec: SafeRewriteSpec) -> Config:
         return x
     cells = x.as_dict()
     for i in sites:
-        block = "".join(str(x.sym(i + j)) for j in range(spec.k))
-        image = spec.pi.apply(block)
+        image = spec.pi.apply(x.window(range(i, i + spec.k)))
         if len(image) != spec.k:
             raise IllFormedSpec("permutation changed the word length")
         for j in range(spec.k):
@@ -392,7 +440,7 @@ def apply_safe_rewrite(x: Config, spec: SafeRewriteSpec) -> Config:
 
 def invert_spec(spec: SafeRewriteSpec) -> SafeRewriteSpec:
     return SafeRewriteSpec(spec.k, spec.h, spec.U, spec.V, spec.pi.inverse(),
-                           spec.ell, spec.m_rad, spec.relaxed)
+                           spec.ell, spec.m_rad)
 
 
 # --- the simulated head shift ------------------------------------------------

@@ -6,17 +6,9 @@ from __future__ import annotations
 import json
 import re
 
-from .core import ZERO, Config, DomainError, TupleK, validate_tuple
-from .generators import (HeadLocal, HeadShift, Particle, Perm4, SafeRewrite,
-                         SymbolPerm, TransportWord)
-from .permbuild import WordPerm
-from .safety import (SIGMA3_PI_WORDS, SIGMA3_TAU_WORDS, ExplicitWords,
-                     ExplicitWordMap, NonzeroWords, RuleWordMap,
-                     SafeRewriteSpec, strict_params)
-
-
-class ParseError(DomainError):
-    pass
+from .core import (ZERO, Config, DomainError, ParseError, TupleK,
+                   validate_tuple)
+from .generators import OPS, Instruction, TransportWord
 
 
 _CONFIG_RE = re.compile(r"@(-?\d+):([0-3]+)$")
@@ -57,97 +49,26 @@ def parse_tuple(text: str) -> TupleK:
 # -- word files ------------------------------------------------------------
 
 
-def _emit_word_set(ws) -> object:
-    if ws == SIGMA3_PI_WORDS:
-        return "SIGMA3_PI"
-    if ws == SIGMA3_TAU_WORDS:
-        return "SIGMA3_TAU"
-    if isinstance(ws, NonzeroWords):
-        return "NONZERO_N"
-    if isinstance(ws, ExplicitWords):
-        return sorted(ws.words)
-    raise ParseError(f"unserializable word set {ws!r}")
-
-
-def _parse_word_set(obj, length: int):
-    if obj == "SIGMA3_PI":
-        return SIGMA3_PI_WORDS
-    if obj == "SIGMA3_TAU":
-        return SIGMA3_TAU_WORDS
-    if obj == "NONZERO_N":
-        return NonzeroWords(length)
-    if isinstance(obj, list):
-        return ExplicitWords.of(obj)
-    raise ParseError(f"bad word set entry {obj!r}")
-
-
-def _instruction_to_obj(ins) -> dict:
-    if isinstance(ins, Particle):
-        return {"op": "P", "e": ins.e}
-    if isinstance(ins, SymbolPerm):
-        return {"op": "SYM", "img": list(ins.perm.img)}
-    if isinstance(ins, HeadLocal):
-        return {"op": "HL", "r": ins.r,
-                "map": [list(p) for p in sorted(ins.wp.moved)]}
-    if isinstance(ins, HeadShift):
-        return {"op": "HS", "e": ins.e}
-    if isinstance(ins, SafeRewrite):
-        spec = ins.spec
-        strict = strict_params(spec.k, spec.h)
-        pi = spec.pi
-        return {
-            "op": "SR", "k": spec.k, "h": spec.h,
-            "U": _emit_word_set(spec.U), "V": _emit_word_set(spec.V),
-            "map": (pi.tag if isinstance(pi, RuleWordMap)
-                    else [list(p) for p in sorted(pi.pairs)]),
-            "ell": "strict" if spec.ell == strict.ell else spec.ell,
-            "mrad": "strict" if spec.m_rad == strict.m_rad else spec.m_rad,
-            "mode": "relaxed" if spec.relaxed else "strict",
-        }
-    raise ParseError(f"unserializable instruction {ins!r}")
-
-
-def _instruction_from_obj(obj) -> object:
+def _instruction_from_obj(obj) -> Instruction:
     try:
-        op = obj["op"]
-        if op == "P":
-            return Particle(int(obj["e"]))
-        if op == "SYM":
-            return SymbolPerm(Perm4(tuple(int(v) for v in obj["img"])))
-        if op == "HL":
-            moved = tuple(sorted((s, d) for s, d in obj["map"]))
-            return HeadLocal(int(obj["r"]), WordPerm(2 * int(obj["r"]), moved))
-        if op == "HS":
-            return HeadShift(int(obj["e"]))
-        if op == "SR":
-            k, h = int(obj["k"]), int(obj["h"])
-            strict = strict_params(k, h)
-            pi_obj = obj["map"]
-            if isinstance(pi_obj, str):
-                pi = RuleWordMap(pi_obj)
-            else:
-                pi = ExplicitWordMap(tuple(sorted((s, d) for s, d in pi_obj)))
-            ell = strict.ell if obj["ell"] == "strict" else int(obj["ell"])
-            mrad = strict.m_rad if obj["mrad"] == "strict" else int(obj["mrad"])
-            spec = SafeRewriteSpec(
-                k, h, _parse_word_set(obj["U"], k), _parse_word_set(obj["V"], h),
-                pi, ell, mrad, obj.get("mode", "strict") == "relaxed")
-            return SafeRewrite(spec)
+        cls = OPS.get(obj["op"])
+        if cls is None:
+            raise ParseError(f"unknown op {obj!r}")
+        return cls.from_obj(obj)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise ParseError(f"bad instruction object: {exc}") from exc
-    raise ParseError(f"unknown op {obj!r}")
 
 
 def emit_word(word: TransportWord) -> str:
-    return json.dumps([_instruction_to_obj(i) for i in word.steps], indent=1)
+    return json.dumps([ins.to_obj() for ins in word.steps], indent=1)
 
 
 def parse_word(text: str) -> TransportWord:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # nesting beyond the stack
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ParseError("word file must be a JSON array")

@@ -14,7 +14,7 @@ from typing import Optional
 from .core import Config, DomainError, TupleK, classify, tracks, validate_tuple
 from .generators import (SWAP_13, SWAP_23, HeadLocal, HeadShift, Particle,
                          SymbolPerm, TransportWord, apply_instruction,
-                         apply_word, invert_word)
+                         apply_word, head_window, invert_word)
 from .permbuild import build_mapping_perm
 from .reset import LengthMismatch
 
@@ -118,11 +118,6 @@ def _heads_of(c: Config) -> set[int]:
     return {p for p, s in c.cells if s == 3}
 
 
-def _window_word(c: Config, center: int, r: int) -> str:
-    offsets = (*range(-r, 0), *range(1, r + 1))
-    return "".join(str(c.sym(center + d)) for d in offsets)
-
-
 def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
     """Drive the tuple through the one-reset buzz schedule so that every
     component ends with exactly one head, at the origin."""
@@ -172,8 +167,8 @@ def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
             for p in set(comps[i].support()) | set(targets[i].support()):
                 if p != q:
                     r = max(r, abs(p - q))
-        pairs = [(_window_word(comps[i], kpos[i], r),
-                  _window_word(targets[i], kpos[i], r)) for i in buzzing]
+        pairs = [(comps[i].window(head_window(kpos[i], r)),
+                  targets[i].window(head_window(kpos[i], r))) for i in buzzing]
         emit(HeadLocal(r, build_mapping_perm(pairs, 2 * r)))
         for i in buzzing:
             if comps[i] != targets[i]:
@@ -206,8 +201,8 @@ def make_canonical(t: TupleK) -> tuple[TransportWord, TupleK]:
         for p in (*c.support(), *g.support()):
             if p != 0:
                 r = max(r, abs(p))
-    pairs = [(_window_word(c, 0, r), _window_word(g, 0, r))
-             for c, g in zip(t, goal)]
+    window = head_window(0, r)
+    pairs = [(c.window(window), g.window(window)) for c, g in zip(t, goal)]
     wp = build_mapping_perm(pairs, 2 * r)
     ins = HeadLocal(r, wp)
     comps = tuple(apply_instruction(c, ins) for c in t)

@@ -19,8 +19,7 @@ from fourshift.core import (Config, ZERO, classify, orbit_equal, shift,
                             validate_tuple)
 from fourshift.generators import (SWAP_12, SWAP_23, HeadLocal, HeadShift,
                                   Particle, SymbolPerm, TransportWord,
-                                  apply_instruction, apply_word,
-                                  invert_instruction)
+                                  apply_instruction, apply_word)
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.reset import ResetState, reset_act, reset_solve_zero
 from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
@@ -214,7 +213,7 @@ def test_c09_orbit_permutation_realization():
         ins = orbit_permutation_instruction(t, beta)
         got = tuple(apply_instruction(c, ins) for c in t)
         assert got == tuple(t[beta.index(i)] for i in range(5))
-        back = invert_instruction(ins)
+        back = ins.inverse()
         assert tuple(apply_instruction(c, back) for c in got) == t.components
 
 

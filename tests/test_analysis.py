@@ -1,11 +1,10 @@
-"""k(X) case table vs brute force, witness search, commutation checks."""
+"""k(X) case table vs brute force and witness search."""
 
 import pytest
 
-from fourshift.analysis import (AllCommuted, CounterExample, CycleSpec,
-                                Inconclusive, IsShift, KValue, TooLarge,
-                                Witness, check_commute, find_nonshift_witness,
-                                k_of_finite, k_of_finite_bruteforce)
+from fourshift.analysis import (CycleSpec, IsShift, KValue, TooLarge,
+                                Witness, find_nonshift_witness, k_of_finite,
+                                k_of_finite_bruteforce)
 from fourshift.core import Config, orbit_equal
 from fourshift.generators import (SWAP_12, Particle, SymbolPerm,
                                   TransportWord, apply_word)
@@ -100,22 +99,3 @@ class TestWitness:
         assert find_nonshift_witness(
             TransportWord(()), support_bound=4, width_bound=4) == IsShift(0)
 
-
-class TestCheckCommute:
-    def test_word_with_itself(self):
-        w = TransportWord((Particle(1), SymbolPerm(SWAP_12)))
-        assert check_commute(w, w) == AllCommuted()
-
-    def test_powers_of_one_map(self):
-        assert check_commute(TransportWord((Particle(1),)),
-                             TransportWord((Particle(5),))) == AllCommuted()
-
-    def test_counterexample(self):
-        r = check_commute(TransportWord((SymbolPerm(SWAP_12),)),
-                          TransportWord((Particle(1),)))
-        assert r == CounterExample(cfg(0, "1"))
-
-    def test_symmetric(self):
-        wa = TransportWord((SymbolPerm(SWAP_12),))
-        wb = TransportWord((Particle(1),))
-        assert check_commute(wa, wb) == check_commute(wb, wa)

@@ -6,8 +6,8 @@ from fourshift.core import Config, ZERO, shift, tracks, validate_tuple
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
                                   IllFormedInstruction, Particle, Perm4,
                                   SafeRewrite, SymbolPerm, TransportWord,
-                                  apply_instruction, apply_word,
-                                  invert_instruction, invert_word, size_report)
+                                  apply_instruction, apply_word, invert_word,
+                                  size_report)
 from fourshift.permbuild import WordPerm
 from fourshift.safety import make_explicit_spec
 
@@ -102,8 +102,8 @@ class TestApplyWord:
 
 class TestInvert:
     def test_instruction_inverses(self):
-        assert invert_instruction(Particle(3)) == Particle(-3)
-        assert invert_instruction(HeadShift(2)) == HeadShift(-2)
+        assert Particle(3).inverse() == Particle(-3)
+        assert HeadShift(2).inverse() == HeadShift(-2)
 
     def test_word_reverses(self):
         a, b = Particle(1), HeadShift(1)

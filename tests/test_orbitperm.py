@@ -3,7 +3,7 @@
 import pytest
 
 from fourshift.core import Config, validate_tuple
-from fourshift.generators import apply_instruction, invert_instruction
+from fourshift.generators import apply_instruction
 from fourshift.orbitperm import (BetaOdd, KTooSmall,
                                  orbit_permutation_instruction)
 from fourshift.permbuild import parity_of_permutation
@@ -65,12 +65,12 @@ class TestRealization:
             t = rand_tuple(rng, 5)
             beta = rand_even_perm(rng, 5)
             ins = orbit_permutation_instruction(t, beta)
-            inv = invert_instruction(ins)
+            inv = ins.inverse()
             assert apply_tuple(apply_tuple(t, ins), inv) == t.components
 
     def test_bijective_on_unrelated_configs(self, rng):
         ins = orbit_permutation_instruction(FIVE, (1, 2, 0, 3, 4))
-        inv = invert_instruction(ins)
+        inv = ins.inverse()
         for _ in range(100):
             x = rand_config(rng, span=10, max_cells=6)
             assert apply_instruction(apply_instruction(x, ins), inv) == x

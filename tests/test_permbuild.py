@@ -1,4 +1,4 @@
-"""Sparse word permutations, even completion, and the track-alphabet layer."""
+"""Sparse word permutations and even completion."""
 
 import itertools
 import random
@@ -6,11 +6,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fourshift.core import Config
-from fourshift.permbuild import (DuplicateSource, DuplicateTarget, G0Local,
-                                 G0Shift, HeadSymbolPresent, NoRoom, WordPerm,
-                                 build_mapping_perm, complete_partial_injection,
-                                 g0_apply, g0_psi, make_even, parity,
+from fourshift.permbuild import (DuplicateSource, DuplicateTarget, NoRoom,
+                                 WordPerm, build_mapping_perm,
+                                 complete_partial_injection, make_even, parity,
                                  parity_of_permutation)
 
 
@@ -150,27 +148,3 @@ class TestBuildMappingPerm:
         assert parity(wp) == 0
         assert wp.apply("02") == "02" and wp.apply("00") == "01"
 
-
-class TestG0:
-    def test_psi_sums_shifts(self):
-        local = G0Local(0, 1, WordPerm.identity(2))
-        assert g0_psi([G0Shift(2), local, G0Shift(-5)]) == -3
-
-    def test_psi_homomorphism(self, rng):
-        for _ in range(50):
-            w1 = [G0Shift(rng.randrange(-5, 6)) for _ in range(3)]
-            w2 = [G0Shift(rng.randrange(-5, 6)) for _ in range(3)]
-            assert g0_psi(w1 + w2) == g0_psi(w1) + g0_psi(w2)
-
-    def test_apply_shift(self):
-        assert g0_apply(Config.from_word(0, "1"), [G0Shift(1)]) == \
-            Config.from_word(-1, "1")
-
-    def test_apply_local(self):
-        wp = WordPerm.from_pairs([("12", "21"), ("21", "12")], 2)
-        assert g0_apply(Config.from_word(0, "12"), [G0Local(0, 1, wp)]) == \
-            Config.from_word(0, "21")
-
-    def test_head_rejected(self):
-        with pytest.raises(HeadSymbolPresent):
-            g0_apply(Config.from_word(0, "3"), [G0Shift(1)])

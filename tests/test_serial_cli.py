@@ -2,13 +2,16 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourshift.cli import main
 from fourshift.core import Config, ZERO, validate_tuple
-from fourshift.generators import (SWAP_13, HeadLocal, HeadShift, Particle,
-                                  SafeRewrite, SymbolPerm, TransportWord)
+from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
+                                  Particle, SafeRewrite, SymbolPerm,
+                                  TransportWord)
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
 from fourshift.safety import SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC, make_explicit_spec
@@ -70,6 +73,54 @@ def sample_words(rng):
         (orbit_permutation_instruction(five, beta),))
 
 
+# The word file of all_ops_word(), pinned byte for byte.  Files written
+# before the SR "mode" key was dropped differ from it only by that key.
+GOLDEN = Path(__file__).parent / "data" / "all_ops_word.json"
+
+SWAP = ('[{"op":"SR","k":3,"h":1,"U":["030","031"],"V":["3"],'
+        '"map":[["030","031"],["031","030"]],"ell":"strict","mrad":"strict"}]')
+# Sends both 030 and 031 to 031: replaying it would merge the orbits of
+# @0:3 and @10:31.
+ORBIT_MERGING = SWAP.replace(',["031","030"]', "")
+
+
+def all_ops_word():
+    spec = make_explicit_spec(["030", "031"], ["3"],
+                              [("030", "031"), ("031", "030")])
+    return TransportWord((
+        Particle(-3), SymbolPerm(SWAP_13),
+        HeadLocal(1, WordPerm.from_pairs([("00", "12"), ("12", "00")], 2)),
+        HeadShift(2), SafeRewrite(spec), SafeRewrite(SIGMA3_PI_SPEC)))
+
+
+def sr_obj(**fields) -> str:
+    obj = {"op": "SR", "k": 21, "h": 1, "U": "SIGMA3_PI", "V": ["3"],
+           "map": "SIGMA3_PI", "ell": "strict", "mrad": "strict"}
+    return json.dumps([{**obj, **fields}])
+
+
+ZERO_PADDED = dict(k=3, h=1, U=["010", "020"], V="NONZERO_N",
+                   map=[["010", "020"], ["020", "010"]])
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from([*OPS, "strict", "NONZERO_N", "SIGMA3_PI",
+                       "SIGMA3_TAU", "030", "031", "3", "12"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.text(max_size=4), inner, max_size=8),
+    max_leaves=24)
+# Each valid object of the golden file with one field replaced, so every
+# decoder sees every field malformed; values that look like integers
+# without being JSON integers are drawn often.
+GOLDEN_OBJS = json.loads(GOLDEN.read_text())
+one_field_off = st.builds(
+    lambda slot, v: [{**GOLDEN_OBJS[slot[0]], slot[1]: v}],
+    st.sampled_from([(i, key) for i, obj in enumerate(GOLDEN_OBJS)
+                     for key in obj]),
+    st.sampled_from([1e999, -1e999, 2.0, True, "1"]) | json_values)
+
+
 class TestWordFiles:
     def test_round_trip(self, rng):
         for word in sample_words(rng):
@@ -87,10 +138,43 @@ class TestWordFiles:
         assert data[0]["U"] == "SIGMA3_PI" and data[0]["map"] == "SIGMA3_PI"
         assert data[0]["ell"] == "strict" and data[0]["mrad"] == "strict"
 
+    def test_golden_bytes(self):
+        assert emit_word(all_ops_word()) + "\n" == GOLDEN.read_text()
+
+    def test_mode_key_still_read(self):
+        objs = json.loads(GOLDEN.read_text())
+        for obj in objs:
+            if obj["op"] == "SR":
+                obj["mode"] = "strict"
+        assert parse_word(json.dumps(objs, indent=1)) == all_ops_word()
+
+    def test_bases_of_the_bad_objects_parse(self):
+        assert parse_word(sr_obj()) == TransportWord(
+            (SafeRewrite(SIGMA3_PI_SPEC),))
+        parse_word(sr_obj(**ZERO_PADDED))
+        parse_word(SWAP)
+
     def test_parse_errors(self):
-        for bad in ("{", "{}", '[{"op":"??"}]', '[{"op":"P"}]'):
+        for bad in (
+                "{", "{}", "[" * 100000, '[{"op":"??"}]', '[{"op":"P"}]',
+                '[{"op":["P"],"e":1}]', '[{"op":"P","e":1e999}]',
+                '[{"op":"HS","e":1e999}]', '[{"op":"P","e":true}]',
+                '[{"op":"P","e":2.0}]', '[{"op":"SYM","img":[0,1,2,3.5]}]',
+                '[{"op":"HL","r":1.0,"map":[]}]', sr_obj(k=1e999),
+                sr_obj(map="BOGUS"), sr_obj(U="SIGMA3_TAU"), sr_obj(ell=6),
+                ORBIT_MERGING, SWAP.replace('"k":3', '"k":4'),
+                sr_obj(**ZERO_PADDED, ell=99),
+                sr_obj(**{**ZERO_PADDED, "U": "010"})):
             with pytest.raises(ParseError):
                 parse_word(bad)
+
+    @settings(deadline=None)
+    @given(json_values | one_field_off)
+    def test_arbitrary_json_raises_only_parse_error(self, value):
+        try:
+            parse_word(json.dumps(value))
+        except ParseError:
+            pass
 
 
 @pytest.fixture
@@ -174,6 +258,18 @@ class TestCli:
 
     def test_selftest(self, capsys):
         assert main(["selftest", "--trials", "5", "--seed", "11"]) == 0
+
+    @pytest.mark.parametrize("text", [ORBIT_MERGING, '[{"op":"P","e":1e999}]'])
+    def test_apply_bad_word_exit_2(self, tmp_path, capsys, text):
+        src = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@0:3\n@10:31\n")
+        word.write_text(text)
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError")
+        assert captured.err.count("\n") == 1
 
     def test_bad_config_exit_2(self):
         assert main(["classify", "not-a-config"]) == 2
