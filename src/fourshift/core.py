@@ -110,6 +110,10 @@ class Config:
             raise ZeroPoint("zero point has no support")
         return self.cells[-1][0]
 
+    def heads(self) -> tuple[int, ...]:
+        """Positions of the head cells, in increasing order."""
+        return tuple(p for p, s in self.cells if s == HEAD)
+
     def sym(self, p: int) -> int:
         for q, s in self.cells:
             if q == p:

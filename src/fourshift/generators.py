@@ -110,7 +110,7 @@ class HeadLocal:
 
     def apply(self, x: Config) -> Config:
         # heads at least 2r+3 apart keep every other head out of the window
-        heads = sorted(p for p, s in x.cells if s == 3)
+        heads = x.heads()
         isolated = [q for q in heads if all(
             q == p or abs(q - p) >= 2 * self.r + 3 for p in heads)]
         if not isolated:

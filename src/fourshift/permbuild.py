@@ -9,7 +9,7 @@ requested pair intact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import DomainError
 
@@ -88,10 +88,10 @@ class WordPerm:
         return not self.moved
 
 
-def parity(wp: WordPerm) -> int:
-    """0 for even, 1 for odd: sum of (cycle length - 1) over the moved set."""
-    mapping = dict(wp.moved)
-    seen: set[str] = set()
+def _cycle_parity(mapping: Mapping) -> int:
+    """0 for even, 1 for odd: sum of (cycle length - 1) over the cycles of
+    a mapping that permutes its own keys."""
+    seen = set()
     sign = 0
     for start in mapping:
         if start in seen:
@@ -106,21 +106,14 @@ def parity(wp: WordPerm) -> int:
     return sign
 
 
+def parity(wp: WordPerm) -> int:
+    """0 for even, 1 for odd, over the moved set."""
+    return _cycle_parity(dict(wp.moved))
+
+
 def parity_of_permutation(img: Sequence[int]) -> int:
     """0 for even, 1 for odd, for a permutation of range(len(img))."""
-    seen = [False] * len(img)
-    sign = 0
-    for start in range(len(img)):
-        if seen[start]:
-            continue
-        n = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = img[i]
-            n += 1
-        sign ^= (n - 1) & 1
-    return sign
+    return _cycle_parity(dict(enumerate(img)))
 
 
 def complete_partial_injection(pairs: Sequence[tuple[str, str]], length: int) -> WordPerm:

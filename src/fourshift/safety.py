@@ -103,7 +103,7 @@ def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
         return frozenset(out)
     if isinstance(wset, HeadLayoutWords):
         L = wset.length
-        heads = [p for p, s in x.cells if s == 3]
+        heads = x.heads()
         head_set = set(heads)
         candidates = {p - off for p in heads for lay in wset.layouts for off in lay}
         out = []

@@ -1,6 +1,6 @@
-"""Transport of distinct-orbit tuples: classify, make good, make great,
-normalize to the canonical great vector, and splice with the inverted
-destination pipeline.
+"""Transport of distinct-orbit tuples: classify, make good and make great
+on both sides, then splice the two great tuples with one head-local
+rewrite followed by the inverted destination word.
 
 Every emitted word is built by simulating its own application, so the
 returned tuple is always the exact replay result.
@@ -16,7 +16,10 @@ from .generators import (SWAP_13, SWAP_23, HeadLocal, HeadShift, Particle,
                          SymbolPerm, TransportWord, apply_instruction,
                          apply_word, head_window, invert_word)
 from .permbuild import build_mapping_perm
-from .reset import LengthMismatch
+
+
+class LengthMismatch(DomainError):
+    pass
 
 
 class NotGood(DomainError):
@@ -114,8 +117,18 @@ def make_good(t: TupleK) -> tuple[TransportWord, TupleK]:
     return TransportWord(tuple(steps)), out
 
 
-def _heads_of(c: Config) -> set[int]:
-    return {p for p, s in c.cells if s == 3}
+def _head_local(comps, targets, heads) -> HeadLocal:
+    """One head-local rewrite taking each component to its target, both
+    with a single head at the same position; the radius covers every
+    other cell of both."""
+    r = 1
+    for c, g, q in zip(comps, targets, heads):
+        for p in (*c.support(), *g.support()):
+            if p != q:
+                r = max(r, abs(p - q))
+    pairs = [(c.window(head_window(q, r)), g.window(head_window(q, r)))
+             for c, g, q in zip(comps, targets, heads)]
+    return HeadLocal(r, build_mapping_perm(pairs, 2 * r))
 
 
 def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
@@ -141,16 +154,15 @@ def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
         emit(Particle(-(tau - now)))
         now = tau
         for i, c in enumerate(comps):
-            heads = _heads_of(c)
-            want = {plan.entries[i][0]} if i in buzzing else set()
-            if heads != want:
+            want = (plan.entries[i][0],) if i in buzzing else ()
+            if c.heads() != want:
                 raise InternalScheduleViolation(
-                    f"component {i} has heads {sorted(heads)} at time {tau}")
+                    f"component {i} has heads {list(c.heads())} at time {tau}")
         e = max(1, 2 - min(plan.entries[i][0] for i in buzzing))
         emit(HeadShift(e))
         kpos = {i: plan.entries[i][0] + e for i in buzzing}
         for i in buzzing:
-            if _heads_of(comps[i]) != {kpos[i]}:
+            if comps[i].heads() != (kpos[i],):
                 raise InternalScheduleViolation("head shift missed its target")
         targets = {
             i: Config.from_cells({
@@ -161,15 +173,9 @@ def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
             })
             for i in buzzing
         }
-        r = 1
-        for i in buzzing:
-            q = kpos[i]
-            for p in set(comps[i].support()) | set(targets[i].support()):
-                if p != q:
-                    r = max(r, abs(p - q))
-        pairs = [(comps[i].window(head_window(kpos[i], r)),
-                  targets[i].window(head_window(kpos[i], r))) for i in buzzing]
-        emit(HeadLocal(r, build_mapping_perm(pairs, 2 * r)))
+        emit(_head_local([comps[i] for i in buzzing],
+                         [targets[i] for i in buzzing],
+                         [kpos[i] for i in buzzing]))
         for i in buzzing:
             if comps[i] != targets[i]:
                 raise InternalScheduleViolation("reset rewrite missed its target")
@@ -196,15 +202,7 @@ def make_canonical(t: TupleK) -> tuple[TransportWord, TupleK]:
         if not classify(c).great:
             raise NotGreat("canonical phase requires a great tuple")
     goal = canonical_great(k)
-    r = max(k, 1)
-    for c, g in zip(t, goal):
-        for p in (*c.support(), *g.support()):
-            if p != 0:
-                r = max(r, abs(p))
-    window = head_window(0, r)
-    pairs = [(c.window(window), g.window(window)) for c, g in zip(t, goal)]
-    wp = build_mapping_perm(pairs, 2 * r)
-    ins = HeadLocal(r, wp)
+    ins = _head_local(t, goal, [0] * k)
     comps = tuple(apply_instruction(c, ins) for c in t)
     if comps != goal.components:
         raise InternalScheduleViolation("canonical rewrite missed its target")
@@ -225,11 +223,12 @@ def transport(src: TupleK, dst: TupleK) -> TransportWord:
     dst = validate_tuple(dst.components)
     if len(src) != len(dst):
         raise LengthMismatch("tuples have different arity")
-    word_s, canon_s = pipeline(src)
-    word_d, canon_d = pipeline(dst)
-    if canon_s != canon_d:
-        raise InternalScheduleViolation("pipelines reached different vectors")
-    word = word_s + invert_word(word_d)
+    good_s, src1 = make_good(src)
+    great_s, src2 = make_great(src1)
+    good_d, dst1 = make_good(dst)
+    great_d, dst2 = make_great(dst1)
+    splice = TransportWord((_head_local(src2, dst2, [0] * len(src)),))
+    word = good_s + great_s + splice + invert_word(good_d + great_d)
     if not verify(word, src, dst):
         raise InternalScheduleViolation("transport word failed replay")
     return word

@@ -11,8 +11,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from fourshift.analysis import (CycleSpec, IsShift, Witness, k_of_finite,
                                 k_of_finite_bruteforce, find_nonshift_witness)
 from fourshift.core import (Config, ZERO, classify, orbit_equal, shift,
@@ -21,7 +19,6 @@ from fourshift.generators import (SWAP_12, SWAP_23, HeadLocal, HeadShift,
                                   Particle, SymbolPerm, TransportWord,
                                   apply_instruction, apply_word)
 from fourshift.orbitperm import orbit_permutation_instruction
-from fourshift.reset import ResetState, reset_act, reset_solve_zero
 from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
                               apply_safe_rewrite, chi_sites,
                               make_explicit_spec)
@@ -165,22 +162,6 @@ def test_c06_clock_reading_oracle():
             x = Config.from_cells(cells)
             assert phi_clock(x) == oracle(x)
             checked += 1
-
-
-def test_c07_reset_solver():
-    """The zeroing word reaches the all-zero state with length exactly
-    max t_i + 1 on 10^3 random reset states."""
-    rng = seeded(7)
-    for _ in range(1000):
-        k = rng.randrange(1, 5)
-        v = ResetState(tuple((rng.randrange(-9, 10), rng.randrange(0, 8))
-                             for _ in range(k)))
-        gens = reset_solve_zero(v)
-        assert len(gens) == max(t for _, t in v.clocks) + 1
-        cur = v
-        for g in gens:
-            cur = reset_act(g, cur)
-        assert cur == ResetState(((0, 0),) * k)
 
 
 def test_c08_k_table_vs_bruteforce_exhaustive():

@@ -1,10 +1,8 @@
 """Sparse word permutations and even completion."""
 
 import itertools
-import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from fourshift.permbuild import (DuplicateSource, DuplicateTarget, NoRoom,
                                  WordPerm, build_mapping_perm,

@@ -1,14 +1,13 @@
 """Text/JSON formats and the command-line surface."""
 
 import json
-import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourshift.cli import main
-from fourshift.core import Config, ZERO, validate_tuple
+from fourshift.core import Config, ZERO
 from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
                                   Particle, SafeRewrite, SymbolPerm,
                                   TransportWord)

@@ -1,16 +1,18 @@
 """Clock readings, the good/great/canonical pipeline, and transport."""
 
+from pathlib import Path
+
 import pytest
 
-from fourshift.core import Config, ZERO, classify, shift, tracks, validate_tuple
-from fourshift.generators import (SWAP_23, Particle, SymbolPerm,
+from fourshift.core import Config, ZERO, classify, shift, validate_tuple
+from fourshift.generators import (SWAP_23, HeadLocal, Particle, SymbolPerm,
                                   TransportWord, apply_instruction,
                                   apply_word, invert_word)
-from fourshift.reset import LengthMismatch
-from fourshift.transporter import (NotGood, NotGreat, Reading, canonical_great,
-                                   first_buzz_schedule, make_canonical,
-                                   make_good, make_great, phi_clock, pipeline,
-                                   transport, verify)
+from fourshift.serial import emit_word
+from fourshift.transporter import (LengthMismatch, NotGood, NotGreat, Reading,
+                                   canonical_great, first_buzz_schedule,
+                                   make_canonical, make_good, make_great,
+                                   phi_clock, pipeline, transport, verify)
 
 from conftest import rand_config, rand_tuple
 
@@ -22,6 +24,9 @@ def cfg(offset, digits):
 DEMO3 = validate_tuple((cfg(0, "3"), cfg(-1, "201"), cfg(0, "22")))
 DEMO3_GOOD = validate_tuple((cfg(-5, "100102"), cfg(-4, "1102"),
                             cfg(-2, "1122")))
+# emit_word(pipeline(DEMO3)[0]), pinned byte for byte: it holds the
+# head-local rewrites of both make_great and make_canonical.
+DEMO3_PIPELINE = Path(__file__).parent / "data" / "demo3_pipeline_word.json"
 
 
 def phi_bruteforce(x):
@@ -148,6 +153,11 @@ class TestCanonical:
         with pytest.raises(NotGreat):
             make_canonical(validate_tuple((cfg(0, "1"),)))
 
+    def test_demo_pipeline_word_pinned(self):
+        word, out = pipeline(DEMO3)
+        assert emit_word(word) + "\n" == DEMO3_PIPELINE.read_text()
+        assert out.components == canonical_great(3).components
+
 
 class TestTransport:
     def test_src_equals_dst(self, rng):
@@ -162,6 +172,24 @@ class TestTransport:
     def test_length_mismatch(self, rng):
         with pytest.raises(LengthMismatch):
             transport(rand_tuple(rng, 2), rand_tuple(rng, 3))
+
+    def test_one_head_local_at_the_splice(self, rng):
+        for _ in range(30):
+            k = rng.randrange(1, 5)
+            s, d = rand_tuple(rng, k), rand_tuple(rng, k)
+            good_s, gs = make_good(s)
+            great_s, _ = make_great(gs)
+            good_d, gd = make_good(d)
+            great_d, _ = make_great(gd)
+            head = (good_s + great_s).steps
+            tail = invert_word(good_d + great_d).steps
+            steps = transport(s, d).steps
+            assert len(steps) == len(head) + 1 + len(tail)
+            assert steps[:len(head)] == head
+            assert isinstance(steps[len(head)], HeadLocal)
+            assert steps[len(head) + 1:] == tail
+            assert not any(isinstance(a, HeadLocal) and isinstance(b, HeadLocal)
+                           for a, b in zip(steps, steps[1:]))
 
     def test_inverse_word_transports_back(self, rng):
         for _ in range(30):
