@@ -231,6 +231,9 @@ def main(argv=None) -> int:
     except (ParseError, DomainError, FileNotFoundError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # e.g. a dense row over a span of 2^62 cells
+        print("error: MemoryError: result too large to hold", file=sys.stderr)
+        return 2
     except (InternalScheduleViolation, AssertionError) as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 1

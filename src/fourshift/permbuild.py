@@ -2,12 +2,13 @@
 
 A WordPerm stores only its moved pairs; everything else is fixed.  The main
 construction completes a partial injection into a permutation and, if needed,
-composes it with one extra transposition to make it even while keeping every
-requested pair intact.
+adds one extra transposition of untouched words to make it even while keeping
+every requested pair intact.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -65,24 +66,12 @@ class WordPerm:
     def identity(length: int) -> "WordPerm":
         return WordPerm(length, ())
 
-    def mapping(self) -> dict[str, str]:
-        return dict(self.moved)
-
     def apply(self, w: str) -> str:
         _check_word(w, self.length)
         return dict(self.moved).get(w, w)
 
     def inverse(self) -> "WordPerm":
         return WordPerm.from_pairs(((d, s) for s, d in self.moved), self.length)
-
-    def compose(self, other: "WordPerm") -> "WordPerm":
-        """self after other: (self.compose(other)).apply(w) = self(other(w))."""
-        if self.length != other.length:
-            raise DomainError("length mismatch")
-        mine, theirs = dict(self.moved), dict(other.moved)
-        domain = set(mine) | set(theirs)
-        pairs = [(w, mine.get(theirs.get(w, w), theirs.get(w, w))) for w in domain]
-        return WordPerm.from_pairs(pairs, self.length)
 
     def is_identity(self) -> bool:
         return not self.moved
@@ -147,7 +136,7 @@ def complete_partial_injection(pairs: Sequence[tuple[str, str]], length: int) ->
 
 def make_even(wp: WordPerm, length: int,
               protected: frozenset[str] = frozenset()) -> WordPerm:
-    """Compose an odd permutation with one transposition of untouched words.
+    """Add to an odd permutation one transposition of untouched words.
 
     The transposition uses the two lexicographically smallest words that are
     neither moved by wp nor listed in `protected`, so every original pair
@@ -158,30 +147,9 @@ def make_even(wp: WordPerm, length: int,
     avoid = {s for s, _ in wp.moved} | protected
     if 3**length - len(avoid) < 2:
         raise NoRoom("fewer than two untouched words available")
-    found = []
-    for w in _lex_words(length):
-        if w not in avoid:
-            found.append(w)
-            if len(found) == 2:
-                break
-    if len(found) < 2:
-        raise NoRoom("fewer than two untouched words available")
-    swap = WordPerm.from_pairs([(found[0], found[1]), (found[1], found[0])], length)
-    return wp.compose(swap)
-
-
-def _lex_words(length: int):
-    """All of {0,1,2}^length in lexicographic order, generated lazily."""
-    digits = [0] * length
-    while True:
-        yield "".join(str(d) for d in digits)
-        i = length - 1
-        while i >= 0 and digits[i] == 2:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        digits[i] += 1
+    words = ("".join(t) for t in itertools.product(TRACK_ALPHABET, repeat=length))
+    a, b = itertools.islice((w for w in words if w not in avoid), 2)
+    return WordPerm.from_pairs([*wp.moved, (a, b), (b, a)], length)
 
 
 def build_mapping_perm(pairs: Sequence[tuple[str, str]], length: int) -> WordPerm:

@@ -1,29 +1,27 @@
 """Safe-rewrite automorphisms by isolated local rewriting.
 
-A rewrite spec carries a word set U, a marker set V, a boundary-preserving
-permutation of U and two radii.  A position is rewritten only when its
-U-occurrence is alone within the large radius and all nearby V-occurrences
-sit inside the rewritten block; under the safety conditions this yields an
-automorphism whose rewrite sites are stable, hence a group action.
+A rewrite spec carries a word set U, a marker set V, a permutation of U and
+two radii.  A position is rewritten only when its U-occurrence is alone
+within the large radius and all nearby V-occurrences sit inside the
+rewritten block; under the safety conditions this yields an automorphism
+whose rewrite sites are stable, hence a group action.
 
-Word families that are too large to enumerate (the head-gap families of the
-simulated shift, and "all nonzero words of length n") are kept schematic and
-matched by pattern.
+The construction uses two marker rules.  The head marker V = {3}, kept as
+a one-letter head-gap family, guards the simulated shift and explicit
+rewrites with third-anchored heads.  V = all nonzero words of length n
+guards the zero-padded words 0^n w 0^n of even orbit permutations.  Word
+families too large to enumerate are schematic and matched by pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import Config, DomainError, json_int
 
 SIGMA_SIZE = 4
 HEAD_CHAR = "3"
-
-# Radii larger than this cannot occur as distances between cells of any
-# practical configuration; strict_params flags them as saturated.
-SATURATION_BOUND = 2**32
 
 
 class IllFormedWordSet(DomainError):
@@ -77,6 +75,10 @@ class HeadLayoutWords:
                 raise IllFormedWordSet("a layout must place at least one head")
             if any(not 0 <= off < self.length for off in lay):
                 raise IllFormedWordSet("layout offset out of range")
+
+
+# The marker set {3}, matched through the head cells.
+HEAD_MARKER = HeadLayoutWords(1, frozenset({frozenset({0})}))
 
 
 @dataclass(frozen=True)
@@ -143,23 +145,18 @@ class RuleWordMap:
     tag: str  # "SIGMA3_PI" or "SIGMA3_TAU"
 
     def apply(self, w: str) -> str:
+        """PI keeps the letter left of the head, TAU the letter right of it."""
+        if self.tag not in ("SIGMA3_PI", "SIGMA3_TAU"):
+            raise IllFormedSpec(f"unknown rule tag {self.tag!r}")
+        left = self.tag == "SIGMA3_PI"
         heads = [i for i, c in enumerate(w) if c == HEAD_CHAR]
         m = SIGMA3_M
-        if self.tag == "SIGMA3_PI":
-            if heads == [m + 1]:  # one head: encode the preceding letter as a gap
-                u, a, v = w[:m], int(w[m]), w[m + 2:]
-                return u + HEAD_CHAR + v[:a] + HEAD_CHAR + v[a:]
-            j = heads[1] - m - 1  # two heads: decode the gap back to a letter
-            u, v = w[:m], w[m + 1:heads[1]] + w[heads[1] + 1:]
-            return u + str(j) + HEAD_CHAR + v
-        if self.tag == "SIGMA3_TAU":
-            if heads == [m]:  # one centred head: gap-encode the letter after it
-                u, a, v = w[:m], int(w[m + 1]), w[m + 2:]
-                return u + HEAD_CHAR + v[:a] + HEAD_CHAR + v[a:]
-            j = heads[1] - m - 1
-            u, v = w[:m], w[m + 1:heads[1]] + w[heads[1] + 1:]
-            return u + HEAD_CHAR + str(j) + v
-        raise IllFormedSpec(f"unknown rule tag {self.tag!r}")
+        if len(heads) == 1:  # one head: encode the kept letter as a gap
+            a, v = int(w[m] if left else w[m + 1]), w[m + 2:]
+            return w[:m] + HEAD_CHAR + v[:a] + HEAD_CHAR + v[a:]
+        j = str(heads[1] - m - 1)  # two heads: decode the gap back to a letter
+        v = w[m + 1:heads[1]] + w[heads[1] + 1:]
+        return w[:m] + (j + HEAD_CHAR if left else HEAD_CHAR + j) + v
 
     def inverse(self) -> "RuleWordMap":
         return self  # both rules are involutions
@@ -170,100 +167,67 @@ WordMap = ExplicitWordMap | RuleWordMap
 
 # --- safety validators ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
-    reason: str
-    words: tuple[str, ...]
+def validate_sufficient_safety(words: Iterable[str], length: int) -> None:
+    """validate_layout_safety on the head offsets of explicit words."""
+    layouts = []
+    for w in sorted(words):
+        if len(w) != length:
+            raise IllFormedSpec(f"wrong length: {w!r}")
+        heads = frozenset(i for i, c in enumerate(w) if c == HEAD_CHAR)
+        if not heads:
+            raise IllFormedSpec(f"word lacks the marker symbol: {w!r}")
+        layouts.append(heads)
+    validate_layout_safety(layouts, length)
 
 
-def validate_sufficient_safety(words: Iterable[str], s: int, k3: int) -> Optional[Violation]:
-    """Check the third-anchored sufficient condition for {s}-safety.
-
-    All words must have length 3*k3 with s confined to the middle third,
-    every word must contain s, and words with equal s-count must agree on
-    the leftmost s position.
-    """
-    sc = str(s)
-    ws = sorted(set(words))
-    leftmost_by_count: dict[int, tuple[int, str]] = {}
-    for w in ws:
-        if len(w) != 3 * k3:
-            return Violation("wrong length", (w,))
-        if sc not in w:
-            return Violation("word lacks the marker symbol", (w,))
-        first = w.index(sc)
-        last = w.rindex(sc)
-        if first < k3 or last >= 2 * k3:
-            return Violation("marker outside the middle third", (w,))
-        count = w.count(sc)
-        if count in leftmost_by_count:
-            pos, prev = leftmost_by_count[count]
-            if pos != first:
-                return Violation("equal marker count, different leftmost position",
-                                 (prev, w))
-        else:
-            leftmost_by_count[count] = (first, w)
-    return None
-
-
-def validate_layout_safety(layouts: Iterable[frozenset[int]], length: int) -> Optional[Violation]:
-    """Schematic analogue of validate_sufficient_safety for head-gap families."""
+def validate_layout_safety(layouts: Iterable[frozenset[int]], length: int) -> None:
+    """Third-anchored sufficient condition for {3}-safety: all heads in the
+    middle third, equal head counts agree on the leftmost head."""
     if length % 3 != 0:
-        return Violation("length not divisible by three", ())
+        raise IllFormedSpec("length not divisible by three")
     k3 = length // 3
     leftmost_by_count: dict[int, int] = {}
     for lay in layouts:
+        shown = ",".join(map(str, sorted(lay)))
         if any(not k3 <= off < 2 * k3 for off in lay):
-            return Violation("marker outside the middle third",
-                             (",".join(map(str, sorted(lay))),))
-        count = len(lay)
-        first = min(lay)
-        if count in leftmost_by_count and leftmost_by_count[count] != first:
-            return Violation("equal marker count, different leftmost position",
-                             (",".join(map(str, sorted(lay))),))
-        leftmost_by_count.setdefault(count, first)
-    return None
+            raise IllFormedSpec(f"marker outside the middle third: {shown}")
+        first = leftmost_by_count.setdefault(len(lay), min(lay))
+        if first != min(lay):
+            raise IllFormedSpec(
+                f"equal marker count, different leftmost position: {shown}")
 
 
-def validate_zero_padded(words: Iterable[str], n: int) -> Optional[Violation]:
+def validate_zero_padded(words: Iterable[str], n: int) -> None:
     """Check the zero-padded sufficient condition (marker set = all nonzero
     words of length n): shape 0^n w 0^n, no all-zero word, and no core at
     two distinct offsets."""
     core_offset: dict[str, tuple[int, str]] = {}
     for w in sorted(set(words)):
         if len(w) != 3 * n:
-            return Violation("wrong length", (w,))
+            raise IllFormedSpec(f"wrong length: {w!r}")
         if set(w) == {"0"}:
-            return Violation("all-zero word", (w,))
+            raise IllFormedSpec(f"all-zero word: {w!r}")
         if w[:n].strip("0") or w[2 * n:].strip("0"):
-            return Violation("nonzero symbol outside the middle third", (w,))
+            raise IllFormedSpec(f"nonzero symbol outside the middle third: {w!r}")
         first = len(w) - len(w.lstrip("0"))
-        core = w.strip("0")
-        if core in core_offset:
-            off, prev = core_offset[core]
-            if off != first:
-                return Violation("same core at two offsets", (prev, w))
-        else:
-            core_offset[core] = (first, w)
-    return None
+        off, prev = core_offset.setdefault(w.strip("0"), (first, w))
+        if off != first:
+            raise IllFormedSpec(f"same core at two offsets: {prev!r}, {w!r}")
 
 
 @dataclass(frozen=True)
 class StrictParams:
     ell: int
     m_rad: int
-    saturated: bool
 
 
 def strict_params(k: int, h: int) -> StrictParams:
     """Minimal strict radii over the 4-symbol alphabet: ell = 4^h + 1 and
-    m_rad = ell + 2k + h.  Values are exact; the flag marks radii beyond any
-    practical support span."""
+    m_rad = ell + 2k + h, exact for any size."""
     if not k >= h >= 1:
         raise IllFormedSpec("need k >= h >= 1")
     ell = SIGMA_SIZE**h + 1
-    m_rad = ell + 2 * k + h
-    return StrictParams(ell, m_rad, m_rad > SATURATION_BOUND)
+    return StrictParams(ell, ell + 2 * k + h)
 
 
 # --- the rewrite spec -------------------------------------------------------
@@ -312,8 +276,8 @@ class SafeRewriteSpec:
             spec = make_zero_padded_spec(words, pairs)
             if ell not in (None, spec.ell) or m_rad not in (None, spec.m_rad):
                 raise IllFormedSpec("zero-padded radii must be the strict ones")
-        elif isinstance(markers, list):
-            spec = make_explicit_spec(words, markers, pairs, ell, m_rad)
+        elif isinstance(markers, list) and set(markers) == {HEAD_CHAR}:
+            spec = make_explicit_spec(words, pairs, ell, m_rad)
         else:
             raise IllFormedSpec(f"bad marker set {markers!r}")
         if (spec.k, spec.h) != (k, h):
@@ -326,6 +290,8 @@ def _word_set_to_obj(ws: WordSetDesc) -> object:
         return "SIGMA3_PI"
     if ws == SIGMA3_TAU_WORDS:
         return "SIGMA3_TAU"
+    if ws == HEAD_MARKER:
+        return [HEAD_CHAR]
     if isinstance(ws, NonzeroWords):
         return "NONZERO_N"
     if isinstance(ws, ExplicitWords):
@@ -333,60 +299,41 @@ def _word_set_to_obj(ws: WordSetDesc) -> object:
     raise IllFormedSpec(f"unserializable word set {ws!r}")
 
 
-def _boundary_equivalent(u: str, v: str, ell: int) -> bool:
-    return ell == 0 or (u[:ell] == v[:ell] and u[-ell:] == v[-ell:])
+def _word_map(U: ExplicitWords,
+              pairs: Iterable[tuple[str, str]]) -> ExplicitWordMap:
+    """The moved pairs of `pairs`, checked to permute U."""
+    moved = tuple(sorted((s, d) for s, d in dict(pairs).items() if s != d))
+    pi = ExplicitWordMap(moved)
+    if ({pi.apply(u) for u in U.words} != U.words
+            or any(s not in U.words for s, _ in moved)):
+        raise IllFormedSpec("mapping is not a permutation of U")
+    return pi
 
 
-def make_explicit_spec(words: Iterable[str], marker_words: Iterable[str],
+def make_explicit_spec(words: Iterable[str],
                        pairs: Iterable[tuple[str, str]],
                        ell: int | None = None,
                        m_rad: int | None = None) -> SafeRewriteSpec:
-    """Build and validate a rewrite spec with explicit U, V and mapping."""
+    """Build and validate a rewrite of explicit words U guarded by the head
+    marker; the radii default to the strict ones."""
     U = ExplicitWords.of(words)
-    V = ExplicitWords.of(marker_words)
-    k, h = U.length, V.length
-    if h > k:
-        raise IllFormedSpec("marker words longer than rewrite words")
-    moved = tuple(sorted((s, d) for s, d in dict(pairs).items() if s != d))
-    pi = ExplicitWordMap(moved)
-    image = {pi.apply(u) for u in U.words}
-    if image != U.words or any(s not in U.words for s, _ in moved):
-        raise IllFormedSpec("mapping is not a permutation of U")
-    for u in U.words:
-        if not _boundary_equivalent(u, pi.apply(u), h - 1):
-            raise IllFormedSpec(f"pair {u!r} -> {pi.apply(u)!r} changes a boundary")
-        if not any(u[i:i + h] in V.words for i in range(k - h + 1)):
-            raise IllFormedSpec(f"word {u!r} contains no marker word")
-    strict = strict_params(k, h)
-    if ell is None:
-        ell = strict.ell
-    if m_rad is None:
-        m_rad = strict.m_rad
+    pi = _word_map(U, pairs)
+    strict = strict_params(U.length, 1)
+    ell = strict.ell if ell is None else ell
+    m_rad = strict.m_rad if m_rad is None else m_rad
     if ell < strict.ell or m_rad < strict.m_rad:
         raise IllFormedSpec("radii below the strict bounds")
-    if V.words == frozenset({HEAD_CHAR}) and k % 3 == 0:
-        bad = validate_sufficient_safety(U.words, 3, k // 3)
-    else:
-        bad = Violation("no applicable safety validator", ())
-    if bad is not None:
-        raise IllFormedSpec(f"safety validation failed: {bad.reason}")
-    return SafeRewriteSpec(k, h, U, V, pi, ell, m_rad)
+    validate_sufficient_safety(U.words, U.length)
+    return SafeRewriteSpec(U.length, 1, U, HEAD_MARKER, pi, ell, m_rad)
 
 
 def make_zero_padded_spec(words: Iterable[str],
                           pairs: Iterable[tuple[str, str]]) -> SafeRewriteSpec:
     """Spec for U of shape 0^n w 0^n with V = all nonzero words of length n."""
     U = ExplicitWords.of(words)
-    if U.length % 3 != 0:
-        raise IllFormedSpec("zero-padded words must have length 3n")
     n = U.length // 3
-    bad = validate_zero_padded(U.words, n)
-    if bad is not None:
-        raise IllFormedSpec(f"zero-padding validation failed: {bad.reason}")
-    moved = tuple(sorted((s, d) for s, d in dict(pairs).items() if s != d))
-    pi = ExplicitWordMap(moved)
-    if {pi.apply(u) for u in U.words} != U.words:
-        raise IllFormedSpec("mapping is not a permutation of U")
+    validate_zero_padded(U.words, n)
+    pi = _word_map(U, pairs)
     strict = strict_params(U.length, n)
     return SafeRewriteSpec(U.length, n, U, NonzeroWords(n), pi,
                            strict.ell, strict.m_rad)
@@ -458,19 +405,16 @@ SIGMA3_TAU_WORDS = HeadLayoutWords(
     SIGMA3_LEN, _GAP_LAYOUTS | {frozenset({SIGMA3_M})})
 
 _SIGMA3_STRICT = strict_params(SIGMA3_LEN, 1)
-_HEAD_MARKER = ExplicitWords.of([HEAD_CHAR])
 
 SIGMA3_PI_SPEC = SafeRewriteSpec(
-    SIGMA3_LEN, 1, SIGMA3_PI_WORDS, _HEAD_MARKER, RuleWordMap("SIGMA3_PI"),
+    SIGMA3_LEN, 1, SIGMA3_PI_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_PI"),
     _SIGMA3_STRICT.ell, _SIGMA3_STRICT.m_rad)
 SIGMA3_TAU_SPEC = SafeRewriteSpec(
-    SIGMA3_LEN, 1, SIGMA3_TAU_WORDS, _HEAD_MARKER, RuleWordMap("SIGMA3_TAU"),
+    SIGMA3_LEN, 1, SIGMA3_TAU_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_TAU"),
     _SIGMA3_STRICT.ell, _SIGMA3_STRICT.m_rad)
 
 for _ws in (SIGMA3_PI_WORDS, SIGMA3_TAU_WORDS):
-    _bad = validate_layout_safety(_ws.layouts, _ws.length)
-    if _bad is not None:  # pragma: no cover - construction constants
-        raise IllFormedSpec(_bad.reason)
+    validate_layout_safety(_ws.layouts, _ws.length)
 
 
 def head_shift_once(x: Config, direction: int) -> Config:

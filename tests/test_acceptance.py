@@ -115,13 +115,13 @@ def test_c05_chi_stability_and_homomorphism():
     rewrites of the same word set equals the rewrite of the composed
     permutation, for the simulated-shift spec and three explicit specs."""
     u3 = ["030", "031", "032"]
-    cycle = make_explicit_spec(u3, ["3"], [("030", "031"), ("031", "032"),
-                                           ("032", "030")], ell=5, m_rad=12)
-    swap01 = make_explicit_spec(u3, ["3"], [("030", "031"), ("031", "030")],
+    cycle = make_explicit_spec(u3, [("030", "031"), ("031", "032"),
+                                    ("032", "030")], ell=5, m_rad=12)
+    swap01 = make_explicit_spec(u3, [("030", "031"), ("031", "030")],
                                 ell=5, m_rad=12)
-    composed = make_explicit_spec(u3, ["3"], [("030", "032"), ("031", "031"),
-                                              ("032", "030")], ell=5, m_rad=12)
-    pair_swap = make_explicit_spec(["130", "131"], ["3"],
+    composed = make_explicit_spec(u3, [("030", "032"), ("031", "031"),
+                                       ("032", "030")], ell=5, m_rad=12)
+    pair_swap = make_explicit_spec(["130", "131"],
                                    [("130", "131"), ("131", "130")],
                                    ell=5, m_rad=12)
     rng = seeded(5)

@@ -70,7 +70,7 @@ class TestApplyInstruction:
             HeadLocal(2, WordPerm.identity(2))
 
     def test_safe_rewrite_instruction(self):
-        spec = make_explicit_spec(["030", "031"], ["3"],
+        spec = make_explicit_spec(["030", "031"],
                                   [("030", "031"), ("031", "030")],
                                   ell=5, m_rad=12)
         assert apply_instruction(cfg(1, "3"), SafeRewrite(spec)) == cfg(1, "31")

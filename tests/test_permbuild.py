@@ -29,11 +29,6 @@ class TestWordPerm:
         assert wp.apply("00") == "01"
         assert wp.inverse().apply("01") == "00"
 
-    def test_compose(self):
-        a = WordPerm.from_pairs([("00", "01"), ("01", "00")], 2)
-        b = WordPerm.from_pairs([("01", "02"), ("02", "01")], 2)
-        assert a.compose(b).apply("02") == "00"  # a after b
-
     def test_non_bijection_rejected(self):
         with pytest.raises(Exception):
             WordPerm.from_pairs([("00", "01"), ("02", "01")], 2)

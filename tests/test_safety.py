@@ -4,8 +4,8 @@ simulated head shift."""
 import pytest
 
 from fourshift.core import Config, ZERO, shift
-from fourshift.safety import (ExplicitWords, HeadLayoutWords, IllFormedSpec,
-                              IllFormedWordSet, NonzeroWords,
+from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
+                              IllFormedSpec, IllFormedWordSet, NonzeroWords,
                               SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
                               apply_safe_rewrite, chi_sites, head_shift_once,
                               invert_spec, make_explicit_spec,
@@ -21,7 +21,7 @@ def cfg(offset, digits):
 
 
 def demo_spec(pairs=(("030", "031"), ("031", "030"))):
-    return make_explicit_spec(["030", "031"], ["3"], pairs, ell=5, m_rad=12)
+    return make_explicit_spec(["030", "031"], pairs, ell=5, m_rad=12)
 
 
 class TestOccurrences:
@@ -56,6 +56,16 @@ class TestOccurrences:
         ws = HeadLayoutWords(21, frozenset({frozenset({10})}))
         assert occurrences(cfg(0, "3"), ws) == frozenset({-10})
         assert occurrences(cfg(0, "33"), ws) == frozenset()
+
+    def test_head_marker_matches_the_explicit_scan(self, rng):
+        # the window scan over the explicit word set {3} is the oracle
+        oracle = ExplicitWords.of(["3"])
+        many_heads = 0
+        for _ in range(400):
+            x = rand_config(rng, span=12, max_cells=8)
+            many_heads += len(x.heads()) > 1
+            assert occurrences(x, HEAD_MARKER) == occurrences(x, oracle)
+        assert many_heads > 50
 
 
 class TestChiSites:
@@ -96,7 +106,7 @@ class TestApplySafeRewrite:
 
     def test_invert_spec_round_trip(self, rng):
         spec = make_explicit_spec(
-            ["030", "031", "032"], ["3"],
+            ["030", "031", "032"],
             [("030", "031"), ("031", "032"), ("032", "030")],
             ell=5, m_rad=12)
         inv = invert_spec(spec)
@@ -107,26 +117,37 @@ class TestApplySafeRewrite:
 
 class TestValidators:
     def test_sufficient_ok(self):
-        assert validate_sufficient_safety(["030", "031"], 3, 1) is None
+        validate_sufficient_safety(["030", "031"], 3)
 
     def test_sufficient_shape_violation(self):
-        assert validate_sufficient_safety(["030", "300"], 3, 1) is not None
+        with pytest.raises(IllFormedSpec):
+            validate_sufficient_safety(["030", "300"], 3)
 
     def test_sufficient_leftmost_violation(self):
-        assert validate_sufficient_safety(["030", "013"], 3, 1) is not None
+        with pytest.raises(IllFormedSpec):
+            validate_sufficient_safety(["030", "013"], 3)
+
+    def test_sufficient_needs_a_head(self):
+        with pytest.raises(IllFormedSpec, match="lacks the marker symbol"):
+            validate_sufficient_safety(["030", "010"], 3)
 
     def test_zero_padded_ok(self):
-        assert validate_zero_padded(["010", "020"], 1) is None
+        validate_zero_padded(["010", "020"], 1)
 
     def test_zero_padded_offset_violation(self):
-        assert validate_zero_padded(["010000", "001000"], 2) is not None
+        with pytest.raises(IllFormedSpec):
+            validate_zero_padded(["010000", "001000"], 2)
 
     def test_zero_padded_all_zero(self):
-        assert validate_zero_padded(["000"], 1) is not None
+        with pytest.raises(IllFormedSpec):
+            validate_zero_padded(["000"], 1)
+
+    def test_explicit_specs_use_the_head_marker(self):
+        assert demo_spec().V == HEAD_MARKER and demo_spec().h == 1
 
     def test_relaxed_radii_need_flag(self):
         with pytest.raises(IllFormedSpec):
-            make_explicit_spec(["030", "031"], ["3"],
+            make_explicit_spec(["030", "031"],
                                [("030", "031"), ("031", "030")],
                                ell=2, m_rad=12)
 
@@ -149,7 +170,7 @@ class TestStrictParams:
 
     def test_saturation_flag(self):
         p = strict_params(30, 20)
-        assert p.saturated and p.ell == 4**20 + 1
+        assert p.ell == 4**20 + 1
 
 
 class TestHeadShift:

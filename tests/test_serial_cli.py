@@ -56,7 +56,7 @@ class TestTupleFiles:
 
 
 def sample_words(rng):
-    spec = make_explicit_spec(["030", "031"], ["3"],
+    spec = make_explicit_spec(["030", "031"],
                               [("030", "031"), ("031", "030")],
                               ell=5, m_rad=12)
     five = rand_tuple(rng, 5)
@@ -84,7 +84,7 @@ ORBIT_MERGING = SWAP.replace(',["031","030"]', "")
 
 
 def all_ops_word():
-    spec = make_explicit_spec(["030", "031"], ["3"],
+    spec = make_explicit_spec(["030", "031"],
                               [("030", "031"), ("031", "030")])
     return TransportWord((
         Particle(-3), SymbolPerm(SWAP_13),
@@ -100,6 +100,10 @@ def sr_obj(**fields) -> str:
 
 ZERO_PADDED = dict(k=3, h=1, U=["010", "020"], V="NONZERO_N",
                    map=[["010", "020"], ["020", "010"]])
+# Moves a source that is not in U: U itself is left in place, but the map
+# is not a permutation of U.
+ZERO_PADDED_FOREIGN_SOURCE = sr_obj(**{**ZERO_PADDED,
+                                       "map": [["030", "0000"]]})
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -152,6 +156,9 @@ class TestWordFiles:
             (SafeRewrite(SIGMA3_PI_SPEC),))
         parse_word(sr_obj(**ZERO_PADDED))
         parse_word(SWAP)
+        # a repeated head marker is still the marker set {3}
+        assert parse_word(SWAP.replace('"V":["3"]', '"V":["3","3"]')) == \
+            parse_word(SWAP)
 
     def test_parse_errors(self):
         for bad in (
@@ -163,7 +170,10 @@ class TestWordFiles:
                 sr_obj(map="BOGUS"), sr_obj(U="SIGMA3_TAU"), sr_obj(ell=6),
                 ORBIT_MERGING, SWAP.replace('"k":3', '"k":4'),
                 sr_obj(**ZERO_PADDED, ell=99),
-                sr_obj(**{**ZERO_PADDED, "U": "010"})):
+                sr_obj(**{**ZERO_PADDED, "U": "010"}),
+                ZERO_PADDED_FOREIGN_SOURCE,
+                *(SWAP.replace('"V":["3"]', f'"V":{v}')
+                  for v in ('["33"]', '["1"]', '["3","1"]'))):
             with pytest.raises(ParseError):
                 parse_word(bad)
 
@@ -258,7 +268,8 @@ class TestCli:
     def test_selftest(self, capsys):
         assert main(["selftest", "--trials", "5", "--seed", "11"]) == 0
 
-    @pytest.mark.parametrize("text", [ORBIT_MERGING, '[{"op":"P","e":1e999}]'])
+    @pytest.mark.parametrize("text", [ORBIT_MERGING, '[{"op":"P","e":1e999}]',
+                                      ZERO_PADDED_FOREIGN_SOURCE])
     def test_apply_bad_word_exit_2(self, tmp_path, capsys, text):
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"
@@ -268,6 +279,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ParseError")
+        assert captured.err.count("\n") == 1
+
+    def test_apply_too_wide_result_exit_2(self, tmp_path, capsys):
+        # the dense row of a 2^62-cell span cannot be allocated: the list
+        # repetition fails at once, before any memory is taken
+        src = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@0:12\n")
+        word.write_text('[{"op":"P","e":-4611686018427387900}]')
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: MemoryError")
         assert captured.err.count("\n") == 1
 
     def test_bad_config_exit_2(self):
