@@ -8,7 +8,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .core import Config, DomainError, canonical_form, shift
 from .generators import TransportWord, apply_word
@@ -46,17 +46,6 @@ class CycleSpec:
     def c1(self) -> int:
         """Number of fixed points."""
         return dict(self.counts).get(1, 0)
-
-    @property
-    def n(self) -> int:
-        """Number of distinct cycle lengths >= 2."""
-        return sum(1 for l, _ in self.counts if l >= 2)
-
-    @property
-    def c(self) -> Optional[int]:
-        """Count of cycles of the unique length >= 2, when n = 1."""
-        long = [cnt for l, cnt in self.counts if l >= 2]
-        return long[0] if len(long) == 1 else None
 
     @property
     def total(self) -> int:

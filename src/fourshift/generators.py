@@ -10,12 +10,12 @@ automorphism, so words invert by reversing the list of inverted steps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import get_args
 
 from . import safety
 from .core import Config, DomainError, TupleK, from_tracks, json_int, tracks
-from .permbuild import WordPerm
+from .permbuild import TRACK_ALPHABET, WordPerm
 
 
 class IllFormedInstruction(DomainError):
@@ -107,8 +107,13 @@ class HeadLocal:
             raise IllFormedInstruction("radius must be positive")
         if self.wp.length != 2 * self.r:
             raise IllFormedInstruction("window permutation length must be 2r")
+        # a window holds no head; the targets of a WordPerm are its sources
+        if not set("".join(s for s, _ in self.wp.moved)) <= set(TRACK_ALPHABET):
+            raise IllFormedInstruction("window words must lie in {0,1,2}")
 
     def apply(self, x: Config) -> Config:
+        if not self.wp.moved:
+            return x
         # heads at least 2r+3 apart keep every other head out of the window
         heads = x.heads()
         isolated = [q for q in heads if all(
@@ -171,7 +176,7 @@ class SafeRewrite:
         return safety.apply_safe_rewrite(x, self.spec)
 
     def inverse(self) -> "SafeRewrite":
-        return SafeRewrite(safety.invert_spec(self.spec))
+        return SafeRewrite(replace(self.spec, pi=self.spec.pi.inverse()))
 
     def to_obj(self) -> dict:
         return {"op": self.OP, **self.spec.to_obj()}

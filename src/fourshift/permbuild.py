@@ -1,15 +1,17 @@
-"""Sparse permutations of fixed-length words over the track alphabet {0,1,2}.
+"""Sparse permutations of fixed-length words.
 
-A WordPerm stores only its moved pairs; everything else is fixed.  The main
-construction completes a partial injection into a permutation and, if needed,
-adds one extra transposition of untouched words to make it even while keeping
-every requested pair intact.
+A WordPerm stores only its moved pairs; everything else is fixed.  It is
+the window map of head-local rewrites (words over the track alphabet
+{0,1,2}) and the word map of explicit safe rewrites.  The main
+construction completes a partial injection into a permutation and, if
+needed, adds one extra transposition of untouched words to make it even
+while keeping every requested pair intact.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import DomainError
@@ -29,18 +31,14 @@ class NoRoom(DomainError):
     """Not enough untouched words are left for a parity-fixing transposition."""
 
 
-def _check_word(w: str, length: int) -> str:
-    if len(w) != length or any(c not in TRACK_ALPHABET for c in w):
-        raise DomainError(f"not a track word of length {length}: {w!r}")
-    return w
-
-
 @dataclass(frozen=True)
 class WordPerm:
-    """Permutation of {0,1,2}^length moving only finitely many words."""
+    """Permutation of the words of one length moving only finitely many;
+    checked when built, so apply is a lookup."""
 
     length: int
     moved: tuple[tuple[str, str], ...]  # sorted by source, src != dst
+    _images: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mapping = dict(self.moved)
@@ -52,29 +50,22 @@ class WordPerm:
         if set(mapping) != images:
             raise DomainError("moved pairs do not form a bijection")
         for s, d in self.moved:
-            _check_word(s, self.length)
-            _check_word(d, self.length)
+            if len(s) != self.length:
+                raise DomainError(f"not a word of length {self.length}: {s!r}")
             if s == d:
                 raise DomainError("identity pair stored in moved set")
+        object.__setattr__(self, "_images", mapping)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[str, str]], length: int) -> "WordPerm":
         moved = tuple(sorted((s, d) for s, d in pairs if s != d))
         return WordPerm(length, moved)
 
-    @staticmethod
-    def identity(length: int) -> "WordPerm":
-        return WordPerm(length, ())
-
     def apply(self, w: str) -> str:
-        _check_word(w, self.length)
-        return dict(self.moved).get(w, w)
+        return self._images.get(w, w)
 
     def inverse(self) -> "WordPerm":
         return WordPerm.from_pairs(((d, s) for s, d in self.moved), self.length)
-
-    def is_identity(self) -> bool:
-        return not self.moved
 
 
 def _cycle_parity(mapping: Mapping) -> int:
@@ -118,9 +109,6 @@ def complete_partial_injection(pairs: Sequence[tuple[str, str]], length: int) ->
     if len(set(dsts)) != len(dsts):
         raise DuplicateTarget("repeated target word")
     mapping = {s: d for s, d in pairs if s != d}
-    for w in list(mapping):
-        _check_word(w, length)
-        _check_word(mapping[w], length)
     dst_set = set(mapping.values())
     closed = dict(mapping)
     for start in mapping:
@@ -134,7 +122,7 @@ def complete_partial_injection(pairs: Sequence[tuple[str, str]], length: int) ->
     return WordPerm.from_pairs(closed.items(), length)
 
 
-def make_even(wp: WordPerm, length: int,
+def make_even(wp: WordPerm,
               protected: frozenset[str] = frozenset()) -> WordPerm:
     """Add to an odd permutation one transposition of untouched words.
 
@@ -145,16 +133,16 @@ def make_even(wp: WordPerm, length: int,
     if parity(wp) == 0:
         return wp
     avoid = {s for s, _ in wp.moved} | protected
-    if 3**length - len(avoid) < 2:
+    if 3**wp.length - len(avoid) < 2:
         raise NoRoom("fewer than two untouched words available")
-    words = ("".join(t) for t in itertools.product(TRACK_ALPHABET, repeat=length))
+    words = ("".join(t) for t in itertools.product(TRACK_ALPHABET, repeat=wp.length))
     a, b = itertools.islice((w for w in words if w not in avoid), 2)
-    return WordPerm.from_pairs([*wp.moved, (a, b), (b, a)], length)
+    return WordPerm.from_pairs([*wp.moved, (a, b), (b, a)], wp.length)
 
 
 def build_mapping_perm(pairs: Sequence[tuple[str, str]], length: int) -> WordPerm:
     """Even permutation of {0,1,2}^length realizing every requested pair."""
     wp = complete_partial_injection(pairs, length)
     protected = frozenset(s for s, _ in pairs) | frozenset(d for _, d in pairs)
-    return make_even(wp, length, protected)
+    return make_even(wp, protected)
 

@@ -1,10 +1,11 @@
 """Safe-rewrite automorphisms by isolated local rewriting.
 
-A rewrite spec carries a word set U, a marker set V, a permutation of U and
-two radii.  A position is rewritten only when its U-occurrence is alone
-within the large radius and all nearby V-occurrences sit inside the
-rewritten block; under the safety conditions this yields an automorphism
-whose rewrite sites are stable, hence a group action.
+A rewrite spec carries a word set U, a marker set V and a permutation of
+U; its two radii are the strict ones fixed by the word lengths.  A
+position is rewritten only when its U-occurrence is alone within the large
+radius and all nearby V-occurrences sit inside the rewritten block; under
+the safety conditions this yields an automorphism whose rewrite sites are
+stable, hence a group action.
 
 The construction uses two marker rules.  The head marker V = {3}, kept as
 a one-letter head-gap family, guards the simulated shift and explicit
@@ -15,10 +16,11 @@ families too large to enumerate are schematic and matched by pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .core import Config, DomainError, json_int
+from .permbuild import WordPerm
 
 SIGMA_SIZE = 4
 HEAD_CHAR = "3"
@@ -126,28 +128,17 @@ def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
 # --- permutations of word sets --------------------------------------------
 
 @dataclass(frozen=True)
-class ExplicitWordMap:
-    """Permutation of an explicit U given by its moved pairs."""
-
-    pairs: tuple[tuple[str, str], ...]
-
-    def apply(self, w: str) -> str:
-        return dict(self.pairs).get(w, w)
-
-    def inverse(self) -> "ExplicitWordMap":
-        return ExplicitWordMap(tuple(sorted((d, s) for s, d in self.pairs)))
-
-
-@dataclass(frozen=True)
 class RuleWordMap:
     """A named rule-based involution (head-gap rearrangement families)."""
 
     tag: str  # "SIGMA3_PI" or "SIGMA3_TAU"
 
-    def apply(self, w: str) -> str:
-        """PI keeps the letter left of the head, TAU the letter right of it."""
+    def __post_init__(self):
         if self.tag not in ("SIGMA3_PI", "SIGMA3_TAU"):
             raise IllFormedSpec(f"unknown rule tag {self.tag!r}")
+
+    def apply(self, w: str) -> str:
+        """PI keeps the letter left of the head, TAU the letter right of it."""
         left = self.tag == "SIGMA3_PI"
         heads = [i for i, c in enumerate(w) if c == HEAD_CHAR]
         m = SIGMA3_M
@@ -162,7 +153,7 @@ class RuleWordMap:
         return self  # both rules are involutions
 
 
-WordMap = ExplicitWordMap | RuleWordMap
+WordMap = WordPerm | RuleWordMap
 
 
 # --- safety validators ------------------------------------------------------
@@ -215,44 +206,40 @@ def validate_zero_padded(words: Iterable[str], n: int) -> None:
             raise IllFormedSpec(f"same core at two offsets: {prev!r}, {w!r}")
 
 
-@dataclass(frozen=True)
-class StrictParams:
-    ell: int
-    m_rad: int
-
-
-def strict_params(k: int, h: int) -> StrictParams:
-    """Minimal strict radii over the 4-symbol alphabet: ell = 4^h + 1 and
-    m_rad = ell + 2k + h, exact for any size."""
-    if not k >= h >= 1:
-        raise IllFormedSpec("need k >= h >= 1")
-    ell = SIGMA_SIZE**h + 1
-    return StrictParams(ell, ell + 2 * k + h)
-
-
 # --- the rewrite spec -------------------------------------------------------
 
 @dataclass(frozen=True)
 class SafeRewriteSpec:
-    k: int
-    h: int
+    """Rewrite the words U by pi where the marker words V allow it.  With
+    k = |U| and h = |V| the radii are the minimal strict ones over the
+    4-symbol alphabet: ell = 4^h + 1 and m_rad = ell + 2k + h."""
+
     U: WordSetDesc
     V: WordSetDesc
     pi: WordMap
-    ell: int
-    m_rad: int
+    k: int = field(init=False)
+    h: int = field(init=False)
+    ell: int = field(init=False)
+    m_rad: int = field(init=False)
+
+    def __post_init__(self):
+        k, h = self.U.length, self.V.length
+        if not k >= h >= 1:
+            raise IllFormedSpec("need k >= h >= 1")
+        ell = SIGMA_SIZE**h + 1
+        for name, value in (("k", k), ("h", h), ("ell", ell),
+                            ("m_rad", ell + 2 * k + h)):
+            object.__setattr__(self, name, value)
 
     def to_obj(self) -> dict:
-        """Word-file fields: the head-gap families and rules by name, radii
-        equal to the strict bounds as "strict"."""
-        strict = strict_params(self.k, self.h)
+        """Word-file fields: the head-gap families and rules by name, the
+        radii as "strict"."""
         return {
             "k": self.k, "h": self.h,
             "U": _word_set_to_obj(self.U), "V": _word_set_to_obj(self.V),
             "map": (self.pi.tag if isinstance(self.pi, RuleWordMap)
-                    else [list(p) for p in sorted(self.pi.pairs)]),
-            "ell": "strict" if self.ell == strict.ell else self.ell,
-            "mrad": "strict" if self.m_rad == strict.m_rad else self.m_rad,
+                    else [list(p) for p in sorted(self.pi.moved)]),
+            "ell": "strict", "mrad": "strict",
         }
 
     @staticmethod
@@ -270,18 +257,17 @@ class SafeRewriteSpec:
             raise IllFormedSpec(f"fields do not match the rule {pairs!r}")
         if not isinstance(words, list):
             raise IllFormedSpec("U must list its words")
-        ell, m_rad = (None if obj[key] == "strict" else json_int(obj[key])
-                      for key in ("ell", "mrad"))
         if markers == "NONZERO_N":
             spec = make_zero_padded_spec(words, pairs)
-            if ell not in (None, spec.ell) or m_rad not in (None, spec.m_rad):
-                raise IllFormedSpec("zero-padded radii must be the strict ones")
         elif isinstance(markers, list) and set(markers) == {HEAD_CHAR}:
-            spec = make_explicit_spec(words, pairs, ell, m_rad)
+            spec = make_explicit_spec(words, pairs)
         else:
             raise IllFormedSpec(f"bad marker set {markers!r}")
         if (spec.k, spec.h) != (k, h):
             raise IllFormedSpec("k and h do not match the word lengths")
+        for key, strict in (("ell", spec.ell), ("mrad", spec.m_rad)):
+            if obj[key] != "strict" and json_int(obj[key]) != strict:
+                raise IllFormedSpec("radii must be the strict ones")
         return spec
 
 
@@ -299,32 +285,23 @@ def _word_set_to_obj(ws: WordSetDesc) -> object:
     raise IllFormedSpec(f"unserializable word set {ws!r}")
 
 
-def _word_map(U: ExplicitWords,
-              pairs: Iterable[tuple[str, str]]) -> ExplicitWordMap:
-    """The moved pairs of `pairs`, checked to permute U."""
-    moved = tuple(sorted((s, d) for s, d in dict(pairs).items() if s != d))
-    pi = ExplicitWordMap(moved)
-    if ({pi.apply(u) for u in U.words} != U.words
-            or any(s not in U.words for s, _ in moved)):
-        raise IllFormedSpec("mapping is not a permutation of U")
-    return pi
+def _word_map(U: ExplicitWords, pairs: Iterable[tuple[str, str]]) -> WordPerm:
+    """The moved pairs of `pairs`, checked to permute U: every moved word
+    lies in U and the moved pairs form a bijection."""
+    mapping = dict(pairs)
+    if any(s not in U.words for s, d in mapping.items() if s != d):
+        raise IllFormedSpec("mapping moves a word outside U")
+    return WordPerm.from_pairs(mapping.items(), U.length)
 
 
 def make_explicit_spec(words: Iterable[str],
-                       pairs: Iterable[tuple[str, str]],
-                       ell: int | None = None,
-                       m_rad: int | None = None) -> SafeRewriteSpec:
+                       pairs: Iterable[tuple[str, str]]) -> SafeRewriteSpec:
     """Build and validate a rewrite of explicit words U guarded by the head
-    marker; the radii default to the strict ones."""
+    marker."""
     U = ExplicitWords.of(words)
     pi = _word_map(U, pairs)
-    strict = strict_params(U.length, 1)
-    ell = strict.ell if ell is None else ell
-    m_rad = strict.m_rad if m_rad is None else m_rad
-    if ell < strict.ell or m_rad < strict.m_rad:
-        raise IllFormedSpec("radii below the strict bounds")
     validate_sufficient_safety(U.words, U.length)
-    return SafeRewriteSpec(U.length, 1, U, HEAD_MARKER, pi, ell, m_rad)
+    return SafeRewriteSpec(U, HEAD_MARKER, pi)
 
 
 def make_zero_padded_spec(words: Iterable[str],
@@ -333,10 +310,7 @@ def make_zero_padded_spec(words: Iterable[str],
     U = ExplicitWords.of(words)
     n = U.length // 3
     validate_zero_padded(U.words, n)
-    pi = _word_map(U, pairs)
-    strict = strict_params(U.length, n)
-    return SafeRewriteSpec(U.length, n, U, NonzeroWords(n), pi,
-                           strict.ell, strict.m_rad)
+    return SafeRewriteSpec(U, NonzeroWords(n), _word_map(U, pairs))
 
 
 # --- chi-site selection and rewriting ---------------------------------------
@@ -375,19 +349,12 @@ def apply_safe_rewrite(x: Config, spec: SafeRewriteSpec) -> Config:
     cells = x.as_dict()
     for i in sites:
         image = spec.pi.apply(x.window(range(i, i + spec.k)))
-        if len(image) != spec.k:
-            raise IllFormedSpec("permutation changed the word length")
         for j in range(spec.k):
             cells.pop(i + j, None)
         for j, ch in enumerate(image):
             if ch != "0":
                 cells[i + j] = int(ch)
     return Config.from_cells(cells)
-
-
-def invert_spec(spec: SafeRewriteSpec) -> SafeRewriteSpec:
-    return SafeRewriteSpec(spec.k, spec.h, spec.U, spec.V, spec.pi.inverse(),
-                           spec.ell, spec.m_rad)
 
 
 # --- the simulated head shift ------------------------------------------------
@@ -404,14 +371,10 @@ SIGMA3_PI_WORDS = HeadLayoutWords(
 SIGMA3_TAU_WORDS = HeadLayoutWords(
     SIGMA3_LEN, _GAP_LAYOUTS | {frozenset({SIGMA3_M})})
 
-_SIGMA3_STRICT = strict_params(SIGMA3_LEN, 1)
-
 SIGMA3_PI_SPEC = SafeRewriteSpec(
-    SIGMA3_LEN, 1, SIGMA3_PI_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_PI"),
-    _SIGMA3_STRICT.ell, _SIGMA3_STRICT.m_rad)
+    SIGMA3_PI_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_PI"))
 SIGMA3_TAU_SPEC = SafeRewriteSpec(
-    SIGMA3_LEN, 1, SIGMA3_TAU_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_TAU"),
-    _SIGMA3_STRICT.ell, _SIGMA3_STRICT.m_rad)
+    SIGMA3_TAU_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_TAU"))
 
 for _ws in (SIGMA3_PI_WORDS, SIGMA3_TAU_WORDS):
     validate_layout_safety(_ws.layouts, _ws.length)

@@ -28,7 +28,11 @@ def parse_config(text: str) -> Config:
     m = _CONFIG_RE.match(text)
     if m is None:
         raise ParseError(f"not a configuration: {text!r}")
-    return Config.from_word(int(m.group(1)), m.group(2))
+    try:
+        offset = int(m.group(1))
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"offset too long: {exc}") from exc
+    return Config.from_word(offset, m.group(2))
 
 
 def emit_tuple(t: TupleK) -> str:

@@ -116,14 +116,12 @@ def test_c05_chi_stability_and_homomorphism():
     permutation, for the simulated-shift spec and three explicit specs."""
     u3 = ["030", "031", "032"]
     cycle = make_explicit_spec(u3, [("030", "031"), ("031", "032"),
-                                    ("032", "030")], ell=5, m_rad=12)
-    swap01 = make_explicit_spec(u3, [("030", "031"), ("031", "030")],
-                                ell=5, m_rad=12)
+                                    ("032", "030")])
+    swap01 = make_explicit_spec(u3, [("030", "031"), ("031", "030")])
     composed = make_explicit_spec(u3, [("030", "032"), ("031", "031"),
-                                       ("032", "030")], ell=5, m_rad=12)
+                                       ("032", "030")])
     pair_swap = make_explicit_spec(["130", "131"],
-                                   [("130", "131"), ("131", "130")],
-                                   ell=5, m_rad=12)
+                                   [("130", "131"), ("131", "130")])
     rng = seeded(5)
     for _ in range(500):
         x = rand_config(rng, span=10, max_cells=6)

@@ -47,8 +47,7 @@ class TestCaseTable:
 
     def test_derived_quantities(self):
         cs = CycleSpec.of([1, 1, 2, 2, 3])
-        assert cs.c1 == 2 and cs.n == 2 and cs.c is None and cs.total == 9
-        assert CycleSpec.of([2, 2]).c == 2
+        assert cs.c1 == 2 and cs.total == 9
 
 
 class TestBruteForce:

@@ -67,12 +67,11 @@ class TestApplyInstruction:
 
     def test_head_local_window_length_checked(self):
         with pytest.raises(IllFormedInstruction):
-            HeadLocal(2, WordPerm.identity(2))
+            HeadLocal(2, WordPerm(2, ()))
 
     def test_safe_rewrite_instruction(self):
         spec = make_explicit_spec(["030", "031"],
-                                  [("030", "031"), ("031", "030")],
-                                  ell=5, m_rad=12)
+                                  [("030", "031"), ("031", "030")])
         assert apply_instruction(cfg(1, "3"), SafeRewrite(spec)) == cfg(1, "31")
 
     def test_head_shift_stepwise(self):

@@ -79,6 +79,6 @@ class TestRealization:
         ins = orbit_permutation_instruction(FIVE, (1, 2, 0, 3, 4))
         spec = ins.spec
         pad = spec.h  # words are 0^{2m} core 0^{2m} with 2m = h
-        for u, v in spec.pi.pairs:
+        for u, v in spec.pi.moved:
             assert u[:pad - 1] == v[:pad - 1]
             assert u[-(pad - 1):] == v[-(pad - 1):]

@@ -8,10 +8,10 @@ from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
                               IllFormedSpec, IllFormedWordSet, NonzeroWords,
                               SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
                               apply_safe_rewrite, chi_sites, head_shift_once,
-                              invert_spec, make_explicit_spec,
-                              make_zero_padded_spec, occurrences,
-                              strict_params, validate_sufficient_safety,
+                              make_explicit_spec, make_zero_padded_spec,
+                              occurrences, validate_sufficient_safety,
                               validate_zero_padded)
+from fourshift.generators import SafeRewrite
 
 from conftest import rand_config, rand_single_head
 
@@ -21,7 +21,7 @@ def cfg(offset, digits):
 
 
 def demo_spec(pairs=(("030", "031"), ("031", "030"))):
-    return make_explicit_spec(["030", "031"], pairs, ell=5, m_rad=12)
+    return make_explicit_spec(["030", "031"], pairs)
 
 
 class TestOccurrences:
@@ -107,9 +107,8 @@ class TestApplySafeRewrite:
     def test_invert_spec_round_trip(self, rng):
         spec = make_explicit_spec(
             ["030", "031", "032"],
-            [("030", "031"), ("031", "032"), ("032", "030")],
-            ell=5, m_rad=12)
-        inv = invert_spec(spec)
+            [("030", "031"), ("031", "032"), ("032", "030")])
+        inv = SafeRewrite(spec).inverse().spec
         for _ in range(200):
             x = rand_config(rng, span=12)
             assert apply_safe_rewrite(apply_safe_rewrite(x, spec), inv) == x
@@ -145,12 +144,6 @@ class TestValidators:
     def test_explicit_specs_use_the_head_marker(self):
         assert demo_spec().V == HEAD_MARKER and demo_spec().h == 1
 
-    def test_relaxed_radii_need_flag(self):
-        with pytest.raises(IllFormedSpec):
-            make_explicit_spec(["030", "031"],
-                               [("030", "031"), ("031", "030")],
-                               ell=2, m_rad=12)
-
     def test_zero_padded_spec_round_trip(self, rng):
         spec = make_zero_padded_spec(
             ["010", "020"], [("010", "020"), ("020", "010")])
@@ -161,15 +154,15 @@ class TestValidators:
 
 class TestStrictParams:
     def test_sigma3_constants(self):
-        p = strict_params(21, 1)
+        p = SIGMA3_PI_SPEC
         assert (p.ell, p.m_rad) == (5, 48)
 
     def test_small(self):
-        p = strict_params(3, 1)
+        p = make_explicit_spec(["030", "031", "032"], [])
         assert (p.ell, p.m_rad) == (5, 12)
 
     def test_saturation_flag(self):
-        p = strict_params(30, 20)
+        p = make_zero_padded_spec(["0" * 20 + "1" * 20 + "0" * 20], [])
         assert p.ell == 4**20 + 1
 
 

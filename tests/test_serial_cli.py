@@ -1,13 +1,14 @@
 """Text/JSON formats and the command-line surface."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fourshift.cli import main
-from fourshift.core import Config, ZERO
+from fourshift.core import Config, DomainError, ZERO
 from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
                                   Particle, SafeRewrite, SymbolPerm,
                                   TransportWord)
@@ -39,9 +40,21 @@ class TestConfigText:
             assert parse_config(emit_config(x)) == x
 
     def test_parse_errors(self):
-        for bad in ("", "@:1", "@0:", "@0:4", "1premature", "@x:12"):
+        for bad in ("", "@:1", "@0:", "@0:4", "1premature", "@x:12",
+                    "@" + "1" * 5000 + ":1"):
             with pytest.raises(ParseError):
                 parse_config(bad)
+
+    @settings(deadline=None)
+    @given(st.text() | st.from_regex(r"@-?[0-9]+:[0-3]+\n"))
+    @example("@" + "1" * 5000 + ":1")
+    @example("@-" + "9" * 20 + ":1")
+    def test_arbitrary_text_raises_only_domain_error(self, text):
+        for parse in (parse_config, parse_tuple):
+            try:
+                parse(text)
+            except DomainError:
+                pass
 
 
 class TestTupleFiles:
@@ -57,8 +70,7 @@ class TestTupleFiles:
 
 def sample_words(rng):
     spec = make_explicit_spec(["030", "031"],
-                              [("030", "031"), ("031", "030")],
-                              ell=5, m_rad=12)
+                              [("030", "031"), ("031", "030")])
     five = rand_tuple(rng, 5)
     beta = (1, 2, 0, 3, 4)
     yield TransportWord(())
@@ -159,6 +171,9 @@ class TestWordFiles:
         # a repeated head marker is still the marker set {3}
         assert parse_word(SWAP.replace('"V":["3"]', '"V":["3","3"]')) == \
             parse_word(SWAP)
+        # an integer radius equal to the strict one reads as "strict"
+        assert parse_word(SWAP.replace('"ell":"strict"', '"ell":5')) == \
+            parse_word(SWAP)
 
     def test_parse_errors(self):
         for bad in (
@@ -168,6 +183,8 @@ class TestWordFiles:
                 '[{"op":"P","e":2.0}]', '[{"op":"SYM","img":[0,1,2,3.5]}]',
                 '[{"op":"HL","r":1.0,"map":[]}]', sr_obj(k=1e999),
                 sr_obj(map="BOGUS"), sr_obj(U="SIGMA3_TAU"), sr_obj(ell=6),
+                SWAP.replace('"ell":"strict"', '"ell":6'),
+                '[{"op":"HL","r":1,"map":[["03","10"],["10","03"]]}]',
                 ORBIT_MERGING, SWAP.replace('"k":3', '"k":4'),
                 sr_obj(**ZERO_PADDED, ell=99),
                 sr_obj(**{**ZERO_PADDED, "U": "010"}),
@@ -292,6 +309,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: MemoryError")
         assert captured.err.count("\n") == 1
+
+    def test_identity_head_local_reads_nothing(self, tmp_path, capsys):
+        # an empty map is the identity whatever the radius: no window of
+        # 2r cells is read
+        src = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@0:3\n")
+        word.write_text('[{"op":"HL","r":1000000000,"map":[]}]')
+        start = time.monotonic()
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().out == "@0:3\n"
 
     def test_bad_config_exit_2(self):
         assert main(["classify", "not-a-config"]) == 2

@@ -1,0 +1,43 @@
+"""Seeded golden digest of word files: refactors must leave every emitted
+byte of a fixed set of transport and orbit-permutation words unchanged."""
+
+import hashlib
+import random
+
+from fourshift.generators import TransportWord
+from fourshift.orbitperm import orbit_permutation_instruction
+from fourshift.permbuild import parity_of_permutation
+from fourshift.serial import emit_word, parse_word
+from fourshift.transporter import transport
+
+from conftest import rand_tuple
+
+# sha256 over the word files below, each followed by a newline.
+DIGEST = "0617cc35f405d0778d241677deb426717a53ba358c28037c8ed23fd59f773e7e"
+
+
+def digest_words():
+    """150 transports (k 1..5, span 5) and 60 even orbit permutations
+    (k 5..8), all from one seeded stream."""
+    rng = random.Random(4)
+    for i in range(150):
+        k = 1 + i % 5
+        yield transport(rand_tuple(rng, k, span=5), rand_tuple(rng, k, span=5))
+    for i in range(60):
+        k = 5 + i % 4
+        t = rand_tuple(rng, k)
+        while True:
+            beta = list(range(k))
+            rng.shuffle(beta)
+            if parity_of_permutation(beta) == 0:
+                break
+        yield TransportWord((orbit_permutation_instruction(t, tuple(beta)),))
+
+
+def test_word_files_are_pinned():
+    h = hashlib.sha256()
+    for word in digest_words():
+        text = emit_word(word)
+        assert parse_word(text) == word
+        h.update(text.encode() + b"\n")
+    assert h.hexdigest() == DIGEST
