@@ -7,12 +7,11 @@ from .core import (Config, ZERO, ClassFlags, DomainError, OrbitCollision,
                    classify, from_tracks, orbit_equal, shift, tracks,
                    validate_tuple)
 from .generators import (SWAP_12, SWAP_13, SWAP_23, HeadLocal, HeadShift,
-                         Particle, Perm4, SafeRewrite, SymbolPerm,
-                         TransportWord, apply_instruction, apply_word,
-                         invert_word, size_report)
-from .transporter import (BuzzPlan, Reading, canonical_great, first_buzz_schedule,
-                          make_canonical, make_good, make_great, phi_clock,
-                          pipeline, transport, verify)
+                         Particle, SafeRewrite, SymbolPerm, TransportWord,
+                         apply_instruction, apply_word, invert_word,
+                         size_report)
+from .transporter import (Reading, canonical_great, make_canonical, make_good,
+                          make_great, phi_clock, transport, verify)
 from .orbitperm import orbit_permutation_instruction
 
 __all__ = [
@@ -20,10 +19,9 @@ __all__ = [
     "PositionOverflow", "TupleK", "ZeroPoint", "canonical_form", "classify",
     "from_tracks", "orbit_equal", "shift", "tracks", "validate_tuple",
     "SWAP_12", "SWAP_13", "SWAP_23", "HeadLocal", "HeadShift", "Particle",
-    "Perm4", "SafeRewrite", "SymbolPerm", "TransportWord",
+    "SafeRewrite", "SymbolPerm", "TransportWord",
     "apply_instruction", "apply_word", "invert_word",
-    "size_report", "BuzzPlan", "Reading", "canonical_great",
-    "first_buzz_schedule", "make_canonical", "make_good", "make_great",
-    "phi_clock", "pipeline", "transport", "verify",
+    "size_report", "Reading", "canonical_great", "make_canonical",
+    "make_good", "make_great", "phi_clock", "transport", "verify",
     "orbit_permutation_instruction",
 ]

@@ -119,7 +119,7 @@ def _sigma_powers(sigma: Perm) -> frozenset[Perm]:
     return frozenset(powers)
 
 
-def k_of_finite_bruteforce(cs: CycleSpec, seed: int = 0) -> KValue:
+def k_of_finite_bruteforce(cs: CycleSpec) -> KValue:
     """Independent oracle: enumerate every bijection commuting with the
     materialized shift permutation and measure its centralizer structure."""
     if cs.total > 8:
@@ -145,7 +145,7 @@ def k_of_finite_bruteforce(cs: CycleSpec, seed: int = 0) -> KValue:
     def centralizer(f: Perm) -> list[Perm]:
         return [h for h in aut if _compose(h, f) == _compose(f, h)]
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     candidates = [aut[rng.randrange(len(aut))] for _ in range(40)]
     f_best = min(candidates, key=lambda f: len(centralizer(f)))
     cf = centralizer(f_best)
@@ -179,6 +179,10 @@ class Inconclusive:
 WitnessResult = Union[Witness, IsShift, Inconclusive]
 
 
+# Widest word the witness search enumerates: at most 4^8 candidates.
+WIDTH_LIMIT = 8
+
+
 def _canonical_words(support_bound: int, width_bound: int) -> list[str]:
     words = []
     for length in range(1, width_bound + 1):
@@ -197,6 +201,8 @@ def find_nonshift_witness(word: TransportWord, support_bound: int = 2,
     """First (in lexicographic word order) nonzero finite point moved out
     of its own orbit; IsShift(n) when every tested point is shifted by the
     same n, Inconclusive otherwise."""
+    if width_bound > WIDTH_LIMIT:
+        raise TooLarge(f"width bound {width_bound} exceeds {WIDTH_LIMIT}")
     shifts: set[int] = set()
     for w in _canonical_words(support_bound, width_bound):
         x = Config.from_word(0, w)

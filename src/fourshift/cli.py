@@ -13,11 +13,12 @@ from pathlib import Path
 from .analysis import (CycleSpec, IsShift, KValue, Witness, k_of_finite,
                        k_of_finite_bruteforce, find_nonshift_witness)
 from .core import Config, DomainError, TupleK, classify, validate_tuple
-from .generators import (SWAP_23, Particle, SymbolPerm, TransportWord,
-                         apply_word, invert_word, size_report)
+from .generators import (SWAP_23, Particle, TransportWord, apply_word,
+                         invert_word, size_report)
 from .serial import (emit_config, emit_tuple, emit_word, parse_config,
                      parse_tuple, parse_word)
-from .transporter import phi_clock, pipeline, transport, verify
+from .transporter import (canonical_great, make_canonical, make_great,
+                          phi_clock, transport, verify)
 
 # Mechanical replay fixture: a three-component tuple driven to good by
 # particle moves and one symbol swap, with every intermediate row pinned.
@@ -26,7 +27,7 @@ ROWS = [
     ("P", Particle(1), ["@-1:12", "@-1:21", "@0:22"]),
     ("P", Particle(1), ["@-2:102", "@-1:3", "@0:22"]),
     ("P", Particle(1), ["@-3:1002", "@-2:12", "@0:22"]),
-    ("SYM 2<->3", SymbolPerm(SWAP_23), ["@-3:1003", "@-2:13", "@0:33"]),
+    ("SYM 2<->3", SWAP_23, ["@-3:1003", "@-2:13", "@0:33"]),
     ("P", Particle(1), ["@-4:10012", "@-3:112", "@-1:132"]),
     ("P", Particle(1), ["@-5:100102", "@-4:1102", "@-2:1122"]),
 ]
@@ -96,8 +97,7 @@ def cmd_phi(args) -> int:
 def cmd_kfinite(args) -> int:
     lengths = [int(v) for v in args.cycles.split(",") if v.strip()]
     cs = CycleSpec.of(lengths)
-    kv = k_of_finite_bruteforce(cs, seed=args.seed) if args.brute \
-        else k_of_finite(cs)
+    kv = k_of_finite_bruteforce(cs) if args.brute else k_of_finite(cs)
     text = {KValue.BOTTOM: "bottom", KValue.ZERO: "0", KValue.TWO: "2"}[kv]
     _emit(args, {"k": text}, text)
     return 0
@@ -119,7 +119,7 @@ def cmd_demo(args) -> int:
     t = validate_tuple(tuple(parse_config(s) for s in ROWS[0][2]))
     for label, ins, expected in ROWS:
         if ins is not None:
-            t = TupleK(tuple(apply_word(c, TransportWord((ins,))) for c in t))
+            t = apply_word(t, TransportWord((ins,)))
         got = [emit_config(c) for c in t]
         print(f"{label:10s} {' '.join(got)}")
         if got != expected:
@@ -128,11 +128,11 @@ def cmd_demo(args) -> int:
     if not all(classify(c).good for c in t):
         print("endpoint is not good", file=sys.stderr)
         return 1
-    word, canon = pipeline(t)
-    if not all(classify(c).great for c in apply_word(t, word)):
-        print("pipeline endpoint is not great", file=sys.stderr)
-        return 1
-    print(f"pipeline to canonical vector: {len(word)} instructions")
+    # both stages raise unless their replay reaches the great tuple and
+    # then the canonical vector
+    great_w, great_t = make_great(t)
+    splice, _ = make_canonical(great_t, canonical_great(len(t)))
+    print(f"great, then canonical: {len(great_w + splice)} instructions")
     return 0
 
 
@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     kf = sub.add_parser("kfinite", help="k(X) for a finite cycle spec")
     kf.add_argument("--cycles", required=True, help="e.g. 1,1,2")
     kf.add_argument("--brute", action="store_true")
-    kf.add_argument("--seed", type=int, default=0)
     kf.add_argument("--json", action="store_true")
     kf.set_defaults(func=cmd_kfinite)
 

@@ -86,13 +86,10 @@ class Config:
     @staticmethod
     def from_word(offset: int, digits: str) -> "Config":
         """Configuration whose symbols are `digits` starting at `offset`."""
-        cells = []
-        for i, ch in enumerate(digits):
+        for ch in digits:
             if ch not in "0123":
                 raise DomainError(f"invalid digit {ch!r}")
-            if ch != "0":
-                cells.append((offset + i, int(ch)))
-        return Config.from_cells(cells)
+        return Config().overwrite([(range(offset, offset + len(digits)), digits)])
 
     def is_zero(self) -> bool:
         return not self.cells
@@ -125,6 +122,17 @@ class Config:
     def window(self, positions: Iterable[int]) -> str:
         """The symbols at `positions`, in order, as a digit string."""
         return "".join(str(self.sym(p)) for p in positions)
+
+    def overwrite(self, windows: Iterable[tuple[Iterable[int], str]]) -> "Config":
+        """This configuration with each digit string of `windows` written
+        at its positions, in order; the inverse of `window`."""
+        cells = self.as_dict()
+        for positions, digits in windows:
+            for p, ch in zip(positions, digits):
+                cells.pop(p, None)
+                if ch != "0":
+                    cells[p] = int(ch)
+        return Config.from_cells(cells)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.cells)

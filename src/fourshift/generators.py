@@ -22,31 +22,6 @@ class IllFormedInstruction(DomainError):
     pass
 
 
-@dataclass(frozen=True)
-class Perm4:
-    """Permutation of the symbols {0,1,2,3} fixing 0."""
-
-    img: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if sorted(self.img) != [0, 1, 2, 3] or self.img[0] != 0:
-            raise IllFormedInstruction(f"not a 0-fixing symbol permutation: {self.img}")
-
-    def apply(self, s: int) -> int:
-        return self.img[s]
-
-    def inverse(self) -> "Perm4":
-        inv = [0] * 4
-        for i, j in enumerate(self.img):
-            inv[j] = i
-        return Perm4(tuple(inv))
-
-
-SWAP_12 = Perm4((0, 2, 1, 3))
-SWAP_13 = Perm4((0, 3, 2, 1))
-SWAP_23 = Perm4((0, 1, 3, 2))
-
-
 def head_window(q: int, r: int) -> list[int]:
     """Positions of the radius-r window around a head at q, q excluded."""
     return [*range(q - r, q), *range(q + 1, q + r + 1)]
@@ -76,21 +51,33 @@ class Particle:
 
 @dataclass(frozen=True)
 class SymbolPerm:
-    perm: Perm4
+    """Cellwise permutation of the symbols {0,1,2,3} fixing 0; `img[s]` is
+    the image of s."""
+
+    img: tuple[int, int, int, int]
     OP = "SYM"
 
+    def __post_init__(self):
+        if sorted(self.img) != [0, 1, 2, 3] or self.img[0] != 0:
+            raise IllFormedInstruction(f"not a 0-fixing symbol permutation: {self.img}")
+
     def apply(self, x: Config) -> Config:
-        return Config.from_cells((p, self.perm.apply(s)) for p, s in x.cells)
+        return Config.from_cells((p, self.img[s]) for p, s in x.cells)
 
     def inverse(self) -> "SymbolPerm":
-        return SymbolPerm(self.perm.inverse())
+        return SymbolPerm(tuple(self.img.index(s) for s in range(4)))
 
     def to_obj(self) -> dict:
-        return {"op": self.OP, "img": list(self.perm.img)}
+        return {"op": self.OP, "img": list(self.img)}
 
     @classmethod
     def from_obj(cls, obj) -> "SymbolPerm":
-        return cls(Perm4(tuple(json_int(v) for v in obj["img"])))
+        return cls(tuple(json_int(v) for v in obj["img"]))
+
+
+SWAP_12 = SymbolPerm((0, 2, 1, 3))
+SWAP_13 = SymbolPerm((0, 3, 2, 1))
+SWAP_23 = SymbolPerm((0, 1, 3, 2))
 
 
 @dataclass(frozen=True)
@@ -120,14 +107,8 @@ class HeadLocal:
             q == p or abs(q - p) >= 2 * self.r + 3 for p in heads)]
         if not isolated:
             return x
-        cells = x.as_dict()
-        for q in isolated:
-            positions = head_window(q, self.r)
-            for p, ch in zip(positions, self.wp.apply(x.window(positions))):
-                cells.pop(p, None)
-                if ch != "0":
-                    cells[p] = int(ch)
-        return Config.from_cells(cells)
+        windows = [head_window(q, self.r) for q in isolated]
+        return x.overwrite((w, self.wp.apply(x.window(w))) for w in windows)
 
     def inverse(self) -> "HeadLocal":
         return HeadLocal(self.r, self.wp.inverse())
@@ -153,7 +134,10 @@ class HeadShift:
     def apply(self, x: Config) -> Config:
         step = 1 if self.e > 0 else -1
         for _ in range(abs(self.e)):
-            x = safety.head_shift_once(x, step)
+            y = safety.head_shift_once(x, step)
+            if y == x:  # a fixed point of one step is fixed by every power
+                return x
+            x = y
         return x
 
     def inverse(self) -> "HeadShift":

@@ -346,15 +346,8 @@ def apply_safe_rewrite(x: Config, spec: SafeRewriteSpec) -> Config:
     sites = sorted(chi_sites(x, spec))
     if not sites:
         return x
-    cells = x.as_dict()
-    for i in sites:
-        image = spec.pi.apply(x.window(range(i, i + spec.k)))
-        for j in range(spec.k):
-            cells.pop(i + j, None)
-        for j, ch in enumerate(image):
-            if ch != "0":
-                cells[i + j] = int(ch)
-    return Config.from_cells(cells)
+    blocks = [range(i, i + spec.k) for i in sites]
+    return x.overwrite((b, spec.pi.apply(x.window(b))) for b in blocks)
 
 
 # --- the simulated head shift ------------------------------------------------

@@ -1,6 +1,6 @@
 """Transport of distinct-orbit tuples: classify, make good and make great
 on both sides, then splice the two great tuples with one head-local
-rewrite followed by the inverted destination word.
+rewrite (`make_canonical`) followed by the inverted destination word.
 
 Every emitted word is built by simulating its own application, so the
 returned tuple is always the exact replay result.
@@ -13,8 +13,7 @@ from typing import Optional
 
 from .core import Config, DomainError, TupleK, classify, tracks, validate_tuple
 from .generators import (SWAP_13, SWAP_23, HeadLocal, HeadShift, Particle,
-                         SymbolPerm, TransportWord, apply_instruction,
-                         apply_word, head_window, invert_word)
+                         TransportWord, apply_word, head_window, invert_word)
 from .permbuild import build_mapping_perm
 
 
@@ -58,33 +57,11 @@ def phi_clock(x: Config) -> Optional[Reading]:
     return Reading(hits[0], s - 1)
 
 
-@dataclass(frozen=True)
-class BuzzPlan:
-    """Per component: first-buzz position and time; horizon strictly later
-    than every buzz."""
-
-    entries: tuple[tuple[int, int], ...]  # (a_i, tau_i), tau_i >= 1
-    horizon: int
-
-
-def first_buzz_schedule(t: TupleK) -> BuzzPlan:
-    entries = []
-    for c in t:
-        if not classify(c).good:
-            raise NotGood("schedule requires a good tuple")
-        r = phi_clock(c)
-        if r is None:  # good points are always clock-like
-            raise InternalScheduleViolation("good component without a reading")
-        entries.append((r.a, r.t + 1))
-    horizon = max(tau for _, tau in entries) + 1
-    return BuzzPlan(tuple(entries), horizon)
-
-
-def _align_amount(comps: list[Config]) -> int:
+def _align_amount(t: TupleK) -> int:
     """Smallest particle move putting all particles strictly left of all
     walls in every component."""
     need = 0
-    for c in comps:
+    for c in t:
         particles, walls = tracks(c)
         for p in particles:
             for w in walls:
@@ -92,29 +69,25 @@ def _align_amount(comps: list[Config]) -> int:
     return need
 
 
+def _then(word: TransportWord, t: TupleK, *steps) -> tuple[TransportWord, TupleK]:
+    """`word` followed by `steps`, and `t` replayed through the steps."""
+    more = TransportWord(steps)
+    return word + more, apply_word(t, more)
+
+
 def make_good(t: TupleK) -> tuple[TransportWord, TupleK]:
     """Particle moves and symbol swaps producing a good tuple; phases whose
     target already holds are skipped."""
-    steps: list = []
-    comps = list(t.components)
-
-    def emit(ins):
-        nonlocal comps
-        steps.append(ins)
-        comps = [apply_instruction(c, ins) for c in comps]
-
-    if not all(classify(c).prepregood for c in comps):
-        emit(Particle(_align_amount(comps)))
-    if not all(classify(c).pregood for c in comps):
-        emit(SymbolPerm(SWAP_23))
-        emit(Particle(_align_amount(comps)))
-    if not all(classify(c).good for c in comps):
-        emit(SymbolPerm(SWAP_13))
-        emit(Particle(_align_amount(comps)))
-    out = TupleK(tuple(comps))
-    if not all(classify(c).good for c in out):
+    word = TransportWord()
+    for flag, swap in (("prepregood", None), ("pregood", SWAP_23),
+                       ("good", SWAP_13)):
+        if not all(getattr(classify(c), flag) for c in t):
+            if swap is not None:
+                word, t = _then(word, t, swap)
+            word, t = _then(word, t, Particle(_align_amount(t)))
+    if not all(classify(c).good for c in t):
         raise InternalScheduleViolation("good phase failed")
-    return TransportWord(tuple(steps)), out
+    return word, t
 
 
 def _head_local(comps, targets, heads) -> HeadLocal:
@@ -132,37 +105,42 @@ def _head_local(comps, targets, heads) -> HeadLocal:
 
 
 def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
-    """Drive the tuple through the one-reset buzz schedule so that every
-    component ends with exactly one head, at the origin."""
-    plan = first_buzz_schedule(t)
-    horizon = plan.horizon
-    steps: list = []
-    comps = list(t.components)
-    now = 0
+    """Drive a good tuple through the one-reset buzz schedule so that every
+    component ends with exactly one head, at the origin.
 
-    def emit(ins):
-        nonlocal comps
-        steps.append(ins)
-        comps = [apply_instruction(c, ins) for c in comps]
-
+    Component i first buzzes (shows a head) at position a_i after tau_i
+    inverse particle steps, read off its clock; at each buzz time the
+    buzzing heads are shifted clear of the origin and rewritten so that
+    all of them buzz again at 0 at the horizon, one step after the last
+    first buzz."""
+    buzz = []  # (a_i, tau_i), tau_i >= 1
+    for c in t:
+        if not classify(c).good:
+            raise NotGood("make_great requires a good tuple")
+        r = phi_clock(c)
+        if r is None:  # good points are always clock-like
+            raise InternalScheduleViolation("good component without a reading")
+        buzz.append((r.a, r.t + 1))
+    horizon = max(tau for _, tau in buzz) + 1
     by_time: dict[int, list[int]] = {}
-    for i, (_, tau) in enumerate(plan.entries):
+    for i, (_, tau) in enumerate(buzz):
         by_time.setdefault(tau, []).append(i)
 
+    word, now = TransportWord(), 0
     for tau in sorted(by_time):
         buzzing = by_time[tau]
-        emit(Particle(-(tau - now)))
+        word, t = _then(word, t, Particle(-(tau - now)))
         now = tau
-        for i, c in enumerate(comps):
-            want = (plan.entries[i][0],) if i in buzzing else ()
+        for i, c in enumerate(t):
+            want = (buzz[i][0],) if i in buzzing else ()
             if c.heads() != want:
                 raise InternalScheduleViolation(
                     f"component {i} has heads {list(c.heads())} at time {tau}")
-        e = max(1, 2 - min(plan.entries[i][0] for i in buzzing))
-        emit(HeadShift(e))
-        kpos = {i: plan.entries[i][0] + e for i in buzzing}
+        e = max(1, 2 - min(buzz[i][0] for i in buzzing))
+        word, t = _then(word, t, HeadShift(e))
+        kpos = {i: buzz[i][0] + e for i in buzzing}
         for i in buzzing:
-            if comps[i].heads() != (kpos[i],):
+            if t[i].heads() != (kpos[i],):
                 raise InternalScheduleViolation("head shift missed its target")
         targets = {
             i: Config.from_cells({
@@ -173,18 +151,17 @@ def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
             })
             for i in buzzing
         }
-        emit(_head_local([comps[i] for i in buzzing],
-                         [targets[i] for i in buzzing],
-                         [kpos[i] for i in buzzing]))
+        word, t = _then(word, t, _head_local([t[i] for i in buzzing],
+                                             [targets[i] for i in buzzing],
+                                             [kpos[i] for i in buzzing]))
         for i in buzzing:
-            if comps[i] != targets[i]:
+            if t[i] != targets[i]:
                 raise InternalScheduleViolation("reset rewrite missed its target")
 
-    emit(Particle(-(horizon - now)))
-    out = TupleK(tuple(comps))
-    if not all(classify(c).great for c in out):
+    word, t = _then(word, t, Particle(-(horizon - now)))
+    if not all(classify(c).great for c in t):
         raise InternalScheduleViolation("great phase failed")
-    return TransportWord(tuple(steps)), out
+    return word, t
 
 
 def canonical_great(k: int) -> TupleK:
@@ -195,30 +172,22 @@ def canonical_great(k: int) -> TupleK:
         Config.from_cells({0: 3, i: 1}) for i in range(1, k + 1)))
 
 
-def make_canonical(t: TupleK) -> tuple[TransportWord, TupleK]:
-    """One head-local rewrite mapping a great tuple to canonical_great(k)."""
-    k = len(t)
-    for c in t:
-        if not classify(c).great:
-            raise NotGreat("canonical phase requires a great tuple")
-    goal = canonical_great(k)
-    ins = _head_local(t, goal, [0] * k)
-    comps = tuple(apply_instruction(c, ins) for c in t)
-    if comps != goal.components:
-        raise InternalScheduleViolation("canonical rewrite missed its target")
-    return TransportWord((ins,)), goal
-
-
-def pipeline(t: TupleK) -> tuple[TransportWord, TupleK]:
-    """Full normalization: good, then great, then canonical."""
-    w1, t1 = make_good(t)
-    w2, t2 = make_great(t1)
-    w3, t3 = make_canonical(t2)
-    return w1 + w2 + w3, t3
+def make_canonical(t: TupleK, goal: TupleK) -> tuple[TransportWord, TupleK]:
+    """One head-local rewrite taking a great tuple to a great goal of the
+    same length: the splice of every transport word."""
+    if len(t) != len(goal):
+        raise LengthMismatch("tuples have different arity")
+    if not all(classify(c).great for c in (*t, *goal)):
+        raise NotGreat("the splice joins two great tuples")
+    word, out = _then(TransportWord(), t, _head_local(t, goal, [0] * len(t)))
+    if out != goal:
+        raise InternalScheduleViolation("splice rewrite missed its goal")
+    return word, out
 
 
 def transport(src: TupleK, dst: TupleK) -> TransportWord:
-    """A word whose replay maps src to dst exactly."""
+    """A word whose replay maps src to dst exactly: both tuples are made
+    good and then great, and the great ones are spliced."""
     src = validate_tuple(src.components)
     dst = validate_tuple(dst.components)
     if len(src) != len(dst):
@@ -227,7 +196,7 @@ def transport(src: TupleK, dst: TupleK) -> TransportWord:
     great_s, src2 = make_great(src1)
     good_d, dst1 = make_good(dst)
     great_d, dst2 = make_great(dst1)
-    splice = TransportWord((_head_local(src2, dst2, [0] * len(src)),))
+    splice, _ = make_canonical(src2, dst2)
     word = good_s + great_s + splice + invert_word(good_d + great_d)
     if not verify(word, src, dst):
         raise InternalScheduleViolation("transport word failed replay")

@@ -16,8 +16,8 @@ from fourshift.analysis import (CycleSpec, IsShift, Witness, k_of_finite,
 from fourshift.core import (Config, ZERO, classify, orbit_equal, shift,
                             validate_tuple)
 from fourshift.generators import (SWAP_12, SWAP_23, HeadLocal, HeadShift,
-                                  Particle, SymbolPerm, TransportWord,
-                                  apply_instruction, apply_word)
+                                  Particle, TransportWord, apply_instruction,
+                                  apply_word)
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
                               apply_safe_rewrite, chi_sites,
@@ -58,7 +58,7 @@ def test_c01_mechanical_replay_three_components():
     lands byte-exactly on the expected good vector."""
     with Budget(1):
         start = (cfg(0, "3"), cfg(-1, "201"), cfg(0, "22"))
-        word = TransportWord((Particle(3), SymbolPerm(SWAP_23), Particle(2)))
+        word = TransportWord((Particle(3), SWAP_23, Particle(2)))
         got = tuple(apply_word(c, word) for c in start)
         assert got == (cfg(-5, "100102"), cfg(-4, "1102"), cfg(-2, "1122"))
         assert all(classify(c).good for c in got)
@@ -246,9 +246,9 @@ def test_c11_instruction_invariants():
 def test_c12_nonshift_witness():
     """The witness search certifies the two sample non-shift words and
     reports shift-by-zero for the empty word."""
-    w = find_nonshift_witness(TransportWord((SymbolPerm(SWAP_12),)))
+    w = find_nonshift_witness(TransportWord((SWAP_12,)))
     assert isinstance(w, Witness)
-    assert apply_word(w.x, TransportWord((SymbolPerm(SWAP_12),))) == w.image
+    assert apply_word(w.x, TransportWord((SWAP_12,))) == w.image
     assert all(shift(w.x, n) != w.image for n in range(-4, 5))
 
     w = find_nonshift_witness(TransportWord((Particle(1),)))

@@ -6,8 +6,7 @@ from fourshift.analysis import (CycleSpec, IsShift, KValue, TooLarge,
                                 Witness, find_nonshift_witness, k_of_finite,
                                 k_of_finite_bruteforce)
 from fourshift.core import Config, orbit_equal
-from fourshift.generators import (SWAP_12, Particle, SymbolPerm,
-                                  TransportWord, apply_word)
+from fourshift.generators import SWAP_12, Particle, TransportWord, apply_word
 
 
 def cfg(offset, digits):
@@ -71,7 +70,7 @@ class TestBruteForce:
 
 class TestWitness:
     def test_symbol_swap_witness(self):
-        r = find_nonshift_witness(TransportWord((SymbolPerm(SWAP_12),)))
+        r = find_nonshift_witness(TransportWord((SWAP_12,)))
         assert r == Witness(cfg(0, "1"), cfg(0, "2"))
 
     def test_particle_witness(self):
@@ -83,9 +82,9 @@ class TestWitness:
         assert find_nonshift_witness(TransportWord(())) == IsShift(0)
 
     def test_witness_evidence_rechecks(self):
-        words = [TransportWord((SymbolPerm(SWAP_12),)),
+        words = [TransportWord((SWAP_12,)),
                  TransportWord((Particle(1),)),
-                 TransportWord((Particle(2), SymbolPerm(SWAP_12)))]
+                 TransportWord((Particle(2), SWAP_12))]
         for w in words:
             r = find_nonshift_witness(w, support_bound=4, width_bound=5)
             if isinstance(r, Witness):

@@ -4,12 +4,12 @@ import pytest
 
 from fourshift.core import Config, ZERO, shift, tracks, validate_tuple
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
-                                  IllFormedInstruction, Particle, Perm4,
+                                  IllFormedInstruction, Particle,
                                   SafeRewrite, SymbolPerm, TransportWord,
                                   apply_instruction, apply_word, invert_word,
                                   size_report)
 from fourshift.permbuild import WordPerm
-from fourshift.safety import make_explicit_spec
+from fourshift.safety import head_shift_once, make_explicit_spec
 
 from conftest import rand_config, rand_tuple
 
@@ -28,7 +28,7 @@ def rand_instruction(rng):
     if roll == 1:
         img = [1, 2, 3]
         rng.shuffle(img)
-        return SymbolPerm(Perm4((0, *img)))
+        return SymbolPerm((0, *img))
     if roll == 2:
         wp = WordPerm.from_pairs([("00", "12"), ("12", "00")], 2)
         return HeadLocal(1, wp)
@@ -49,12 +49,12 @@ class TestApplyInstruction:
             assert w2 == w and p2 == frozenset(q - e for q in p)
 
     def test_symbol_perm(self):
-        assert apply_instruction(cfg(0, "22"), SymbolPerm(SWAP_23)) == \
+        assert apply_instruction(cfg(0, "22"), SWAP_23) == \
             cfg(0, "33")
 
     def test_symbol_perm_must_fix_zero(self):
-        with pytest.raises(Exception):
-            Perm4((1, 0, 2, 3))
+        with pytest.raises(IllFormedInstruction):
+            SymbolPerm((1, 0, 2, 3))
 
     def test_head_local_rewrites_isolated_window(self):
         wp = WordPerm.from_pairs([("00", "10"), ("10", "00")], 2)
@@ -79,9 +79,40 @@ class TestApplyInstruction:
         assert apply_instruction(cfg(0, "3"), HeadShift(-2)) == cfg(-2, "3")
 
 
+class TestHeadShift:
+    """HeadShift(e) against its oracle, e single steps of head_shift_once."""
+
+    @staticmethod
+    def stepwise(x, e):
+        for _ in range(abs(e)):
+            x = head_shift_once(x, 1 if e > 0 else -1)
+        return x
+
+    def test_matches_stepwise_loop(self, rng):
+        # up to three heads, spaced around the 3/4 and 48/49 thresholds
+        fixed = moved = 0
+        for _ in range(300):
+            q = p = rng.randrange(-5, 6)
+            heads = [q] if rng.random() < 0.9 else []
+            for _ in range(rng.randrange(0, 3) if heads else 0):
+                p += rng.choice((1, 2, 3, 4, 5, 47, 48, 49, 50))
+                heads.append(p)
+            cells = dict.fromkeys(heads, 3)
+            for _ in range(rng.randrange(0, 4)):
+                cells.setdefault(rng.randrange(q - 8, p + 9), rng.randrange(1, 3))
+            x = Config.from_cells(cells)
+            e = rng.randrange(-12, 13)
+            y = HeadShift(e).apply(x)
+            assert y == self.stepwise(x, e), (x, e)
+            if e:
+                fixed += len(heads) > 1 and y == x
+                moved += len(heads) > 1 and y != x
+        assert fixed > 0 and moved > 0
+
+
 class TestApplyWord:
     def test_demo_sequence(self):
-        word = TransportWord((Particle(3), SymbolPerm(SWAP_23), Particle(2)))
+        word = TransportWord((Particle(3), SWAP_23, Particle(2)))
         t = validate_tuple(DEMO3)
         out = apply_word(t, word)
         assert out.components == (cfg(-5, "100102"), cfg(-4, "1102"),

@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from fourshift.cli import main
 from fourshift.core import Config, DomainError, ZERO
 from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
-                                  Particle, SafeRewrite, SymbolPerm,
-                                  TransportWord)
+                                  Particle, SafeRewrite, TransportWord)
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
 from fourshift.safety import SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC, make_explicit_spec
@@ -74,7 +73,7 @@ def sample_words(rng):
     five = rand_tuple(rng, 5)
     beta = (1, 2, 0, 3, 4)
     yield TransportWord(())
-    yield TransportWord((Particle(-3), SymbolPerm(SWAP_13), HeadShift(2)))
+    yield TransportWord((Particle(-3), SWAP_13, HeadShift(2)))
     yield TransportWord((HeadLocal(
         1, WordPerm.from_pairs([("00", "12"), ("12", "00")], 2)),))
     yield TransportWord((SafeRewrite(spec),))
@@ -99,7 +98,7 @@ def all_ops_word():
     spec = make_explicit_spec(["030", "031"],
                               [("030", "031"), ("031", "030")])
     return TransportWord((
-        Particle(-3), SymbolPerm(SWAP_13),
+        Particle(-3), SWAP_13,
         HeadLocal(1, WordPerm.from_pairs([("00", "12"), ("12", "00")], 2)),
         HeadShift(2), SafeRewrite(spec), SafeRewrite(SIGMA3_PI_SPEC)))
 
@@ -321,6 +320,27 @@ class TestCli:
         assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
         assert time.monotonic() - start < 1.0
         assert capsys.readouterr().out == "@0:3\n"
+
+    @pytest.mark.parametrize("src", ["@0:12", "@0:30003", "@0:3" + "0" * 47 + "3"])
+    def test_head_shift_fixed_point_returns_at_once(self, tmp_path, capsys, src):
+        # with no head, or two heads 4..48 cells apart, one step is the
+        # identity, so a power of 10^9 steps ends after the first
+        src_file = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src_file.write_text(src + "\n")
+        word.write_text('[{"op":"HS","e":1000000000}]')
+        start = time.monotonic()
+        assert main(["apply", "--src", str(src_file), "--word", str(word)]) == 0
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().out == src + "\n"
+
+    def test_witness_width_bound_capped_exit_2(self, tmp_path, capsys):
+        word = tmp_path / "w.json"
+        word.write_text(emit_word(TransportWord((Particle(1),))))
+        start = time.monotonic()
+        assert main(["witness", "--word", str(word), "--width-bound", "9"]) == 2
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: TooLarge")
 
     def test_bad_config_exit_2(self):
         assert main(["classify", "not-a-config"]) == 2

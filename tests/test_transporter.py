@@ -1,18 +1,17 @@
-"""Clock readings, the good/great/canonical pipeline, and transport."""
+"""Clock readings, the good / great / canonical stages, and transport."""
 
 from pathlib import Path
 
 import pytest
 
 from fourshift.core import Config, ZERO, classify, shift, validate_tuple
-from fourshift.generators import (SWAP_23, HeadLocal, Particle, SymbolPerm,
+from fourshift.generators import (SWAP_23, HeadLocal, HeadShift, Particle,
                                   TransportWord, apply_instruction,
                                   apply_word, invert_word)
 from fourshift.serial import emit_word
 from fourshift.transporter import (LengthMismatch, NotGood, NotGreat, Reading,
-                                   canonical_great, first_buzz_schedule,
-                                   make_canonical, make_good, make_great,
-                                   phi_clock, pipeline, transport, verify)
+                                   canonical_great, make_canonical, make_good,
+                                   make_great, phi_clock, transport, verify)
 
 from conftest import rand_config, rand_tuple
 
@@ -24,8 +23,9 @@ def cfg(offset, digits):
 DEMO3 = validate_tuple((cfg(0, "3"), cfg(-1, "201"), cfg(0, "22")))
 DEMO3_GOOD = validate_tuple((cfg(-5, "100102"), cfg(-4, "1102"),
                             cfg(-2, "1122")))
-# emit_word(pipeline(DEMO3)[0]), pinned byte for byte: it holds the
-# head-local rewrites of both make_great and make_canonical.
+# The word of make_good, make_great and make_canonical(..., canonical_great(3))
+# on DEMO3, pinned byte for byte: it holds the buzz schedule of make_great and
+# the head-local rewrites of both make_great and make_canonical.
 DEMO3_PIPELINE = Path(__file__).parent / "data" / "demo3_pipeline_word.json"
 
 
@@ -68,7 +68,7 @@ class TestPhiClock:
 class TestMakeGood:
     def test_demo_word_and_endpoint(self):
         word, out = make_good(DEMO3)
-        assert word.steps == (Particle(3), SymbolPerm(SWAP_23), Particle(2))
+        assert word.steps == (Particle(3), SWAP_23, Particle(2))
         assert out.components == DEMO3_GOOD.components
 
     def test_already_good_empty_word(self):
@@ -88,32 +88,37 @@ class TestMakeGood:
             assert apply_word(t, word).components == out.components
 
 
-class TestBuzzSchedule:
-    def test_demo_schedule(self):
-        plan = first_buzz_schedule(DEMO3_GOOD)
-        assert [tau for _, tau in plan.entries] == [2, 2, 1]
-        assert [a for a, _ in plan.entries] == [0, -1, 0]
-        assert plan.horizon == 3
-
-    def test_single_component(self):
-        plan = first_buzz_schedule(validate_tuple((cfg(-1, "12"),)))
-        assert plan.entries == ((0, 1),) and plan.horizon == 2
-
-    def test_requires_good(self):
-        with pytest.raises(NotGood):
-            first_buzz_schedule(validate_tuple((cfg(0, "1"),)))
-
-
 class TestMakeGreat:
     def test_demo_tuple(self):
         word, out = make_great(DEMO3_GOOD)
         assert all(classify(c).great for c in out)
         assert apply_word(DEMO3_GOOD, word).components == out.components
 
+    def test_demo_schedule(self):
+        # component 2 first buzzes at 0 after one inverse particle step,
+        # components 0 and 1 at 0 and -1 after two; the horizon is 3
+        word, _ = make_great(DEMO3_GOOD)
+        s = word.steps
+        assert [type(ins) for ins in s] == [Particle, HeadShift, HeadLocal] * 2 \
+            + [Particle]
+        assert (s[0], s[1], s[3], s[4], s[6]) == (
+            Particle(-1), HeadShift(2), Particle(-1), HeadShift(3), Particle(-1))
+
     def test_single_component(self):
         t = validate_tuple((cfg(-1, "12"),))
         _, out = make_great(t)
         assert classify(out[0]).great
+
+    def test_single_component_schedule(self):
+        # one buzz at 0 after one step, horizon 2
+        word, _ = make_great(validate_tuple((cfg(-1, "12"),)))
+        s = word.steps
+        assert (s[0], s[1], s[3]) == (Particle(-1), HeadShift(2), Particle(-1))
+        assert isinstance(s[2], HeadLocal) and len(s) == 4
+
+    def test_requires_good(self):
+        with pytest.raises(NotGood):
+            make_great(validate_tuple((cfg(0, "1"),)))
 
     def test_simultaneous_buzz(self):
         # two components with equal first-buzz times share one event
@@ -140,21 +145,39 @@ class TestCanonical:
             validate_tuple(canonical_great(k).components)
 
     def test_fixed_point(self):
-        word, out = make_canonical(canonical_great(4))
+        word, out = make_canonical(canonical_great(4), canonical_great(4))
         assert out.components == canonical_great(4).components
         assert apply_word(canonical_great(4), word).components == out.components
 
     def test_far_particle(self):
         t = validate_tuple((Config.from_cells({0: 3, 7: 1}),))
-        _, out = make_canonical(t)
+        _, out = make_canonical(t, canonical_great(1))
         assert out.components == canonical_great(1).components
+
+    def test_great_to_great(self, rng):
+        for _ in range(20):
+            k = rng.randrange(1, 4)
+            _, s = make_great(make_good(rand_tuple(rng, k))[1])
+            _, d = make_great(make_good(rand_tuple(rng, k))[1])
+            word, out = make_canonical(s, d)
+            assert len(word) == 1 and isinstance(word.steps[0], HeadLocal)
+            assert out == d and apply_word(s, word) == d
 
     def test_requires_great(self):
         with pytest.raises(NotGreat):
-            make_canonical(validate_tuple((cfg(0, "1"),)))
+            make_canonical(validate_tuple((cfg(0, "1"),)), canonical_great(1))
+        with pytest.raises(NotGreat):  # the goal must be great too
+            make_canonical(canonical_great(1), validate_tuple((cfg(0, "1"),)))
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            make_canonical(canonical_great(2), canonical_great(3))
 
     def test_demo_pipeline_word_pinned(self):
-        word, out = pipeline(DEMO3)
+        good, t1 = make_good(DEMO3)
+        great, t2 = make_great(t1)
+        splice, out = make_canonical(t2, canonical_great(3))
+        word = good + great + splice
         assert emit_word(word) + "\n" == DEMO3_PIPELINE.read_text()
         assert out.components == canonical_great(3).components
 
@@ -178,15 +201,16 @@ class TestTransport:
             k = rng.randrange(1, 5)
             s, d = rand_tuple(rng, k), rand_tuple(rng, k)
             good_s, gs = make_good(s)
-            great_s, _ = make_great(gs)
+            great_s, gs = make_great(gs)
             good_d, gd = make_good(d)
-            great_d, _ = make_great(gd)
+            great_d, gd = make_great(gd)
             head = (good_s + great_s).steps
             tail = invert_word(good_d + great_d).steps
             steps = transport(s, d).steps
             assert len(steps) == len(head) + 1 + len(tail)
             assert steps[:len(head)] == head
-            assert isinstance(steps[len(head)], HeadLocal)
+            splice, _ = make_canonical(gs, gd)
+            assert steps[len(head):len(head) + 1] == splice.steps
             assert steps[len(head) + 1:] == tail
             assert not any(isinstance(a, HeadLocal) and isinstance(b, HeadLocal)
                            for a, b in zip(steps, steps[1:]))
