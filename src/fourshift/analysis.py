@@ -20,39 +20,26 @@ class TooLarge(DomainError):
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """Multiset of cycle lengths of the shift on a finite subshift,
-    stored as sorted (length, count) pairs."""
+    """Multiset of cycle lengths of the shift on a finite subshift, stored
+    sorted; build it with `of`."""
 
-    counts: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.counts:
-            raise DomainError("empty cycle spec")
-        seen = set()
-        for length, count in self.counts:
-            if length < 1 or count < 1 or length in seen:
-                raise DomainError("ill-formed cycle counts")
-            seen.add(length)
-        if self.counts != tuple(sorted(self.counts)):
-            raise DomainError("cycle counts must be sorted by length")
+    lengths: tuple[int, ...]
 
     @staticmethod
     def of(lengths: Iterable[int]) -> "CycleSpec":
-        lengths = list(lengths)
-        return CycleSpec(tuple(sorted(
-            (l, lengths.count(l)) for l in set(lengths))))
+        lengths = tuple(sorted(lengths))
+        if not lengths or lengths[0] < 1:
+            raise DomainError("need at least one cycle, every length >= 1")
+        return CycleSpec(lengths)
 
     @property
     def c1(self) -> int:
         """Number of fixed points."""
-        return dict(self.counts).get(1, 0)
+        return self.lengths.count(1)
 
     @property
     def total(self) -> int:
-        return sum(l * cnt for l, cnt in self.counts)
-
-    def lengths(self) -> list[int]:
-        return [l for l, cnt in self.counts for _ in range(cnt)]
+        return sum(self.lengths)
 
 
 class KValue(Enum):
@@ -80,10 +67,10 @@ def k_of_finite(cs: CycleSpec) -> KValue:
     per-class shift exponents into one global shift power).
     """
     c1 = cs.c1
-    long_lengths = [l for l, _ in cs.counts if l >= 2]
+    long_lengths = set(cs.lengths) - {1}
     bottom = c1 == 2 or math.prod(long_lengths) != math.lcm(*long_lengths)
     zero = (not bottom and c1 in (0, 1)
-            and all(cnt == 1 for l, cnt in cs.counts if l >= 2))
+            and len(long_lengths) == len(cs.lengths) - c1)
     two = not bottom and not zero
     assert bottom + zero + two == 1, cs
     if bottom:
@@ -104,7 +91,7 @@ def _compose(f: Perm, g: Perm) -> Perm:
 def _materialize_sigma(cs: CycleSpec) -> Perm:
     img = []
     base = 0
-    for length in cs.lengths():
+    for length in cs.lengths:
         img.extend(base + (j + 1) % length for j in range(length))
         base += length
     return tuple(img)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-SYMBOLS = (0, 1, 2, 3)
 PARTICLE, WALL, HEAD = 1, 2, 3
 
 # Positions are conceptually 64-bit signed; anything beyond this bound is

@@ -69,15 +69,6 @@ class HeadLayoutWords:
     length: int
     layouts: frozenset[frozenset[int]]
 
-    def __post_init__(self):
-        if not self.layouts:
-            raise IllFormedWordSet("no layouts")
-        for lay in self.layouts:
-            if not lay:
-                raise IllFormedWordSet("a layout must place at least one head")
-            if any(not 0 <= off < self.length for off in lay):
-                raise IllFormedWordSet("layout offset out of range")
-
 
 # The marker set {3}, matched through the head cells.
 HEAD_MARKER = HeadLayoutWords(1, frozenset({frozenset({0})}))
@@ -97,32 +88,24 @@ def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
     """Positions i with x[i .. i+len-1] in the word set; exact and finite."""
     if x.is_zero():
         return frozenset()
-    lo, hi = x.min_pos(), x.max_pos()
     if isinstance(wset, ExplicitWords):
+        # no word of U is all zero, so a match covers a nonzero cell
         k = wset.length
-        out = []
-        for i in range(lo - k + 1, hi + 1):
-            if x.window(range(i, i + k)) in wset.words:
-                out.append(i)
-        return frozenset(out)
+        return frozenset(i for i in _covering_starts(x, k)
+                         if x.window(range(i, i + k)) in wset.words)
     if isinstance(wset, HeadLayoutWords):
-        L = wset.length
-        heads = x.heads()
-        head_set = set(heads)
-        candidates = {p - off for p in heads for lay in wset.layouts for off in lay}
-        out = []
-        for i in candidates:
-            rel = frozenset(q - i for q in head_set if i <= q < i + L)
-            if rel in wset.layouts:
-                out.append(i)
-        return frozenset(out)
+        heads, L = x.heads(), wset.length
+        starts = {p - off for p in heads for lay in wset.layouts for off in lay}
+        return frozenset(i for i in starts if frozenset(
+            q - i for q in heads if i <= q < i + L) in wset.layouts)
     if isinstance(wset, NonzeroWords):
-        n = wset.length
-        out: set[int] = set()
-        for p, _ in x.cells:
-            out.update(range(p - n + 1, p + 1))
-        return frozenset(out)
+        return frozenset(_covering_starts(x, wset.length))
     raise IllFormedWordSet(f"unknown word set {wset!r}")
+
+
+def _covering_starts(x: Config, n: int) -> set[int]:
+    """Starts of the length-n windows that cover a nonzero cell."""
+    return set().union(*(range(p - n + 1, p + 1) for p, _ in x.cells))
 
 
 # --- permutations of word sets --------------------------------------------
@@ -132,10 +115,6 @@ class RuleWordMap:
     """A named rule-based involution (head-gap rearrangement families)."""
 
     tag: str  # "SIGMA3_PI" or "SIGMA3_TAU"
-
-    def __post_init__(self):
-        if self.tag not in ("SIGMA3_PI", "SIGMA3_TAU"):
-            raise IllFormedSpec(f"unknown rule tag {self.tag!r}")
 
     def apply(self, w: str) -> str:
         """PI keeps the letter left of the head, TAU the letter right of it."""
@@ -156,29 +135,26 @@ class RuleWordMap:
 WordMap = WordPerm | RuleWordMap
 
 
-# --- safety validators ------------------------------------------------------
+# --- marker rules -----------------------------------------------------------
 
-def validate_sufficient_safety(words: Iterable[str], length: int) -> None:
-    """validate_layout_safety on the head offsets of explicit words."""
-    layouts = []
-    for w in sorted(words):
-        if len(w) != length:
-            raise IllFormedSpec(f"wrong length: {w!r}")
-        heads = frozenset(i for i, c in enumerate(w) if c == HEAD_CHAR)
-        if not heads:
-            raise IllFormedSpec(f"word lacks the marker symbol: {w!r}")
-        layouts.append(heads)
-    validate_layout_safety(layouts, length)
-
-
-def validate_layout_safety(layouts: Iterable[frozenset[int]], length: int) -> None:
-    """Third-anchored sufficient condition for {3}-safety: all heads in the
-    middle third, equal head counts agree on the leftmost head."""
-    if length % 3 != 0:
+def _check_head_layouts(U: WordSetDesc) -> None:
+    """Third-anchored sufficient condition for {3}-safety: every word of U
+    has a head, all heads sit in the middle third, and equal head counts
+    agree on the leftmost head."""
+    if isinstance(U, HeadLayoutWords):
+        layouts = U.layouts
+    elif isinstance(U, ExplicitWords):
+        layouts = [frozenset(i for i, c in enumerate(w) if c == HEAD_CHAR)
+                   for w in sorted(U.words)]
+    else:
+        raise IllFormedSpec("the head marker needs listed words or layouts")
+    if U.length % 3 != 0:
         raise IllFormedSpec("length not divisible by three")
-    k3 = length // 3
+    k3 = U.length // 3
     leftmost_by_count: dict[int, int] = {}
     for lay in layouts:
+        if not lay:
+            raise IllFormedSpec("a word of U lacks the marker symbol")
         shown = ",".join(map(str, sorted(lay)))
         if any(not k3 <= off < 2 * k3 for off in lay):
             raise IllFormedSpec(f"marker outside the middle third: {shown}")
@@ -188,16 +164,13 @@ def validate_layout_safety(layouts: Iterable[frozenset[int]], length: int) -> No
                 f"equal marker count, different leftmost position: {shown}")
 
 
-def validate_zero_padded(words: Iterable[str], n: int) -> None:
-    """Check the zero-padded sufficient condition (marker set = all nonzero
-    words of length n): shape 0^n w 0^n, no all-zero word, and no core at
-    two distinct offsets."""
+def _check_zero_padded(U: WordSetDesc, n: int) -> None:
+    """Sufficient condition for V = all nonzero words of length n: every
+    word of U has the shape 0^n w 0^n and no core sits at two offsets."""
+    if not isinstance(U, ExplicitWords) or U.length != 3 * n:
+        raise IllFormedSpec("zero-padded words must be listed, of length 3n")
     core_offset: dict[str, tuple[int, str]] = {}
-    for w in sorted(set(words)):
-        if len(w) != 3 * n:
-            raise IllFormedSpec(f"wrong length: {w!r}")
-        if set(w) == {"0"}:
-            raise IllFormedSpec(f"all-zero word: {w!r}")
+    for w in sorted(U.words):
         if w[:n].strip("0") or w[2 * n:].strip("0"):
             raise IllFormedSpec(f"nonzero symbol outside the middle third: {w!r}")
         first = len(w) - len(w.lstrip("0"))
@@ -212,7 +185,9 @@ def validate_zero_padded(words: Iterable[str], n: int) -> None:
 class SafeRewriteSpec:
     """Rewrite the words U by pi where the marker words V allow it.  With
     k = |U| and h = |V| the radii are the minimal strict ones over the
-    4-symbol alphabet: ell = 4^h + 1 and m_rad = ell + 2k + h."""
+    4-symbol alphabet: ell = 4^h + 1 and m_rad = ell + 2k + h.  Built only
+    when it is an automorphism: pi permutes U, and U meets the marker rule
+    of V (the head marker or the nonzero words of length h)."""
 
     U: WordSetDesc
     V: WordSetDesc
@@ -226,6 +201,21 @@ class SafeRewriteSpec:
         k, h = self.U.length, self.V.length
         if not k >= h >= 1:
             raise IllFormedSpec("need k >= h >= 1")
+        if isinstance(self.pi, RuleWordMap):
+            rule_words = {"SIGMA3_PI": SIGMA3_PI_WORDS,
+                          "SIGMA3_TAU": SIGMA3_TAU_WORDS}.get(self.pi.tag)
+            if self.U != rule_words:
+                raise IllFormedSpec(f"rule {self.pi.tag!r} does not permute U")
+        elif not (isinstance(self.pi, WordPerm) and self.pi.length == k
+                  and isinstance(self.U, ExplicitWords)
+                  and all(s in self.U.words for s, _ in self.pi.moved)):
+            raise IllFormedSpec("pi must be a word permutation moving only U")
+        if self.V == HEAD_MARKER:
+            _check_head_layouts(self.U)
+        elif isinstance(self.V, NonzeroWords):
+            _check_zero_padded(self.U, h)
+        else:
+            raise IllFormedSpec(f"no marker rule for V = {self.V!r}")
         ell = SIGMA_SIZE**h + 1
         for name, value in (("k", k), ("h", h), ("ell", ell),
                             ("m_rad", ell + 2 * k + h)):
@@ -272,6 +262,7 @@ class SafeRewriteSpec:
 
 
 def _word_set_to_obj(ws: WordSetDesc) -> object:
+    """The word-file form of every word set a spec accepts."""
     if ws == SIGMA3_PI_WORDS:
         return "SIGMA3_PI"
     if ws == SIGMA3_TAU_WORDS:
@@ -280,27 +271,14 @@ def _word_set_to_obj(ws: WordSetDesc) -> object:
         return [HEAD_CHAR]
     if isinstance(ws, NonzeroWords):
         return "NONZERO_N"
-    if isinstance(ws, ExplicitWords):
-        return sorted(ws.words)
-    raise IllFormedSpec(f"unserializable word set {ws!r}")
-
-
-def _word_map(U: ExplicitWords, pairs: Iterable[tuple[str, str]]) -> WordPerm:
-    """The moved pairs of `pairs`, checked to permute U: every moved word
-    lies in U and the moved pairs form a bijection."""
-    mapping = dict(pairs)
-    if any(s not in U.words for s, d in mapping.items() if s != d):
-        raise IllFormedSpec("mapping moves a word outside U")
-    return WordPerm.from_pairs(mapping.items(), U.length)
+    return sorted(ws.words)
 
 
 def make_explicit_spec(words: Iterable[str],
                        pairs: Iterable[tuple[str, str]]) -> SafeRewriteSpec:
-    """Build and validate a rewrite of explicit words U guarded by the head
-    marker."""
+    """A rewrite of explicit words U guarded by the head marker."""
     U = ExplicitWords.of(words)
-    pi = _word_map(U, pairs)
-    validate_sufficient_safety(U.words, U.length)
+    pi = WordPerm.from_pairs(dict(pairs).items(), U.length)
     return SafeRewriteSpec(U, HEAD_MARKER, pi)
 
 
@@ -308,9 +286,8 @@ def make_zero_padded_spec(words: Iterable[str],
                           pairs: Iterable[tuple[str, str]]) -> SafeRewriteSpec:
     """Spec for U of shape 0^n w 0^n with V = all nonzero words of length n."""
     U = ExplicitWords.of(words)
-    n = U.length // 3
-    validate_zero_padded(U.words, n)
-    return SafeRewriteSpec(U, NonzeroWords(n), _word_map(U, pairs))
+    pi = WordPerm.from_pairs(dict(pairs).items(), U.length)
+    return SafeRewriteSpec(U, NonzeroWords(U.length // 3), pi)
 
 
 # --- chi-site selection and rewriting ---------------------------------------
@@ -368,9 +345,6 @@ SIGMA3_PI_SPEC = SafeRewriteSpec(
     SIGMA3_PI_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_PI"))
 SIGMA3_TAU_SPEC = SafeRewriteSpec(
     SIGMA3_TAU_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_TAU"))
-
-for _ws in (SIGMA3_PI_WORDS, SIGMA3_TAU_WORDS):
-    validate_layout_safety(_ws.layouts, _ws.length)
 
 
 def head_shift_once(x: Config, direction: int) -> Config:

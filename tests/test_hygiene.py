@@ -1,9 +1,12 @@
-"""Source hygiene: no module or test file imports a name it never uses.
+"""Source hygiene: no module or test file imports a name it never uses,
+and every top-level name of the package is referenced somewhere.
 
-Package `__init__.py` files are skipped (their imports are re-exports), as
-is `from __future__ import ...`.  A name counts as used when it appears as
-a bare name anywhere in the file, inside a string annotation, or in
-`__all__`.
+Package `__init__.py` files are skipped by the import check (their imports
+are re-exports), as is `from __future__ import ...`.  A name counts as used
+when it is read as a bare name anywhere in the file, inside a string
+annotation, or in `__all__`.  A top-level name of `src/fourshift` counts as
+referenced when some package, test or bench file uses it in that way, reads
+it as an attribute, or imports it.
 """
 
 import ast
@@ -12,8 +15,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "fourshift").glob("*.py"))
 FILES = sorted(p for d in (ROOT / "src" / "fourshift", ROOT / "tests")
                for p in d.glob("*.py") if p.name != "__init__.py")
+OTHERS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "bench").rglob("*.py")])
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -34,7 +39,7 @@ def _used(tree: ast.AST) -> set[str]:
     used = set()
     for node in ast.walk(tree):
         ann = None
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             ann = node.returns
@@ -55,6 +60,53 @@ def unused_imports(source: str) -> list[str]:
     used = _used(tree)
     return sorted(f"{name} (line {line})"
                   for name, line in _imported(tree).items() if name not in used)
+
+
+def _top_level(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of every top-level def, class and assignment, dunder
+    names left out."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((n.id, node.lineno) for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name))
+    return {n: line for n, line in out.items() if not n.startswith("__")}
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names used, attributes read and names imported."""
+    return _used(tree) | {
+        node.attr if isinstance(node, ast.Attribute) else node.name.split(".")[-1]
+        for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.alias))}
+
+
+def unreferenced_names(modules: dict[str, str], others: list[str]) -> list[str]:
+    """Top-level names of `modules` (name -> source) that neither a module
+    nor one of the `others` sources references."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    refs = set().union(*map(_referenced, trees.values()),
+                       *(_referenced(ast.parse(src)) for src in others))
+    return sorted(f"{mod}.{name} (line {line})" for mod, tree in trees.items()
+                  for name, line in _top_level(tree).items() if name not in refs)
+
+
+def test_checker_finds_unreferenced_names():
+    modules = {
+        "a": ("X = 1\nY: int = 2\nP, Q = 3, 4\n__all__ = []\n"
+              "def f():\n    return g()\ndef g():\n    pass\n"
+              "class C:\n    pass\n"),
+        "b": "from a import f\nimport a\nprint(a.Y)\nQ = 5\n",
+    }
+    assert unreferenced_names(modules, ["def h(c: 'C'): pass"]) == [
+        "a.P (line 3)", "a.Q (line 3)", "a.X (line 1)", "b.Q (line 4)"]
+
+
+def test_no_unreferenced_top_level_names():
+    modules = {p.stem: p.read_text() for p in PACKAGE}
+    assert unreferenced_names(modules, [p.read_text() for p in OTHERS]) == []
 
 
 def test_checker_finds_unused_names():

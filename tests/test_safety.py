@@ -1,17 +1,20 @@
-"""Occurrence sets, chi-site selection, safety validators, and the
-simulated head shift."""
+"""Occurrence sets, chi-site selection, the safety conditions a rewrite
+spec checks when built, and the simulated head shift."""
+
+import itertools
 
 import pytest
 
 from fourshift.core import Config, ZERO, shift
+from fourshift.generators import SafeRewrite
+from fourshift.permbuild import WordPerm
 from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
                               IllFormedSpec, IllFormedWordSet, NonzeroWords,
-                              SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
-                              apply_safe_rewrite, chi_sites, head_shift_once,
-                              make_explicit_spec, make_zero_padded_spec,
-                              occurrences, validate_sufficient_safety,
-                              validate_zero_padded)
-from fourshift.generators import SafeRewrite
+                              RuleWordMap, SafeRewriteSpec, SIGMA3_PI_SPEC,
+                              SIGMA3_PI_WORDS, SIGMA3_TAU_SPEC,
+                              SIGMA3_TAU_WORDS, apply_safe_rewrite,
+                              chi_sites, head_shift_once, make_explicit_spec,
+                              make_zero_padded_spec, occurrences)
 
 from conftest import rand_config, rand_single_head
 
@@ -22,6 +25,16 @@ def cfg(offset, digits):
 
 def demo_spec(pairs=(("030", "031"), ("031", "030"))):
     return make_explicit_spec(["030", "031"], pairs)
+
+
+def span_scan(x, wset):
+    """Every start from min_pos - k + 1 to max_pos: the oracle of the
+    explicit-word occurrence scan."""
+    if x.is_zero():
+        return frozenset()
+    k = wset.length
+    return frozenset(i for i in range(x.min_pos() - k + 1, x.max_pos() + 1)
+                     if x.window(range(i, i + k)) in wset.words)
 
 
 class TestOccurrences:
@@ -66,6 +79,24 @@ class TestOccurrences:
             many_heads += len(x.heads()) > 1
             assert occurrences(x, HEAD_MARKER) == occurrences(x, oracle)
         assert many_heads > 50
+
+    def test_explicit_scan_matches_the_span_scan(self, rng):
+        # the scan tries only windows over a nonzero cell; the span scan
+        # tries every start, words with inner and outer zeros included
+        nonzero_words = [w for n in range(1, 5)
+                         for w in map("".join, itertools.product("0123", repeat=n))
+                         if w.strip("0")]
+        hits = 0
+        for _ in range(1500):
+            n = rng.randrange(1, 5)
+            pool = [w for w in nonzero_words if len(w) == n]
+            wset = ExplicitWords.of(rng.sample(pool, rng.randrange(1, 4)))
+            span = rng.choice((3, 8, 40))
+            x = rand_config(rng, span=span, max_cells=rng.randrange(1, 12))
+            got = occurrences(x, wset)
+            assert got == span_scan(x, wset)
+            hits += bool(got)
+        assert hits > 300
 
 
 class TestChiSites:
@@ -115,31 +146,34 @@ class TestApplySafeRewrite:
 
 
 class TestValidators:
+    """The marker rules, checked when the factories build a spec."""
+
     def test_sufficient_ok(self):
-        validate_sufficient_safety(["030", "031"], 3)
+        make_explicit_spec(["030", "031"], [])
 
     def test_sufficient_shape_violation(self):
         with pytest.raises(IllFormedSpec):
-            validate_sufficient_safety(["030", "300"], 3)
+            make_explicit_spec(["030", "300"], [])
 
     def test_sufficient_leftmost_violation(self):
         with pytest.raises(IllFormedSpec):
-            validate_sufficient_safety(["030", "013"], 3)
+            make_explicit_spec(["030", "013"], [])
 
     def test_sufficient_needs_a_head(self):
         with pytest.raises(IllFormedSpec, match="lacks the marker symbol"):
-            validate_sufficient_safety(["030", "010"], 3)
+            make_explicit_spec(["030", "010"], [])
 
     def test_zero_padded_ok(self):
-        validate_zero_padded(["010", "020"], 1)
+        make_zero_padded_spec(["010", "020"], [])
 
     def test_zero_padded_offset_violation(self):
         with pytest.raises(IllFormedSpec):
-            validate_zero_padded(["010000", "001000"], 2)
+            make_zero_padded_spec(["010000", "001000"], [])
 
     def test_zero_padded_all_zero(self):
-        with pytest.raises(IllFormedSpec):
-            validate_zero_padded(["000"], 1)
+        # ExplicitWords refuses the all-zero word before any marker rule
+        with pytest.raises(IllFormedWordSet):
+            make_zero_padded_spec(["000"], [])
 
     def test_explicit_specs_use_the_head_marker(self):
         assert demo_spec().V == HEAD_MARKER and demo_spec().h == 1
@@ -150,6 +184,52 @@ class TestValidators:
         for _ in range(100):
             x = rand_config(rng)
             assert apply_safe_rewrite(apply_safe_rewrite(x, spec), spec) == x
+
+
+SWAP_PI = WordPerm.from_pairs([("030", "031"), ("031", "030")], 3)
+NO_MOVE = WordPerm(3, ())
+
+
+class TestSpecChecksItself:
+    """A spec built directly, not through a factory, is still checked."""
+
+    @pytest.mark.parametrize("U, V, pi", [
+        pytest.param(ExplicitWords.of(["030", "300"]), HEAD_MARKER, NO_MOVE,
+                     id="head-outside-the-middle-third"),
+        pytest.param(ExplicitWords.of(["030", "010"]), HEAD_MARKER, NO_MOVE,
+                     id="headless-word"),
+        pytest.param(ExplicitWords.of(["003000", "000300"]), HEAD_MARKER,
+                     WordPerm(6, ()), id="one-head-each-different-leftmost"),
+        pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
+                     WordPerm.from_pairs([("030", "032"), ("032", "030")], 3),
+                     id="pi-moves-a-word-outside-U"),
+        pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
+                     WordPerm(6, ()), id="pi-of-the-wrong-length"),
+        pytest.param(SIGMA3_TAU_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_PI"),
+                     id="pi-rule-on-the-tau-family"),
+        pytest.param(SIGMA3_PI_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_TAU"),
+                     id="tau-rule-on-the-pi-family"),
+        pytest.param(ExplicitWords.of(["001000", "000100"]), NonzeroWords(2),
+                     WordPerm(6, ()), id="zero-padded-core-at-two-offsets"),
+        pytest.param(ExplicitWords.of(["110"]), NonzeroWords(1), NO_MOVE,
+                     id="zero-padded-nonzero-padding"),
+        pytest.param(ExplicitWords.of(["030", "031"]), NonzeroWords(3),
+                     SWAP_PI, id="zero-padded-wrong-length"),
+        pytest.param(ExplicitWords.of(["030", "031"]), ExplicitWords.of(["3"]),
+                     SWAP_PI, id="marker-set-without-a-rule"),
+    ])
+    def test_unsafe_spec_refused(self, U, V, pi):
+        with pytest.raises(IllFormedSpec):
+            SafeRewriteSpec(U, V, pi)
+
+    def test_safe_specs_built_directly(self):
+        assert SafeRewriteSpec(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
+                               SWAP_PI) == demo_spec()
+        assert SafeRewriteSpec(SIGMA3_PI_WORDS, HEAD_MARKER,
+                               RuleWordMap("SIGMA3_PI")) == SIGMA3_PI_SPEC
+        assert SafeRewriteSpec(
+            ExplicitWords.of(["001000", "000200"]), NonzeroWords(2),
+            WordPerm(6, ())).m_rad == 4**2 + 1 + 12 + 2
 
 
 class TestStrictParams:

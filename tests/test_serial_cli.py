@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from fourshift.cli import main
 from fourshift.core import Config, DomainError, ZERO
 from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
-                                  Particle, SafeRewrite, TransportWord)
+                                  Particle, SafeRewrite, TransportWord,
+                                  apply_word)
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
 from fourshift.safety import SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC, make_explicit_spec
@@ -193,6 +194,15 @@ class TestWordFiles:
             with pytest.raises(ParseError):
                 parse_word(bad)
 
+    def test_far_apart_cells_replay_in_time(self):
+        # P^E leaves the cells of @0:12 10^9 apart; the explicit rewrite
+        # then reads only the windows over them, not the span between
+        word = parse_word('[{"op":"P","e":1000000000},' + SWAP[1:])
+        start = time.monotonic()
+        y = apply_word(parse_config("@0:12"), word)
+        assert time.monotonic() - start < 1.0
+        assert y == Config.from_cells({-10**9: 1, 1: 2})
+
     @settings(deadline=None)
     @given(json_values | one_field_off)
     def test_arbitrary_json_raises_only_parse_error(self, value):
@@ -269,6 +279,11 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "2"
         assert main(["kfinite", "--cycles", "2,2", "--brute"]) == 0
         assert capsys.readouterr().out.strip() == "2"
+
+    @pytest.mark.parametrize("cycles", ["0", "", "-1", "a", "2,0"])
+    def test_kfinite_bad_cycles_exit_2(self, capsys, cycles):
+        assert main(["kfinite", "--cycles", cycles]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_witness(self, tmp_path, capsys):
         word = tmp_path / "w.json"
