@@ -120,8 +120,7 @@ class HeadLocal:
     @classmethod
     def from_obj(cls, obj) -> "HeadLocal":
         r = json_int(obj["r"])
-        moved = tuple(sorted((s, d) for s, d in obj["map"]))
-        return cls(r, WordPerm(2 * r, moved))
+        return cls(r, WordPerm.from_pairs(obj["map"], 2 * r))
 
 
 @dataclass(frozen=True)

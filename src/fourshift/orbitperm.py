@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .core import DomainError, TupleK, validate_tuple
 from .generators import SafeRewrite
-from .permbuild import parity_of_permutation
+from .permbuild import parity
 from .safety import make_zero_padded_spec
 
 
@@ -26,7 +26,7 @@ def orbit_permutation_instruction(t: TupleK, beta: tuple[int, ...]) -> SafeRewri
         raise KTooSmall("component permutations need at least 5 components")
     if sorted(beta) != list(range(k)):
         raise DomainError("beta is not a permutation of the component indices")
-    if parity_of_permutation(beta) != 0:
+    if parity(dict(enumerate(beta))) != 0:
         raise BetaOdd("only even component permutations are realizable")
 
     m = 1

@@ -278,7 +278,7 @@ def make_explicit_spec(words: Iterable[str],
                        pairs: Iterable[tuple[str, str]]) -> SafeRewriteSpec:
     """A rewrite of explicit words U guarded by the head marker."""
     U = ExplicitWords.of(words)
-    pi = WordPerm.from_pairs(dict(pairs).items(), U.length)
+    pi = WordPerm.from_pairs(pairs, U.length)
     return SafeRewriteSpec(U, HEAD_MARKER, pi)
 
 
@@ -286,7 +286,7 @@ def make_zero_padded_spec(words: Iterable[str],
                           pairs: Iterable[tuple[str, str]]) -> SafeRewriteSpec:
     """Spec for U of shape 0^n w 0^n with V = all nonzero words of length n."""
     U = ExplicitWords.of(words)
-    pi = WordPerm.from_pairs(dict(pairs).items(), U.length)
+    pi = WordPerm.from_pairs(pairs, U.length)
     return SafeRewriteSpec(U, NonzeroWords(U.length // 3), pi)
 
 

@@ -47,10 +47,10 @@ def phi_clock(x: Config) -> Optional[Reading]:
     if x.is_zero():
         raise DomainError("zero point has no clock reading")
     particles, walls = tracks(x)
-    gaps = sorted(w - p for p in particles for w in walls if w - p >= 1)
-    if not gaps:
+    s = min((w - p for p in particles for w in walls if w - p >= 1),
+            default=None)
+    if s is None:
         return None
-    s = gaps[0]
     hits = [w for w in walls if w - s in particles]
     if len(hits) != 1:
         return None
@@ -63,9 +63,8 @@ def _align_amount(t: TupleK) -> int:
     need = 0
     for c in t:
         particles, walls = tracks(c)
-        for p in particles:
-            for w in walls:
-                need = max(need, p - w + 1)
+        if particles and walls:
+            need = max(need, max(particles) - min(walls) + 1)
     return need
 
 

@@ -6,7 +6,7 @@ from fourshift.core import Config, validate_tuple
 from fourshift.generators import apply_instruction
 from fourshift.orbitperm import (BetaOdd, KTooSmall,
                                  orbit_permutation_instruction)
-from fourshift.permbuild import parity_of_permutation
+from fourshift.permbuild import parity
 
 from conftest import rand_config, rand_tuple
 
@@ -23,7 +23,7 @@ def rand_even_perm(rng, k):
     while True:
         img = list(range(k))
         rng.shuffle(img)
-        if parity_of_permutation(img) == 0:
+        if parity(dict(enumerate(img))) == 0:
             return tuple(img)
 
 

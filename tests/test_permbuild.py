@@ -1,13 +1,13 @@
 """Sparse word permutations and even completion."""
 
 import itertools
+import random
 
 import pytest
 
+from fourshift.core import DomainError
 from fourshift.permbuild import (DuplicateSource, DuplicateTarget, NoRoom,
-                                 WordPerm, build_mapping_perm,
-                                 complete_partial_injection, make_even, parity,
-                                 parity_of_permutation)
+                                 WordPerm, build_mapping_perm, parity)
 
 
 def brute_sign(wp: WordPerm, length: int) -> int:
@@ -17,6 +17,73 @@ def brute_sign(wp: WordPerm, length: int) -> int:
     inv = sum(1 for i in range(len(words)) for j in range(i + 1, len(words))
               if images[i] > images[j])
     return inv & 1
+
+
+# The two-stage construction that build_mapping_perm folds into one pass,
+# kept as its oracle: close each chain into a cycle, then even out an odd
+# result with the two smallest words no pair names.
+
+def complete_partial_injection(pairs, length):
+    srcs = [s for s, _ in pairs]
+    dsts = [d for _, d in pairs]
+    if len(set(srcs)) != len(srcs):
+        raise DuplicateSource("repeated source word")
+    if len(set(dsts)) != len(dsts):
+        raise DuplicateTarget("repeated target word")
+    mapping = {s: d for s, d in pairs if s != d}
+    dst_set = set(mapping.values())
+    closed = dict(mapping)
+    for start in mapping:
+        if start in dst_set:
+            continue  # not the head of a chain
+        w = start
+        while w in mapping:
+            w = mapping[w]
+        if w != start:
+            closed[w] = start
+    return WordPerm.from_pairs(closed.items(), length)
+
+
+def make_even(wp, protected=frozenset()):
+    if brute_sign(wp, wp.length) == 0:
+        return wp
+    avoid = {s for s, _ in wp.moved} | protected
+    if 3**wp.length - len(avoid) < 2:
+        raise NoRoom("fewer than two untouched words available")
+    words = ("".join(t) for t in itertools.product("012", repeat=wp.length))
+    a, b = itertools.islice((w for w in words if w not in avoid), 2)
+    return WordPerm.from_pairs([*wp.moved, (a, b), (b, a)], wp.length)
+
+
+def two_stage(pairs, length):
+    wp = complete_partial_injection(pairs, length)
+    protected = frozenset(s for s, _ in pairs) | frozenset(d for _, d in pairs)
+    return make_even(wp, protected)
+
+
+def outcome(build, pairs, length):
+    try:
+        return build(pairs, length)
+    except DomainError as exc:
+        return type(exc)
+
+
+def seeded_pair_lists(rng, n):
+    """Injections inside a small pool of words of length 1..3, so fixed
+    points, chains, cycles and odd completions all occur; one list in
+    five repeats a source or a target."""
+    for _ in range(n):
+        length = rng.randrange(1, 4)
+        words = ["".join(t) for t in itertools.product("012", repeat=length)]
+        pool = rng.sample(words, rng.randrange(1, min(len(words), 7) + 1))
+        m = rng.randrange(1, len(pool) + 1)
+        pairs = list(zip(rng.sample(pool, m), rng.sample(pool, m)))
+        if rng.random() < 0.2:
+            s, d = rng.choice(pairs)
+            pairs.append(rng.choice([(s, d), (s, rng.choice(words)),
+                                     (rng.choice(words), d)]))
+        rng.shuffle(pairs)
+        yield pairs, length
 
 
 class TestWordPerm:
@@ -33,18 +100,37 @@ class TestWordPerm:
         with pytest.raises(Exception):
             WordPerm.from_pairs([("00", "01"), ("02", "01")], 2)
 
+    def test_fixed_points_listed_and_dropped(self):
+        wp = WordPerm.from_pairs([("02", "02"), ("00", "01"), ("01", "00")], 2)
+        assert wp == WordPerm.from_pairs([("00", "01"), ("01", "00")], 2)
+        assert wp.moved == (("00", "01"), ("01", "00"))
+
+    @pytest.mark.parametrize("pairs, error", [
+        ([("00", "01"), ("00", "01"), ("01", "00")], DuplicateSource),
+        ([("00", "00"), ("00", "01"), ("01", "00")], DuplicateSource),
+        ([("00", "02"), ("00", "01"), ("01", "00")], DuplicateSource),
+        ([("02", "02"), ("00", "02"), ("02", "00")], DuplicateSource),
+        ([("01", "01"), ("00", "01"), ("02", "00")], DuplicateTarget),
+        ([("0", "0"), ("00", "01"), ("01", "00")], DomainError),
+    ])
+    def test_one_map_rule(self, pairs, error):
+        # every listed word has the length, fixed points included, and is
+        # named at most once as a source and at most once as a target
+        with pytest.raises(error):
+            WordPerm.from_pairs(pairs, 2)
+
 
 class TestParity:
     def test_identity_even(self):
-        assert parity(WordPerm(3, ())) == 0
+        assert parity({}) == 0
 
     def test_transposition_odd(self):
-        assert parity(WordPerm.from_pairs([("00", "01"), ("01", "00")], 2)) == 1
+        assert parity({"00": "01", "01": "00"}) == 1
 
     def test_three_cycle_even(self):
         wp = WordPerm.from_pairs(
             [("00", "01"), ("01", "02"), ("02", "00")], 2)
-        assert parity(wp) == 0
+        assert parity(dict(wp.moved)) == 0
         assert brute_sign(wp, 2) == 0
 
     def test_matches_brute_force(self, rng):
@@ -55,33 +141,37 @@ class TestParity:
             cycle = words[:n]
             wp = WordPerm.from_pairs(
                 [(cycle[i], cycle[(i + 1) % n]) for i in range(n)], 2)
-            assert parity(wp) == brute_sign(wp, 2)
+            assert parity(dict(wp.moved)) == brute_sign(wp, 2)
 
     def test_index_permutation_parity(self):
-        assert parity_of_permutation((0, 1, 2)) == 0
-        assert parity_of_permutation((1, 0, 2)) == 1
-        assert parity_of_permutation((1, 2, 0)) == 0
+        assert parity(dict(enumerate((0, 1, 2)))) == 0
+        assert parity(dict(enumerate((1, 0, 2)))) == 1
+        assert parity(dict(enumerate((1, 2, 0)))) == 0
 
 
 class TestCompletion:
+    """Closing chains into cycles, seen through build_mapping_perm."""
+
     def test_single_pair_closes_to_transposition(self):
-        wp = complete_partial_injection([("00", "01")], 2)
-        assert dict(wp.moved) == {"00": "01", "01": "00"}
+        # 00 -> 01 closes with 01 -> 00; the odd result recruits 02 <-> 10
+        wp = build_mapping_perm([("00", "01")], 2)
+        assert dict(wp.moved) == {"00": "01", "01": "00",
+                                  "02": "10", "10": "02"}
 
     def test_identity_pair(self):
-        assert complete_partial_injection([("00", "00")], 2).moved == ()
+        assert build_mapping_perm([("00", "00")], 2).moved == ()
 
     def test_existing_permutation_unchanged(self):
-        wp = complete_partial_injection([("00", "01"), ("01", "00")], 2)
-        assert dict(wp.moved) == {"00": "01", "01": "00"}
+        swaps = [("00", "01"), ("01", "00"), ("02", "10"), ("10", "02")]
+        assert build_mapping_perm(swaps, 2) == WordPerm.from_pairs(swaps, 2)
 
     def test_duplicate_source(self):
         with pytest.raises(DuplicateSource):
-            complete_partial_injection([("00", "01"), ("00", "02")], 2)
+            build_mapping_perm([("00", "01"), ("00", "02")], 2)
 
     def test_duplicate_target(self):
         with pytest.raises(DuplicateTarget):
-            complete_partial_injection([("00", "01"), ("02", "01")], 2)
+            build_mapping_perm([("00", "01"), ("02", "01")], 2)
 
     def test_output_is_bijection_on_moved(self, rng):
         words = ["".join(t) for t in itertools.product("012", repeat=3)]
@@ -89,7 +179,7 @@ class TestCompletion:
             picks = rng.sample(words, rng.randrange(2, 9))
             half = len(picks) // 2
             pairs = list(zip(picks[:half], picks[half:2 * half]))
-            wp = complete_partial_injection(pairs, 3)
+            wp = build_mapping_perm(pairs, 3)
             srcs = {s for s, _ in wp.moved}
             dsts = {d for _, d in wp.moved}
             assert srcs == dsts
@@ -98,23 +188,22 @@ class TestCompletion:
 
 
 class TestMakeEven:
+    """Evening an odd closure, seen through build_mapping_perm."""
+
     def test_even_unchanged(self):
-        wp = WordPerm.from_pairs(
-            [("00", "01"), ("01", "02"), ("02", "00")], 2)
-        assert make_even(wp) == wp
+        cycle = [("00", "01"), ("01", "02"), ("02", "00")]
+        assert build_mapping_perm(cycle, 2) == WordPerm.from_pairs(cycle, 2)
 
     def test_odd_composed_with_lex_smallest_free_pair(self):
-        wp = WordPerm.from_pairs([("00", "01"), ("01", "00")], 2)
-        out = make_even(wp)
-        assert parity(out) == 0
+        out = build_mapping_perm([("00", "01"), ("01", "00")], 2)
+        assert parity(dict(out.moved)) == 0
         assert out.apply("00") == "01"
         assert out.apply("02") == "10" and out.apply("10") == "02"
 
     def test_no_room(self):
-        words = ["".join(t) for t in itertools.product("012", repeat=1)]
-        wp = WordPerm.from_pairs([("0", "1"), ("1", "0")], 1)
+        # the requested fixed point 2 may not be recruited
         with pytest.raises(NoRoom):
-            make_even(wp, protected=frozenset(words))
+            build_mapping_perm([("0", "1"), ("1", "0"), ("2", "2")], 1)
 
 
 class TestBuildMappingPerm:
@@ -123,7 +212,7 @@ class TestBuildMappingPerm:
 
     def test_single_pair(self):
         wp = build_mapping_perm([("00", "01")], 2)
-        assert parity(wp) == 0 and wp.apply("00") == "01"
+        assert parity(dict(wp.moved)) == 0 and wp.apply("00") == "01"
 
     def test_random_disjoint_pairs(self, rng):
         words = ["".join(t) for t in itertools.product("012", repeat=4)]
@@ -131,13 +220,32 @@ class TestBuildMappingPerm:
             picks = rng.sample(words, 6)
             pairs = list(zip(picks[:3], picks[3:]))
             wp = build_mapping_perm(pairs, 4)
-            assert parity(wp) == 0
+            assert parity(dict(wp.moved)) == 0
             for s, d in pairs:
                 assert wp.apply(s) == d
 
     def test_requested_fixed_points_survive(self):
         # an odd completion must not recruit a requested identity pair
         wp = build_mapping_perm([("00", "01"), ("02", "02")], 2)
-        assert parity(wp) == 0
+        assert parity(dict(wp.moved)) == 0
         assert wp.apply("02") == "02" and wp.apply("00") == "01"
 
+    def test_matches_the_two_stage_oracle(self):
+        seen = set()
+        for pairs, length in seeded_pair_lists(random.Random(9), 2000):
+            got = outcome(build_mapping_perm, pairs, length)
+            assert got == outcome(two_stage, pairs, length), (pairs, length)
+            if isinstance(got, WordPerm):
+                assert brute_sign(got, length) == 0
+                assert all(got.apply(s) == d for s, d in pairs)
+                closure = complete_partial_injection(pairs, length)
+                seen.add("odd completion" if got != closure else "even")
+                seen.add("fixed point" if any(s == d for s, d in pairs)
+                         else "no fixed point")
+                seen.add("chain" if len(closure.moved) > sum(
+                    s != d for s, d in pairs) else "cycles only")
+            else:
+                seen.add(got.__name__)
+        assert seen == {"odd completion", "even", "fixed point",
+                        "no fixed point", "chain", "cycles only",
+                        "DuplicateSource", "DuplicateTarget", "NoRoom"}

@@ -93,6 +93,11 @@ SWAP = ('[{"op":"SR","k":3,"h":1,"U":["030","031"],"V":["3"],'
 # Sends both 030 and 031 to 031: replaying it would merge the orbits of
 # @0:3 and @10:31.
 ORBIT_MERGING = SWAP.replace(',["031","030"]', "")
+# SWAP with 030 listed as a source twice, once with a contradicting target.
+CONTRADICTORY = SWAP.replace('"map":[', '"map":[["030","032"],')
+REPEATED_SOURCES = (CONTRADICTORY,
+                    SWAP.replace('"map":[', '"map":[["030","030"],'),
+                    SWAP.replace('"map":[', '"map":[["030","031"],'))
 
 
 def all_ops_word():
@@ -134,6 +139,17 @@ one_field_off = st.builds(
     st.sampled_from([(i, key) for i, obj in enumerate(GOLDEN_OBJS)
                      for key in obj]),
     st.sampled_from([1e999, -1e999, 2.0, True, "1"]) | json_values)
+# The objects whose map lists words: an HL map, an explicit SR map and a
+# zero-padded SR map, each fed map lists of near-miss words and pairs.
+MAP_BASES = [json.loads(SWAP)[0], json.loads(sr_obj(**ZERO_PADDED))[0],
+             {"op": "HL", "r": 1, "map": []}]
+map_words = (st.sampled_from(["00", "01", "12", "030", "031", "032", "010",
+                              "020", "0", "3", ""])
+             | st.text("0123", max_size=4) | st.integers(0, 3)
+             | st.lists(st.just("0"), max_size=1))
+word_maps = st.lists(st.lists(map_words, min_size=1, max_size=3)
+                     | st.tuples(map_words, map_words) | map_words,
+                     max_size=5)
 
 
 class TestWordFiles:
@@ -188,11 +204,16 @@ class TestWordFiles:
                 ORBIT_MERGING, SWAP.replace('"k":3', '"k":4'),
                 sr_obj(**ZERO_PADDED, ell=99),
                 sr_obj(**{**ZERO_PADDED, "U": "010"}),
-                ZERO_PADDED_FOREIGN_SOURCE,
+                ZERO_PADDED_FOREIGN_SOURCE, *REPEATED_SOURCES,
+                SWAP.replace('"map":[', '"map":[["03","03"],'),
                 *(SWAP.replace('"V":["3"]', f'"V":{v}')
                   for v in ('["33"]', '["1"]', '["3","1"]'))):
             with pytest.raises(ParseError):
                 parse_word(bad)
+
+    def test_hl_fixed_point_pair_is_dropped(self):
+        hl = '[{"op":"HL","r":1,"map":[%s["01","12"],["12","01"]]}]'
+        assert parse_word(hl % '["00","00"],') == parse_word(hl % "")
 
     def test_far_apart_cells_replay_in_time(self):
         # P^E leaves the cells of @0:12 10^9 apart; the explicit rewrite
@@ -210,6 +231,20 @@ class TestWordFiles:
             parse_word(json.dumps(value))
         except ParseError:
             pass
+
+    @settings(deadline=None)
+    @given(st.sampled_from(MAP_BASES), word_maps)
+    @example(MAP_BASES[0], json.loads(CONTRADICTORY)[0]["map"])
+    def test_arbitrary_maps_load_as_listed_or_raise_parse_error(self, base,
+                                                                pairs):
+        try:
+            word = parse_word(json.dumps([{**base, "map": pairs}]))
+        except ParseError:
+            return
+        ins, = word.steps
+        wp = ins.wp if isinstance(ins, HeadLocal) else ins.spec.pi
+        for s, d in pairs:
+            assert wp.apply(s) == d
 
 
 @pytest.fixture
@@ -300,7 +335,9 @@ class TestCli:
         assert main(["selftest", "--trials", "5", "--seed", "11"]) == 0
 
     @pytest.mark.parametrize("text", [ORBIT_MERGING, '[{"op":"P","e":1e999}]',
-                                      ZERO_PADDED_FOREIGN_SOURCE])
+                                      ZERO_PADDED_FOREIGN_SOURCE,
+                                      pytest.param(CONTRADICTORY,
+                                                   id="contradictory-map")])
     def test_apply_bad_word_exit_2(self, tmp_path, capsys, text):
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"

@@ -6,7 +6,7 @@ import random
 
 from fourshift.generators import TransportWord
 from fourshift.orbitperm import orbit_permutation_instruction
-from fourshift.permbuild import parity_of_permutation
+from fourshift.permbuild import parity
 from fourshift.serial import emit_word, parse_word
 from fourshift.transporter import transport
 
@@ -29,7 +29,7 @@ def digest_words():
         while True:
             beta = list(range(k))
             rng.shuffle(beta)
-            if parity_of_permutation(beta) == 0:
+            if parity(dict(enumerate(beta))) == 0:
                 break
         yield TransportWord((orbit_permutation_instruction(t, tuple(beta)),))
 
