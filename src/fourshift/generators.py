@@ -2,20 +2,22 @@
 
 An instruction is one of: the particle rule power, a cellwise symbol
 permutation fixing 0, a head-local window permutation, a power of the
-simulated head shift, or a general safe rewrite.  A transport word is a
-flat list of instructions applied left to right; every instruction is an
-automorphism, so words invert by reversing the list of inverted steps.
+simulated head shift, or a general safe rewrite `SafeRewrite(U, V, pi)`,
+which is defined in `safety`.  A transport word is a flat list of
+instructions applied left to right; every instruction is an automorphism,
+so words invert by reversing the list of inverted steps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import get_args
 
 from . import safety
 from .core import Config, DomainError, TupleK, from_tracks, json_int, tracks
 from .permbuild import TRACK_ALPHABET, WordPerm
+from .safety import SafeRewrite
 
 
 class IllFormedInstruction(DomainError):
@@ -150,25 +152,6 @@ class HeadShift:
         return cls(json_int(obj["e"]))
 
 
-@dataclass(frozen=True)
-class SafeRewrite:
-    spec: safety.SafeRewriteSpec
-    OP = "SR"
-
-    def apply(self, x: Config) -> Config:
-        return safety.apply_safe_rewrite(x, self.spec)
-
-    def inverse(self) -> "SafeRewrite":
-        return SafeRewrite(replace(self.spec, pi=self.spec.pi.inverse()))
-
-    def to_obj(self) -> dict:
-        return {"op": self.OP, **self.spec.to_obj()}
-
-    @classmethod
-    def from_obj(cls, obj) -> "SafeRewrite":
-        return cls(safety.SafeRewriteSpec.from_obj(obj))
-
-
 Instruction = Particle | SymbolPerm | HeadLocal | HeadShift | SafeRewrite
 OPS = {cls.OP: cls for cls in get_args(Instruction)}
 
@@ -191,14 +174,10 @@ def apply_instruction(x: Config, ins: Instruction) -> Config:
 def apply_word(target: Config | TupleK, word: TransportWord):
     """Left-to-right fold of apply_instruction, componentwise on tuples."""
     if isinstance(target, TupleK):
-        comps = list(target.components)
-        for ins in word.steps:
-            comps = [apply_instruction(c, ins) for c in comps]
-        return TupleK(tuple(comps))
-    cur = target
+        return TupleK(tuple(apply_word(c, word) for c in target))
     for ins in word.steps:
-        cur = apply_instruction(cur, ins)
-    return cur
+        target = apply_instruction(target, ins)
+    return target
 
 
 def invert_word(word: TransportWord) -> TransportWord:

@@ -4,9 +4,8 @@ as a single zero-padded safe rewrite."""
 from __future__ import annotations
 
 from .core import DomainError, TupleK, validate_tuple
-from .generators import SafeRewrite
 from .permbuild import parity
-from .safety import make_zero_padded_spec
+from .safety import SafeRewrite, make_zero_padded_spec
 
 
 class KTooSmall(DomainError):
@@ -37,5 +36,4 @@ def orbit_permutation_instruction(t: TupleK, beta: tuple[int, ...]) -> SafeRewri
 
     words = [c.window(range(-3 * m, 3 * m)) for c in t]
     pairs = [(words[i], words[beta.index(i)]) for i in range(k)]
-    spec = make_zero_padded_spec(words, pairs)
-    return SafeRewrite(spec)
+    return make_zero_padded_spec(words, pairs)

@@ -1,6 +1,6 @@
 """Safe-rewrite automorphisms by isolated local rewriting.
 
-A rewrite spec carries a word set U, a marker set V and a permutation of
+A safe rewrite carries a word set U, a marker set V and a permutation of
 U; its two radii are the strict ones fixed by the word lengths.  A
 position is rewritten only when its U-occurrence is alone within the large
 radius and all nearby V-occurrences sit inside the rewritten block; under
@@ -16,7 +16,7 @@ families too large to enumerate are schematic and matched by pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .core import Config, DomainError, json_int
@@ -179,15 +179,15 @@ def _check_zero_padded(U: WordSetDesc, n: int) -> None:
             raise IllFormedSpec(f"same core at two offsets: {prev!r}, {w!r}")
 
 
-# --- the rewrite spec -------------------------------------------------------
+# --- the safe rewrite -------------------------------------------------------
 
 @dataclass(frozen=True)
-class SafeRewriteSpec:
-    """Rewrite the words U by pi where the marker words V allow it.  With
-    k = |U| and h = |V| the radii are the minimal strict ones over the
-    4-symbol alphabet: ell = 4^h + 1 and m_rad = ell + 2k + h.  Built only
-    when it is an automorphism: pi permutes U, and U meets the marker rule
-    of V (the head marker or the nonzero words of length h)."""
+class SafeRewrite:
+    """The instruction SR: rewrite the words U by pi where the marker words
+    V allow it.  With k = |U| and h = |V| the radii are the minimal strict
+    ones over the 4-symbol alphabet: ell = 4^h + 1 and m_rad = ell + 2k + h.
+    Built only when it is an automorphism: pi permutes U, and U meets the
+    marker rule of V (the head marker or the nonzero words of length h)."""
 
     U: WordSetDesc
     V: WordSetDesc
@@ -196,6 +196,7 @@ class SafeRewriteSpec:
     h: int = field(init=False)
     ell: int = field(init=False)
     m_rad: int = field(init=False)
+    OP = "SR"
 
     def __post_init__(self):
         k, h = self.U.length, self.V.length
@@ -221,11 +222,17 @@ class SafeRewriteSpec:
                             ("m_rad", ell + 2 * k + h)):
             object.__setattr__(self, name, value)
 
+    def apply(self, x: Config) -> Config:
+        return apply_safe_rewrite(x, self)
+
+    def inverse(self) -> "SafeRewrite":
+        return replace(self, pi=self.pi.inverse())
+
     def to_obj(self) -> dict:
         """Word-file fields: the head-gap families and rules by name, the
         radii as "strict"."""
         return {
-            "k": self.k, "h": self.h,
+            "op": self.OP, "k": self.k, "h": self.h,
             "U": _word_set_to_obj(self.U), "V": _word_set_to_obj(self.V),
             "map": (self.pi.tag if isinstance(self.pi, RuleWordMap)
                     else [list(p) for p in sorted(self.pi.moved)]),
@@ -233,8 +240,8 @@ class SafeRewriteSpec:
         }
 
     @staticmethod
-    def from_obj(obj) -> "SafeRewriteSpec":
-        """Inverse of to_obj.  Explicit specs are rebuilt through the
+    def from_obj(obj) -> "SafeRewrite":
+        """Inverse of to_obj.  Explicit rewrites are rebuilt through the
         constructors that validate them and named rules must match their
         constant exactly, so a word file cannot carry an unsafe rewrite."""
         k, h = json_int(obj["k"]), json_int(obj["h"])
@@ -262,7 +269,7 @@ class SafeRewriteSpec:
 
 
 def _word_set_to_obj(ws: WordSetDesc) -> object:
-    """The word-file form of every word set a spec accepts."""
+    """The word-file form of every word set a safe rewrite accepts."""
     if ws == SIGMA3_PI_WORDS:
         return "SIGMA3_PI"
     if ws == SIGMA3_TAU_WORDS:
@@ -275,24 +282,24 @@ def _word_set_to_obj(ws: WordSetDesc) -> object:
 
 
 def make_explicit_spec(words: Iterable[str],
-                       pairs: Iterable[tuple[str, str]]) -> SafeRewriteSpec:
+                       pairs: Iterable[tuple[str, str]]) -> SafeRewrite:
     """A rewrite of explicit words U guarded by the head marker."""
     U = ExplicitWords.of(words)
     pi = WordPerm.from_pairs(pairs, U.length)
-    return SafeRewriteSpec(U, HEAD_MARKER, pi)
+    return SafeRewrite(U, HEAD_MARKER, pi)
 
 
 def make_zero_padded_spec(words: Iterable[str],
-                          pairs: Iterable[tuple[str, str]]) -> SafeRewriteSpec:
+                          pairs: Iterable[tuple[str, str]]) -> SafeRewrite:
     """Spec for U of shape 0^n w 0^n with V = all nonzero words of length n."""
     U = ExplicitWords.of(words)
     pi = WordPerm.from_pairs(pairs, U.length)
-    return SafeRewriteSpec(U, NonzeroWords(U.length // 3), pi)
+    return SafeRewrite(U, NonzeroWords(U.length // 3), pi)
 
 
 # --- chi-site selection and rewriting ---------------------------------------
 
-def chi_sites(x: Config, spec: SafeRewriteSpec) -> frozenset[int]:
+def chi_sites(x: Config, spec: SafeRewrite) -> frozenset[int]:
     """Rewrite sites: U-occurrences alone within m_rad whose nearby
     V-occurrences all lie inside the rewritten block."""
     occ_u = occurrences(x, spec.U)
@@ -317,7 +324,7 @@ def chi_sites(x: Config, spec: SafeRewriteSpec) -> frozenset[int]:
     return frozenset(sites)
 
 
-def apply_safe_rewrite(x: Config, spec: SafeRewriteSpec) -> Config:
+def apply_safe_rewrite(x: Config, spec: SafeRewrite) -> Config:
     """Replace the k-block at every chi site by its image under the spec's
     permutation; all other cells are unchanged."""
     sites = sorted(chi_sites(x, spec))
@@ -341,9 +348,9 @@ SIGMA3_PI_WORDS = HeadLayoutWords(
 SIGMA3_TAU_WORDS = HeadLayoutWords(
     SIGMA3_LEN, _GAP_LAYOUTS | {frozenset({SIGMA3_M})})
 
-SIGMA3_PI_SPEC = SafeRewriteSpec(
+SIGMA3_PI_SPEC = SafeRewrite(
     SIGMA3_PI_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_PI"))
-SIGMA3_TAU_SPEC = SafeRewriteSpec(
+SIGMA3_TAU_SPEC = SafeRewrite(
     SIGMA3_TAU_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_TAU"))
 
 

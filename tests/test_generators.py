@@ -4,10 +4,9 @@ import pytest
 
 from fourshift.core import Config, ZERO, shift, tracks, validate_tuple
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
-                                  IllFormedInstruction, Particle,
-                                  SafeRewrite, SymbolPerm, TransportWord,
-                                  apply_instruction, apply_word, invert_word,
-                                  size_report)
+                                  IllFormedInstruction, Particle, SymbolPerm,
+                                  TransportWord, apply_instruction, apply_word,
+                                  invert_word, size_report)
 from fourshift.permbuild import WordPerm
 from fourshift.safety import head_shift_once, make_explicit_spec
 
@@ -72,7 +71,7 @@ class TestApplyInstruction:
     def test_safe_rewrite_instruction(self):
         spec = make_explicit_spec(["030", "031"],
                                   [("030", "031"), ("031", "030")])
-        assert apply_instruction(cfg(1, "3"), SafeRewrite(spec)) == cfg(1, "31")
+        assert apply_instruction(cfg(1, "3"), spec) == cfg(1, "31")
 
     def test_head_shift_stepwise(self):
         assert apply_instruction(cfg(0, "3"), HeadShift(3)) == cfg(3, "3")

@@ -77,8 +77,7 @@ class TestRealization:
 
     def test_boundary_equivalence_by_construction(self):
         ins = orbit_permutation_instruction(FIVE, (1, 2, 0, 3, 4))
-        spec = ins.spec
-        pad = spec.h  # words are 0^{2m} core 0^{2m} with 2m = h
-        for u, v in spec.pi.moved:
+        pad = ins.h  # words are 0^{2m} core 0^{2m} with 2m = h
+        for u, v in ins.pi.moved:
             assert u[:pad - 1] == v[:pad - 1]
             assert u[-(pad - 1):] == v[-(pad - 1):]

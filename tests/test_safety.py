@@ -6,11 +6,10 @@ import itertools
 import pytest
 
 from fourshift.core import Config, ZERO, shift
-from fourshift.generators import SafeRewrite
 from fourshift.permbuild import WordPerm
 from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
                               IllFormedSpec, IllFormedWordSet, NonzeroWords,
-                              RuleWordMap, SafeRewriteSpec, SIGMA3_PI_SPEC,
+                              RuleWordMap, SafeRewrite, SIGMA3_PI_SPEC,
                               SIGMA3_PI_WORDS, SIGMA3_TAU_SPEC,
                               SIGMA3_TAU_WORDS, apply_safe_rewrite,
                               chi_sites, head_shift_once, make_explicit_spec,
@@ -139,7 +138,7 @@ class TestApplySafeRewrite:
         spec = make_explicit_spec(
             ["030", "031", "032"],
             [("030", "031"), ("031", "032"), ("032", "030")])
-        inv = SafeRewrite(spec).inverse().spec
+        inv = spec.inverse()
         for _ in range(200):
             x = rand_config(rng, span=12)
             assert apply_safe_rewrite(apply_safe_rewrite(x, spec), inv) == x
@@ -220,14 +219,14 @@ class TestSpecChecksItself:
     ])
     def test_unsafe_spec_refused(self, U, V, pi):
         with pytest.raises(IllFormedSpec):
-            SafeRewriteSpec(U, V, pi)
+            SafeRewrite(U, V, pi)
 
     def test_safe_specs_built_directly(self):
-        assert SafeRewriteSpec(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
-                               SWAP_PI) == demo_spec()
-        assert SafeRewriteSpec(SIGMA3_PI_WORDS, HEAD_MARKER,
-                               RuleWordMap("SIGMA3_PI")) == SIGMA3_PI_SPEC
-        assert SafeRewriteSpec(
+        assert SafeRewrite(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
+                           SWAP_PI) == demo_spec()
+        assert SafeRewrite(SIGMA3_PI_WORDS, HEAD_MARKER,
+                           RuleWordMap("SIGMA3_PI")) == SIGMA3_PI_SPEC
+        assert SafeRewrite(
             ExplicitWords.of(["001000", "000200"]), NonzeroWords(2),
             WordPerm(6, ())).m_rad == 4**2 + 1 + 12 + 2
 

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from fourshift.cli import main
 from fourshift.core import Config, DomainError, ZERO
 from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
-                                  Particle, SafeRewrite, TransportWord,
-                                  apply_word)
+                                  Particle, TransportWord, apply_word)
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
-from fourshift.safety import SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC, make_explicit_spec
+from fourshift.safety import (HEAD_MARKER, SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
+                              ExplicitWords, SafeRewrite, make_explicit_spec)
 from fourshift.serial import (ParseError, emit_config, emit_tuple, emit_word,
                               parse_config, parse_tuple, parse_word)
 from fourshift.transporter import transport
@@ -77,9 +77,8 @@ def sample_words(rng):
     yield TransportWord((Particle(-3), SWAP_13, HeadShift(2)))
     yield TransportWord((HeadLocal(
         1, WordPerm.from_pairs([("00", "12"), ("12", "00")], 2)),))
-    yield TransportWord((SafeRewrite(spec),))
-    yield TransportWord((SafeRewrite(SIGMA3_PI_SPEC),
-                         SafeRewrite(SIGMA3_TAU_SPEC)))
+    yield TransportWord((spec,))
+    yield TransportWord((SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC))
     yield orbit_permutation_instruction(five, beta) and TransportWord(
         (orbit_permutation_instruction(five, beta),))
 
@@ -106,7 +105,7 @@ def all_ops_word():
     return TransportWord((
         Particle(-3), SWAP_13,
         HeadLocal(1, WordPerm.from_pairs([("00", "12"), ("12", "00")], 2)),
-        HeadShift(2), SafeRewrite(spec), SafeRewrite(SIGMA3_PI_SPEC)))
+        HeadShift(2), spec, SIGMA3_PI_SPEC))
 
 
 def sr_obj(**fields) -> str:
@@ -157,6 +156,19 @@ class TestWordFiles:
         for word in sample_words(rng):
             assert parse_word(emit_word(word)) == word
 
+    def test_safe_rewrite_is_the_sr_instruction(self, rng):
+        pi = WordPerm.from_pairs([("030", "031"), ("031", "030")], 3)
+        swap = SafeRewrite(ExplicitWords.of(["030", "031"]), HEAD_MARKER, pi)
+        assert OPS["SR"] is SafeRewrite
+        text = emit_word(TransportWord((swap,)))
+        assert text == json.dumps(json.loads(SWAP), indent=1)
+        assert parse_word(text) == TransportWord((swap,))
+        assert apply_word(cfg(1, "3"), TransportWord((swap,))) == cfg(1, "31")
+        inv = swap.inverse()
+        for _ in range(200):
+            x = rand_config(rng, span=12)
+            assert inv.apply(swap.apply(x)) == x
+
     def test_hl_map_sorted(self):
         word = TransportWord((HeadLocal(
             1, WordPerm.from_pairs([("12", "00"), ("00", "12")], 2)),))
@@ -165,7 +177,7 @@ class TestWordFiles:
 
     def test_schematic_tags(self):
         data = json.loads(emit_word(
-            TransportWord((SafeRewrite(SIGMA3_PI_SPEC),))))
+            TransportWord((SIGMA3_PI_SPEC,))))
         assert data[0]["U"] == "SIGMA3_PI" and data[0]["map"] == "SIGMA3_PI"
         assert data[0]["ell"] == "strict" and data[0]["mrad"] == "strict"
 
@@ -180,8 +192,7 @@ class TestWordFiles:
         assert parse_word(json.dumps(objs, indent=1)) == all_ops_word()
 
     def test_bases_of_the_bad_objects_parse(self):
-        assert parse_word(sr_obj()) == TransportWord(
-            (SafeRewrite(SIGMA3_PI_SPEC),))
+        assert parse_word(sr_obj()) == TransportWord((SIGMA3_PI_SPEC,))
         parse_word(sr_obj(**ZERO_PADDED))
         parse_word(SWAP)
         # a repeated head marker is still the marker set {3}
@@ -242,7 +253,7 @@ class TestWordFiles:
         except ParseError:
             return
         ins, = word.steps
-        wp = ins.wp if isinstance(ins, HeadLocal) else ins.spec.pi
+        wp = ins.wp if isinstance(ins, HeadLocal) else ins.pi
         for s, d in pairs:
             assert wp.apply(s) == d
 
