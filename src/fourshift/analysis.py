@@ -187,6 +187,8 @@ def find_nonshift_witness(word: TransportWord, support_bound: int = 2,
     same n, Inconclusive otherwise."""
     if width_bound > WIDTH_LIMIT:
         raise TooLarge(f"width bound {width_bound} exceeds {WIDTH_LIMIT}")
+    if min(support_bound, width_bound) < 1:
+        raise DomainError("support and width bounds must be at least 1")
     shifts: set[int] = set()
     for w in _canonical_words(support_bound, width_bound):
         x = Config.from_word(0, w)

@@ -137,6 +137,8 @@ def cmd_demo(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.trials < 1:
+        raise DomainError("--trials must be at least 1")
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):

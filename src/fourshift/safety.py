@@ -114,7 +114,7 @@ def _covering_starts(x: Config, n: int) -> set[int]:
 class RuleWordMap:
     """A named rule-based involution (head-gap rearrangement families)."""
 
-    tag: str  # "SIGMA3_PI" or "SIGMA3_TAU"
+    tag: str  # a key of HEAD_GAP_FAMILIES
 
     def apply(self, w: str) -> str:
         """PI keeps the letter left of the head, TAU the letter right of it."""
@@ -203,9 +203,7 @@ class SafeRewrite:
         if not k >= h >= 1:
             raise IllFormedSpec("need k >= h >= 1")
         if isinstance(self.pi, RuleWordMap):
-            rule_words = {"SIGMA3_PI": SIGMA3_PI_WORDS,
-                          "SIGMA3_TAU": SIGMA3_TAU_WORDS}.get(self.pi.tag)
-            if self.U != rule_words:
+            if self.U != HEAD_GAP_FAMILIES.get(self.pi.tag):
                 raise IllFormedSpec(f"rule {self.pi.tag!r} does not permute U")
         elif not (isinstance(self.pi, WordPerm) and self.pi.length == k
                   and isinstance(self.U, ExplicitWords)
@@ -229,56 +227,49 @@ class SafeRewrite:
         return replace(self, pi=self.pi.inverse())
 
     def to_obj(self) -> dict:
-        """Word-file fields: the head-gap families and rules by name, the
-        radii as "strict"."""
+        """Word-file fields: a rule and its head-gap family both by the
+        rule's name, the key of U in HEAD_GAP_FAMILIES; listed words and
+        pairs otherwise; the radii as "strict"."""
+        named = isinstance(self.pi, RuleWordMap)
         return {
             "op": self.OP, "k": self.k, "h": self.h,
-            "U": _word_set_to_obj(self.U), "V": _word_set_to_obj(self.V),
-            "map": (self.pi.tag if isinstance(self.pi, RuleWordMap)
+            "U": self.pi.tag if named else sorted(self.U.words),
+            "V": [HEAD_CHAR] if self.V == HEAD_MARKER else "NONZERO_N",
+            "map": (self.pi.tag if named
                     else [list(p) for p in sorted(self.pi.moved)]),
             "ell": "strict", "mrad": "strict",
         }
 
     @staticmethod
     def from_obj(obj) -> "SafeRewrite":
-        """Inverse of to_obj.  Explicit rewrites are rebuilt through the
-        constructors that validate them and named rules must match their
-        constant exactly, so a word file cannot carry an unsafe rewrite."""
+        """Inverse of to_obj, one field rule for named and listed rewrites:
+        U is a name in HEAD_GAP_FAMILIES or a word list, V is ["3"] (repeats
+        allowed) or "NONZERO_N", map a rule name or a pair list.  The
+        constructor refuses every unsafe (U, V, pi); then k and h must be
+        the word lengths and each radius "strict" or the strict integer."""
         k, h = json_int(obj["k"]), json_int(obj["h"])
         words, markers, pairs = obj["U"], obj["V"], obj["map"]
-        if isinstance(pairs, str):
-            for spec in (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC):
-                fields = spec.to_obj()
-                if fields == {key: obj[key] for key in fields}:
-                    return spec
-            raise IllFormedSpec(f"fields do not match the rule {pairs!r}")
-        if not isinstance(words, list):
-            raise IllFormedSpec("U must list its words")
-        if markers == "NONZERO_N":
-            spec = make_zero_padded_spec(words, pairs)
-        elif isinstance(markers, list) and set(markers) == {HEAD_CHAR}:
-            spec = make_explicit_spec(words, pairs)
+        if isinstance(words, list):
+            U = ExplicitWords.of(words)
+        elif isinstance(words, str) and words in HEAD_GAP_FAMILIES:
+            U = HEAD_GAP_FAMILIES[words]
+        else:
+            raise IllFormedSpec(f"bad word set {words!r}")
+        if isinstance(markers, list) and set(markers) == {HEAD_CHAR}:
+            V = HEAD_MARKER
+        elif markers == "NONZERO_N":
+            V = NonzeroWords(h)
         else:
             raise IllFormedSpec(f"bad marker set {markers!r}")
-        if (spec.k, spec.h) != (k, h):
+        pi = (RuleWordMap(pairs) if isinstance(pairs, str)
+              else WordPerm.from_pairs(pairs, U.length))
+        rewrite = SafeRewrite(U, V, pi)
+        if (k, h) != (rewrite.k, rewrite.h):
             raise IllFormedSpec("k and h do not match the word lengths")
-        for key, strict in (("ell", spec.ell), ("mrad", spec.m_rad)):
+        for key, strict in (("ell", rewrite.ell), ("mrad", rewrite.m_rad)):
             if obj[key] != "strict" and json_int(obj[key]) != strict:
                 raise IllFormedSpec("radii must be the strict ones")
-        return spec
-
-
-def _word_set_to_obj(ws: WordSetDesc) -> object:
-    """The word-file form of every word set a safe rewrite accepts."""
-    if ws == SIGMA3_PI_WORDS:
-        return "SIGMA3_PI"
-    if ws == SIGMA3_TAU_WORDS:
-        return "SIGMA3_TAU"
-    if ws == HEAD_MARKER:
-        return [HEAD_CHAR]
-    if isinstance(ws, NonzeroWords):
-        return "NONZERO_N"
-    return sorted(ws.words)
+        return rewrite
 
 
 def make_explicit_spec(words: Iterable[str],
@@ -347,6 +338,9 @@ SIGMA3_PI_WORDS = HeadLayoutWords(
     SIGMA3_LEN, _GAP_LAYOUTS | {frozenset({SIGMA3_M + 1})})
 SIGMA3_TAU_WORDS = HeadLayoutWords(
     SIGMA3_LEN, _GAP_LAYOUTS | {frozenset({SIGMA3_M})})
+# The head-gap families by the name of the rule that permutes each.
+HEAD_GAP_FAMILIES = {"SIGMA3_PI": SIGMA3_PI_WORDS,
+                     "SIGMA3_TAU": SIGMA3_TAU_WORDS}
 
 SIGMA3_PI_SPEC = SafeRewrite(
     SIGMA3_PI_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_PI"))

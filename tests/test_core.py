@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fourshift.core import (Config, ZERO, OrbitCollision, ZeroPoint,
-                            canonical_form, classify, from_tracks,
+from fourshift.core import (Config, ZERO, DomainError, OrbitCollision,
+                            ZeroPoint, canonical_form, classify, from_tracks,
                             orbit_equal, shift, tracks, validate_tuple)
 
 from conftest import rand_config
@@ -37,6 +37,14 @@ class TestConfig:
     def test_bad_symbol_rejected(self):
         with pytest.raises(Exception):
             Config.from_cells({0: 4})
+
+    def test_duplicate_position_rejected(self):
+        with pytest.raises(DomainError, match="duplicate cell at position 0"):
+            Config.from_cells([(0, 1), (0, 2)])
+
+    def test_bad_digit_rejected(self):
+        with pytest.raises(DomainError, match="invalid digit '4'"):
+            Config.from_word(0, "14")
 
 
 class TestShift:
@@ -135,3 +143,7 @@ class TestValidateTuple:
     def test_zero_component(self):
         with pytest.raises(ZeroPoint):
             validate_tuple((cfg(0, "1"), ZERO))
+
+    def test_empty_tuple(self):
+        with pytest.raises(DomainError, match="at least one component"):
+            validate_tuple(())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fourshift.core import Config, validate_tuple
+from fourshift.core import Config, DomainError, validate_tuple
 from fourshift.generators import apply_instruction
 from fourshift.orbitperm import (BetaOdd, KTooSmall,
                                  orbit_permutation_instruction)
@@ -45,6 +45,10 @@ class TestPreconditions:
     def test_odd_beta_rejected(self):
         with pytest.raises(BetaOdd):
             orbit_permutation_instruction(FIVE, (1, 0, 2, 3, 4))
+
+    def test_non_permutation_beta_rejected(self):
+        with pytest.raises(DomainError, match="not a permutation"):
+            orbit_permutation_instruction(FIVE, (0, 0, 2, 3, 4))
 
     def test_small_k_rejected(self, rng):
         with pytest.raises(KTooSmall):

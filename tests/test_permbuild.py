@@ -100,6 +100,11 @@ class TestWordPerm:
         with pytest.raises(Exception):
             WordPerm.from_pairs([("00", "01"), ("02", "01")], 2)
 
+    def test_stored_identity_pair_rejected(self):
+        # from_pairs drops fixed points; the moved set itself may not hold one
+        with pytest.raises(DomainError, match="identity pair"):
+            WordPerm(2, (("00", "00"),))
+
     def test_fixed_points_listed_and_dropped(self):
         wp = WordPerm.from_pairs([("02", "02"), ("00", "01"), ("01", "00")], 2)
         assert wp == WordPerm.from_pairs([("00", "01"), ("01", "00")], 2)

@@ -216,6 +216,10 @@ class TestSpecChecksItself:
                      SWAP_PI, id="zero-padded-wrong-length"),
         pytest.param(ExplicitWords.of(["030", "031"]), ExplicitWords.of(["3"]),
                      SWAP_PI, id="marker-set-without-a-rule"),
+        pytest.param(ExplicitWords.of(["030"]), NonzeroWords(4), NO_MOVE,
+                     id="k-below-h"),
+        pytest.param(ExplicitWords.of(["0300", "0310"]), HEAD_MARKER,
+                     WordPerm(4, ()), id="head-marker-length-not-divisible-by-3"),
     ])
     def test_unsafe_spec_refused(self, U, V, pi):
         with pytest.raises(IllFormedSpec):

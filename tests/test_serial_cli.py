@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from fourshift.cli import main
 from fourshift.core import Config, DomainError, ZERO
 from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
-                                  Particle, TransportWord, apply_word)
+                                  Particle, TransportWord, apply_word,
+                                  invert_word)
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
 from fourshift.safety import (HEAD_MARKER, SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
@@ -217,10 +218,37 @@ class TestWordFiles:
                 sr_obj(**{**ZERO_PADDED, "U": "010"}),
                 ZERO_PADDED_FOREIGN_SOURCE, *REPEATED_SOURCES,
                 SWAP.replace('"map":[', '"map":[["03","03"],'),
+                '[{"op":"HL","r":0,"map":[]}]', sr_obj(V="NONZERO_N"),
+                *(SWAP.replace('"U":["030","031"]', f'"U":["030",{w}]')
+                  for w in ('"0310"', '"0x1"')),
                 *(SWAP.replace('"V":["3"]', f'"V":{v}')
                   for v in ('["33"]', '["1"]', '["3","1"]'))):
             with pytest.raises(ParseError):
                 parse_word(bad)
+
+    @pytest.mark.parametrize("key", ["ell", "mrad", "V"])
+    @pytest.mark.parametrize("canonical", [
+        SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
+        make_explicit_spec(["030", "031"], [("030", "031"), ("031", "030")])],
+        ids=["named-pi", "named-tau", "listed"])
+    def test_one_field_rule_for_named_and_listed(self, canonical, key):
+        # an integer strict radius and a repeated head marker read the same
+        # on a named rewrite as on a listed one
+        value = {"ell": canonical.ell, "mrad": canonical.m_rad,
+                 "V": ["3", "3"]}[key]
+        text = json.dumps([{**canonical.to_obj(), key: value}])
+        assert parse_word(text) == TransportWord((canonical,))
+
+    def test_inverse_word_undoes_every_op(self, rng):
+        # the named rewrite is inverted by its own rule
+        word = all_ops_word()
+        inverse = invert_word(word)
+        moved = 0
+        for _ in range(300):
+            x = rand_config(rng, span=12, max_cells=6)
+            moved += SIGMA3_PI_SPEC.apply(x) != x
+            assert apply_word(apply_word(x, word), inverse) == x
+        assert moved > 50
 
     def test_hl_fixed_point_pair_is_dropped(self):
         hl = '[{"op":"HL","r":1,"map":[%s["01","12"],["12","01"]]}]'
@@ -320,6 +348,12 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == \
             {"clock_like": True, "a": 0, "t": 0}
 
+    def test_phi_not_clock_like(self, capsys):
+        assert main(["phi", "@0:3"]) == 0
+        assert capsys.readouterr().out == "not clock-like\n"
+        assert main(["phi", "@0:3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"clock_like": False}
+
     def test_kfinite(self, capsys):
         assert main(["kfinite", "--cycles", "2,2"]) == 0
         assert capsys.readouterr().out.strip() == "2"
@@ -337,6 +371,18 @@ class TestCli:
         assert main(["witness", "--word", str(word)]) == 0
         assert "witness @0:12" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, bounds, result", [
+        ("[]", [], "shift 0"),
+        ('[{"op":"HS","e":1}]', ["--support-bound", "1", "--width-bound", "1"],
+         "inconclusive"),
+    ])
+    def test_witness_shift_and_inconclusive(self, tmp_path, capsys, text,
+                                            bounds, result):
+        word = tmp_path / "w.json"
+        word.write_text(text)
+        assert main(["witness", "--word", str(word), *bounds]) == 0
+        assert capsys.readouterr().out == result + "\n"
+
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
         out = capsys.readouterr().out
@@ -344,6 +390,39 @@ class TestCli:
 
     def test_selftest(self, capsys):
         assert main(["selftest", "--trials", "5", "--seed", "11"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        "selftest --trials 0", "selftest --trials -3",
+        "witness --word {word} --support-bound 0",
+        "witness --word {word} --support-bound -1",
+        "witness --word {word} --width-bound 0"])
+    def test_count_below_one_exit_2(self, tmp_path, capsys, argv):
+        word = tmp_path / "w.json"
+        word.write_text("[]")
+        assert main(argv.format(word=word).split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: DomainError")
+        assert captured.err.count("\n") == 1
+
+    def test_apply_writes_what_it_prints(self, demo_files, capsys):
+        src, dst, tmp = demo_files
+        word, out = tmp / "word.json", tmp / "out.tuple"
+        assert main(["transport", "--src", str(src), "--dst", str(dst),
+                     "-o", str(word)]) == 0
+        capsys.readouterr()
+        assert main(["apply", "--src", str(src), "--word", str(word),
+                     "-o", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out == dst.read_text()
+
+    def test_verify_arity_mismatch_exit_1(self, tmp_path, capsys):
+        src, dst, word = (tmp_path / n for n in ("s.tuple", "d.tuple", "w.json"))
+        src.write_text("@0:1\n")
+        dst.write_text("@0:1\n@0:2\n")
+        word.write_text("[]")
+        assert main(["verify", "--src", str(src), "--dst", str(dst),
+                     "--word", str(word)]) == 1
+        assert "does not reach the destination" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [ORBIT_MERGING, '[{"op":"P","e":1e999}]',
                                       ZERO_PADDED_FOREIGN_SOURCE,

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from fourshift.core import Config, ZERO, classify, shift, validate_tuple
+from fourshift.core import (Config, ZERO, DomainError, classify, shift,
+                            validate_tuple)
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift, Particle,
                                   TransportWord, apply_instruction,
                                   apply_word, invert_word)
@@ -172,6 +173,10 @@ class TestCanonical:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             make_canonical(canonical_great(2), canonical_great(3))
+
+    def test_canonical_great_needs_a_component(self):
+        with pytest.raises(DomainError, match="k must be positive"):
+            canonical_great(0)
 
     def test_demo_pipeline_word_pinned(self):
         good, t1 = make_good(DEMO3)
