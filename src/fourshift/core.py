@@ -8,6 +8,7 @@ all operations are pure.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -16,6 +17,10 @@ PARTICLE, WALL, HEAD = 1, 2, 3
 # Positions are conceptually 64-bit signed; anything beyond this bound is
 # an overflow error rather than wraparound.
 POSITION_LIMIT = 2**62
+
+# In a run line, a zero gap wider than this many cells starts a new run.
+RUN_GAP = 64
+_RUN_RE = re.compile(r"@(-?[0-9]+):([0-3]+)")
 
 
 class DomainError(Exception):
@@ -136,18 +141,50 @@ class Config:
     def as_dict(self) -> dict[int, int]:
         return dict(self.cells)
 
-    def word(self) -> tuple[int, str]:
-        """(offset, digits) with nonzero first and last digit; zero -> (0, "")."""
-        if not self.cells:
-            return (0, "")
-        lo, hi = self.cells[0][0], self.cells[-1][0]
-        row = ["0"] * (hi - lo + 1)
-        for p, s in self.cells:
-            row[p - lo] = str(s)
-        return (lo, "".join(row))
-
 
 ZERO = Config()
+
+
+def emit_runs(cells: Sequence[tuple[int, int]]) -> str:
+    """Sorted nonzero cells as a run line: `@offset:digits` runs joined by
+    spaces, a new run wherever a zero gap is wider than RUN_GAP; "ZERO"
+    when there are no cells."""
+    if not cells:
+        return "ZERO"
+    parts, prev = [], 0
+    for p, s in cells:
+        if not parts or p - prev > RUN_GAP + 1:
+            parts.append(f" @{p}:")
+        else:
+            parts.append("0" * (p - prev - 1))
+        parts.append(str(s))
+        prev = p
+    return "".join(parts)[1:]
+
+
+def parse_runs(text: str) -> list[tuple[int, int]]:
+    """The nonzero cells of a run line, in order: "ZERO", or runs separated
+    by whitespace, each starting after the last cell of the one before."""
+    if text == "ZERO":
+        return []
+    runs = text.split()
+    if not runs:
+        raise ParseError("empty run line")
+    cells, end = [], None
+    for run in runs:
+        m = _RUN_RE.fullmatch(run)
+        if m is None:
+            raise ParseError(f"not a run of cells: {run!r}")
+        try:
+            offset = int(m[1])
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"offset too long: {exc}") from exc
+        if end is not None and offset < end:
+            raise ParseError(f"the run at {offset} overlaps the one before")
+        digits = m[2]
+        end = offset + len(digits)
+        cells += [(offset + i, int(c)) for i, c in enumerate(digits) if c != "0"]
+    return cells
 
 
 def shift(x: Config, n: int) -> Config:

@@ -10,13 +10,15 @@ so words invert by reversing the list of inverted steps.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import get_args
 
 from . import safety
-from .core import Config, DomainError, TupleK, from_tracks, json_int, tracks
-from .permbuild import TRACK_ALPHABET, WordPerm
+from .core import (HEAD, Config, DomainError, ParseError, TupleK, emit_runs,
+                   from_tracks, json_int, parse_runs, tracks)
+from .permbuild import WordPerm
 from .safety import SafeRewrite
 
 
@@ -24,9 +26,11 @@ class IllFormedInstruction(DomainError):
     pass
 
 
-def head_window(q: int, r: int) -> list[int]:
-    """Positions of the radius-r window around a head at q, q excluded."""
-    return [*range(q - r, q), *range(q + 1, q + r + 1)]
+def head_cells(cells, q: int) -> tuple[tuple[int, int], ...]:
+    """The window of a head at q, read from `cells` (sorted cells of a
+    configuration around q): each cell but the head's, as (offset from q,
+    symbol)."""
+    return tuple((p - q, s) for p, s in cells if p != q)
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,8 @@ SWAP_23 = SymbolPerm((0, 1, 3, 2))
 @dataclass(frozen=True)
 class HeadLocal:
     """Rewrite the radius-r window around every sufficiently isolated head
-    by a permutation of {0,1,2}^(2r)."""
+    by a permutation of {0,1,2}^(2r), keyed on the window's nonzero cells
+    (see `permbuild`)."""
 
     r: int
     wp: WordPerm
@@ -96,33 +101,71 @@ class HeadLocal:
             raise IllFormedInstruction("radius must be positive")
         if self.wp.length != 2 * self.r:
             raise IllFormedInstruction("window permutation length must be 2r")
-        # a window holds no head; the targets of a WordPerm are its sources
-        if not set("".join(s for s, _ in self.wp.moved)) <= set(TRACK_ALPHABET):
-            raise IllFormedInstruction("window words must lie in {0,1,2}")
+        if any(isinstance(s, str) for s, _ in self.wp.moved):
+            raise IllFormedInstruction("windows are keyed on their cells")
 
     def apply(self, x: Config) -> Config:
         if not self.wp.moved:
             return x
-        # heads at least 2r+3 apart keep every other head out of the window
-        heads = x.heads()
-        isolated = [q for q in heads if all(
-            q == p or abs(q - p) >= 2 * self.r + 3 for p in heads)]
-        if not isolated:
+        r, cells, heads = self.r, x.cells, x.heads()
+        out, done = [], 0
+        for i, q in enumerate(heads):
+            # neighbours at least 2r+3 away keep every other head out
+            if (i and q - heads[i - 1] < 2 * r + 3) or (
+                    i + 1 < len(heads) and heads[i + 1] - q < 2 * r + 3):
+                continue
+            lo = bisect_left(cells, (q - r,))
+            hi = bisect_left(cells, (q + r + 1,))
+            window = head_cells(cells[lo:hi], q)
+            image = self.wp.apply(window)
+            if image != window:
+                out += cells[done:lo]
+                out += [(q, HEAD), *((q + o, s) for o, s in image)]
+                done = hi
+        if not out:
             return x
-        windows = [head_window(q, self.r) for q in isolated]
-        return x.overwrite((w, self.wp.apply(x.window(w))) for w in windows)
+        return Config.from_cells(out + list(cells[done:]))
 
     def inverse(self) -> "HeadLocal":
         return HeadLocal(self.r, self.wp.inverse())
 
     def to_obj(self) -> dict:
-        return {"op": self.OP, "r": self.r,
-                "map": [list(p) for p in sorted(self.wp.moved)]}
+        """Each window as a run line relative to the head."""
+        return {"op": self.OP, "r": self.r, "cells": [
+            [emit_runs(s), emit_runs(d)] for s, d in self.wp.moved]}
 
     @classmethod
     def from_obj(cls, obj) -> "HeadLocal":
+        """Inverse of to_obj; a dense `"map"` of 2r-letter words in place
+        of `"cells"` still loads."""
         r = json_int(obj["r"])
-        return cls(r, WordPerm.from_pairs(obj["map"], 2 * r))
+        if ("map" in obj) == ("cells" in obj):
+            raise ParseError("an HL object holds one of map and cells")
+        if "cells" in obj:
+            listed, read = obj["cells"], _window_of_runs
+        else:
+            listed, read = obj["map"], lambda word: _window_of_word(word, r)
+        pairs, windows = [], {}  # a window named twice is read once
+        for s, d in listed:
+            for w in (s, d):
+                if w not in windows:
+                    windows[w] = read(w)
+            pairs.append((windows[s], windows[d]))
+        return cls(r, WordPerm.from_pairs(pairs, 2 * r))
+
+
+def _window_of_runs(text) -> tuple[tuple[int, int], ...]:
+    if not isinstance(text, str):
+        raise ParseError(f"a window is a run line, not {text!r}")
+    return tuple(parse_runs(text))
+
+
+def _window_of_word(word, r: int) -> tuple[tuple[int, int], ...]:
+    """The cells of a dense window word of {0,1,2}^(2r)."""
+    if not isinstance(word, str) or len(word) != 2 * r:
+        raise ParseError(f"not a window word of length {2 * r}: {word!r}")
+    return tuple((i - r + (i >= r), int(c))
+                 for i, c in enumerate(word) if c != "0")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """Sparse permutations of fixed-length words.
 
 A WordPerm stores only its moved pairs; everything else is fixed.  It is
-the window map of head-local rewrites (words over the track alphabet
-{0,1,2}) and the word map of explicit safe rewrites.  Every map of words,
+the word map of explicit safe rewrites, whose words are strings, and the
+window map of head-local rewrites.  A window of radius r is a word of
+{0,1,2}^(2r) around a head, held by its nonzero cells: a tuple of
+(offset from the head, symbol) pairs with increasing offsets,
+0 < |offset| <= r and symbol 1 or 2, so nothing costs O(r).  Pairs are
+kept in the order of their sources as dense words.  Every map of words,
 built in code or read from a word file, follows one rule: a word is a
 source at most once and a target at most once, and fixed points are
 allowed.  The main construction closes each chain of requested pairs
@@ -16,9 +20,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import DomainError
+from .core import PARTICLE, WALL, DomainError
 
-TRACK_ALPHABET = "012"
+Word = str | tuple[tuple[int, int], ...]
+# The window cells at most 64 cells from the head, one object each: every
+# stored window shares them, so it costs a pointer per cell.
+_CELLS = {(o, s): (o, s) for o in range(-64, 65) for s in (PARTICLE, WALL)}
 
 
 class DuplicateSource(DomainError):
@@ -33,18 +40,45 @@ class NoRoom(DomainError):
     """Not enough untouched words are left for a parity-fixing transposition."""
 
 
-def _one_to_one(pairs: Sequence[tuple[str, str]], length: int) -> dict:
-    """The map of `pairs`, refusing a source that is not a word of
-    `length` and a word named twice as a source or twice as a target."""
+def _is_word(w: Word, length: int) -> bool:
+    """A string of `length` letters, or a window of {0,1,2}^length."""
+    if isinstance(w, str):
+        return len(w) == length
+    r = length // 2
+    prev = -r - 1
+    for o, s in w:
+        if not (prev < o <= r and o != 0 and s in (PARTICLE, WALL)):
+            return False
+        prev = o
+    return True
+
+
+def _dense_order(w: Word) -> Word:
+    """Sort key giving the order of the dense words: a window that has a
+    cell at an offset where another has none is the larger."""
+    return w if isinstance(w, str) else tuple((-o, s) for o, s in w)
+
+
+def _stored(w: Word) -> Word:
+    """w as stored: a window's cells near the head are those of _CELLS."""
+    return w if isinstance(w, str) else tuple(_CELLS.get(c, c) for c in w)
+
+
+def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:
+    """The map of `pairs`, refusing a word named twice as a source or
+    twice as a target."""
     mapping = dict(pairs)
     if len(mapping) != len(pairs):
         raise DuplicateSource("repeated source word")
     if len(set(mapping.values())) != len(pairs):
         raise DuplicateTarget("repeated target word")
-    for s in mapping:
-        if len(s) != length:
-            raise DomainError(f"not a word of length {length}: {s!r}")
     return mapping
+
+
+def _check_words(words: Iterable[Word], length: int) -> None:
+    for w in words:
+        if not _is_word(w, length):
+            raise DomainError(f"not a word of length {length}: {w!r}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +87,12 @@ class WordPerm:
     checked when built, so apply is a lookup."""
 
     length: int
-    moved: tuple[tuple[str, str], ...]  # sorted by source, src != dst
+    moved: tuple[tuple[Word, Word], ...]  # in dense order of source, src != dst
     _images: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mapping = _one_to_one(self.moved, self.length)
+        mapping = _one_to_one(self.moved)
+        _check_words(mapping, self.length)
         if set(mapping) != set(mapping.values()):
             raise DomainError("moved pairs do not form a bijection")
         if any(s == d for s, d in self.moved):
@@ -65,13 +100,18 @@ class WordPerm:
         object.__setattr__(self, "_images", mapping)
 
     @staticmethod
-    def from_pairs(pairs: Iterable[tuple[str, str]], length: int) -> "WordPerm":
-        """The permutation listed by `pairs`, fixed points included."""
-        mapping = _one_to_one([(s, d) for s, d in pairs], length)
+    def from_pairs(pairs: Iterable[tuple[Word, Word]], length: int) -> "WordPerm":
+        """The permutation listed by `pairs`, fixed points included; each
+        moved word is stored once, as a source and as a target."""
+        mapping = _one_to_one([(s, d) for s, d in pairs])
+        _check_words((s for s, d in mapping.items() if s == d), length)
+        moved = {s: d for s, d in mapping.items() if s != d}
+        stored = {s: _stored(s) for s in moved}
         return WordPerm(length, tuple(sorted(
-            (s, d) for s, d in mapping.items() if s != d)))
+            ((stored[s], stored.get(d, d)) for s, d in moved.items()),
+            key=lambda pair: _dense_order(pair[0]))))
 
-    def apply(self, w: str) -> str:
+    def apply(self, w: Word) -> Word:
         return self._images.get(w, w)
 
     def inverse(self) -> "WordPerm":
@@ -96,13 +136,33 @@ def parity(mapping: Mapping) -> int:
     return sign
 
 
-def build_mapping_perm(pairs: Sequence[tuple[str, str]], length: int) -> WordPerm:
-    """Even permutation of {0,1,2}^length realizing every requested pair.
+def _windows(length: int) -> Iterable[Word]:
+    """Every window of {0,1,2}^length in the order of the dense words: the
+    n-th is n in base 3, its last digit at offset r."""
+    r = length // 2
+    for n in itertools.count():
+        cells, o = [], r
+        while n:
+            n, digit = divmod(n, 3)
+            if o == 0:  # the head's cell is not in the window
+                o = -1
+            if o < -r:  # n >= 3**length
+                return
+            if digit:
+                cells.append((o, digit))
+            o -= 1
+        yield tuple(reversed(cells))
+
+
+def build_mapping_perm(pairs: Sequence[tuple[Word, Word]],
+                       length: int) -> WordPerm:
+    """Even permutation of the windows of {0,1,2}^length realizing every
+    requested pair.
 
     Each maximal chain s0 -> ... -> sm (sm not a source) is closed by
-    sm -> s0; an odd result also swaps the two lexicographically smallest
-    words that no pair names."""
-    perm = _one_to_one(pairs, length)
+    sm -> s0; an odd result also swaps the two smallest windows, in the
+    order of the dense words, that no pair names."""
+    perm = _one_to_one(pairs)
     targets = set(perm.values())
     for start in [s for s in perm if s not in targets]:
         w = start
@@ -111,9 +171,10 @@ def build_mapping_perm(pairs: Sequence[tuple[str, str]], length: int) -> WordPer
         perm[w] = start
     if parity(perm):
         # every named word is now a source
-        if 3**length - len(perm) < 2:
+        free = list(itertools.islice(
+            (w for w in _windows(length) if w not in perm), 2))
+        if len(free) < 2:
             raise NoRoom("fewer than two untouched words available")
-        words = map("".join, itertools.product(TRACK_ALPHABET, repeat=length))
-        a, b = itertools.islice((w for w in words if w not in perm), 2)
+        a, b = free
         perm[a], perm[b] = b, a
     return WordPerm.from_pairs(perm.items(), length)

@@ -1,38 +1,22 @@
-"""Text and JSON formats: `@offset:digits` configuration lines, tuple
-files with `#` comments, and JSON word files for instruction sequences."""
+"""Text and JSON formats: configuration lines of `@offset:digits` runs,
+tuple files with `#` comments, and JSON word files for instruction
+sequences, one instruction per line."""
 
 from __future__ import annotations
 
 import json
-import re
 
-from .core import (ZERO, Config, DomainError, ParseError, TupleK,
-                   validate_tuple)
+from .core import (Config, DomainError, ParseError, TupleK, emit_runs,
+                   parse_runs, validate_tuple)
 from .generators import OPS, Instruction, TransportWord
 
 
-_CONFIG_RE = re.compile(r"@(-?\d+):([0-3]+)$")
-
-
 def emit_config(x: Config) -> str:
-    if x.is_zero():
-        return "ZERO"
-    offset, digits = x.word()
-    return f"@{offset}:{digits}"
+    return emit_runs(x.cells)
 
 
 def parse_config(text: str) -> Config:
-    text = text.strip()
-    if text == "ZERO":
-        return ZERO
-    m = _CONFIG_RE.match(text)
-    if m is None:
-        raise ParseError(f"not a configuration: {text!r}")
-    try:
-        offset = int(m.group(1))
-    except ValueError as exc:  # more digits than int() converts
-        raise ParseError(f"offset too long: {exc}") from exc
-    return Config.from_word(offset, m.group(2))
+    return Config.from_cells(parse_runs(text.strip()))
 
 
 def emit_tuple(t: TupleK) -> str:
@@ -66,7 +50,9 @@ def _instruction_from_obj(obj) -> Instruction:
 
 
 def emit_word(word: TransportWord) -> str:
-    return json.dumps([ins.to_obj() for ins in word.steps], indent=1)
+    """A JSON array holding one instruction object per line."""
+    return "[" + ",".join(
+        "\n" + json.dumps(ins.to_obj()) for ins in word.steps) + "\n]"
 
 
 def parse_word(text: str) -> TransportWord:

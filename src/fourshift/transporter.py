@@ -13,7 +13,7 @@ from typing import Optional
 
 from .core import Config, DomainError, TupleK, classify, tracks, validate_tuple
 from .generators import (SWAP_13, SWAP_23, HeadLocal, HeadShift, Particle,
-                         TransportWord, apply_word, head_window, invert_word)
+                         TransportWord, apply_word, head_cells, invert_word)
 from .permbuild import build_mapping_perm
 
 
@@ -92,14 +92,10 @@ def make_good(t: TupleK) -> tuple[TransportWord, TupleK]:
 def _head_local(comps, targets, heads) -> HeadLocal:
     """One head-local rewrite taking each component to its target, both
     with a single head at the same position; the radius covers every
-    other cell of both."""
-    r = 1
-    for c, g, q in zip(comps, targets, heads):
-        for p in (*c.support(), *g.support()):
-            if p != q:
-                r = max(r, abs(p - q))
-    pairs = [(c.window(head_window(q, r)), g.window(head_window(q, r)))
+    other cell of both, so a window is every cell but the head."""
+    pairs = [(head_cells(c.cells, q), head_cells(g.cells, q))
              for c, g, q in zip(comps, targets, heads)]
+    r = max([1, *(abs(o) for pair in pairs for w in pair for o, _ in w)])
     return HeadLocal(r, build_mapping_perm(pairs, 2 * r))
 
 

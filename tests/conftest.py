@@ -7,6 +7,8 @@ import random
 import pytest
 
 from fourshift.core import Config, DomainError, TupleK, validate_tuple
+from fourshift.generators import HeadLocal
+from fourshift.permbuild import WordPerm
 
 
 def rand_config(rng: random.Random, span: int = 8, max_cells: int = 5,
@@ -41,6 +43,27 @@ def rand_tuple(rng: random.Random, k: int, span: int = 5,
             return validate_tuple(comps)
         except DomainError:
             continue
+
+
+def window(word: str) -> tuple[tuple[int, int], ...]:
+    """The nonzero cells (offset from the head, symbol) of a dense window
+    word of {0,1,2}^(2r): its letters sit at offsets -r..-1 and 1..r."""
+    r = len(word) // 2
+    offsets = [*range(-r, 0), *range(1, r + 1)]
+    return tuple((o, int(c)) for o, c in zip(offsets, word) if c != "0")
+
+
+def dense(cells, r: int) -> str:
+    """The 2r-letter dense word of a window given by its cells."""
+    row = dict(cells)
+    return "".join(str(row.get(o, 0))
+                   for o in (*range(-r, 0), *range(1, r + 1)))
+
+
+def head_local(r: int, pairs) -> HeadLocal:
+    """The head-local rewrite of radius r listed by dense word pairs."""
+    return HeadLocal(r, WordPerm.from_pairs(
+        [(window(s), window(d)) for s, d in pairs], 2 * r))
 
 
 @pytest.fixture

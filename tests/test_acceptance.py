@@ -24,7 +24,7 @@ from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
                               make_explicit_spec)
 from fourshift.transporter import Reading, phi_clock, transport, verify
 
-from conftest import rand_config, rand_single_head, rand_tuple
+from conftest import head_local, rand_config, rand_single_head, rand_tuple
 from test_orbitperm import rand_even_perm
 
 
@@ -227,11 +227,10 @@ def test_c11_instruction_invariants():
             assert sum(1 for _, s in y.cells if s == 3) == \
                 sum(1 for _, s in x.cells if s == 3)
 
-    from fourshift.permbuild import WordPerm
-    wp = WordPerm.from_pairs([("00", "12"), ("12", "00")], 2)
+    hl = head_local(1, [("00", "12"), ("12", "00")])
     for _ in range(500):
         x = rand_config(rng, span=8, max_cells=5)
-        y = apply_instruction(x, HeadLocal(1, wp))
+        y = apply_instruction(x, hl)
         assert sum(1 for _, s in y.cells if s == 3) == \
             sum(1 for _, s in x.cells if s == 3)
 

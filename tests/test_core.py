@@ -25,7 +25,7 @@ class TestConfig:
 
     def test_word_round_trip(self):
         x = cfg(-4, "1002")
-        assert x.word() == (-4, "1002")
+        assert x.cells == ((-4, 1), (-1, 2))
         assert x.sym(-4) == 1 and x.sym(-1) == 2 and x.sym(7) == 0
 
     def test_word_trims_padding(self):

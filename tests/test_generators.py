@@ -1,5 +1,7 @@
 """The instruction algebra: exact evaluation, inversion, and word replay."""
 
+import time
+
 import pytest
 
 from fourshift.core import Config, ZERO, shift, tracks, validate_tuple
@@ -7,10 +9,10 @@ from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
                                   IllFormedInstruction, Particle, SymbolPerm,
                                   TransportWord, apply_instruction, apply_word,
                                   invert_word, size_report)
-from fourshift.permbuild import WordPerm
+from fourshift.permbuild import WordPerm, build_mapping_perm
 from fourshift.safety import head_shift_once, make_explicit_spec
 
-from conftest import rand_config, rand_tuple
+from conftest import dense, head_local, rand_config, rand_tuple, window
 
 
 def cfg(offset, digits):
@@ -29,8 +31,7 @@ def rand_instruction(rng):
         rng.shuffle(img)
         return SymbolPerm((0, *img))
     if roll == 2:
-        wp = WordPerm.from_pairs([("00", "12"), ("12", "00")], 2)
-        return HeadLocal(1, wp)
+        return head_local(1, [("00", "12"), ("12", "00")])
     return HeadShift(rng.choice((-2, -1, 1, 2)))
 
 
@@ -56,13 +57,12 @@ class TestApplyInstruction:
             SymbolPerm((1, 0, 2, 3))
 
     def test_head_local_rewrites_isolated_window(self):
-        wp = WordPerm.from_pairs([("00", "10"), ("10", "00")], 2)
-        assert apply_instruction(cfg(0, "3"), HeadLocal(1, wp)) == \
-            cfg(-1, "13")
+        ins = head_local(1, [("00", "10"), ("10", "00")])
+        assert apply_instruction(cfg(0, "3"), ins) == cfg(-1, "13")
 
     def test_head_local_skips_crowded_heads(self):
-        wp = WordPerm.from_pairs([("00", "10"), ("10", "00")], 2)
-        assert apply_instruction(cfg(0, "33"), HeadLocal(1, wp)) == cfg(0, "33")
+        ins = head_local(1, [("00", "10"), ("10", "00")])
+        assert apply_instruction(cfg(0, "33"), ins) == cfg(0, "33")
 
     def test_head_local_window_length_checked(self):
         with pytest.raises(IllFormedInstruction):
@@ -107,6 +107,70 @@ class TestHeadShift:
                 fixed += len(heads) > 1 and y == x
                 moved += len(heads) > 1 and y != x
         assert fixed > 0 and moved > 0
+
+
+def dense_head_local(ins, x):
+    """HeadLocal.apply with windows as 2r-letter words, kept as the oracle:
+    each head is compared with every other, and each isolated head's window
+    is read with Config.window and written back with Config.overwrite."""
+    r = ins.r
+    images = {dense(s, r): dense(d, r) for s, d in ins.wp.moved}
+    heads = x.heads()
+    isolated = [q for q in heads
+                if all(q == p or abs(q - p) >= 2 * r + 3 for p in heads)]
+    windows = [[*range(q - r, q), *range(q + 1, q + r + 1)] for q in isolated]
+    return x.overwrite(
+        (w, images.get(x.window(w), x.window(w))) for w in windows)
+
+
+class TestHeadLocalOracle:
+    def test_matches_the_dense_apply(self, rng):
+        moved = 0
+        for _ in range(1500):
+            r = rng.randrange(1, 7)
+            pool = list(dict.fromkeys(
+                "".join(rng.choice("00012") for _ in range(2 * r))
+                for _ in range(6)))
+            n = rng.randrange(1, len(pool) + 1)
+            pairs = [(window(s), window(d)) for s, d in
+                     zip(rng.sample(pool, n), rng.sample(pool, n))]
+            ins = HeadLocal(r, build_mapping_perm(pairs, 2 * r))
+            # 0-4 heads, crowded (1-5 apart) or just past isolation
+            heads, q = [], rng.randrange(-5, 6)
+            for _ in range(rng.randrange(0, 5)):
+                heads.append(q)
+                q += rng.choice([*range(1, 6), *range(2 * r + 2, 2 * r + 5)])
+            cells = {}
+            for q in heads:
+                key = rng.choice(pairs)[0] if rng.random() < 0.7 else ()
+                cells.update((q + o, s) for o, s in key)
+            for _ in range(rng.randrange(0, 4)):
+                p = rng.randrange(-r - 8, q + r + 8)
+                cells[p] = rng.randrange(1, 3)
+            cells.update(dict.fromkeys(heads, 3))
+            x = Config.from_cells(cells)
+            y = ins.apply(x)
+            assert y == dense_head_local(ins, x), (ins, x)
+            moved += y != x
+        assert moved > 300
+
+    def test_many_heads_in_linear_time(self):
+        # one line of 1,000 heads 49 cells apart, each window moved
+        heads = range(0, 49 * 1000, 49)
+        x = Config.from_cells([*((q, 3) for q in heads),
+                               *((q + 1, 1) for q in heads)])
+        ins = head_local(2, [("0010", "1000"), ("1000", "0010")])
+        start = time.perf_counter()
+        y = ins.apply(x)
+        assert time.perf_counter() - start < 0.05
+        assert y == Config.from_cells([*((q, 3) for q in heads),
+                                       *((q - 2, 1) for q in heads)])
+
+    def test_huge_radius_reads_only_the_cells(self):
+        ins = HeadLocal(10**15, WordPerm.from_pairs(
+            [(((1, 1),), ((2, 1),)), (((2, 1),), ((1, 1),))], 2 * 10**15))
+        assert ins.apply(cfg(0, "31")) == cfg(0, "301")
+        assert ins.apply(cfg(0, "3" + "0" * 9 + "3")) == cfg(0, "3" + "0" * 9 + "3")
 
 
 class TestApplyWord:
@@ -154,8 +218,7 @@ class TestInstructionInvariants:
             assert apply_instruction(ZERO, rand_instruction(rng)) == ZERO
 
     def test_head_local_preserves_head_positions(self, rng):
-        wp = WordPerm.from_pairs([("01", "20"), ("20", "01")], 2)
-        ins = HeadLocal(1, wp)
+        ins = head_local(1, [("01", "20"), ("20", "01")])
         for _ in range(300):
             x = rand_config(rng)
             y = apply_instruction(x, ins)

@@ -9,6 +9,8 @@ from fourshift.core import DomainError
 from fourshift.permbuild import (DuplicateSource, DuplicateTarget, NoRoom,
                                  WordPerm, build_mapping_perm, parity)
 
+from conftest import dense, window
+
 
 def brute_sign(wp: WordPerm, length: int) -> int:
     """Independent parity oracle: count inversions over all of A^length."""
@@ -55,6 +57,15 @@ def make_even(wp, protected=frozenset()):
     return WordPerm.from_pairs([*wp.moved, (a, b), (b, a)], wp.length)
 
 
+def build_dense(pairs, length):
+    """build_mapping_perm on the windows of dense word pairs, read back as
+    a permutation of dense words, so the dense oracle can check it."""
+    wp = build_mapping_perm([(window(s), window(d)) for s, d in pairs], length)
+    return WordPerm.from_pairs(
+        [(dense(s, length // 2), dense(d, length // 2)) for s, d in wp.moved],
+        length)
+
+
 def two_stage(pairs, length):
     wp = complete_partial_injection(pairs, length)
     protected = frozenset(s for s, _ in pairs) | frozenset(d for _, d in pairs)
@@ -69,13 +80,13 @@ def outcome(build, pairs, length):
 
 
 def seeded_pair_lists(rng, n):
-    """Injections inside a small pool of words of length 1..3, so fixed
+    """Injections inside a small pool of windows of radius 1 or 2, so fixed
     points, chains, cycles and odd completions all occur; one list in
     five repeats a source or a target."""
     for _ in range(n):
-        length = rng.randrange(1, 4)
+        length = rng.choice((2, 2, 4))
         words = ["".join(t) for t in itertools.product("012", repeat=length)]
-        pool = rng.sample(words, rng.randrange(1, min(len(words), 7) + 1))
+        pool = rng.sample(words, rng.randrange(1, 10))
         m = rng.randrange(1, len(pool) + 1)
         pairs = list(zip(rng.sample(pool, m), rng.sample(pool, m)))
         if rng.random() < 0.2:
@@ -159,32 +170,32 @@ class TestCompletion:
 
     def test_single_pair_closes_to_transposition(self):
         # 00 -> 01 closes with 01 -> 00; the odd result recruits 02 <-> 10
-        wp = build_mapping_perm([("00", "01")], 2)
+        wp = build_dense([("00", "01")], 2)
         assert dict(wp.moved) == {"00": "01", "01": "00",
                                   "02": "10", "10": "02"}
 
     def test_identity_pair(self):
-        assert build_mapping_perm([("00", "00")], 2).moved == ()
+        assert build_dense([("00", "00")], 2).moved == ()
 
     def test_existing_permutation_unchanged(self):
         swaps = [("00", "01"), ("01", "00"), ("02", "10"), ("10", "02")]
-        assert build_mapping_perm(swaps, 2) == WordPerm.from_pairs(swaps, 2)
+        assert build_dense(swaps, 2) == WordPerm.from_pairs(swaps, 2)
 
     def test_duplicate_source(self):
         with pytest.raises(DuplicateSource):
-            build_mapping_perm([("00", "01"), ("00", "02")], 2)
+            build_dense([("00", "01"), ("00", "02")], 2)
 
     def test_duplicate_target(self):
         with pytest.raises(DuplicateTarget):
-            build_mapping_perm([("00", "01"), ("02", "01")], 2)
+            build_dense([("00", "01"), ("02", "01")], 2)
 
     def test_output_is_bijection_on_moved(self, rng):
-        words = ["".join(t) for t in itertools.product("012", repeat=3)]
+        words = ["".join(t) for t in itertools.product("012", repeat=4)]
         for _ in range(100):
             picks = rng.sample(words, rng.randrange(2, 9))
             half = len(picks) // 2
             pairs = list(zip(picks[:half], picks[half:2 * half]))
-            wp = build_mapping_perm(pairs, 3)
+            wp = build_dense(pairs, 4)
             srcs = {s for s, _ in wp.moved}
             dsts = {d for _, d in wp.moved}
             assert srcs == dsts
@@ -197,26 +208,36 @@ class TestMakeEven:
 
     def test_even_unchanged(self):
         cycle = [("00", "01"), ("01", "02"), ("02", "00")]
-        assert build_mapping_perm(cycle, 2) == WordPerm.from_pairs(cycle, 2)
+        assert build_dense(cycle, 2) == WordPerm.from_pairs(cycle, 2)
 
     def test_odd_composed_with_lex_smallest_free_pair(self):
-        out = build_mapping_perm([("00", "01"), ("01", "00")], 2)
+        out = build_dense([("00", "01"), ("01", "00")], 2)
         assert parity(dict(out.moved)) == 0
         assert out.apply("00") == "01"
         assert out.apply("02") == "10" and out.apply("10") == "02"
 
     def test_no_room(self):
-        # the requested fixed point 2 may not be recruited
+        # the requested fixed points may not be recruited, and one word of
+        # the nine is left
+        fixed = [(w, w) for w in ("02", "10", "11", "12", "20", "21")]
         with pytest.raises(NoRoom):
-            build_mapping_perm([("0", "1"), ("1", "0"), ("2", "2")], 1)
+            build_dense([("00", "01"), ("01", "00"), *fixed], 2)
 
 
 class TestBuildMappingPerm:
     def test_identity_pairs(self):
-        assert build_mapping_perm([("00", "00")], 2).moved == ()
+        assert build_dense([("00", "00")], 2).moved == ()
+
+    def test_large_radius_costs_nothing(self):
+        # the parity pair is the all-zero window and the one holding a
+        # particle at offset r, whatever r is
+        r = 10**15
+        wp = build_mapping_perm([(((1, 1),), ((2, 1),))], 2 * r)
+        assert wp.apply(()) == ((r, 1),) and wp.apply(((r, 1),)) == ()
+        assert wp.apply(((2, 1),)) == ((1, 1),)
 
     def test_single_pair(self):
-        wp = build_mapping_perm([("00", "01")], 2)
+        wp = build_dense([("00", "01")], 2)
         assert parity(dict(wp.moved)) == 0 and wp.apply("00") == "01"
 
     def test_random_disjoint_pairs(self, rng):
@@ -224,21 +245,22 @@ class TestBuildMappingPerm:
         for _ in range(25):
             picks = rng.sample(words, 6)
             pairs = list(zip(picks[:3], picks[3:]))
-            wp = build_mapping_perm(pairs, 4)
+            wp = build_dense(pairs, 4)
             assert parity(dict(wp.moved)) == 0
             for s, d in pairs:
                 assert wp.apply(s) == d
 
     def test_requested_fixed_points_survive(self):
         # an odd completion must not recruit a requested identity pair
-        wp = build_mapping_perm([("00", "01"), ("02", "02")], 2)
+        wp = build_dense([("00", "01"), ("02", "02")], 2)
         assert parity(dict(wp.moved)) == 0
         assert wp.apply("02") == "02" and wp.apply("00") == "01"
 
     def test_matches_the_two_stage_oracle(self):
         seen = set()
         for pairs, length in seeded_pair_lists(random.Random(9), 2000):
-            got = outcome(build_mapping_perm, pairs, length)
+            # the same parity pair as the dense construction, read back
+            got = outcome(build_dense, pairs, length)
             assert got == outcome(two_stage, pairs, length), (pairs, length)
             if isinstance(got, WordPerm):
                 assert brute_sign(got, length) == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fourshift.cli import main
-from fourshift.core import Config, DomainError, ZERO
+from fourshift.core import RUN_GAP, Config, DomainError, ZERO, parse_runs
 from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
                                   Particle, TransportWord, apply_word,
                                   invert_word)
@@ -20,7 +20,7 @@ from fourshift.serial import (ParseError, emit_config, emit_tuple, emit_word,
                               parse_config, parse_tuple, parse_word)
 from fourshift.transporter import transport
 
-from conftest import rand_config, rand_tuple
+from conftest import dense, head_local, rand_config, rand_tuple, window
 
 
 def cfg(offset, digits):
@@ -42,9 +42,21 @@ class TestConfigText:
 
     def test_parse_errors(self):
         for bad in ("", "@:1", "@0:", "@0:4", "1premature", "@x:12",
-                    "@" + "1" * 5000 + ":1"):
+                    "@" + "1" * 5000 + ":1", "@0:12 @1:1", "@5:1 @0:1",
+                    "@0:1 ZERO", "@0:1@5:1", "@0:1 @5:"):
             with pytest.raises(ParseError):
                 parse_config(bad)
+
+    def test_runs(self):
+        far = Config.from_cells({0: 1, 10**8: 2})
+        assert emit_config(far) == "@0:1 @100000000:2"
+        assert parse_config("@0:1  @100000000:2") == far
+        # adjacent runs and zero digits between and around runs
+        assert parse_config("@-2:01 @0:0020 @4:3") == cfg(-1, "100203")
+        # a gap of RUN_GAP zeros stays inside the run, one more splits it
+        gap = "0" * RUN_GAP
+        assert emit_config(cfg(-3, f"3{gap}1")) == f"@-3:3{gap}1"
+        assert emit_config(cfg(-3, f"3{gap}01")) == f"@-3:3 @{RUN_GAP - 1}:1"
 
     @settings(deadline=None)
     @given(st.text() | st.from_regex(r"@-?[0-9]+:[0-3]+\n"))
@@ -76,17 +88,20 @@ def sample_words(rng):
     beta = (1, 2, 0, 3, 4)
     yield TransportWord(())
     yield TransportWord((Particle(-3), SWAP_13, HeadShift(2)))
-    yield TransportWord((HeadLocal(
-        1, WordPerm.from_pairs([("00", "12"), ("12", "00")], 2)),))
+    yield TransportWord((head_local(1, [("00", "12"), ("12", "00")]),))
     yield TransportWord((spec,))
     yield TransportWord((SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC))
     yield orbit_permutation_instruction(five, beta) and TransportWord(
         (orbit_permutation_instruction(five, beta),))
 
 
-# The word file of all_ops_word(), pinned byte for byte.  Files written
-# before the SR "mode" key was dropped differ from it only by that key.
-GOLDEN = Path(__file__).parent / "data" / "all_ops_word.json"
+# The word file of all_ops_word(), pinned byte for byte: one instruction
+# per line, the HL windows as run lines.
+GOLDEN = Path(__file__).parent / "data" / "all_ops_word_cells.json"
+# The same word as written before: indented, with a dense HL map.  Files
+# written before the SR "mode" key was dropped differ from it only by
+# that key.
+DENSE_GOLDEN = Path(__file__).parent / "data" / "all_ops_word.json"
 
 SWAP = ('[{"op":"SR","k":3,"h":1,"U":["030","031"],"V":["3"],'
         '"map":[["030","031"],["031","030"]],"ell":"strict","mrad":"strict"}]')
@@ -105,7 +120,7 @@ def all_ops_word():
                               [("030", "031"), ("031", "030")])
     return TransportWord((
         Particle(-3), SWAP_13,
-        HeadLocal(1, WordPerm.from_pairs([("00", "12"), ("12", "00")], 2)),
+        head_local(1, [("00", "12"), ("12", "00")]),
         HeadShift(2), spec, SIGMA3_PI_SPEC))
 
 
@@ -133,7 +148,8 @@ json_values = st.recursive(
 # Each valid object of the golden file with one field replaced, so every
 # decoder sees every field malformed; values that look like integers
 # without being JSON integers are drawn often.
-GOLDEN_OBJS = json.loads(GOLDEN.read_text())
+GOLDEN_OBJS = [*json.loads(DENSE_GOLDEN.read_text()),
+               *(o for o in json.loads(GOLDEN.read_text()) if o["op"] == "HL")]
 one_field_off = st.builds(
     lambda slot, v: [{**GOLDEN_OBJS[slot[0]], slot[1]: v}],
     st.sampled_from([(i, key) for i, obj in enumerate(GOLDEN_OBJS)
@@ -147,6 +163,14 @@ map_words = (st.sampled_from(["00", "01", "12", "030", "031", "032", "010",
                               "020", "0", "3", ""])
              | st.text("0123", max_size=4) | st.integers(0, 3)
              | st.lists(st.just("0"), max_size=1))
+# Window run lines near the radius-2 window: in range, at the head, past
+# r, with symbol 3, overlapping or out of order, or not runs at all.
+run_lines = (st.sampled_from(["ZERO", "@1:1", "@-2:12", "@-1:102", "@0:1",
+                              "@3:1", "@-3:1", "@1:3", "@1:1 @2:1",
+                              "@1:1 @1:2", "@2:1 @1:1", "", " "])
+             | st.from_regex(r"@-?[0-3]:[0-3]{1,4}( @-?[0-3]:[0-3]{1,3})?",
+                             fullmatch=True)
+             | st.text("@-:0123 Z", max_size=6) | st.integers(0, 3))
 word_maps = st.lists(st.lists(map_words, min_size=1, max_size=3)
                      | st.tuples(map_words, map_words) | map_words,
                      max_size=5)
@@ -162,7 +186,7 @@ class TestWordFiles:
         swap = SafeRewrite(ExplicitWords.of(["030", "031"]), HEAD_MARKER, pi)
         assert OPS["SR"] is SafeRewrite
         text = emit_word(TransportWord((swap,)))
-        assert text == json.dumps(json.loads(SWAP), indent=1)
+        assert text == "[\n" + json.dumps(json.loads(SWAP)[0]) + "\n]"
         assert parse_word(text) == TransportWord((swap,))
         assert apply_word(cfg(1, "3"), TransportWord((swap,))) == cfg(1, "31")
         inv = swap.inverse()
@@ -171,10 +195,13 @@ class TestWordFiles:
             assert inv.apply(swap.apply(x)) == x
 
     def test_hl_map_sorted(self):
-        word = TransportWord((HeadLocal(
-            1, WordPerm.from_pairs([("12", "00"), ("00", "12")], 2)),))
+        # pairs in the order of their sources as dense words, which is not
+        # the order of the cell tuples
+        word = TransportWord((head_local(
+            2, [("1000", "0001"), ("0001", "0100"), ("0100", "1000")]),))
         data = json.loads(emit_word(word))
-        assert data[0]["map"] == sorted(data[0]["map"])
+        sources = [dense(parse_runs(s), 2) for s, _ in data[0]["cells"]]
+        assert sources == sorted(sources) == ["0001", "0100", "1000"]
 
     def test_schematic_tags(self):
         data = json.loads(emit_word(
@@ -184,9 +211,14 @@ class TestWordFiles:
 
     def test_golden_bytes(self):
         assert emit_word(all_ops_word()) + "\n" == GOLDEN.read_text()
+        assert all(json.loads(line.rstrip(","))
+                   for line in GOLDEN.read_text().splitlines()[1:-1])
+
+    def test_dense_golden_still_read(self):
+        assert parse_word(DENSE_GOLDEN.read_text()) == all_ops_word()
 
     def test_mode_key_still_read(self):
-        objs = json.loads(GOLDEN.read_text())
+        objs = json.loads(DENSE_GOLDEN.read_text())
         for obj in objs:
             if obj["op"] == "SR":
                 obj["mode"] = "strict"
@@ -281,9 +313,26 @@ class TestWordFiles:
         except ParseError:
             return
         ins, = word.steps
-        wp = ins.wp if isinstance(ins, HeadLocal) else ins.pi
+        if isinstance(ins, HeadLocal):
+            ins, pairs = ins.wp, [(window(s), window(d)) for s, d in pairs]
+        else:
+            ins = ins.pi
         for s, d in pairs:
-            assert wp.apply(s) == d
+            assert ins.apply(s) == d
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(run_lines, run_lines), max_size=4))
+    @example([("@1:1", "@2:1"), ("@2:1", "@1:1")])
+    def test_arbitrary_windows_load_as_listed_or_raise_parse_error(self,
+                                                                   pairs):
+        try:
+            word = parse_word(json.dumps(
+                [{"op": "HL", "r": 2, "cells": pairs}]))
+        except ParseError:
+            return
+        wp = word.steps[0].wp
+        for s, d in pairs:
+            assert wp.apply(tuple(parse_runs(s))) == tuple(parse_runs(d))
 
 
 @pytest.fixture
@@ -439,16 +488,53 @@ class TestCli:
         assert captured.err.startswith("error: ParseError")
         assert captured.err.count("\n") == 1
 
-    def test_apply_too_wide_result_exit_2(self, tmp_path, capsys):
-        # the dense row of a 2^62-cell span cannot be allocated: the list
-        # repetition fails at once, before any memory is taken
+    @pytest.mark.parametrize("e, line", [
+        (100000000, "@-100000000:1 @1:2"),
+        (-4611686018427387900, "@1:2 @4611686018427387900:1")],
+        ids=["10^8-apart", "near-the-position-limit"])
+    def test_apply_far_cells_print_two_runs(self, tmp_path, capsys, e, line):
+        # a wide result is written as two runs, not as a row of zeros
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"
         src.write_text("@0:12\n")
-        word.write_text('[{"op":"P","e":-4611686018427387900}]')
+        word.write_text(f'[{{"op":"P","e":{e}}}]')
+        start = time.monotonic()
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_huge_radius_head_local_reads_only_cells(self, tmp_path, capsys):
+        src = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@0:31\n")
+        word.write_text('[{"op":"HL","r":1000000000000000,'
+                        '"cells":[["@1:1","@2:1"],["@2:1","@1:1"]]}]')
+        start = time.monotonic()
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().out == "@0:301\n"
+
+    @pytest.mark.parametrize("obj", [
+        '"cells":[["@0:1","@1:1"],["@1:1","@0:1"]]',
+        '"cells":[["@-3:1","@1:1"],["@1:1","@-3:1"]]',
+        '"cells":[["@3:1","@1:1"],["@1:1","@3:1"]]',
+        '"cells":[["@1:3","@1:1"],["@1:1","@1:3"]]',
+        '"cells":[["@1:1 @1:2","@1:1"],["@1:1","@1:1 @1:2"]]',
+        '"cells":[],"map":[]', '"r2":2',
+        '"cells":[["@1:1","@2:1"],["@2:1","@1:1"],["@1:1","@2:1"]]',
+        '"cells":[["@1:1","@2:1"],["@2:1","@1:1"],["@-1:1","@2:1"]]'],
+        ids=["offset-0", "below-minus-r", "above-r", "symbol-3",
+             "cell-written-twice", "map-and-cells", "neither",
+             "repeated-source", "repeated-target"])
+    def test_bad_hl_window_exit_2(self, tmp_path, capsys, obj):
+        src = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@0:31\n")
+        word.write_text('[{"op":"HL","r":2,%s}]' % obj)
         assert main(["apply", "--src", str(src), "--word", str(word)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: MemoryError")
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError")
         assert captured.err.count("\n") == 1
 
     def test_identity_head_local_reads_nothing(self, tmp_path, capsys):
