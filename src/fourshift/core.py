@@ -21,6 +21,10 @@ POSITION_LIMIT = 2**62
 # In a run line, a zero gap wider than this many cells starts a new run.
 RUN_GAP = 64
 _RUN_RE = re.compile(r"@(-?[0-9]+):([0-3]+)")
+# The nonzero cells at most 64 cells from an origin, one object each: a
+# stored window or word key made of them costs a pointer per cell.
+CELLS = {(o, s): (o, s)
+         for o in range(-64, 65) for s in (PARTICLE, WALL, HEAD)}
 
 
 class DomainError(Exception):
@@ -61,7 +65,7 @@ def _check_pos(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Config:
     """A finite-support point, stored as sorted (position, symbol) pairs.
 
@@ -251,7 +255,7 @@ def classify(x: Config) -> ClassFlags:
     return ClassFlags(prepregood, pregood, good, unihead, great)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TupleK:
     """An ordered tuple of nonzero points from pairwise distinct shift orbits."""
 

@@ -20,12 +20,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import PARTICLE, WALL, DomainError
+from .core import CELLS, PARTICLE, WALL, DomainError
 
 Word = str | tuple[tuple[int, int], ...]
-# The window cells at most 64 cells from the head, one object each: every
-# stored window shares them, so it costs a pointer per cell.
-_CELLS = {(o, s): (o, s) for o in range(-64, 65) for s in (PARTICLE, WALL)}
 
 
 class DuplicateSource(DomainError):
@@ -40,28 +37,27 @@ class NoRoom(DomainError):
     """Not enough untouched words are left for a parity-fixing transposition."""
 
 
-def _is_word(w: Word, length: int) -> bool:
-    """A string of `length` letters, or a window of {0,1,2}^length."""
+def _stored(w: Word, length: int) -> tuple[Word, Word]:
+    """(dense-order key, w as stored) of a word of `length`, in one pass:
+    a string of `length` letters is its own key; a window of
+    {0,1,2}^length is keyed so that one with a cell at an offset where
+    another has none is the larger, and its cells near the head are those
+    of CELLS."""
     if isinstance(w, str):
-        return len(w) == length
+        if len(w) != length:
+            raise DomainError(f"not a word of length {length}: {w!r}")
+        return w, w
     r = length // 2
     prev = -r - 1
-    for o, s in w:
+    key, stored = [], []
+    for c in w:
+        o, s = c
         if not (prev < o <= r and o != 0 and s in (PARTICLE, WALL)):
-            return False
+            raise DomainError(f"not a word of length {length}: {w!r}")
         prev = o
-    return True
-
-
-def _dense_order(w: Word) -> Word:
-    """Sort key giving the order of the dense words: a window that has a
-    cell at an offset where another has none is the larger."""
-    return w if isinstance(w, str) else tuple((-o, s) for o, s in w)
-
-
-def _stored(w: Word) -> Word:
-    """w as stored: a window's cells near the head are those of _CELLS."""
-    return w if isinstance(w, str) else tuple(_CELLS.get(c, c) for c in w)
+        key.append((-o, s))
+        stored.append(CELLS.get(c, c))
+    return tuple(key), tuple(stored)
 
 
 def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:
@@ -75,47 +71,47 @@ def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:
     return mapping
 
 
-def _check_words(words: Iterable[Word], length: int) -> None:
-    for w in words:
-        if not _is_word(w, length):
-            raise DomainError(f"not a word of length {length}: {w!r}")
-
-
 @dataclass(frozen=True)
 class WordPerm:
     """Permutation of the words of one length moving only finitely many;
-    checked when built, so apply is a lookup."""
+    checked when built, so apply is a lookup.  The moved pairs are stored
+    in the dense order of their sources, whatever order they are given in."""
 
     length: int
-    moved: tuple[tuple[Word, Word], ...]  # in dense order of source, src != dst
+    moved: tuple[tuple[Word, Word], ...]  # src != dst
     _images: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mapping = _one_to_one(self.moved)
-        _check_words(mapping, self.length)
-        if set(mapping) != set(mapping.values()):
+        images = _one_to_one(self.moved)
+        if images.keys() != set(images.values()):
             raise DomainError("moved pairs do not form a bijection")
         if any(s == d for s, d in self.moved):
             raise DomainError("identity pair stored in moved set")
-        object.__setattr__(self, "_images", mapping)
+        rows = sorted(_stored(w, self.length) for w in images)
+        stored = {w: w for _, w in rows}
+        moved = tuple((w, stored[images[w]]) for _, w in rows)
+        object.__setattr__(self, "moved", moved)
+        object.__setattr__(self, "_images", dict(moved))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Word, Word]], length: int) -> "WordPerm":
         """The permutation listed by `pairs`, fixed points included; each
         moved word is stored once, as a source and as a target."""
-        mapping = _one_to_one([(s, d) for s, d in pairs])
-        _check_words((s for s, d in mapping.items() if s == d), length)
-        moved = {s: d for s, d in mapping.items() if s != d}
-        stored = {s: _stored(s) for s in moved}
-        return WordPerm(length, tuple(sorted(
-            ((stored[s], stored.get(d, d)) for s, d in moved.items()),
-            key=lambda pair: _dense_order(pair[0]))))
+        pairs = list(pairs)
+        moved = tuple((s, d) for s, d in pairs if s != d)
+        if len(moved) < len(pairs):
+            # a fixed point is a word, named once like any other
+            _one_to_one(pairs)
+            for s, d in pairs:
+                if s == d:
+                    _stored(s, length)
+        return WordPerm(length, moved)
 
     def apply(self, w: Word) -> Word:
         return self._images.get(w, w)
 
     def inverse(self) -> "WordPerm":
-        return WordPerm.from_pairs(((d, s) for s, d in self.moved), self.length)
+        return WordPerm(self.length, tuple((d, s) for s, d in self.moved))
 
 
 def parity(mapping: Mapping) -> int:

@@ -16,10 +16,11 @@ families too large to enumerate are schematic and matched by pattern.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .core import Config, DomainError, json_int
+from .core import CELLS, Config, DomainError, json_int
 from .permbuild import WordPerm
 
 SIGMA_SIZE = 4
@@ -38,19 +39,31 @@ class IllFormedSpec(DomainError):
 
 @dataclass(frozen=True)
 class ExplicitWords:
-    """A finite, explicitly listed set of words over {0,1,2,3}."""
+    """A finite, explicitly listed set of words over {0,1,2,3}.  Each word
+    is also keyed on its nonzero cells, (offset, symbol) pairs in order of
+    offset; `keys` holds them sorted, and `firsts` the distinct offsets of
+    their first cells, in increasing order."""
 
     length: int
     words: frozenset[str]
+    keys: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False)
+    firsts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for w in self.words:
-            if len(w) != self.length or any(c not in "0123" for c in w):
-                raise IllFormedWordSet(f"bad word {w!r}")
-            if set(w) == {"0"}:
-                raise IllFormedWordSet("word set contains the all-zero word")
         if not self.words:
             raise IllFormedWordSet("empty word set")
+        keys = []
+        for w in self.words:
+            if len(w) != self.length or w.strip("0123"):
+                raise IllFormedWordSet(f"bad word {w!r}")
+            key = _word_key(w)
+            if not key:
+                raise IllFormedWordSet("word set contains the all-zero word")
+            keys.append(key)
+        object.__setattr__(self, "keys", tuple(sorted(keys)))
+        object.__setattr__(self, "firsts",
+                           tuple(sorted({key[0][0] for key in keys})))
 
     @staticmethod
     def of(words: Iterable[str]) -> "ExplicitWords":
@@ -59,6 +72,14 @@ class ExplicitWords:
         if len(lengths) != 1:
             raise IllFormedWordSet("words of mixed length")
         return ExplicitWords(lengths.pop(), ws)
+
+
+def _word_key(w: str) -> tuple[tuple[int, int], ...]:
+    """The nonzero cells of w in order of offset, sharing those of CELLS."""
+    core = w.lstrip("0")
+    cells = ((o, int(c)) for o, c in enumerate(
+        core.rstrip("0"), len(w) - len(core)) if c != "0")
+    return tuple(CELLS.get(c, c) for c in cells)
 
 
 @dataclass(frozen=True)
@@ -85,14 +106,28 @@ WordSetDesc = ExplicitWords | HeadLayoutWords | NonzeroWords
 
 
 def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
-    """Positions i with x[i .. i+len-1] in the word set; exact and finite."""
+    """Positions i with x[i .. i+len-1] in the word set; exact and finite.
+
+    Listed words are matched by key: a start i is tried only where a cell
+    p of x is the window's first, at the first offset f = p - i of some
+    key, and the window's cells, one bisect slice of x.cells shifted to
+    offsets from i, must be a key.  Cost: cells of x times distinct first
+    offsets, each a slice of the cells in the window."""
     if x.is_zero():
         return frozenset()
     if isinstance(wset, ExplicitWords):
-        # no word of U is all zero, so a match covers a nonzero cell
-        k = wset.length
-        return frozenset(i for i in _covering_starts(x, k)
-                         if x.window(range(i, i + k)) in wset.words)
+        cells, k, keys, found = x.cells, wset.length, wset.keys, []
+        for j, (p, _) in enumerate(cells):
+            for f in wset.firsts:
+                i = p - f
+                if j and cells[j - 1][0] >= i:
+                    break  # a cell before p lies in this and every later window
+                hi = bisect_left(cells, (i + k,), j)
+                window = tuple((q - i, s) for q, s in cells[j:hi])
+                n = bisect_left(keys, window)
+                if n < len(keys) and keys[n] == window:
+                    found.append(i)
+        return frozenset(found)
     if isinstance(wset, HeadLayoutWords):
         heads, L = x.heads(), wset.length
         starts = {p - off for p in heads for lay in wset.layouts for off in lay}

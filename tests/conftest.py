@@ -8,7 +8,7 @@ import pytest
 
 from fourshift.core import Config, DomainError, TupleK, validate_tuple
 from fourshift.generators import HeadLocal
-from fourshift.permbuild import WordPerm
+from fourshift.permbuild import WordPerm, parity
 
 
 def rand_config(rng: random.Random, span: int = 8, max_cells: int = 5,
@@ -43,6 +43,15 @@ def rand_tuple(rng: random.Random, k: int, span: int = 5,
             return validate_tuple(comps)
         except DomainError:
             continue
+
+
+def rand_even_perm(rng: random.Random, k: int) -> tuple[int, ...]:
+    """A random even permutation of range(k)."""
+    while True:
+        img = list(range(k))
+        rng.shuffle(img)
+        if parity(dict(enumerate(img))) == 0:
+            return tuple(img)
 
 
 def window(word: str) -> tuple[tuple[int, int], ...]:

@@ -6,9 +6,8 @@ from fourshift.core import Config, DomainError, validate_tuple
 from fourshift.generators import apply_instruction
 from fourshift.orbitperm import (BetaOdd, KTooSmall,
                                  orbit_permutation_instruction)
-from fourshift.permbuild import parity
 
-from conftest import rand_config, rand_tuple
+from conftest import rand_config, rand_even_perm, rand_tuple
 
 
 def cfg(offset, digits):
@@ -17,14 +16,6 @@ def cfg(offset, digits):
 
 FIVE = validate_tuple((cfg(0, "1"), cfg(0, "2"), cfg(0, "11"),
                        cfg(0, "12"), cfg(0, "21")))
-
-
-def rand_even_perm(rng, k):
-    while True:
-        img = list(range(k))
-        rng.shuffle(img)
-        if parity(dict(enumerate(img))) == 0:
-            return tuple(img)
 
 
 def apply_tuple(t, ins):

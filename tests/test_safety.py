@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from fourshift.core import Config, ZERO, shift
+from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
 from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
                               IllFormedSpec, IllFormedWordSet, NonzeroWords,
@@ -15,7 +16,7 @@ from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
                               chi_sites, head_shift_once, make_explicit_spec,
                               make_zero_padded_spec, occurrences)
 
-from conftest import rand_config, rand_single_head
+from conftest import rand_config, rand_even_perm, rand_single_head, rand_tuple
 
 
 def cfg(offset, digits):
@@ -96,6 +97,39 @@ class TestOccurrences:
             assert got == span_scan(x, wset)
             hits += bool(got)
         assert hits > 300
+
+    def test_keys_with_different_first_offsets(self):
+        # one core at three offsets: each cell starts up to three windows
+        wset = ExplicitWords.of(["1200", "0120", "0012", "0102"])
+        for x in (cfg(0, "12"), cfg(0, "1012"), cfg(10**9, "12000012"),
+                  cfg(-10**9, "102")):
+            assert occurrences(x, wset) == span_scan(x, wset)
+        assert occurrences(cfg(0, "12"), wset) == frozenset({-2, -1, 0})
+        assert occurrences(cfg(0, "1012"), wset) == frozenset({1, 2})
+
+    def test_orbit_words_match_the_span_scan(self, rng):
+        # the zero-padded words 0^n w 0^n of orbit permutations (k 5..8,
+        # span 4..12, so lengths 6m up to 78) on copies of the components
+        # a few cells to two word lengths apart, near 0 and near +-10^9
+        hits = several = mixed_firsts = longest = 0
+        for case in range(120):
+            k = 5 + case % 4
+            t = rand_tuple(rng, k, span=rng.randint(4, 12))
+            ins = orbit_permutation_instruction(t, rand_even_perm(rng, k))
+            U, cells = ins.U, {}
+            at = rng.choice((0, 10**9, -10**9)) + rng.randrange(-99, 100)
+            for _ in range(rng.randrange(1, 5)):
+                cells.update((at + p, s) for p, s in rng.choice(t).cells)
+                at += rng.randrange(1, 2 * U.length)
+            x = Config.from_cells(cells)
+            got = occurrences(x, U)
+            assert got == span_scan(x, U)
+            hits += bool(got)
+            several += len(got) > 1 and max(got) - min(got) <= ins.m_rad
+            mixed_firsts += len(U.firsts) > 1
+            longest = max(longest, U.length)
+        assert hits > 90 and several > 30
+        assert mixed_firsts > 100 and longest >= 72
 
 
 class TestChiSites:

@@ -503,6 +503,25 @@ class TestCli:
         assert time.monotonic() - start < 1.0
         assert capsys.readouterr().out == line + "\n"
 
+    @pytest.mark.parametrize("tuple_line, out", [
+        ("@0:1", "@0:2"), ("@0:1 @5:2 @9:1", "@0:1000020001")],
+        ids=["one-site", "no-site"])
+    def test_long_zero_padded_words_apply_quickly(self, tmp_path, capsys,
+                                                  tuple_line, out):
+        # U = {0^n 1 0^(2n-1), 0^n 2 0^(2n-1)} swapped, n = 20,000: a word
+        # file of about 360 KB whose words are found by their one cell
+        n = 20000
+        one, two = ("0" * n + c + "0" * (2 * n - 1) for c in "12")
+        src = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src.write_text(tuple_line + "\n")
+        word.write_text(sr_obj(k=3 * n, h=n, U=[one, two], V="NONZERO_N",
+                               map=[[one, two], [two, one]]))
+        start = time.monotonic()
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
+        assert time.monotonic() - start < 2.0
+        assert capsys.readouterr().out == out + "\n"
+
     def test_huge_radius_head_local_reads_only_cells(self, tmp_path, capsys):
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"
