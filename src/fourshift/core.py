@@ -9,8 +9,8 @@ all operations are pure.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 PARTICLE, WALL, HEAD = 1, 2, 3
 

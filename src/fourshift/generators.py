@@ -33,7 +33,7 @@ def head_cells(cells, q: int) -> tuple[tuple[int, int], ...]:
     return tuple((p - q, s) for p, s in cells if p != q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Particle:
     """P^e: moves every particle e cells to the left, walls stay put."""
 
@@ -55,7 +55,7 @@ class Particle:
         return cls(json_int(obj["e"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolPerm:
     """Cellwise permutation of the symbols {0,1,2,3} fixing 0; `img[s]` is
     the image of s."""
@@ -86,7 +86,7 @@ SWAP_13 = SymbolPerm((0, 3, 2, 1))
 SWAP_23 = SymbolPerm((0, 1, 3, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeadLocal:
     """Rewrite the radius-r window around every sufficiently isolated head
     by a permutation of {0,1,2}^(2r), keyed on the window's nonzero cells
@@ -168,7 +168,7 @@ def _window_of_word(word, r: int) -> tuple[tuple[int, int], ...]:
                  for i, c in enumerate(word) if c != "0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeadShift:
     """e-th power of the simulated shift of an isolated head."""
 
@@ -199,7 +199,7 @@ Instruction = Particle | SymbolPerm | HeadLocal | HeadShift | SafeRewrite
 OPS = {cls.OP: cls for cls in get_args(Instruction)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransportWord:
     steps: tuple[Instruction, ...] = ()
 

@@ -17,8 +17,8 @@ no pair names, so every requested pair stays intact.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
 from .core import CELLS, PARTICLE, WALL, DomainError
 
@@ -71,7 +71,7 @@ def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:
     return mapping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordPerm:
     """Permutation of the words of one length moving only finitely many;
     checked when built, so apply is a lookup.  The moved pairs are stored

@@ -16,11 +16,11 @@ families too large to enumerate are schematic and matched by pattern.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
-from .core import CELLS, Config, DomainError, json_int
+from .core import CELLS, HEAD, Config, DomainError, _check_pos, json_int
 from .permbuild import WordPerm
 
 SIGMA_SIZE = 4
@@ -327,25 +327,27 @@ def make_zero_padded_spec(words: Iterable[str],
 
 def chi_sites(x: Config, spec: SafeRewrite) -> frozenset[int]:
     """Rewrite sites: U-occurrences alone within m_rad whose nearby
-    V-occurrences all lie inside the rewritten block."""
-    occ_u = occurrences(x, spec.U)
+    V-occurrences all lie inside the rewritten block.
+
+    Both occurrence sets are sorted once: a U-occurrence is alone when its
+    two sorted neighbours are, and its nearby V-occurrences are one bisect
+    slice, which must start and end inside the block."""
+    occ_u = sorted(occurrences(x, spec.U))
     if not occ_u:
         return frozenset()
-    occ_v = occurrences(x, spec.V)
+    occ_v = sorted(occurrences(x, spec.V))
+    k, h, ell, m_rad = spec.k, spec.h, spec.ell, spec.m_rad
     sites = []
-    for i in occ_u:
-        if any(j != i and abs(j - i) <= spec.m_rad for j in occ_u):
+    for n, i in enumerate(occ_u):
+        if (n and i - occ_u[n - 1] <= m_rad) or (
+                n + 1 < len(occ_u) and occ_u[n + 1] - i <= m_rad):
             continue
-        ok = True
-        for j in occ_v:
-            # marker occurrences within ell of EITHER block edge must lie
-            # inside the block, else a rewrite could create or destroy a
-            # U-occurrence straddling that edge
-            if (i - spec.ell <= j <= i + spec.k - 1 + spec.ell
-                    and not i <= j <= i + spec.k - spec.h):
-                ok = False
-                break
-        if ok:
+        # marker occurrences within ell of EITHER block edge must lie
+        # inside the block, else a rewrite could create or destroy a
+        # U-occurrence straddling that edge
+        lo = bisect_left(occ_v, i - ell)
+        hi = bisect_right(occ_v, i + k - 1 + ell, lo)
+        if lo == hi or (occ_v[lo] >= i and occ_v[hi - 1] <= i + k - h):
             sites.append(i)
     return frozenset(sites)
 
@@ -385,12 +387,24 @@ SIGMA3_TAU_SPEC = SafeRewrite(
 
 def head_shift_once(x: Config, direction: int) -> Config:
     """One step of the simulated shift.  On a configuration with a single
-    isolated head the +1 direction moves the head one cell right and swaps
-    the displaced symbol; -1 is the exact inverse on every configuration."""
-    if direction == 1:
-        y = apply_safe_rewrite(x, SIGMA3_TAU_SPEC)
-        return apply_safe_rewrite(y, SIGMA3_PI_SPEC)
-    if direction == -1:
-        y = apply_safe_rewrite(x, SIGMA3_PI_SPEC)
-        return apply_safe_rewrite(y, SIGMA3_TAU_SPEC)
-    raise DomainError("direction must be +1 or -1")
+    head at q the step moves the head to p = q + direction and the symbol
+    it displaces from p to q; with no head it is the identity.  With two or
+    more heads it is the composition of the two head-gap rewrites, TAU then
+    PI for +1, which -1 inverts exactly on every configuration."""
+    if direction not in (1, -1):
+        raise DomainError("direction must be +1 or -1")
+    heads = x.heads()
+    if len(heads) > 1:
+        for spec in (SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC)[::direction]:
+            x = apply_safe_rewrite(x, spec)
+        return x
+    if not heads:
+        return x
+    q = heads[0]
+    p = _check_pos(q + direction)
+    a = x.sym(p)
+    moved = sorted([(p, HEAD), (q, a)] if a else [(p, HEAD)])
+    cells = x.cells
+    lo = bisect_left(cells, (min(p, q),))
+    hi = bisect_left(cells, (max(p, q) + 1,), lo)
+    return Config(cells[:lo] + tuple(moved) + cells[hi:])

@@ -9,6 +9,8 @@ import pytest
 from fourshift.core import Config, DomainError, TupleK, validate_tuple
 from fourshift.generators import HeadLocal
 from fourshift.permbuild import WordPerm, parity
+from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
+                              apply_safe_rewrite)
 
 
 def rand_config(rng: random.Random, span: int = 8, max_cells: int = 5,
@@ -32,6 +34,15 @@ def rand_single_head(rng: random.Random, span: int = 8) -> Config:
         if p != q:
             cells[p] = rng.randrange(1, 3)
     return Config.from_cells(cells)
+
+
+def two_rewrite_shift(x: Config, direction: int) -> Config:
+    """One step of the simulated shift as the two head-gap safe rewrites,
+    TAU then PI for +1 and PI then TAU for -1: the oracle of
+    `safety.head_shift_once`."""
+    first, second = ((SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC) if direction == 1
+                     else (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC))
+    return apply_safe_rewrite(apply_safe_rewrite(x, first), second)
 
 
 def rand_tuple(rng: random.Random, k: int, span: int = 5,

@@ -10,9 +10,10 @@ from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
                                   TransportWord, apply_instruction, apply_word,
                                   invert_word, size_report)
 from fourshift.permbuild import WordPerm, build_mapping_perm
-from fourshift.safety import head_shift_once, make_explicit_spec
+from fourshift.safety import make_explicit_spec
 
-from conftest import dense, head_local, rand_config, rand_tuple, window
+from conftest import (dense, head_local, rand_config, rand_tuple,
+                      two_rewrite_shift, window)
 
 
 def cfg(offset, digits):
@@ -79,12 +80,13 @@ class TestApplyInstruction:
 
 
 class TestHeadShift:
-    """HeadShift(e) against its oracle, e single steps of head_shift_once."""
+    """HeadShift(e) against its oracle, e steps of the two head-gap safe
+    rewrites."""
 
     @staticmethod
     def stepwise(x, e):
         for _ in range(abs(e)):
-            x = head_shift_once(x, 1 if e > 0 else -1)
+            x = two_rewrite_shift(x, 1 if e > 0 else -1)
         return x
 
     def test_matches_stepwise_loop(self, rng):

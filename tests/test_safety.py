@@ -5,7 +5,8 @@ import itertools
 
 import pytest
 
-from fourshift.core import Config, ZERO, shift
+from fourshift import safety
+from fourshift.core import POSITION_LIMIT, Config, PositionOverflow, ZERO, shift
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
 from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
@@ -16,7 +17,8 @@ from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
                               chi_sites, head_shift_once, make_explicit_spec,
                               make_zero_padded_spec, occurrences)
 
-from conftest import rand_config, rand_even_perm, rand_single_head, rand_tuple
+from conftest import (rand_config, rand_even_perm, rand_single_head, rand_tuple,
+                      two_rewrite_shift)
 
 
 def cfg(offset, digits):
@@ -132,7 +134,68 @@ class TestOccurrences:
         assert mixed_firsts > 100 and longest >= 72
 
 
+def pairwise_sites(occ_u, occ_v, spec):
+    """The chi sites of the given occurrence sets, each U-occurrence tested
+    against every other one and every V-occurrence: the oracle of
+    `chi_sites`."""
+    return frozenset(
+        i for i in occ_u
+        if not any(j != i and abs(j - i) <= spec.m_rad for j in occ_u)
+        and all(i <= j <= i + spec.k - spec.h for j in occ_v
+                if i - spec.ell <= j <= i + spec.k - 1 + spec.ell))
+
+
+# (U, V) rewrites with small radii: the head marker at k = 3, and the
+# nonzero words at h = 1 and h = 2
+EDGE_SPECS = (demo_spec(),
+              make_zero_padded_spec(["010", "020"], [("010", "020"), ("020", "010")]),
+              make_zero_padded_spec(["001000", "002000"],
+                                    [("001000", "002000"), ("002000", "001000")]))
+
+
 class TestChiSites:
+    def test_matches_the_pairwise_oracle(self, rng):
+        # dense lines of heads and cells, gaps around ell and m_rad
+        sites = 0
+        for spec in EDGE_SPECS:
+            gaps = (1, 2, 3, spec.ell, spec.ell + 1, spec.m_rad, spec.m_rad + 1)
+            for _ in range(300):
+                cells, p = {}, 0
+                for _ in range(rng.randrange(1, 12)):
+                    p += rng.choice(gaps)
+                    cells[p] = rng.choice((1, 2, 3, 3))
+                x = Config.from_cells(cells)
+                want = pairwise_sites(occurrences(x, spec.U),
+                                      occurrences(x, spec.V), spec)
+                assert chi_sites(x, spec) == want, (x, spec)
+                sites += len(want)
+        assert sites > 100
+
+    def test_edges_of_the_radii(self, rng, monkeypatch):
+        # synthetic occurrence sets: U-occurrences m_rad or m_rad + 1 apart,
+        # V-occurrences on both sides of each edge of the block and of the
+        # ell band around it
+        for spec in EDGE_SPECS:
+            k, h, ell, m_rad = spec.k, spec.h, spec.ell, spec.m_rad
+            edges = (-ell - 1, -ell, -1, 0, k - h, k - h + 1,
+                     k - 1 + ell, k + ell)
+            kept = dropped = 0
+            for _ in range(400):
+                occ_u, i = [], 0
+                for _ in range(rng.randrange(1, 8)):
+                    i += rng.choice((1, m_rad - 1, m_rad, m_rad + 1, m_rad + 2))
+                    occ_u.append(i)
+                occ_v = {i + rng.choice(edges)
+                         for i in occ_u for _ in range(rng.randrange(0, 3))}
+                sets = {spec.U: frozenset(occ_u), spec.V: frozenset(occ_v)}
+                monkeypatch.setattr(safety, "occurrences",
+                                    lambda x, wset: sets[wset])
+                want = pairwise_sites(sets[spec.U], sets[spec.V], spec)
+                assert chi_sites(cfg(0, "3"), spec) == want, (occ_u, occ_v)
+                kept += len(want)
+                dropped += len(occ_u) - len(want)
+            assert kept > 100 and dropped > 100
+
     def test_single_site(self):
         assert chi_sites(cfg(1, "3"), demo_spec()) == frozenset({0})
 
@@ -298,7 +361,6 @@ class TestHeadShift:
         for _ in range(300):
             x = rand_single_head(rng)
             q = next(p for p, s in x.cells if s == 3)
-            y = head_shift_once(x, +1)
             want = x.as_dict()
             displaced = want.pop(q + 1, 0)
             del want[q]
@@ -307,7 +369,48 @@ class TestHeadShift:
                 want[q] = displaced
             else:
                 want.pop(q, None)
-            assert y == Config.from_cells(want)
+            for step in (head_shift_once, two_rewrite_shift):
+                assert step(x, +1) == Config.from_cells(want)
+
+    def test_matches_the_two_rewrites(self, rng):
+        # no head, a lone head, or 2-3 heads 1-5 or 47-50 apart; each
+        # head's neighbours are 0, 1 or 2, other cells anywhere near
+        counts = [0] * 4
+        for _ in range(2000):
+            heads, p = [], rng.randrange(-20, 21)
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                heads.append(p)
+                p += rng.choice((1, 2, 3, 4, 5, 47, 48, 49, 50))
+            cells = dict.fromkeys(heads, 3)
+            for q in heads or [p]:
+                for o in (-1, 1):
+                    cells.setdefault(q + o, rng.randrange(3))
+            for _ in range(rng.randrange(0, 8)):
+                cells.setdefault(rng.randrange(-30, p + 13), rng.randrange(1, 3))
+            x = Config.from_cells(cells)
+            for direction in (1, -1):
+                assert head_shift_once(x, direction) == \
+                    two_rewrite_shift(x, direction), (x, direction)
+            counts[len(heads)] += 1
+        assert min(counts) > 100
+
+    @pytest.mark.parametrize("q", [POSITION_LIMIT, -POSITION_LIMIT])
+    def test_lone_head_at_the_position_limit(self, q):
+        x = Config.from_cells({q: 3})
+        out = 1 if q > 0 else -1
+        for step in (head_shift_once, two_rewrite_shift):
+            with pytest.raises(PositionOverflow):
+                step(x, out)
+            assert step(x, -out) == Config.from_cells({q - out: 3})
+
+    def test_step_law_needs_only_the_new_head_position(self):
+        # the two rewrites pass through a second head at q + 1 + a, so near
+        # the upper limit they overflow where the one-step result exists
+        q = POSITION_LIMIT - 1
+        x = Config.from_cells({q: 3, q + 1: 2})
+        assert head_shift_once(x, 1) == Config.from_cells({q: 2, q + 1: 3})
+        with pytest.raises(PositionOverflow):
+            two_rewrite_shift(x, 1)
 
     def test_inverse_on_arbitrary_configs(self, rng):
         for _ in range(300):

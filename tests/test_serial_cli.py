@@ -581,6 +581,23 @@ class TestCli:
         assert time.monotonic() - start < 1.0
         assert capsys.readouterr().out == src + "\n"
 
+    def test_far_wall_transport_in_time(self, tmp_path, capsys):
+        # the wall 8,000 cells left of the origin costs one head-shift step
+        # per cell, each one cell swap on the lone head
+        src = tmp_path / "src.tuple"
+        dst = tmp_path / "dst.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@-8000:12\n")
+        dst.write_text("@0:1\n")
+        start = time.monotonic()
+        assert main(["transport", "--src", str(src), "--dst", str(dst),
+                     "-o", str(word)]) == 0
+        assert time.monotonic() - start < 0.5
+        replayed = apply_word(parse_tuple(src.read_text()),
+                              parse_word(word.read_text()))
+        assert emit_tuple(replayed) == "@0:1\n"
+        capsys.readouterr()
+
     def test_witness_width_bound_capped_exit_2(self, tmp_path, capsys):
         word = tmp_path / "w.json"
         word.write_text(emit_word(TransportWord((Particle(1),))))
