@@ -9,6 +9,7 @@ all operations are pure.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ POSITION_LIMIT = 2**62
 # In a run line, a zero gap wider than this many cells starts a new run.
 RUN_GAP = 64
 _RUN_RE = re.compile(r"@(-?[0-9]+):([0-3]+)")
+_NONZERO_RE = re.compile("[123]")
 # The nonzero cells at most 64 cells from an origin, one object each: a
 # stored window or word key made of them costs a pointer per cell.
 CELLS = {(o, s): (o, s)
@@ -94,10 +96,7 @@ class Config:
     @staticmethod
     def from_word(offset: int, digits: str) -> "Config":
         """Configuration whose symbols are `digits` starting at `offset`."""
-        for ch in digits:
-            if ch not in "0123":
-                raise DomainError(f"invalid digit {ch!r}")
-        return Config().overwrite([(range(offset, offset + len(digits)), digits)])
+        return Config().overwrite([(offset, digits)])
 
     def is_zero(self) -> bool:
         return not self.cells
@@ -127,20 +126,39 @@ class Config:
                 return 0
         return 0
 
-    def window(self, positions: Iterable[int]) -> str:
-        """The symbols at `positions`, in order, as a digit string."""
-        return "".join(str(self.sym(p)) for p in positions)
+    def window(self, start: int, stop: int) -> str:
+        """The symbols at start .. stop - 1 as a digit string: one bisect
+        slice of the cells laid into a row of zeros."""
+        cells = self.cells
+        lo = bisect_left(cells, (start,))
+        row = ["0"] * (stop - start)
+        for p, s in cells[lo:bisect_left(cells, (stop,), lo)]:
+            row[p - start] = str(s)
+        return "".join(row)
 
-    def overwrite(self, windows: Iterable[tuple[Iterable[int], str]]) -> "Config":
-        """This configuration with each digit string of `windows` written
-        at its positions, in order; the inverse of `window`."""
-        cells = self.as_dict()
-        for positions, digits in windows:
-            for p, ch in zip(positions, digits):
-                cells.pop(p, None)
-                if ch != "0":
-                    cells[p] = int(ch)
-        return Config.from_cells(cells)
+    def overwrite(self, blocks: Iterable[tuple[int, str]]) -> "Config":
+        """This configuration with each `(start, digits)` block written
+        from `start` on; the inverse of `window`.  Blocks come in increasing
+        order without overlap: each starts at or after the end of the one
+        before.  Blocks out of that order, or a digit other than 0-3, raise
+        DomainError."""
+        cells, kept, lo, end = self.cells, [], 0, None
+        for start, digits in blocks:
+            bad = digits.strip("0123")
+            if bad:
+                raise DomainError(f"invalid digit {bad[0]!r}")
+            if end is not None and start < end:
+                raise DomainError(
+                    f"the block at {start} starts before the end of the one "
+                    f"before, {end}")
+            end = start + len(digits)
+            i = bisect_left(cells, (start,), lo)
+            kept += cells[lo:i]
+            kept += [(start + m.start(), int(m[0]))
+                     for m in _NONZERO_RE.finditer(digits)]
+            lo = bisect_left(cells, (end,), i)
+        kept += cells[lo:]
+        return Config.from_cells(kept)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.cells)

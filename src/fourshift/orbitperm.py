@@ -34,6 +34,6 @@ def orbit_permutation_instruction(t: TupleK, beta: tuple[int, ...]) -> SafeRewri
             # supports must fit in [-m, m-1]
             m = max(m, p + 1, -p)
 
-    words = [c.window(range(-3 * m, 3 * m)) for c in t]
+    words = [c.window(-3 * m, 3 * m) for c in t]
     pairs = [(words[i], words[beta.index(i)]) for i in range(k)]
     return make_zero_padded_spec(words, pairs)

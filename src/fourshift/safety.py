@@ -112,7 +112,9 @@ def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
     p of x is the window's first, at the first offset f = p - i of some
     key, and the window's cells, one bisect slice of x.cells shifted to
     offsets from i, must be a key.  Cost: cells of x times distinct first
-    offsets, each a slice of the cells in the window."""
+    offsets, each a slice of the cells in the window.  Head layouts read
+    the heads of each candidate window as one bisect slice of the sorted
+    heads."""
     if x.is_zero():
         return frozenset()
     if isinstance(wset, ExplicitWords):
@@ -132,7 +134,8 @@ def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
         heads, L = x.heads(), wset.length
         starts = {p - off for p in heads for lay in wset.layouts for off in lay}
         return frozenset(i for i in starts if frozenset(
-            q - i for q in heads if i <= q < i + L) in wset.layouts)
+            q - i for q in heads[bisect_left(heads, i):bisect_left(heads, i + L)]
+        ) in wset.layouts)
     if isinstance(wset, NonzeroWords):
         return frozenset(_covering_starts(x, wset.length))
     raise IllFormedWordSet(f"unknown word set {wset!r}")
@@ -358,8 +361,8 @@ def apply_safe_rewrite(x: Config, spec: SafeRewrite) -> Config:
     sites = sorted(chi_sites(x, spec))
     if not sites:
         return x
-    blocks = [range(i, i + spec.k) for i in sites]
-    return x.overwrite((b, spec.pi.apply(x.window(b))) for b in blocks)
+    k, pi = spec.k, spec.pi
+    return x.overwrite((i, pi.apply(x.window(i, i + k))) for i in sites)
 
 
 # --- the simulated head shift ------------------------------------------------

@@ -45,6 +45,24 @@ def two_rewrite_shift(x: Config, direction: int) -> Config:
     return apply_safe_rewrite(apply_safe_rewrite(x, first), second)
 
 
+def sym_window(x: Config, positions) -> str:
+    """The symbols of x at `positions`, in order, one `Config.sym` scan
+    each: the oracle of `Config.window`."""
+    return "".join(str(x.sym(p)) for p in positions)
+
+
+def dict_overwrite(x: Config, blocks) -> Config:
+    """x with each `(positions, digits)` block written at its positions, in
+    order, through a dict of cells: the oracle of `Config.overwrite`."""
+    cells = x.as_dict()
+    for positions, digits in blocks:
+        for p, ch in zip(positions, digits):
+            cells.pop(p, None)
+            if ch != "0":
+                cells[p] = int(ch)
+    return Config.from_cells(cells)
+
+
 def rand_tuple(rng: random.Random, k: int, span: int = 5,
                max_cells: int = 4) -> TupleK:
     """k nonzero configurations from pairwise distinct orbits."""

@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fourshift.core import (Config, ZERO, DomainError, OrbitCollision,
-                            ZeroPoint, canonical_form, classify, from_tracks,
-                            orbit_equal, shift, tracks, validate_tuple)
+from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
+                            OrbitCollision, ZeroPoint, canonical_form,
+                            classify, from_tracks, orbit_equal, shift, tracks,
+                            validate_tuple)
 
-from conftest import rand_config
+from conftest import dict_overwrite, rand_config, sym_window
 
 
 def cfg(offset: int, digits: str) -> Config:
@@ -45,6 +46,73 @@ class TestConfig:
     def test_bad_digit_rejected(self):
         with pytest.raises(DomainError, match="invalid digit '4'"):
             Config.from_word(0, "14")
+
+
+class TestConfigWindow:
+    """Config.window and Config.overwrite against their oracles: one
+    Config.sym per position, and a dict of cells."""
+
+    # strips of 41 cells from these bases, the last two reaching the limits
+    BASES = (0, 10**9, -10**9, POSITION_LIMIT - 40, -POSITION_LIMIT)
+
+    @staticmethod
+    def blocks_around(rng, p):
+        """Blocks (start, stop) of 0-7 cells around position p: ending
+        before it, with p at the right end, straddling it, with p at the
+        left end, and starting after it."""
+        return [(a, a + n) for n in range(8) for a in {
+            p - n - 1, p - n + 1, p - rng.randrange(n + 1), p, p + 1}]
+
+    def test_window_and_overwrite_match_the_oracles(self, rng):
+        counts = dict.fromkeys(("cells at both ends", "empty", "several blocks",
+                                "zeros over cells"), 0)
+        for case in range(2000):
+            base = self.BASES[case % len(self.BASES)]
+            top = base + 40
+            cells = {q: rng.randrange(1, 4) for q in (base, top)
+                     if rng.random() < 0.3}
+            for _ in range(rng.randrange(0, 8)):
+                cells[rng.randrange(base, top + 1)] = rng.randrange(1, 4)
+            x = Config.from_cells(cells)
+            blocks = [b for p in [*cells, rng.randrange(base, top + 1)]
+                      for b in self.blocks_around(rng, p)]
+            for a, b in blocks:
+                assert x.window(a, b) == sym_window(x, range(a, b)), (x, a, b)
+                counts["cells at both ends"] += (b - a > 1 and a in cells
+                                                 and b - 1 in cells)
+                counts["empty"] += a == b
+            # blocks inside the strip in increasing order, digits mostly 0
+            written, end = [], base
+            for a, b in sorted(rng.sample(blocks, min(len(blocks), 6))):
+                if end <= a and b <= top + 1:
+                    written.append((a, "".join(rng.choice("0000123")
+                                               for _ in range(b - a))))
+                    end = b
+            assert x.overwrite(written) == dict_overwrite(
+                x, [(range(a, a + len(d)), d) for a, d in written]), (x, written)
+            assert x.overwrite((a, x.window(a, a + len(d)))
+                               for a, d in written) == x
+            counts["several blocks"] += len(written) > 2
+            counts["zeros over cells"] += any(
+                a <= q < a + len(d) and d[q - a] == "0"
+                for a, d in written for q in cells)
+        assert min(counts.values()) > 500, counts
+
+    @pytest.mark.parametrize("blocks", [
+        pytest.param([(4, "1"), (0, "2")], id="out-of-order"),
+        pytest.param([(0, "12"), (1, "3")], id="overlapping"),
+        pytest.param([(0, "1"), (5, ""), (3, "2")], id="before-an-empty-block"),
+        pytest.param([(0, "12"), (0, "")], id="empty-block-inside-the-one-before"),
+    ])
+    def test_blocks_out_of_order_refused(self, blocks):
+        with pytest.raises(DomainError, match="starts before the end"):
+            cfg(0, "3").overwrite(blocks)
+
+    @pytest.mark.parametrize("digits", ["4", "1a", "-1", " 1", "\u0661", "2\n"])
+    def test_digits_other_than_0_to_3_refused(self, digits):
+        # "\u0661" is a digit one that int() reads, but not a symbol
+        with pytest.raises(DomainError, match="invalid digit"):
+            cfg(0, "3").overwrite([(-5, "1"), (0, digits)])
 
 
 class TestShift:

@@ -12,8 +12,8 @@ from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
 from fourshift.permbuild import WordPerm, build_mapping_perm
 from fourshift.safety import make_explicit_spec
 
-from conftest import (dense, head_local, rand_config, rand_tuple,
-                      two_rewrite_shift, window)
+from conftest import (dense, dict_overwrite, head_local, rand_config,
+                      rand_tuple, sym_window, two_rewrite_shift, window)
 
 
 def cfg(offset, digits):
@@ -114,15 +114,15 @@ class TestHeadShift:
 def dense_head_local(ins, x):
     """HeadLocal.apply with windows as 2r-letter words, kept as the oracle:
     each head is compared with every other, and each isolated head's window
-    is read with Config.window and written back with Config.overwrite."""
+    is read one Config.sym per position and written back through a dict."""
     r = ins.r
     images = {dense(s, r): dense(d, r) for s, d in ins.wp.moved}
     heads = x.heads()
     isolated = [q for q in heads
                 if all(q == p or abs(q - p) >= 2 * r + 3 for p in heads)]
     windows = [[*range(q - r, q), *range(q + 1, q + r + 1)] for q in isolated]
-    return x.overwrite(
-        (w, images.get(x.window(w), x.window(w))) for w in windows)
+    return dict_overwrite(x, ((w, images.get(sym_window(x, w), sym_window(x, w)))
+                              for w in windows))
 
 
 class TestHeadLocalOracle:
@@ -167,6 +167,20 @@ class TestHeadLocalOracle:
         assert time.perf_counter() - start < 0.05
         assert y == Config.from_cells([*((q, 3) for q in heads),
                                        *((q - 2, 1) for q in heads)])
+
+    def test_many_heads_shift_in_linear_time(self):
+        # one line of 1,000 heads 49 cells apart, each followed by a
+        # particle: every head is alone, so each follows the one-head law
+        heads = range(0, 49 * 1000, 49)
+        x = Config.from_cells([*((q, 3) for q in heads),
+                               *((q + 1, 1) for q in heads)])
+        for e, want in (
+                (1, [*((q + 1, 3) for q in heads), *((q, 1) for q in heads)]),
+                (-1, [*((q - 1, 3) for q in heads), *((q + 1, 1) for q in heads)])):
+            start = time.perf_counter()
+            y = HeadShift(e).apply(x)
+            assert time.perf_counter() - start < 0.3
+            assert y == Config.from_cells(want)
 
     def test_huge_radius_reads_only_the_cells(self):
         ins = HeadLocal(10**15, WordPerm.from_pairs(

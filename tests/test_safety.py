@@ -12,13 +12,13 @@ from fourshift.permbuild import WordPerm
 from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
                               IllFormedSpec, IllFormedWordSet, NonzeroWords,
                               RuleWordMap, SafeRewrite, SIGMA3_PI_SPEC,
-                              SIGMA3_PI_WORDS, SIGMA3_TAU_SPEC,
+                              SIGMA3_LEN, SIGMA3_PI_WORDS, SIGMA3_TAU_SPEC,
                               SIGMA3_TAU_WORDS, apply_safe_rewrite,
                               chi_sites, head_shift_once, make_explicit_spec,
                               make_zero_padded_spec, occurrences)
 
 from conftest import (rand_config, rand_even_perm, rand_single_head, rand_tuple,
-                      two_rewrite_shift)
+                      sym_window, two_rewrite_shift)
 
 
 def cfg(offset, digits):
@@ -36,7 +36,21 @@ def span_scan(x, wset):
         return frozenset()
     k = wset.length
     return frozenset(i for i in range(x.min_pos() - k + 1, x.max_pos() + 1)
-                     if x.window(range(i, i + k)) in wset.words)
+                     if sym_window(x, range(i, i + k)) in wset.words)
+
+
+def all_heads_scan(x, wset):
+    """Each candidate start tested against every head: the oracle of the
+    head-layout scan of `occurrences`."""
+    heads, L = x.heads(), wset.length
+    starts = {p - off for p in heads for lay in wset.layouts for off in lay}
+    return frozenset(i for i in starts if frozenset(
+        q - i for q in heads if i <= q < i + L) in wset.layouts)
+
+
+# heads at both ends of a SIGMA3_LEN window, and three heads 2 apart
+EDGE_LAYOUTS = HeadLayoutWords(SIGMA3_LEN, frozenset(map(frozenset, (
+    {0}, {SIGMA3_LEN - 1}, {0, SIGMA3_LEN - 1}, {0, 2, 4}))))
 
 
 class TestOccurrences:
@@ -81,6 +95,29 @@ class TestOccurrences:
             many_heads += len(x.heads()) > 1
             assert occurrences(x, HEAD_MARKER) == occurrences(x, oracle)
         assert many_heads > 50
+
+    def test_head_layouts_match_the_all_heads_scan(self, rng):
+        # lines of heads 1-5, 19-22 or 47-50 apart (a line may mix them),
+        # near 0 and near +-10^9, with particles and walls among them
+        spacings = ((1, 2, 3, 4, 5), (19, 20, 21, 22), (47, 48, 49, 50))
+        for wset in (SIGMA3_PI_WORDS, SIGMA3_TAU_WORDS, HEAD_MARKER,
+                     EDGE_LAYOUTS):
+            hits = 0
+            for _ in range(300):
+                gaps = rng.choice((*spacings, sum(spacings, ())))
+                p = q = rng.choice((0, 10**9, -10**9)) + rng.randrange(-30, 31)
+                cells = {}
+                for _ in range(rng.randrange(1, 10)):
+                    cells[p] = 3
+                    p += rng.choice(gaps)
+                for _ in range(rng.randrange(0, 6)):
+                    cells.setdefault(rng.randrange(q - 3, p + 3),
+                                     rng.randrange(1, 3))
+                x = Config.from_cells(cells)
+                got = occurrences(x, wset)
+                assert got == all_heads_scan(x, wset), (x, wset)
+                hits += len(got)
+            assert hits > 300, wset
 
     def test_explicit_scan_matches_the_span_scan(self, rng):
         # the scan tries only windows over a nonzero cell; the span scan
