@@ -67,6 +67,24 @@ def _check_pos(p: int) -> int:
     return p
 
 
+def _check_cell(p: int, s: int) -> tuple[int, int]:
+    """(p, s) as a stored cell: int position and symbol 1-3, no bools."""
+    if type(p) is not int:
+        raise DomainError(f"position {p!r} is not an int")
+    if type(s) is not int or not 0 < s < 4:
+        raise DomainError(f"invalid symbol {s!r} at position {p}")
+    return _check_pos(p), s
+
+
+def digit_cells(offset: int, digits: str) -> list[tuple[int, int]]:
+    """The nonzero cells of the digit string `digits` written from `offset`
+    on, in order; a character other than 0-3 raises ParseError."""
+    bad = digits.strip("0123")
+    if bad:
+        raise ParseError(f"invalid digit {bad[0]!r}")
+    return [(offset + m.start(), int(m[0])) for m in _NONZERO_RE.finditer(digits)]
+
+
 @dataclass(frozen=True, slots=True)
 class Config:
     """A finite-support point, stored as sorted (position, symbol) pairs.
@@ -80,13 +98,8 @@ class Config:
     @staticmethod
     def from_cells(cells: Mapping[int, int] | Iterable[tuple[int, int]]) -> "Config":
         items = cells.items() if isinstance(cells, Mapping) else cells
-        kept = []
-        for p, s in items:
-            if s == 0:
-                continue
-            if s not in (1, 2, 3):
-                raise DomainError(f"invalid symbol {s!r} at position {p}")
-            kept.append((_check_pos(p), s))
+        kept = [_check_cell(p, s) for p, s in items
+                if s != 0 or type(s) is not int]  # an int 0 is no cell
         kept.sort()
         for (p1, _), (p2, _) in zip(kept, kept[1:]):
             if p1 == p2:
@@ -96,7 +109,7 @@ class Config:
     @staticmethod
     def from_word(offset: int, digits: str) -> "Config":
         """Configuration whose symbols are `digits` starting at `offset`."""
-        return Config().overwrite([(offset, digits)])
+        return Config.from_cells(digit_cells(offset, digits))
 
     def is_zero(self) -> bool:
         return not self.cells
@@ -126,39 +139,44 @@ class Config:
                 return 0
         return 0
 
-    def window(self, start: int, stop: int) -> str:
-        """The symbols at start .. stop - 1 as a digit string: one bisect
-        slice of the cells laid into a row of zeros."""
+    def cells_in(self, start: int, stop: int) -> tuple[tuple[int, int], ...]:
+        """The cells at start .. stop - 1, in order: one bisect slice."""
         cells = self.cells
         lo = bisect_left(cells, (start,))
+        return cells[lo:bisect_left(cells, (stop,), lo)]
+
+    def window(self, start: int, stop: int) -> str:
+        """The symbols at start .. stop - 1 as a digit string: the cells
+        in the block laid into a row of zeros."""
         row = ["0"] * (stop - start)
-        for p, s in cells[lo:bisect_left(cells, (stop,), lo)]:
+        for p, s in self.cells_in(start, stop):
             row[p - start] = str(s)
         return "".join(row)
 
-    def overwrite(self, blocks: Iterable[tuple[int, str]]) -> "Config":
-        """This configuration with each `(start, digits)` block written
-        from `start` on; the inverse of `window`.  Blocks come in increasing
-        order without overlap: each starts at or after the end of the one
-        before.  Blocks out of that order, or a digit other than 0-3, raise
-        DomainError."""
-        cells, kept, lo, end = self.cells, [], 0, None
-        for start, digits in blocks:
-            bad = digits.strip("0123")
-            if bad:
-                raise DomainError(f"invalid digit {bad[0]!r}")
-            if end is not None and start < end:
-                raise DomainError(
-                    f"the block at {start} starts before the end of the one "
-                    f"before, {end}")
-            end = start + len(digits)
+    def overwrite(self, blocks: Iterable[tuple[int, int, Iterable]]) -> "Config":
+        """This configuration with the cells at start .. stop - 1 replaced
+        by `cells`, for each block `(start, stop, cells)`.  Blocks come in
+        increasing order: each starts at or after the stop of the one
+        before.  The cells of a block lie inside it, in increasing order,
+        with symbols 1-3.  Only the written cells are checked; anything
+        else raises DomainError."""
+        cells, kept, lo, end = self.cells, [], 0, float("-inf")
+        for start, stop, written in blocks:
+            if not end <= start <= stop:
+                raise DomainError(f"the block at {start} starts before the end of "
+                                  f"the one before, {end}, or ends before it starts")
             i = bisect_left(cells, (start,), lo)
             kept += cells[lo:i]
-            kept += [(start + m.start(), int(m[0]))
-                     for m in _NONZERO_RE.finditer(digits)]
-            lo = bisect_left(cells, (end,), i)
+            prev = start - 1
+            for p, s in written:
+                kept.append(_check_cell(p, s))
+                if not prev < p < stop:
+                    raise DomainError(f"cell at {p} out of order or outside "
+                                      f"its block {start} .. {stop - 1}")
+                prev = p
+            lo, end = bisect_left(cells, (stop,), i), stop
         kept += cells[lo:]
-        return Config.from_cells(kept)
+        return Config(tuple(kept))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.cells)
@@ -203,9 +221,8 @@ def parse_runs(text: str) -> list[tuple[int, int]]:
             raise ParseError(f"offset too long: {exc}") from exc
         if end is not None and offset < end:
             raise ParseError(f"the run at {offset} overlaps the one before")
-        digits = m[2]
-        end = offset + len(digits)
-        cells += [(offset + i, int(c)) for i, c in enumerate(digits) if c != "0"]
+        end = offset + len(m[2])
+        cells += digit_cells(offset, m[2])
     return cells
 
 
@@ -236,17 +253,6 @@ def tracks(x: Config) -> tuple[frozenset[int], frozenset[int]]:
     particles = frozenset(p for p, s in x.cells if s in (PARTICLE, HEAD))
     walls = frozenset(p for p, s in x.cells if s in (WALL, HEAD))
     return particles, walls
-
-
-def from_tracks(particles: Iterable[int], walls: Iterable[int]) -> Config:
-    """Inverse of tracks: overlapping positions become heads."""
-    particles = set(particles)
-    walls = set(walls)
-    cells = {}
-    for p in particles | walls:
-        cells[p] = HEAD if (p in particles and p in walls) else (
-            PARTICLE if p in particles else WALL)
-    return Config.from_cells(cells)
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,13 @@ so words invert by reversing the list of inverted steps.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import get_args
 
 from . import safety
-from .core import (HEAD, Config, DomainError, ParseError, TupleK, emit_runs,
-                   from_tracks, json_int, parse_runs, tracks)
+from .core import (HEAD, PARTICLE, WALL, Config, DomainError, ParseError,
+                   TupleK, digit_cells, emit_runs, json_int, parse_runs)
 from .permbuild import WordPerm
 from .safety import SafeRewrite
 
@@ -41,8 +40,15 @@ class Particle:
     OP = "P"
 
     def apply(self, x: Config) -> Config:
-        particles, walls = tracks(x)
-        return from_tracks((p - self.e for p in particles), walls)
+        """One pass: wall bits stay put, particle bits move to p - e."""
+        cells = {}
+        for p, s in x.cells:
+            if s & WALL:
+                cells[p] = cells.get(p, 0) | WALL
+            if s & PARTICLE:
+                q = p - self.e
+                cells[q] = cells.get(q, 0) | PARTICLE
+        return Config.from_cells(cells)
 
     def inverse(self) -> "Particle":
         return Particle(-self.e)
@@ -107,24 +113,18 @@ class HeadLocal:
     def apply(self, x: Config) -> Config:
         if not self.wp.moved:
             return x
-        r, cells, heads = self.r, x.cells, x.heads()
-        out, done = [], 0
+        r, heads, blocks = self.r, x.heads(), []
         for i, q in enumerate(heads):
             # neighbours at least 2r+3 away keep every other head out
             if (i and q - heads[i - 1] < 2 * r + 3) or (
                     i + 1 < len(heads) and heads[i + 1] - q < 2 * r + 3):
                 continue
-            lo = bisect_left(cells, (q - r,))
-            hi = bisect_left(cells, (q + r + 1,))
-            window = head_cells(cells[lo:hi], q)
+            window = head_cells(x.cells_in(q - r, q + r + 1), q)
             image = self.wp.apply(window)
             if image != window:
-                out += cells[done:lo]
-                out += [(q, HEAD), *((q + o, s) for o, s in image)]
-                done = hi
-        if not out:
-            return x
-        return Config.from_cells(out + list(cells[done:]))
+                blocks.append((q - r, q + r + 1, sorted(
+                    [(q, HEAD), *((q + o, s) for o, s in image)])))
+        return x.overwrite(blocks) if blocks else x
 
     def inverse(self) -> "HeadLocal":
         return HeadLocal(self.r, self.wp.inverse())
@@ -164,8 +164,7 @@ def _window_of_word(word, r: int) -> tuple[tuple[int, int], ...]:
     """The cells of a dense window word of {0,1,2}^(2r)."""
     if not isinstance(word, str) or len(word) != 2 * r:
         raise ParseError(f"not a window word of length {2 * r}: {word!r}")
-    return tuple((i - r + (i >= r), int(c))
-                 for i, c in enumerate(word) if c != "0")
+    return tuple((o + (o >= 0), s) for o, s in digit_cells(-r, word))
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
-from .core import CELLS, HEAD, Config, DomainError, _check_pos, json_int
+from .core import CELLS, HEAD, Config, DomainError, digit_cells, json_int
 from .permbuild import WordPerm
 
 SIGMA_SIZE = 4
@@ -55,8 +55,8 @@ class ExplicitWords:
             raise IllFormedWordSet("empty word set")
         keys = []
         for w in self.words:
-            if len(w) != self.length or w.strip("0123"):
-                raise IllFormedWordSet(f"bad word {w!r}")
+            if len(w) != self.length:
+                raise IllFormedWordSet(f"word {w!r} is not of length {self.length}")
             key = _word_key(w)
             if not key:
                 raise IllFormedWordSet("word set contains the all-zero word")
@@ -76,10 +76,7 @@ class ExplicitWords:
 
 def _word_key(w: str) -> tuple[tuple[int, int], ...]:
     """The nonzero cells of w in order of offset, sharing those of CELLS."""
-    core = w.lstrip("0")
-    cells = ((o, int(c)) for o, c in enumerate(
-        core.rstrip("0"), len(w) - len(core)) if c != "0")
-    return tuple(CELLS.get(c, c) for c in cells)
+    return tuple(CELLS.get(c, c) for c in digit_cells(0, w))
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
 
     Listed words are matched by key: a start i is tried only where a cell
     p of x is the window's first, at the first offset f = p - i of some
-    key, and the window's cells, one bisect slice of x.cells shifted to
+    key, and the window's cells, `x.cells_in(i, i + len)` shifted to
     offsets from i, must be a key.  Cost: cells of x times distinct first
     offsets, each a slice of the cells in the window.  Head layouts read
     the heads of each candidate window as one bisect slice of the sorted
@@ -124,8 +121,7 @@ def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
                 i = p - f
                 if j and cells[j - 1][0] >= i:
                     break  # a cell before p lies in this and every later window
-                hi = bisect_left(cells, (i + k,), j)
-                window = tuple((q - i, s) for q, s in cells[j:hi])
+                window = tuple((q - i, s) for q, s in x.cells_in(i, i + k))
                 n = bisect_left(keys, window)
                 if n < len(keys) and keys[n] == window:
                     found.append(i)
@@ -362,7 +358,8 @@ def apply_safe_rewrite(x: Config, spec: SafeRewrite) -> Config:
     if not sites:
         return x
     k, pi = spec.k, spec.pi
-    return x.overwrite((i, pi.apply(x.window(i, i + k))) for i in sites)
+    return x.overwrite((i, i + k, digit_cells(i, pi.apply(x.window(i, i + k))))
+                       for i in sites)
 
 
 # --- the simulated head shift ------------------------------------------------
@@ -404,10 +401,7 @@ def head_shift_once(x: Config, direction: int) -> Config:
     if not heads:
         return x
     q = heads[0]
-    p = _check_pos(q + direction)
+    p = q + direction
     a = x.sym(p)
-    moved = sorted([(p, HEAD), (q, a)] if a else [(p, HEAD)])
-    cells = x.cells
-    lo = bisect_left(cells, (min(p, q),))
-    hi = bisect_left(cells, (max(p, q) + 1,), lo)
-    return Config(cells[:lo] + tuple(moved) + cells[hi:])
+    block = [(q, a), (p, HEAD)] if a else [(p, HEAD)]
+    return x.overwrite([(min(p, q), max(p, q) + 1, sorted(block))])

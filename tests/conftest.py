@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from fourshift.core import Config, DomainError, TupleK, validate_tuple
+from fourshift.core import (HEAD, PARTICLE, WALL, Config, DomainError, TupleK,
+                            validate_tuple)
 from fourshift.generators import HeadLocal
 from fourshift.permbuild import WordPerm, parity
 from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
@@ -61,6 +62,15 @@ def dict_overwrite(x: Config, blocks) -> Config:
             if ch != "0":
                 cells[p] = int(ch)
     return Config.from_cells(cells)
+
+
+def from_tracks(particles, walls) -> Config:
+    """The configuration with the given particle and wall tracks, through
+    sets, overlapping positions becoming heads: the inverse of
+    `core.tracks` and, on moved particles, the oracle of `Particle.apply`."""
+    particles, walls = set(particles), set(walls)
+    return Config.from_cells({p: HEAD if p in particles and p in walls else (
+        PARTICLE if p in particles else WALL) for p in particles | walls})
 
 
 def rand_tuple(rng: random.Random, k: int, span: int = 5,

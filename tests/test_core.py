@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
-                            OrbitCollision, ZeroPoint, canonical_form,
-                            classify, from_tracks, orbit_equal, shift, tracks,
-                            validate_tuple)
+                            OrbitCollision, ParseError, PositionOverflow,
+                            ZeroPoint, canonical_form, classify, digit_cells,
+                            orbit_equal, shift, tracks, validate_tuple)
 
-from conftest import dict_overwrite, rand_config, sym_window
+from conftest import dict_overwrite, from_tracks, rand_config, sym_window
 
 
 def cfg(offset: int, digits: str) -> Config:
@@ -47,6 +47,22 @@ class TestConfig:
         with pytest.raises(DomainError, match="invalid digit '4'"):
             Config.from_word(0, "14")
 
+    @pytest.mark.parametrize("cells", [
+        {0.5: 1, 2: 3}, {True: 1}, {0: True}, {0: False}, {0: 1.0}, {0: "1"}],
+        ids=["float-position", "bool-position", "bool-symbol",
+             "false-symbol", "float-symbol", "str-symbol"])
+    def test_cells_that_are_not_ints_refused(self, cells):
+        # {0.5: 1} used to be stored, and a later window read raised TypeError
+        with pytest.raises(DomainError):
+            Config.from_cells(cells)
+
+
+class TestDigitCells:
+    @given(st.integers(-10**6, 10**6), st.text("0123", max_size=30))
+    def test_matches_the_letterwise_reading(self, offset, digits):
+        assert digit_cells(offset, digits) == [
+            (offset + i, int(c)) for i, c in enumerate(digits) if c != "0"]
+
 
 class TestConfigWindow:
     """Config.window and Config.overwrite against their oracles: one
@@ -63,6 +79,12 @@ class TestConfigWindow:
         return [(a, a + n) for n in range(8) for a in {
             p - n - 1, p - n + 1, p - rng.randrange(n + 1), p, p + 1}]
 
+    @staticmethod
+    def rand_block(rng, a, b):
+        """Sorted cells at about a third of the positions a .. b - 1."""
+        return [(p, rng.randrange(1, 4)) for p in range(a, b)
+                if rng.random() < 0.3]
+
     def test_window_and_overwrite_match_the_oracles(self, rng):
         counts = dict.fromkeys(("cells at both ends", "empty", "several blocks",
                                 "zeros over cells"), 0)
@@ -78,41 +100,68 @@ class TestConfigWindow:
                       for b in self.blocks_around(rng, p)]
             for a, b in blocks:
                 assert x.window(a, b) == sym_window(x, range(a, b)), (x, a, b)
+                assert x.cells_in(a, b) == tuple(
+                    (p, s) for p, s in x.cells if a <= p < b), (x, a, b)
                 counts["cells at both ends"] += (b - a > 1 and a in cells
                                                  and b - 1 in cells)
                 counts["empty"] += a == b
-            # blocks inside the strip in increasing order, digits mostly 0
+            # blocks inside the strip in increasing order, mostly zeros
             written, end = [], base
             for a, b in sorted(rng.sample(blocks, min(len(blocks), 6))):
                 if end <= a and b <= top + 1:
-                    written.append((a, "".join(rng.choice("0000123")
-                                               for _ in range(b - a))))
+                    written.append((a, b, self.rand_block(rng, a, b)))
                     end = b
             assert x.overwrite(written) == dict_overwrite(
-                x, [(range(a, a + len(d)), d) for a, d in written]), (x, written)
-            assert x.overwrite((a, x.window(a, a + len(d)))
-                               for a, d in written) == x
+                x, [(range(a, b), sym_window(Config.from_cells(w), range(a, b)))
+                    for a, b, w in written]), (x, written)
+            assert x.overwrite((a, b, x.cells_in(a, b))
+                               for a, b, _ in written) == x
             counts["several blocks"] += len(written) > 2
             counts["zeros over cells"] += any(
-                a <= q < a + len(d) and d[q - a] == "0"
-                for a, d in written for q in cells)
+                a <= q < b and q not in dict(w)
+                for a, b, w in written for q in cells)
         assert min(counts.values()) > 500, counts
 
     @pytest.mark.parametrize("blocks", [
-        pytest.param([(4, "1"), (0, "2")], id="out-of-order"),
-        pytest.param([(0, "12"), (1, "3")], id="overlapping"),
-        pytest.param([(0, "1"), (5, ""), (3, "2")], id="before-an-empty-block"),
-        pytest.param([(0, "12"), (0, "")], id="empty-block-inside-the-one-before"),
+        pytest.param([(4, 5, [(4, 1)]), (0, 1, [(0, 2)])], id="out-of-order"),
+        pytest.param([(0, 2, [(0, 1), (1, 2)]), (1, 2, [(1, 3)])],
+                     id="overlapping"),
+        pytest.param([(0, 1, [(0, 1)]), (5, 5, []), (3, 4, [(3, 2)])],
+                     id="before-an-empty-block"),
+        pytest.param([(0, 2, [(0, 1), (1, 2)]), (0, 0, [])],
+                     id="empty-block-inside-the-one-before"),
     ])
     def test_blocks_out_of_order_refused(self, blocks):
         with pytest.raises(DomainError, match="starts before the end"):
             cfg(0, "3").overwrite(blocks)
 
+    @pytest.mark.parametrize("block, error, match", [
+        ((0, 2, [(2, 1)]), DomainError, "outside its block 0 .. 1"),
+        ((0, 2, [(-1, 1)]), DomainError, "outside its block 0 .. 1"),
+        ((0, 3, [(1, 1), (0, 2)]), DomainError, "cell at 0 out of order"),
+        ((0, 3, [(1, 1), (1, 2)]), DomainError, "cell at 1 out of order"),
+        ((0, 1, [(0, 0)]), DomainError, "invalid symbol 0"),
+        ((0, 1, [(0, 4)]), DomainError, "invalid symbol 4"),
+        ((0, 1, [(0, True)]), DomainError, "invalid symbol True"),
+        ((0, 1, [(0.5, 1)]), DomainError, "not an int"),
+        ((3, 1, []), DomainError, "ends before it starts"),
+        ((POSITION_LIMIT, POSITION_LIMIT + 2, [(POSITION_LIMIT + 1, 1)]),
+         PositionOverflow, "out of range"),
+        ((-POSITION_LIMIT - 1, -POSITION_LIMIT, [(-POSITION_LIMIT - 1, 3)]),
+         PositionOverflow, "out of range"),
+    ], ids=["past-the-stop", "before-the-start", "out-of-order",
+            "repeated", "symbol-0", "symbol-4", "bool-symbol",
+            "float-position", "stop-before-start", "past-the-limit",
+            "past-minus-the-limit"])
+    def test_bad_cells_refused(self, block, error, match):
+        with pytest.raises(error, match=match):
+            cfg(0, "3").overwrite([block, (5, 6, [(5, 1)])])
+
     @pytest.mark.parametrize("digits", ["4", "1a", "-1", " 1", "\u0661", "2\n"])
     def test_digits_other_than_0_to_3_refused(self, digits):
         # "\u0661" is a digit one that int() reads, but not a symbol
-        with pytest.raises(DomainError, match="invalid digit"):
-            cfg(0, "3").overwrite([(-5, "1"), (0, digits)])
+        with pytest.raises(ParseError, match="invalid digit"):
+            digit_cells(0, "1" + digits)
 
 
 class TestShift:

@@ -3,8 +3,10 @@
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fourshift.core import Config, ZERO, shift, tracks, validate_tuple
+from fourshift.core import (POSITION_LIMIT, Config, PositionOverflow, ZERO,
+                            shift, tracks, validate_tuple)
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
                                   IllFormedInstruction, Particle, SymbolPerm,
                                   TransportWord, apply_instruction, apply_word,
@@ -12,8 +14,9 @@ from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
 from fourshift.permbuild import WordPerm, build_mapping_perm
 from fourshift.safety import make_explicit_spec
 
-from conftest import (dense, dict_overwrite, head_local, rand_config,
-                      rand_tuple, sym_window, two_rewrite_shift, window)
+from conftest import (dense, dict_overwrite, from_tracks, head_local,
+                      rand_config, rand_tuple, sym_window, two_rewrite_shift,
+                      window)
 
 
 def cfg(offset, digits):
@@ -79,6 +82,26 @@ class TestApplyInstruction:
         assert apply_instruction(cfg(0, "3"), HeadShift(-2)) == cfg(-2, "3")
 
 
+class TestParticleOracle:
+    """Particle.apply against its oracle: split into tracks, move the
+    particle track, join the tracks again through sets."""
+
+    @given(st.dictionaries(st.integers(-30, 30), st.integers(1, 3), max_size=12),
+           st.integers(-40, 40))
+    def test_matches_the_track_join(self, cells, e):
+        x = Config.from_cells(cells)
+        particles, walls = tracks(x)
+        assert Particle(e).apply(x) == from_tracks(
+            (p - e for p in particles), walls)
+
+    @pytest.mark.parametrize("q, e", [(POSITION_LIMIT, -1), (-POSITION_LIMIT, 1),
+                                      (0, POSITION_LIMIT + 1)])
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_particle_past_the_limit_overflows(self, q, e, s):
+        with pytest.raises(PositionOverflow):
+            Particle(e).apply(Config.from_cells({q: s}))
+
+
 class TestHeadShift:
     """HeadShift(e) against its oracle, e steps of the two head-gap safe
     rewrites."""
@@ -126,6 +149,17 @@ def dense_head_local(ins, x):
 
 
 class TestHeadLocalOracle:
+    @pytest.mark.parametrize("q", [POSITION_LIMIT, -POSITION_LIMIT])
+    def test_head_local_image_past_the_limit_overflows(self, q):
+        # the image moves the particle beside the head to its other side,
+        # one cell past the limit
+        out = 1 if q > 0 else -1
+        ins = head_local(1, [("10", "01"), ("01", "10")])
+        with pytest.raises(PositionOverflow):
+            ins.apply(Config.from_cells({q: 3, q - out: 1}))
+        assert ins.apply(Config.from_cells({q - 2 * out: 3, q - 3 * out: 1})) \
+            == Config.from_cells({q - 2 * out: 3, q - out: 1})
+
     def test_matches_the_dense_apply(self, rng):
         moved = 0
         for _ in range(1500):

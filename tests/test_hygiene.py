@@ -1,5 +1,6 @@
 """Source hygiene: no module or test file imports a name it never uses,
-and every top-level name of the package is referenced somewhere.
+every top-level name of the package is referenced somewhere, and only
+`core` builds a `Config` from raw cells or bisects them.
 
 Package `__init__.py` files are skipped by the import check (their imports
 are re-exports), as is `from __future__ import ...`.  A name counts as used
@@ -123,3 +124,41 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def raw_cell_access(source: str) -> list[str]:
+    """Calls of the raw `Config(...)` constructor, and bisect calls on a
+    `.cells` attribute or a name `cells`: the reads and writes that
+    `Config.cells_in` and `Config.overwrite` do in one place."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        arg = node.args[0] if node.args else None
+        if name == "Config":
+            found.append(f"Config(...) (line {node.lineno})")
+        elif name.startswith(("bisect", "insort")) and (
+                isinstance(arg, ast.Attribute) and arg.attr == "cells"
+                or isinstance(arg, ast.Name) and arg.id == "cells"):
+            found.append(f"{name} on cells (line {node.lineno})")
+    return found
+
+
+def test_checker_finds_raw_cell_access():
+    source = ("x = Config(((0, 1),))\n"
+              "y = core.Config(())\n"
+              "z = Config.from_cells({0: 1})\n"
+              "i = bisect_left(x.cells, (0,))\n"
+              "j = bisect.bisect_right(cells, (0,))\n"
+              "k = bisect_left(heads, 0)\n")
+    assert raw_cell_access(source) == [
+        "Config(...) (line 1)", "Config(...) (line 2)",
+        "bisect_left on cells (line 4)", "bisect_right on cells (line 5)"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "core.py"],
+                         ids=lambda p: p.name)
+def test_only_core_touches_raw_cells(path):
+    assert raw_cell_access(path.read_text()) == []

@@ -245,6 +245,8 @@ class TestWordFiles:
                 sr_obj(map="BOGUS"), sr_obj(U="SIGMA3_TAU"), sr_obj(ell=6),
                 SWAP.replace('"ell":"strict"', '"ell":6'),
                 '[{"op":"HL","r":1,"map":[["03","10"],["10","03"]]}]',
+                # an Arabic-Indic one, a digit to int() but not a symbol
+                '[{"op":"HL","r":1,"map":[["\\u06610","01"],["01","\\u06610"]]}]',
                 ORBIT_MERGING, SWAP.replace('"k":3', '"k":4'),
                 sr_obj(**ZERO_PADDED, ell=99),
                 sr_obj(**{**ZERO_PADDED, "U": "010"}),
@@ -541,10 +543,11 @@ class TestCli:
         '"cells":[["@1:1 @1:2","@1:1"],["@1:1","@1:1 @1:2"]]',
         '"cells":[],"map":[]', '"r2":2',
         '"cells":[["@1:1","@2:1"],["@2:1","@1:1"],["@1:1","@2:1"]]',
-        '"cells":[["@1:1","@2:1"],["@2:1","@1:1"],["@-1:1","@2:1"]]'],
+        '"cells":[["@1:1","@2:1"],["@2:1","@1:1"],["@-1:1","@2:1"]]',
+        '"map":[["\\u0661000","0100"],["0100","\\u0661000"]]'],
         ids=["offset-0", "below-minus-r", "above-r", "symbol-3",
              "cell-written-twice", "map-and-cells", "neither",
-             "repeated-source", "repeated-target"])
+             "repeated-source", "repeated-target", "map-arabic-indic-one"])
     def test_bad_hl_window_exit_2(self, tmp_path, capsys, obj):
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"
