@@ -8,6 +8,7 @@ all operations are pure.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
@@ -132,12 +133,8 @@ class Config:
         return tuple(p for p, s in self.cells if s == HEAD)
 
     def sym(self, p: int) -> int:
-        for q, s in self.cells:
-            if q == p:
-                return s
-            if q > p:
-                return 0
-        return 0
+        cell = self.cells_in(p, p + 1)
+        return cell[0][1] if cell else 0
 
     def cells_in(self, start: int, stop: int) -> tuple[tuple[int, int], ...]:
         """The cells at start .. stop - 1, in order: one bisect slice."""
@@ -226,6 +223,15 @@ def parse_runs(text: str) -> list[tuple[int, int]]:
     return cells
 
 
+def isolated(points: Sequence[int], gap: int) -> list[int]:
+    """The points of an increasing sequence with no other point within gap."""
+    if len(points) < 2:  # the common case: one head, one U-occurrence
+        return list(points)
+    ends = [-math.inf, *points, math.inf]
+    return [q for a, q, b in zip(ends, ends[1:], ends[2:])
+            if q - a > gap and b - q > gap]
+
+
 def shift(x: Config, n: int) -> Config:
     """The shift power sigma^n: the result holds x's symbol from i+n at i."""
     if n == 0:
@@ -296,16 +302,19 @@ class TupleK:
 
 
 def validate_tuple(components: Sequence[Config]) -> TupleK:
+    """The tuple, else ZeroPoint, or OrbitCollision(i, j) for the first i
+    with an orbit-mate after it and j its first mate."""
     comps = tuple(components)
     if not comps:
         raise DomainError("a tuple needs at least one component")
-    canon = []
-    for i, c in enumerate(comps):
+    first: dict[Config, int] = {}  # canonical form -> first component
+    mates = []
+    for j, c in enumerate(comps):
         if c.is_zero():
-            raise ZeroPoint(f"component {i} is the zero point")
-        canon.append(canonical_form(c)[0])
-    for i in range(len(canon)):
-        for j in range(i + 1, len(canon)):
-            if canon[i] == canon[j]:
-                raise OrbitCollision(i, j)
+            raise ZeroPoint(f"component {j} is the zero point")
+        i = first.setdefault(canonical_form(c)[0], j)
+        if i != j:
+            mates.append((i, j))
+    if mates:
+        raise OrbitCollision(*min(mates))
     return TupleK(comps)

@@ -16,7 +16,8 @@ from typing import get_args
 
 from . import safety
 from .core import (HEAD, PARTICLE, WALL, Config, DomainError, ParseError,
-                   TupleK, digit_cells, emit_runs, json_int, parse_runs)
+                   TupleK, digit_cells, emit_runs, isolated, json_int,
+                   parse_runs)
 from .permbuild import WordPerm
 from .safety import SafeRewrite
 
@@ -113,12 +114,9 @@ class HeadLocal:
     def apply(self, x: Config) -> Config:
         if not self.wp.moved:
             return x
-        r, heads, blocks = self.r, x.heads(), []
-        for i, q in enumerate(heads):
-            # neighbours at least 2r+3 away keep every other head out
-            if (i and q - heads[i - 1] < 2 * r + 3) or (
-                    i + 1 < len(heads) and heads[i + 1] - q < 2 * r + 3):
-                continue
+        r, blocks = self.r, []
+        # neighbours at least 2r+3 away keep every other head out
+        for q in isolated(x.heads(), 2 * r + 2):
             window = head_cells(x.cells_in(q - r, q + r + 1), q)
             image = self.wp.apply(window)
             if image != window:

@@ -20,7 +20,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
-from .core import CELLS, HEAD, Config, DomainError, digit_cells, json_int
+from .core import (CELLS, HEAD, Config, DomainError, digit_cells, isolated,
+                   json_int, shift)
 from .permbuild import WordPerm
 
 SIGMA_SIZE = 4
@@ -94,7 +95,7 @@ HEAD_MARKER = HeadLayoutWords(1, frozenset({frozenset({0})}))
 
 @dataclass(frozen=True)
 class NonzeroWords:
-    """All nonzero words of a fixed length (never enumerated)."""
+    """All nonzero words of a fixed length, a marker set (never enumerated)."""
 
     length: int
 
@@ -102,7 +103,7 @@ class NonzeroWords:
 WordSetDesc = ExplicitWords | HeadLayoutWords | NonzeroWords
 
 
-def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
+def occurrences(x: Config, wset: ExplicitWords | HeadLayoutWords) -> frozenset[int]:
     """Positions i with x[i .. i+len-1] in the word set; exact and finite.
 
     Listed words are matched by key: a start i is tried only where a cell
@@ -112,8 +113,6 @@ def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
     offsets, each a slice of the cells in the window.  Head layouts read
     the heads of each candidate window as one bisect slice of the sorted
     heads."""
-    if x.is_zero():
-        return frozenset()
     if isinstance(wset, ExplicitWords):
         cells, k, keys, found = x.cells, wset.length, wset.keys, []
         for j, (p, _) in enumerate(cells):
@@ -132,14 +131,7 @@ def occurrences(x: Config, wset: WordSetDesc) -> frozenset[int]:
         return frozenset(i for i in starts if frozenset(
             q - i for q in heads[bisect_left(heads, i):bisect_left(heads, i + L)]
         ) in wset.layouts)
-    if isinstance(wset, NonzeroWords):
-        return frozenset(_covering_starts(x, wset.length))
-    raise IllFormedWordSet(f"unknown word set {wset!r}")
-
-
-def _covering_starts(x: Config, n: int) -> set[int]:
-    """Starts of the length-n windows that cover a nonzero cell."""
-    return set().union(*(range(p - n + 1, p + 1) for p, _ in x.cells))
+    raise IllFormedWordSet(f"no occurrence scan for {wset!r}")
 
 
 # --- permutations of word sets --------------------------------------------
@@ -328,25 +320,22 @@ def chi_sites(x: Config, spec: SafeRewrite) -> frozenset[int]:
     """Rewrite sites: U-occurrences alone within m_rad whose nearby
     V-occurrences all lie inside the rewritten block.
 
-    Both occurrence sets are sorted once: a U-occurrence is alone when its
-    two sorted neighbours are, and its nearby V-occurrences are one bisect
-    slice, which must start and end inside the block."""
+    A V-word starts at j when a marker cell (a head for the head marker,
+    any cell for the nonzero words) lies in [j, j + h); so the marker cells
+    in [i - ell, i + k + ell + h - 2], one bisect slice, must lie in
+    [i + h - 1, i + k - h]."""
     occ_u = sorted(occurrences(x, spec.U))
     if not occ_u:
         return frozenset()
-    occ_v = sorted(occurrences(x, spec.V))
-    k, h, ell, m_rad = spec.k, spec.h, spec.ell, spec.m_rad
+    marks = x.heads() if spec.V == HEAD_MARKER else x.support()
+    k, h, ell = spec.k, spec.h, spec.ell
     sites = []
-    for n, i in enumerate(occ_u):
-        if (n and i - occ_u[n - 1] <= m_rad) or (
-                n + 1 < len(occ_u) and occ_u[n + 1] - i <= m_rad):
-            continue
-        # marker occurrences within ell of EITHER block edge must lie
-        # inside the block, else a rewrite could create or destroy a
-        # U-occurrence straddling that edge
-        lo = bisect_left(occ_v, i - ell)
-        hi = bisect_right(occ_v, i + k - 1 + ell, lo)
-        if lo == hi or (occ_v[lo] >= i and occ_v[hi - 1] <= i + k - h):
+    for i in isolated(occ_u, spec.m_rad):
+        # markers within ell of EITHER block edge must lie inside the block,
+        # else a rewrite could make or break a U-word straddling that edge
+        lo = bisect_left(marks, i - ell)
+        hi = bisect_right(marks, i + k + ell + h - 2, lo)
+        if lo == hi or (marks[lo] >= i + h - 1 and marks[hi - 1] <= i + k - h):
             sites.append(i)
     return frozenset(sites)
 
@@ -390,14 +379,17 @@ def head_shift_once(x: Config, direction: int) -> Config:
     head at q the step moves the head to p = q + direction and the symbol
     it displaces from p to q; with no head it is the identity.  With two or
     more heads it is the composition of the two head-gap rewrites, TAU then
-    PI for +1, which -1 inverts exactly on every configuration."""
+    PI for +1, which -1 inverts exactly on every configuration, run on x
+    shifted to centre its support so no intermediate head nears the limit."""
     if direction not in (1, -1):
         raise DomainError("direction must be +1 or -1")
     heads = x.heads()
     if len(heads) > 1:
+        c = (x.min_pos() + x.max_pos()) // 2
+        y = shift(x, c)
         for spec in (SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC)[::direction]:
-            x = apply_safe_rewrite(x, spec)
-        return x
+            y = apply_safe_rewrite(y, spec)
+        return shift(y, -c)
     if not heads:
         return x
     q = heads[0]

@@ -8,6 +8,7 @@ returned tuple is always the exact replay result.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,18 +44,16 @@ class Reading:
 
 
 def phi_clock(x: Config) -> Optional[Reading]:
-    """Closed-form clock reading; None when the point is not clock-like."""
+    """Closed-form clock reading; None when the point is not clock-like.
+    Each wall's nearest particle on its left is found by bisect."""
     if x.is_zero():
         raise DomainError("zero point has no clock reading")
     particles, walls = tracks(x)
-    s = min((w - p for p in particles for w in walls if w - p >= 1),
+    ps = sorted(particles)
+    s = min((w - ps[n - 1] for w in walls if (n := bisect_left(ps, w))),
             default=None)
-    if s is None:
-        return None
-    hits = [w for w in walls if w - s in particles]
-    if len(hits) != 1:
-        return None
-    return Reading(hits[0], s - 1)
+    hits = [w for w in walls if w - s in particles] if s else []
+    return Reading(hits[0], s - 1) if len(hits) == 1 else None
 
 
 def _align_amount(t: TupleK) -> int:

@@ -47,9 +47,10 @@ def two_rewrite_shift(x: Config, direction: int) -> Config:
 
 
 def sym_window(x: Config, positions) -> str:
-    """The symbols of x at `positions`, in order, one `Config.sym` scan
-    each: the oracle of `Config.window`."""
-    return "".join(str(x.sym(p)) for p in positions)
+    """The symbols of x at `positions`, in order, read from a dict of its
+    cells: the oracle of `Config.window` and `Config.sym`."""
+    cells = dict(x.cells)
+    return "".join(str(cells.get(p, 0)) for p in positions)
 
 
 def dict_overwrite(x: Config, blocks) -> Config:

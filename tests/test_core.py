@@ -1,12 +1,15 @@
 """Configurations, orbits, tracks, and classification flags."""
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
                             OrbitCollision, ParseError, PositionOverflow,
                             ZeroPoint, canonical_form, classify, digit_cells,
-                            orbit_equal, shift, tracks, validate_tuple)
+                            isolated, orbit_equal, shift, tracks,
+                            validate_tuple)
 
 from conftest import dict_overwrite, from_tracks, rand_config, sym_window
 
@@ -28,6 +31,12 @@ class TestConfig:
         x = cfg(-4, "1002")
         assert x.cells == ((-4, 1), (-1, 2))
         assert x.sym(-4) == 1 and x.sym(-1) == 2 and x.sym(7) == 0
+
+    def test_sym_matches_the_cells(self, rng):
+        for _ in range(300):
+            x = rand_config(rng, span=6, max_cells=8)
+            for p in range(-8, 9):
+                assert str(x.sym(p)) == sym_window(x, [p])
 
     def test_word_trims_padding(self):
         assert cfg(-2, "00100") == cfg(0, "1")
@@ -264,3 +273,57 @@ class TestValidateTuple:
     def test_empty_tuple(self):
         with pytest.raises(DomainError, match="at least one component"):
             validate_tuple(())
+
+    def test_first_component_with_a_mate_then_its_first_mate(self):
+        a, b = cfg(0, "1"), cfg(0, "12")
+        with pytest.raises(OrbitCollision) as e:
+            validate_tuple((a, shift(b, 3), b, shift(a, -5)))
+        assert (e.value.i, e.value.j) == (0, 3)
+
+    def test_matches_the_all_pairs_oracle(self, rng):
+        # few orbits among many components, so most tuples collide
+        pool = [cfg(0, w) for w in ("1", "2", "12", "102", "3")]
+        collided = 0
+        for _ in range(500):
+            comps = [shift(rng.choice(pool), rng.randrange(-9, 10))
+                     for _ in range(rng.randrange(1, 7))]
+            want = next(((i, j) for i in range(len(comps))
+                         for j in range(i + 1, len(comps))
+                         if orbit_equal(comps[i], comps[j])), None)
+            if want is None:
+                validate_tuple(comps)
+                continue
+            with pytest.raises(OrbitCollision) as e:
+                validate_tuple(comps)
+            assert (e.value.i, e.value.j) == want
+            collided += 1
+        assert collided > 200
+
+    def test_many_components_in_linear_time(self):
+        # words of ones and twos, no zero: distinct words, distinct orbits
+        comps = [cfg(0, f"{n:b}".replace("0", "2")) for n in range(20_000)]
+        start = time.perf_counter()
+        assert len(validate_tuple(comps)) == 20_000
+        with pytest.raises(OrbitCollision) as e:
+            validate_tuple([*comps, shift(comps[-1], 7)])
+        assert time.perf_counter() - start < 1.0
+        assert (e.value.i, e.value.j) == (19_999, 20_000)
+
+
+class TestIsolated:
+    def test_matches_the_all_pairs_oracle(self, rng):
+        kept = dropped = 0
+        for _ in range(2000):
+            points = sorted(rng.sample(range(-40, 41), rng.randrange(0, 12)))
+            gap = rng.randrange(0, 12)
+            want = [q for q in points
+                    if all(abs(q - p) > gap for p in points if p != q)]
+            assert isolated(points, gap) == want, (points, gap)
+            kept += len(want)
+            dropped += len(points) - len(want)
+        assert kept > 1000 and dropped > 1000
+
+    def test_edges(self):
+        assert isolated([], 3) == [] and isolated([7], 3) == [7]
+        assert isolated([0, 3, 7], 3) == [7]
+        assert isolated([0, 4, 8], 3) == [0, 4, 8]

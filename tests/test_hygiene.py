@@ -1,6 +1,7 @@
 """Source hygiene: no module or test file imports a name it never uses,
-every top-level name of the package is referenced somewhere, and only
-`core` builds a `Config` from raw cells or bisects them.
+every top-level name of the package is referenced somewhere, only
+`core` builds a `Config` from raw cells or bisects them, and no module
+scans the occurrences of a marker set.
 
 Package `__init__.py` files are skipped by the import check (their imports
 are re-exports), as is `from __future__ import ...`.  A name counts as used
@@ -126,16 +127,22 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _calls(source: str):
+    """(name, node) of every call in the source, the name of `f(...)` and
+    of `a.f(...)` both being f."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield (func.id if isinstance(func, ast.Name)
+                   else getattr(func, "attr", "")), node
+
+
 def raw_cell_access(source: str) -> list[str]:
     """Calls of the raw `Config(...)` constructor, and bisect calls on a
     `.cells` attribute or a name `cells`: the reads and writes that
     `Config.cells_in` and `Config.overwrite` do in one place."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    for name, node in _calls(source):
         arg = node.args[0] if node.args else None
         if name == "Config":
             found.append(f"Config(...) (line {node.lineno})")
@@ -162,3 +169,27 @@ def test_checker_finds_raw_cell_access():
                          ids=lambda p: p.name)
 def test_only_core_touches_raw_cells(path):
     assert raw_cell_access(path.read_text()) == []
+
+
+def marker_occurrence_scans(source: str) -> list[str]:
+    """Calls of `occurrences` with an argument `<expr>.V`: a marker set's
+    occurrences are read off its marker cells, not scanned."""
+    return [f"occurrences of .V (line {node.lineno})"
+            for name, node in _calls(source) if name == "occurrences"
+            and any(isinstance(a, ast.Attribute) and a.attr == "V"
+                    for a in [*node.args, *(k.value for k in node.keywords)])]
+
+
+def test_checker_finds_marker_occurrence_scans():
+    source = ("a = occurrences(x, spec.V)\n"
+              "b = safety.occurrences(x, wset=self.V)\n"
+              "c = occurrences(x, spec.U)\n"
+              "d = occurrences(x, V)\n"
+              "e = chi_sites(x, spec.V)\n")
+    assert marker_occurrence_scans(source) == [
+        "occurrences of .V (line 1)", "occurrences of .V (line 2)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_scans_marker_occurrences(path):
+    assert marker_occurrence_scans(path.read_text()) == []

@@ -5,8 +5,9 @@ import itertools
 
 import pytest
 
-from fourshift import safety
-from fourshift.core import POSITION_LIMIT, Config, PositionOverflow, ZERO, shift
+from fourshift.core import (POSITION_LIMIT, Config, PositionOverflow, ZERO,
+                            digit_cells, shift)
+from fourshift.generators import HeadShift
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
 from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
@@ -48,6 +49,12 @@ def all_heads_scan(x, wset):
         q - i for q in heads if i <= q < i + L) in wset.layouts)
 
 
+def covering_starts(x, n):
+    """Starts of the length-n windows that cover a nonzero cell: the
+    occurrences of NonzeroWords(n)."""
+    return frozenset().union(*(range(p - n + 1, p + 1) for p, _ in x.cells))
+
+
 # heads at both ends of a SIGMA3_LEN window, and three heads 2 apart
 EDGE_LAYOUTS = HeadLayoutWords(SIGMA3_LEN, frozenset(map(frozenset, (
     {0}, {SIGMA3_LEN - 1}, {0, SIGMA3_LEN - 1}, {0, 2, 4}))))
@@ -66,8 +73,11 @@ class TestOccurrences:
             frozenset({0, 1})
 
     def test_nonzero_words(self):
-        # every window of length 2 touching a nonzero cell
-        assert occurrences(cfg(0, "1"), NonzeroWords(2)) == frozenset({-1, 0})
+        # every window of length 2 touching a nonzero cell; no marker rule
+        # takes the nonzero words as U, so `occurrences` does not scan them
+        assert covering_starts(cfg(0, "1"), 2) == frozenset({-1, 0})
+        with pytest.raises(IllFormedWordSet):
+            occurrences(cfg(0, "1"), NonzeroWords(2))
 
     def test_all_zero_word_rejected(self):
         with pytest.raises(IllFormedWordSet):
@@ -182,12 +192,24 @@ def pairwise_sites(occ_u, occ_v, spec):
                 if i - spec.ell <= j <= i + spec.k - 1 + spec.ell))
 
 
+def v_occurrences(x, spec):
+    """The V-occurrences of x, window by window: the explicit scan of {3}
+    for the head marker, the windows over a nonzero cell for the nonzero
+    words."""
+    if isinstance(spec.V, NonzeroWords):
+        return covering_starts(x, spec.h)
+    return occurrences(x, ExplicitWords.of(["3"]))
+
+
+def swap_spec(a, b):
+    return make_zero_padded_spec([a, b], [(a, b), (b, a)])
+
+
 # (U, V) rewrites with small radii: the head marker at k = 3, and the
-# nonzero words at h = 1 and h = 2
-EDGE_SPECS = (demo_spec(),
-              make_zero_padded_spec(["010", "020"], [("010", "020"), ("020", "010")]),
-              make_zero_padded_spec(["001000", "002000"],
-                                    [("001000", "002000"), ("002000", "001000")]))
+# nonzero words at h = 1, 2 and 3
+EDGE_SPECS = (demo_spec(), swap_spec("010", "020"),
+              swap_spec("001000", "002000"),
+              swap_spec("000120000", "000210000"))
 
 
 class TestChiSites:
@@ -203,35 +225,46 @@ class TestChiSites:
                     cells[p] = rng.choice((1, 2, 3, 3))
                 x = Config.from_cells(cells)
                 want = pairwise_sites(occurrences(x, spec.U),
-                                      occurrences(x, spec.V), spec)
+                                      v_occurrences(x, spec), spec)
                 assert chi_sites(x, spec) == want, (x, spec)
                 sites += len(want)
         assert sites > 100
 
-    def test_edges_of_the_radii(self, rng, monkeypatch):
-        # synthetic occurrence sets: U-occurrences m_rad or m_rad + 1 apart,
-        # V-occurrences on both sides of each edge of the block and of the
-        # ell band around it
+    def test_edges_of_the_radii(self, rng):
+        # U-words m_rad - 1 .. m_rad + 2 apart; next to each, marker cells
+        # on both sides of each edge of the marker band [i - ell,
+        # i + k + ell + h - 2] and of the block core [i + h - 1, i + k - h].
+        # A head gets a random right neighbour, which may spoil a U-word or
+        # make one; a nonzero-word marker is any nonzero cell, mostly a head,
+        # which makes no zero-padded word
         for spec in EDGE_SPECS:
             k, h, ell, m_rad = spec.k, spec.h, spec.ell, spec.m_rad
-            edges = (-ell - 1, -ell, -1, 0, k - h, k - h + 1,
-                     k - 1 + ell, k + ell)
+            edges = (-ell - 1, -ell, h - 2, h - 1, k - h, k - h + 1,
+                     k + ell + h - 2, k + ell + h - 1)
+            words = sorted(spec.U.words)
             kept = dropped = 0
-            for _ in range(400):
-                occ_u, i = [], 0
-                for _ in range(rng.randrange(1, 8)):
-                    i += rng.choice((1, m_rad - 1, m_rad, m_rad + 1, m_rad + 2))
-                    occ_u.append(i)
-                occ_v = {i + rng.choice(edges)
-                         for i in occ_u for _ in range(rng.randrange(0, 3))}
-                sets = {spec.U: frozenset(occ_u), spec.V: frozenset(occ_v)}
-                monkeypatch.setattr(safety, "occurrences",
-                                    lambda x, wset: sets[wset])
-                want = pairwise_sites(sets[spec.U], sets[spec.V], spec)
-                assert chi_sites(cfg(0, "3"), spec) == want, (occ_u, occ_v)
+            for _ in range(500):
+                cells, starts, i = {}, [], 0
+                for _ in range(rng.randrange(1, 6)):
+                    i += rng.choice((m_rad - 1, m_rad, m_rad + 1, m_rad + 2))
+                    starts.append(i)
+                    cells.update(digit_cells(i, rng.choice(words)))
+                for i in starts:
+                    for _ in range(rng.randrange(0, 3)):
+                        p = i + rng.choice(edges)
+                        if spec.V == HEAD_MARKER:
+                            cells.setdefault(p, 3)
+                            cells.setdefault(p + 1, rng.randrange(3))
+                        else:
+                            cells.setdefault(p, rng.choice((1, 2, 3, 3)))
+                x = Config.from_cells(cells)
+                occ_u = occurrences(x, spec.U)
+                want = pairwise_sites(occ_u, v_occurrences(x, spec), spec)
+                assert chi_sites(x, spec) == want, (x, spec)
                 kept += len(want)
-                dropped += len(occ_u) - len(want)
-            assert kept > 100 and dropped > 100
+                # alone within m_rad, but a marker is out of place
+                dropped += len(pairwise_sites(occ_u, (), spec) - want)
+            assert kept > 100 and dropped > 100, (spec, kept, dropped)
 
     def test_single_site(self):
         assert chi_sites(cfg(1, "3"), demo_spec()) == frozenset({0})
@@ -439,6 +472,62 @@ class TestHeadShift:
             with pytest.raises(PositionOverflow):
                 step(x, out)
             assert step(x, -out) == Config.from_cells({q - out: 3})
+
+    @pytest.mark.parametrize("cells, direction, want", [
+        pytest.param({-100: 3, -1: 3, 0: 1}, 1, {-99: 3, -1: 1, 0: 3},
+                     id="right"),
+        pytest.param({-100: 3, -2: 2, -1: 3}, -1, {-101: 3, -2: 3, -1: 2},
+                     id="left"),
+    ])
+    def test_several_heads_next_to_the_limit(self, cells, direction, want):
+        # heads at most two cells inside the limit: the two rewrites on the
+        # configuration itself write a head past it, on the centred one not
+        L = POSITION_LIMIT
+        x = Config.from_cells({L + p: s for p, s in cells.items()})
+        want = Config.from_cells({L + p: s for p, s in want.items()})
+        assert head_shift_once(x, direction) == want
+        assert HeadShift(direction).apply(x) == want
+        with pytest.raises(PositionOverflow):
+            two_rewrite_shift(x, direction)
+
+    @pytest.mark.parametrize("q", [POSITION_LIMIT, -POSITION_LIMIT])
+    def test_several_heads_at_the_position_limit(self, q):
+        out = 1 if q > 0 else -1
+        x = Config.from_cells({q: 3, q - 100 * out: 3})
+        with pytest.raises(PositionOverflow):
+            head_shift_once(x, out)
+        with pytest.raises(PositionOverflow):
+            HeadShift(out).apply(x)
+        assert head_shift_once(x, -out) == \
+            Config.from_cells({q - out: 3, q - 101 * out: 3})
+
+    def test_several_heads_commute_with_the_shift(self, rng):
+        # 2-3 heads 1-5 or 47-50 apart, moved to end within two cells of
+        # either limit: the step there is the shifted step near 0, or an
+        # overflow where that leaves the range
+        L, results = POSITION_LIMIT, [0, 0]
+        for _ in range(600):
+            cells, p = {}, 0
+            for _ in range(rng.choice((2, 3))):
+                cells[p] = 3
+                cells.setdefault(p + 1, rng.randrange(3))
+                p += rng.choice((1, 2, 3, 4, 5, 47, 48, 49, 50))
+            x = Config.from_cells(cells)
+            for direction in (1, -1):
+                near = two_rewrite_shift(x, direction)
+                for n in (x.max_pos() - L + rng.randrange(3),
+                          x.min_pos() + L - rng.randrange(3)):
+                    far = shift(x, n)
+                    try:
+                        want = shift(near, n)
+                    except PositionOverflow:
+                        with pytest.raises(PositionOverflow):
+                            head_shift_once(far, direction)
+                        results[0] += 1
+                    else:
+                        assert head_shift_once(far, direction) == want
+                        results[1] += 1
+        assert min(results) > 100, results
 
     def test_step_law_needs_only_the_new_head_position(self):
         # the two rewrites pass through a second head at q + 1 + a, so near

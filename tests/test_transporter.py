@@ -1,10 +1,11 @@
 """Clock readings, the good / great / canonical stages, and transport."""
 
+import time
 from pathlib import Path
 
 import pytest
 
-from fourshift.core import (Config, ZERO, DomainError, classify, shift,
+from fourshift.core import (Config, ZERO, DomainError, classify, shift, tracks,
                             validate_tuple)
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift, Particle,
                                   TransportWord, apply_instruction,
@@ -47,6 +48,18 @@ def phi_bruteforce(x):
     return None
 
 
+def phi_pairwise(x):
+    """The closed form over every particle-wall pair: the oracle of
+    `phi_clock`."""
+    particles, walls = tracks(x)
+    s = min((w - p for p in particles for w in walls if w - p >= 1),
+            default=None)
+    if s is None:
+        return None
+    hits = [w for w in walls if w - s in particles]
+    return Reading(hits[0], s - 1) if len(hits) == 1 else None
+
+
 class TestPhiClock:
     def test_demo_component(self):
         assert phi_clock(cfg(-2, "1122")) == Reading(0, 0)
@@ -67,6 +80,25 @@ class TestPhiClock:
             if any(s == 3 for _, s in x.cells):
                 continue  # the oracle counts from a head-free start
             assert phi_clock(x) == phi_bruteforce(x)
+
+    def test_matches_the_pairwise_form(self, rng):
+        # heads included: a head is a particle and a wall at one cell
+        readings = with_heads = 0
+        for _ in range(2000):
+            x = rand_config(rng, span=rng.choice((4, 9, 40)),
+                            max_cells=rng.randrange(1, 13))
+            want = phi_pairwise(x)
+            assert phi_clock(x) == want, x
+            readings += want is not None
+            with_heads += bool(x.heads())
+        assert readings > 500 and with_heads > 500
+
+    def test_long_run_in_linear_time(self):
+        n = 20_000
+        x = cfg(0, "1" * n + "2" * n)
+        start = time.perf_counter()
+        assert phi_clock(x) == Reading(n, 0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMakeGood:
