@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, FileNotFoundError, ValueError) as exc:
+    except (DomainError, OSError, ValueError) as exc:  # OSError: any path
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # e.g. a dense row over a span of 2^62 cells

@@ -130,7 +130,7 @@ class Config:
 
     def heads(self) -> tuple[int, ...]:
         """Positions of the head cells, in increasing order."""
-        return tuple(p for p, s in self.cells if s == HEAD)
+        return tuple([p for p, s in self.cells if s == HEAD])
 
     def sym(self, p: int) -> int:
         cell = self.cells_in(p, p + 1)
@@ -174,6 +174,54 @@ class Config:
             lo, end = bisect_left(cells, (stop,), i), stop
         kept += cells[lo:]
         return Config(tuple(kept))
+
+    def swap(self, q: int, p: int) -> "Config":
+        """This configuration with the symbols at q, which holds a cell,
+        and at its neighbour p = q +- 1 exchanged: one splice at q's index.
+        Only p is range-checked, q being a stored position; anything else
+        raises DomainError."""
+        cells = self.cells
+        i = bisect_left(cells, (q,))
+        if abs(p - q) != 1 or i == len(cells) or cells[i][0] != q:
+            raise DomainError(f"no cell at {q} to swap with its neighbour {p}")
+        s, a = cells[i][1], self.sym(_check_pos(p))
+        if not a:
+            return Config((*cells[:i], (p, s), *cells[i + 1:]))
+        if p > q:
+            return Config((*cells[:i], (q, a), (p, s), *cells[i + 2:]))
+        return Config((*cells[:i - 1], (p, s), (q, a), *cells[i + 1:]))
+
+    def move_particles(self, e: int) -> "Config":
+        """P^e: each particle bit moved from p to p - e, wall bits kept.
+        The two tracks are split in one pass and merged again, a particle
+        landing on a wall making a head; the move keeps the order, so only
+        the moved track's two ends are range-checked."""
+        moved, walls = [], []
+        for p, s in self.cells:
+            if s != WALL:
+                moved.append(p - e)
+            if s != PARTICLE:
+                walls.append(p)
+        if moved:
+            _check_pos(moved[0])
+            _check_pos(moved[-1])
+        cells, j, n = [], 0, len(walls)
+        for p in moved:
+            while j < n and walls[j] < p:
+                cells.append((walls[j], WALL))
+                j += 1
+            if j < n and walls[j] == p:
+                cells.append((p, HEAD))
+                j += 1
+            else:
+                cells.append((p, PARTICLE))
+        cells += [(w, WALL) for w in walls[j:]]
+        return Config(tuple(cells))
+
+    def relabel(self, img: Sequence[int]) -> "Config":
+        """Each symbol s replaced by img[s], positions kept; img must be a
+        permutation of 0-3 fixing 0, which is not checked here."""
+        return Config(tuple([(p, img[s]) for p, s in self.cells]))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.cells)
@@ -234,9 +282,11 @@ def isolated(points: Sequence[int], gap: int) -> list[int]:
 
 def shift(x: Config, n: int) -> Config:
     """The shift power sigma^n: the result holds x's symbol from i+n at i."""
-    if n == 0:
+    if n == 0 or not x.cells:
         return x
-    return Config(tuple((_check_pos(p - n), s) for p, s in x.cells))
+    _check_pos(x.cells[0][0] - n)
+    _check_pos(x.cells[-1][0] - n)
+    return Config(tuple([(p - n, s) for p, s in x.cells]))
 
 
 def canonical_form(x: Config) -> tuple[Config, int]:

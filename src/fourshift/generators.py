@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import get_args
 
 from . import safety
-from .core import (HEAD, PARTICLE, WALL, Config, DomainError, ParseError,
-                   TupleK, digit_cells, emit_runs, isolated, json_int,
-                   parse_runs)
+from .core import (HEAD, Config, DomainError, ParseError, TupleK, digit_cells,
+                   emit_runs, isolated, json_int, parse_runs)
 from .permbuild import WordPerm
 from .safety import SafeRewrite
 
@@ -40,16 +39,12 @@ class Particle:
     e: int
     OP = "P"
 
+    def __post_init__(self):
+        if type(self.e) is not int:
+            raise IllFormedInstruction(f"particle move {self.e!r} is not an int")
+
     def apply(self, x: Config) -> Config:
-        """One pass: wall bits stay put, particle bits move to p - e."""
-        cells = {}
-        for p, s in x.cells:
-            if s & WALL:
-                cells[p] = cells.get(p, 0) | WALL
-            if s & PARTICLE:
-                q = p - self.e
-                cells[q] = cells.get(q, 0) | PARTICLE
-        return Config.from_cells(cells)
+        return x.move_particles(self.e)
 
     def inverse(self) -> "Particle":
         return Particle(-self.e)
@@ -75,7 +70,7 @@ class SymbolPerm:
             raise IllFormedInstruction(f"not a 0-fixing symbol permutation: {self.img}")
 
     def apply(self, x: Config) -> Config:
-        return Config.from_cells((p, self.img[s]) for p, s in x.cells)
+        return x.relabel(self.img)
 
     def inverse(self) -> "SymbolPerm":
         return SymbolPerm(tuple(self.img.index(s) for s in range(4)))

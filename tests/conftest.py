@@ -5,13 +5,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from fourshift.core import (HEAD, PARTICLE, WALL, Config, DomainError, TupleK,
+from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, Config,
+                            DomainError, PositionOverflow, TupleK,
                             validate_tuple)
 from fourshift.generators import HeadLocal
 from fourshift.permbuild import WordPerm, parity
 from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
                               apply_safe_rewrite)
+
+
+# Up to six nonzero cells, each near one end of the position range or near 0.
+edge_cells = st.dictionaries(
+    st.integers(-POSITION_LIMIT, 8 - POSITION_LIMIT) | st.integers(-8, 8)
+    | st.integers(POSITION_LIMIT - 8, POSITION_LIMIT),
+    st.integers(1, 3), max_size=6)
 
 
 def rand_config(rng: random.Random, span: int = 8, max_cells: int = 5,
@@ -63,6 +72,29 @@ def dict_overwrite(x: Config, blocks) -> Config:
             if ch != "0":
                 cells[p] = int(ch)
     return Config.from_cells(cells)
+
+
+def from_cells_relabel(x: Config, img) -> Config:
+    """x with each symbol s replaced by img[s], every cell checked again by
+    `Config.from_cells`: the oracle of `Config.relabel`."""
+    return Config.from_cells((p, img[s]) for p, s in x.cells)
+
+
+def from_cells_shift(x: Config, n: int) -> Config:
+    """sigma^n of x with every moved cell checked by `Config.from_cells`:
+    the oracle of `core.shift`."""
+    return Config.from_cells((p - n, s) for p, s in x.cells)
+
+
+def same_or_overflow(fast, oracle, *args) -> None:
+    """fast(*args) == oracle(*args), or both raise PositionOverflow."""
+    try:
+        want = oracle(*args)
+    except PositionOverflow:
+        with pytest.raises(PositionOverflow):
+            fast(*args)
+    else:
+        assert fast(*args) == want
 
 
 def from_tracks(particles, walls) -> Config:

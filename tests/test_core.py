@@ -11,7 +11,8 @@ from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
                             isolated, orbit_equal, shift, tracks,
                             validate_tuple)
 
-from conftest import dict_overwrite, from_tracks, rand_config, sym_window
+from conftest import (dict_overwrite, edge_cells, from_cells_shift,
+                      from_tracks, rand_config, same_or_overflow, sym_window)
 
 
 def cfg(offset: int, digits: str) -> Config:
@@ -37,6 +38,22 @@ class TestConfig:
             x = rand_config(rng, span=6, max_cells=8)
             for p in range(-8, 9):
                 assert str(x.sym(p)) == sym_window(x, [p])
+
+    @given(configs, st.integers(-20, 20), st.sampled_from([1, -1]))
+    def test_swap_matches_the_dict_form(self, x, q, direction):
+        x = Config.from_cells({**x.as_dict(), q: 3})
+        p = q + direction
+        assert x.swap(q, p) == dict_overwrite(x, [([q, p], sym_window(x, [p, q]))])
+
+    @pytest.mark.parametrize("q, p", [(0, 2), (0, 0), (1, 2), (1, 0)])
+    def test_swap_needs_a_cell_and_a_neighbour(self, q, p):
+        with pytest.raises(DomainError):
+            cfg(0, "3").swap(q, p)
+
+    @pytest.mark.parametrize("q", [POSITION_LIMIT, -POSITION_LIMIT])
+    def test_swap_past_the_limit_overflows(self, q):
+        with pytest.raises(PositionOverflow):
+            Config.from_cells({q: 3}).swap(q, q + (1 if q > 0 else -1))
 
     def test_word_trims_padding(self):
         assert cfg(-2, "00100") == cfg(0, "1")
@@ -186,6 +203,12 @@ class TestShift:
     @given(configs, st.integers(-50, 50), st.integers(-50, 50))
     def test_additive(self, x, a, b):
         assert shift(shift(x, a), b) == shift(x, a + b)
+
+    @given(st.builds(Config.from_cells, edge_cells),
+           st.integers(-20, 20) | st.integers(-2**63, 2**63))
+    def test_matches_the_from_cells_form(self, x, n):
+        # either end of the support may cross the limit, the other not
+        same_or_overflow(shift, from_cells_shift, x, n)
 
 
 class TestOrbit:

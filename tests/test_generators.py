@@ -5,8 +5,9 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from fourshift.core import (POSITION_LIMIT, Config, PositionOverflow, ZERO,
-                            shift, tracks, validate_tuple)
+from fourshift.core import (POSITION_LIMIT, Config, DomainError,
+                            PositionOverflow, ZERO, shift, tracks,
+                            validate_tuple)
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
                                   IllFormedInstruction, Particle, SymbolPerm,
                                   TransportWord, apply_instruction, apply_word,
@@ -14,9 +15,9 @@ from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
 from fourshift.permbuild import WordPerm, build_mapping_perm
 from fourshift.safety import make_explicit_spec
 
-from conftest import (dense, dict_overwrite, from_tracks, head_local,
-                      rand_config, rand_tuple, sym_window, two_rewrite_shift,
-                      window)
+from conftest import (dense, dict_overwrite, edge_cells, from_cells_relabel,
+                      from_tracks, head_local, rand_config, rand_tuple,
+                      same_or_overflow, sym_window, two_rewrite_shift, window)
 
 
 def cfg(offset, digits):
@@ -55,6 +56,12 @@ class TestApplyInstruction:
     def test_symbol_perm(self):
         assert apply_instruction(cfg(0, "22"), SWAP_23) == \
             cfg(0, "33")
+
+    @pytest.mark.parametrize("e", [1.0, 0.5, True, False, "1", None])
+    def test_particle_move_must_be_an_int(self, e):
+        # a bool is no move, though it subtracts as 0 or 1
+        with pytest.raises(DomainError):
+            Particle(e)
 
     def test_symbol_perm_must_fix_zero(self):
         with pytest.raises(IllFormedInstruction):
@@ -100,6 +107,30 @@ class TestParticleOracle:
     def test_particle_past_the_limit_overflows(self, q, e, s):
         with pytest.raises(PositionOverflow):
             Particle(e).apply(Config.from_cells({q: s}))
+
+
+class TestParticleNearTheLimit:
+    """Particle.apply checks only the moved track's two ends: the track join
+    checks every cell."""
+
+    @given(edge_cells, st.integers(-20, 20))
+    def test_matches_the_track_join_or_overflows(self, cells, e):
+        x = Config.from_cells(cells)
+        particles, walls = tracks(x)
+        same_or_overflow(
+            Particle(e).apply,
+            lambda x: from_tracks((p - e for p in particles), walls), x)
+
+
+class TestSymbolPermOracle:
+    """SymbolPerm.apply against its oracle, the relabelled cells checked
+    again by Config.from_cells."""
+
+    @given(st.dictionaries(st.integers(-30, 30), st.integers(1, 3), max_size=12),
+           st.permutations([1, 2, 3]))
+    def test_matches_the_from_cells_form(self, cells, img):
+        x, img = Config.from_cells(cells), (0, *img)
+        assert SymbolPerm(img).apply(x) == from_cells_relabel(x, img)
 
 
 class TestHeadShift:

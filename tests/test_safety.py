@@ -4,6 +4,7 @@ spec checks when built, and the simulated head shift."""
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fourshift.core import (POSITION_LIMIT, Config, PositionOverflow, ZERO,
                             digit_cells, shift)
@@ -472,6 +473,37 @@ class TestHeadShift:
             with pytest.raises(PositionOverflow):
                 step(x, out)
             assert step(x, -out) == Config.from_cells({q - out: 3})
+
+    @given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 47, 48, 49, 50, 100]),
+                    min_size=1, max_size=3),
+           st.dictionaries(st.integers(-4, 304), st.integers(0, 2), max_size=12),
+           st.sampled_from([1, -1]))
+    def test_several_heads_match_the_two_rewrites(self, gaps, near, direction):
+        # 2-4 heads: those more than m_rad = 48 cells from every other head
+        # each step by the lone-head law, closer ones by the two rewrites
+        heads = list(itertools.accumulate([0, *gaps]))
+        x = Config.from_cells({**near, **dict.fromkeys(heads, 3)})
+        assert head_shift_once(x, direction) == two_rewrite_shift(x, direction)
+
+    @pytest.mark.parametrize("q", [POSITION_LIMIT - 1, 1 - POSITION_LIMIT])
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("left, right", itertools.product(range(3), repeat=2))
+    def test_lone_head_splice_next_to_the_limit(self, q, direction, left, right):
+        # the two rewrites run near 0 and shifted back, as they may pass
+        # through a head past the limit where the step itself does not
+        x = Config.from_cells({q - 1: left, q: 3, q + 1: right})
+        assert head_shift_once(x, direction) == \
+            shift(two_rewrite_shift(shift(x, q), direction), -q)
+
+    def test_isolated_heads_across_the_whole_range(self):
+        L = POSITION_LIMIT
+        x = Config.from_cells({-L: 3, L - 1: 3, L: 1})
+        y = Config.from_cells({1 - L: 3, L - 1: 1, L: 3})
+        assert head_shift_once(x, 1) == HeadShift(1).apply(x) == y
+        assert head_shift_once(y, -1) == x
+        for z, out in ((x, -1), (y, 1)):
+            with pytest.raises(PositionOverflow):
+                head_shift_once(z, out)
 
     @pytest.mark.parametrize("cells, direction, want", [
         pytest.param({-100: 3, -1: 3, 0: 1}, 1, {-99: 3, -1: 1, 0: 3},

@@ -337,6 +337,36 @@ class TestWordFiles:
             assert wp.apply(tuple(parse_runs(s))) == tuple(parse_runs(d))
 
 
+class TestReplayChecksNoCellTwice:
+    """Every cell was checked when its tuple was read, so replay builds each
+    instruction's image without the full check of `Config.from_cells`."""
+
+    @staticmethod
+    def refuse_from_cells(monkeypatch):
+        def refused(cells):
+            raise AssertionError("an image went through Config.from_cells")
+        monkeypatch.setattr(Config, "from_cells", refused)
+
+    def test_all_ops_word(self, rng, monkeypatch):
+        word = parse_word(GOLDEN.read_text())
+        xs = [rand_config(rng, span=12, max_cells=6) for _ in range(300)]
+        want = [apply_word(x, word) for x in xs]
+        assert sum(y != x for x, y in zip(xs, want)) > 250
+        self.refuse_from_cells(monkeypatch)
+        assert [apply_word(x, word) for x in xs] == want
+
+    def test_transport_words(self, rng, monkeypatch):
+        cases = []
+        for _ in range(30):
+            k = rng.randrange(1, 5)
+            src, dst = rand_tuple(rng, k), rand_tuple(rng, k)
+            cases.append((src, transport(src, dst), dst))
+        self.refuse_from_cells(monkeypatch)
+        for src, word, dst in cases:
+            assert apply_word(src, word) == dst
+            assert apply_word(dst, invert_word(word)) == src
+
+
 @pytest.fixture
 def demo_files(tmp_path):
     src = tmp_path / "src.tuple"
@@ -375,6 +405,23 @@ class TestCli:
         dst.write_text("@0:1\n@0:2\n")
         assert main(["transport", "--src", str(src), "--dst", str(dst),
                      "-o", str(tmp_path / "w.json")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["apply", "--src", "{dir}", "--word", "{word}"],
+        ["apply", "--src", "{src}", "--word", "{dir}"],
+        ["apply", "--src", "{src}", "--word", "{word}", "-o", "{dir}"],
+        ["transport", "--src", "{src}", "--dst", "{dst}", "-o", "{dir}"]],
+        ids=["apply-src", "apply-word", "apply-output", "transport-output"])
+    def test_directory_path_exit_2(self, demo_files, capsys, argv):
+        src, dst, tmp = demo_files
+        word = tmp / "w.json"
+        word.write_text("[]")
+        paths = {"dir": tmp, "src": src, "dst": dst, "word": word}
+        assert main([a.format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: IsADirectoryError")
+        assert captured.err.count("\n") == 1
 
     def test_verify_detects_tampering(self, demo_files):
         src, dst, tmp = demo_files
