@@ -175,21 +175,32 @@ class Config:
         kept += cells[lo:]
         return Config(tuple(kept))
 
-    def swap(self, q: int, p: int) -> "Config":
-        """This configuration with the symbols at q, which holds a cell,
-        and at its neighbour p = q +- 1 exchanged: one splice at q's index.
-        Only p is range-checked, q being a stored position; anything else
-        raises DomainError."""
-        cells = self.cells
-        i = bisect_left(cells, (q,))
-        if abs(p - q) != 1 or i == len(cells) or cells[i][0] != q:
-            raise DomainError(f"no cell at {q} to swap with its neighbour {p}")
-        s, a = cells[i][1], self.sym(_check_pos(p))
-        if not a:
-            return Config((*cells[:i], (p, s), *cells[i + 1:]))
-        if p > q:
-            return Config((*cells[:i], (q, a), (p, s), *cells[i + 2:]))
-        return Config((*cells[:i - 1], (p, s), (q, a), *cells[i + 1:]))
+    def swap(self, qs: Iterable[int], d: int) -> "Config":
+        """This configuration with the symbols at each q of qs, which holds
+        a cell, and at its neighbour p = q + d exchanged, d being +-1: one
+        splice at q's index, p read by `sym`.  The qs come in increasing
+        order at least two apart, so no two splices meet.  Only each p is
+        range-checked, q being a stored position; anything else raises
+        DomainError."""
+        if d not in (1, -1):
+            raise DomainError(f"swap direction {d!r} is not +-1")
+        cells, kept, lo, prev = self.cells, [], 0, -math.inf
+        for q in qs:
+            i = bisect_left(cells, (q,), lo)
+            if q < prev + 2 or i == len(cells) or cells[i][0] != q:
+                raise DomainError(f"no cell at {q} to swap, or it is out of "
+                                  f"order or within one cell of {prev}")
+            p, s = _check_pos(q + d), cells[i][1]
+            a = self.sym(p)
+            if a and d < 0:
+                kept += cells[lo:i - 1]
+                kept += ((p, s), (q, a))
+            else:
+                kept += cells[lo:i]
+                kept += ((q, a), (p, s)) if a else ((p, s),)
+            lo, prev = i + (2 if a and d > 0 else 1), q
+        kept += cells[lo:]
+        return Config(tuple(kept))
 
     def move_particles(self, e: int) -> "Config":
         """P^e: each particle bit moved from p to p - e, wall bits kept.

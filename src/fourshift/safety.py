@@ -20,8 +20,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
-from .core import (CELLS, HEAD, Config, DomainError, digit_cells, isolated,
-                   json_int, shift)
+from .core import (CELLS, Config, DomainError, digit_cells, isolated, json_int,
+                   shift)
 from .permbuild import WordPerm
 
 SIGMA_SIZE = 4
@@ -378,30 +378,21 @@ def head_shift_once(x: Config, direction: int) -> Config:
     """One step of the simulated shift.  With no head it is the identity.
     Where every head is isolated, no other head within m_rad cells, each
     head follows the step law: the head at q moves to p = q + direction
-    and the symbol it displaces moves from p to q, read by `Config.sym`.
-    A lone head steps by one `Config.swap` splice; several isolated heads
-    by one `Config.overwrite` holding a two-cell block per head.  Heads
-    closer than that step by the composition of the two head-gap
-    rewrites, TAU then PI for +1, which -1 inverts exactly on every
-    configuration, run on x shifted to centre its support so no
-    intermediate head nears the limit."""
+    and the symbol it displaces moves from p to q, all by one
+    `Config.swap` with a splice per head.  Heads closer than that step by
+    the composition of the two head-gap rewrites, TAU then PI for +1,
+    which -1 inverts exactly on every configuration, run on x shifted to
+    centre its support so no intermediate head nears the limit."""
     if direction not in (1, -1):
         raise DomainError("direction must be +1 or -1")
     heads = x.heads()
     if not heads:
         return x
-    if len(heads) == 1:
-        return x.swap(heads[0], heads[0] + direction)
-    if len(isolated(heads, SIGMA3_TAU_SPEC.m_rad)) < len(heads):
-        c = (x.min_pos() + x.max_pos()) // 2
-        y = shift(x, c)
-        for spec in (SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC)[::direction]:
-            y = apply_safe_rewrite(y, spec)
-        return shift(y, -c)
-    blocks = []
-    for q in heads:
-        p = q + direction
-        a = x.sym(p)
-        blocks.append((min(p, q), max(p, q) + 1,
-                       sorted([(q, a), (p, HEAD)] if a else [(p, HEAD)])))
-    return x.overwrite(blocks)
+    if (len(heads) == 1
+            or len(isolated(heads, SIGMA3_TAU_SPEC.m_rad)) == len(heads)):
+        return x.swap(heads, direction)
+    c = (x.min_pos() + x.max_pos()) // 2
+    y = shift(x, c)
+    for spec in (SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC)[::direction]:
+        y = apply_safe_rewrite(y, spec)
+    return shift(y, -c)

@@ -1,5 +1,6 @@
 """Configurations, orbits, tracks, and classification flags."""
 
+import itertools
 import time
 
 import pytest
@@ -39,21 +40,28 @@ class TestConfig:
             for p in range(-8, 9):
                 assert str(x.sym(p)) == sym_window(x, [p])
 
-    @given(configs, st.integers(-20, 20), st.sampled_from([1, -1]))
-    def test_swap_matches_the_dict_form(self, x, q, direction):
-        x = Config.from_cells({**x.as_dict(), q: 3})
-        p = q + direction
-        assert x.swap(q, p) == dict_overwrite(x, [([q, p], sym_window(x, [p, q]))])
+    @given(configs, st.integers(-20, 20),
+           st.lists(st.integers(2, 6), max_size=3), st.sampled_from([1, -1]))
+    def test_swap_matches_the_dict_form(self, x, q, gaps, direction):
+        qs = list(itertools.accumulate([q, *gaps]))
+        x = Config.from_cells({**x.as_dict(), **dict.fromkeys(qs, 3)})
+        blocks = [([q, q + direction], sym_window(x, [q + direction, q]))
+                  for q in qs]
+        assert x.swap(qs, direction) == dict_overwrite(x, blocks)
 
-    @pytest.mark.parametrize("q, p", [(0, 2), (0, 0), (1, 2), (1, 0)])
-    def test_swap_needs_a_cell_and_a_neighbour(self, q, p):
+    @pytest.mark.parametrize("qs, d", [([3], 1), ([0], 2), ([0], 0), ([0, 1], 1),
+                                       ([0, 1], -1), ([2, 0], 1), ([0, 0], 1)])
+    def test_swap_needs_a_cell_and_a_neighbour(self, qs, d):
+        # no cell at q, a step other than +-1, or qs out of order or
+        # closer than two cells, so that two splices would meet
         with pytest.raises(DomainError):
-            cfg(0, "3").swap(q, p)
+            cfg(0, "313").swap(qs, d)
 
     @pytest.mark.parametrize("q", [POSITION_LIMIT, -POSITION_LIMIT])
     def test_swap_past_the_limit_overflows(self, q):
+        x = Config.from_cells({q: 3, -q // 2: 3})
         with pytest.raises(PositionOverflow):
-            Config.from_cells({q: 3}).swap(q, q + (1 if q > 0 else -1))
+            x.swap(sorted((q, -q // 2)), 1 if q > 0 else -1)
 
     def test_word_trims_padding(self):
         assert cfg(-2, "00100") == cfg(0, "1")
