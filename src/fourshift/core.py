@@ -202,6 +202,36 @@ class Config:
         kept += cells[lo:]
         return Config(tuple(kept))
 
+    def slide(self, e: int) -> "Config":
+        """Every head moved e cells, and every other cell moved back one
+        cell for each head that passes it: the compressed-tape law.  With
+        the heads dropped, the other cells form a tape that stays as it
+        is; a head at q with i heads before it sits just before tape cell
+        q - i, and that insertion point advances by e.  Only the cells
+        between the first and the last head's paths move, and only the
+        heads' end positions are range-checked: a passed cell lands on a
+        cell some head walked over."""
+        heads = self.heads()
+        if not e or not heads:
+            return self
+        _check_pos(heads[0] + e)
+        _check_pos(heads[-1] + e)
+        cells, n = self.cells, len(heads)
+        lo = bisect_left(cells, (min(heads[0], heads[0] + e),))
+        hi = bisect_left(cells, (max(heads[-1], heads[-1] + e) + 1,), lo)
+        ends = [q + e - i for i, q in enumerate(heads)]  # new insertion points
+        mid, i, j = [(q + e, HEAD) for q in heads], 0, 0
+        for p, s in cells[lo:hi]:
+            if s == HEAD:
+                i += 1  # the heads in the block are heads[0 .. n - 1]
+                continue
+            c = p - i  # the cell's place on the tape
+            while j < n and ends[j] <= c:
+                j += 1
+            mid.append((c + j, s))
+        mid.sort()
+        return Config(cells[:lo] + tuple(mid) + cells[hi:])
+
     def move_particles(self, e: int) -> "Config":
         """P^e: each particle bit moved from p to p - e, wall bits kept.
         The two tracks are split in one pass and merged again, a particle

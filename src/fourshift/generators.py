@@ -167,14 +167,29 @@ class HeadShift:
     e: int
     OP = "HS"
 
+    def __post_init__(self):
+        if type(self.e) is not int:
+            raise IllFormedInstruction(f"head shift {self.e!r} is not an int")
+
     def apply(self, x: Config) -> Config:
+        """The first step by `safety.head_shift_once`; then, when every
+        head is isolated, the other |e| - 1 in one `Config.slide`, since
+        a step keeps the heads' spacing.  Heads within m_rad cells of
+        another keep stepping one cell at a time."""
+        if not self.e:
+            return x
         step = 1 if self.e > 0 else -1
-        for _ in range(abs(self.e)):
-            y = safety.head_shift_once(x, step)
-            if y == x:  # a fixed point of one step is fixed by every power
-                return x
-            x = y
-        return x
+        y = safety.head_shift_once(x, step)
+        if y == x:  # a fixed point of one step is fixed by every power
+            return x
+        heads = y.heads()
+        if len(isolated(heads, safety.SIGMA3_TAU_SPEC.m_rad)) == len(heads):
+            return y.slide(self.e - step)
+        for _ in range(abs(self.e) - 1):
+            x, y = y, safety.head_shift_once(y, step)
+            if y == x:
+                break
+        return y
 
     def inverse(self) -> "HeadShift":
         return HeadShift(-self.e)

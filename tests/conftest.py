@@ -13,7 +13,7 @@ from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, Config,
 from fourshift.generators import HeadLocal
 from fourshift.permbuild import WordPerm, parity
 from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
-                              apply_safe_rewrite)
+                              apply_safe_rewrite, head_shift_once)
 
 
 # Up to six nonzero cells, each near one end of the position range or near 0.
@@ -53,6 +53,36 @@ def two_rewrite_shift(x: Config, direction: int) -> Config:
     first, second = ((SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC) if direction == 1
                      else (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC))
     return apply_safe_rewrite(apply_safe_rewrite(x, first), second)
+
+
+def stepwise_head_shift(x: Config, e: int) -> Config:
+    """HeadShift(e) as |e| steps of `safety.head_shift_once`, stopping at
+    the first step that changes nothing: the oracle of `HeadShift.apply`."""
+    step = 1 if e > 0 else -1
+    for _ in range(abs(e)):
+        y = head_shift_once(x, step)
+        if y == x:  # a fixed point of one step is fixed by every power
+            return x
+        x = y
+    return x
+
+
+def dict_slide(x: Config, e: int) -> Config:
+    """x with every head moved e cells, one cell at a time through a dict
+    of cells, the head in front first: at each move the head and the
+    symbol on the cell it enters change places.  The result is checked by
+    `Config.from_cells`: the oracle of `Config.slide`."""
+    cells, d = x.as_dict(), 1 if e > 0 else -1
+    heads = sorted(x.heads(), reverse=d > 0)
+    for _ in range(abs(e)):
+        for i, q in enumerate(heads):
+            a = cells.pop(q + d, 0)
+            del cells[q]
+            cells[q + d] = HEAD
+            if a:
+                cells[q] = a
+            heads[i] = q + d
+    return Config.from_cells(cells)
 
 
 def sym_window(x: Config, positions) -> str:

@@ -12,8 +12,9 @@ from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
                             isolated, orbit_equal, shift, tracks,
                             validate_tuple)
 
-from conftest import (dict_overwrite, edge_cells, from_cells_shift,
-                      from_tracks, rand_config, same_or_overflow, sym_window)
+from conftest import (dict_overwrite, dict_slide, edge_cells,
+                      from_cells_shift, from_tracks, rand_config,
+                      same_or_overflow, sym_window)
 
 
 def cfg(offset: int, digits: str) -> Config:
@@ -62,6 +63,42 @@ class TestConfig:
         x = Config.from_cells({q: 3, -q // 2: 3})
         with pytest.raises(PositionOverflow):
             x.swap(sorted((q, -q // 2)), 1 if q > 0 else -1)
+
+    @given(configs, st.integers(-20, 20),
+           st.lists(st.sampled_from([1, 2, 3, 5, 20, 49]), max_size=3),
+           st.integers(-60, 60))
+    def test_slide_matches_the_dict_form(self, x, q, gaps, e):
+        # heads close enough that one cell is passed by several of them
+        qs = list(itertools.accumulate([q, *gaps]))
+        x = Config.from_cells({**x.as_dict(), **dict.fromkeys(qs, 3)})
+        assert x.slide(e) == dict_slide(x, e)
+
+    @given(configs, st.integers(-5, 5))
+    def test_slide_is_the_identity_on_no_head_or_no_move(self, x, e):
+        headless = Config(tuple((p, s) for p, s in x.cells if s != 3))
+        assert headless.slide(e) is headless
+        assert x.slide(0) is x
+
+    @given(edge_cells, st.integers(-20, 20))
+    def test_slide_overflows_exactly_past_the_limit(self, cells, e):
+        x = Config.from_cells(cells)
+        if any(abs(q + e) > POSITION_LIMIT for q in x.heads()):
+            with pytest.raises(PositionOverflow):
+                x.slide(e)
+        else:
+            assert x.slide(e) == dict_slide(x, e)
+
+    def test_slide_many_heads(self):
+        # 1,000 heads 49 apart, each followed by a particle, slid 1,000
+        # cells: all but the first twenty particles are passed by 21 heads
+        heads = range(0, 49 * 1000, 49)
+        x = Config.from_cells([*((q, 3) for q in heads),
+                               *((q + 1, 1) for q in heads)])
+        start = time.perf_counter()
+        y = x.slide(1000)
+        assert time.perf_counter() - start < 0.05
+        assert y == dict_slide(x, 1000)
+        assert y.slide(-1000) == x
 
     def test_word_trims_padding(self):
         assert cfg(-2, "00100") == cfg(0, "1")

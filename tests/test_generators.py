@@ -1,9 +1,10 @@
 """The instruction algebra: exact evaluation, inversion, and word replay."""
 
+import itertools
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fourshift.core import (POSITION_LIMIT, Config, DomainError,
                             PositionOverflow, ZERO, shift, tracks,
@@ -17,7 +18,8 @@ from fourshift.safety import make_explicit_spec
 
 from conftest import (dense, dict_overwrite, edge_cells, from_cells_relabel,
                       from_tracks, head_local, rand_config, rand_tuple,
-                      same_or_overflow, sym_window, two_rewrite_shift, window)
+                      same_or_overflow, stepwise_head_shift, sym_window,
+                      two_rewrite_shift, window)
 
 
 def cfg(offset, digits):
@@ -62,6 +64,11 @@ class TestApplyInstruction:
         # a bool is no move, though it subtracts as 0 or 1
         with pytest.raises(DomainError):
             Particle(e)
+
+    @pytest.mark.parametrize("e", [1.5, True])
+    def test_head_shift_power_must_be_an_int(self, e):
+        with pytest.raises(IllFormedInstruction):
+            HeadShift(e)
 
     def test_symbol_perm_must_fix_zero(self):
         with pytest.raises(IllFormedInstruction):
@@ -163,6 +170,47 @@ class TestHeadShift:
                 fixed += len(heads) > 1 and y == x
                 moved += len(heads) > 1 and y != x
         assert fixed > 0 and moved > 0
+
+    # head spacings around the 3/4 and 48/49 thresholds and beyond them
+    spacings = st.sampled_from([1, 2, 3, 4, 5, 47, 48, 49, 50, 100, 200])
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(-5, 5), st.lists(spacings, max_size=3),
+           st.dictionaries(st.integers(-250, 650), st.integers(1, 2),
+                           max_size=8),
+           st.integers(-400, 400))
+    def test_matches_the_step_loop(self, q, gaps, cells, e):
+        # |e| up to 400 against spacings down to 100: one symbol is
+        # passed by several heads
+        heads = list(itertools.accumulate([q, *gaps]))
+        x = Config.from_cells({**cells, **dict.fromkeys(heads, 3)})
+        assert HeadShift(e).apply(x) == stepwise_head_shift(x, e)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from([POSITION_LIMIT, -POSITION_LIMIT]),
+           st.integers(0, 60), st.lists(spacings, max_size=2),
+           st.dictionaries(st.integers(-250, 250), st.integers(1, 2),
+                           max_size=6),
+           st.integers(-80, 80))
+    def test_matches_the_step_loop_at_the_limit(self, end, back, gaps, cells, e):
+        # the first head `back` cells inside the limit, the others further
+        # in: a power either fits or overflows on both sides
+        inward = -1 if end > 0 else 1
+        heads = [end + inward * (back + g)
+                 for g in itertools.accumulate([0, *gaps])]
+        x = Config.from_cells(
+            {**{heads[0] + p: s for p, s in cells.items()
+                if abs(heads[0] + p) <= POSITION_LIMIT},
+             **dict.fromkeys(heads, 3)})
+        same_or_overflow(lambda x, e: HeadShift(e).apply(x),
+                         stepwise_head_shift, x, e)
+
+    @pytest.mark.parametrize("e", [10**9, -10**9])
+    def test_lone_head_power_is_one_slide(self, e):
+        start = time.perf_counter()
+        assert HeadShift(e).apply(cfg(0, "312")) == Config.from_cells(
+            {0: 1, 1: 2, e: 3} if e > 0 else {e: 3, 1: 1, 2: 2})
+        assert time.perf_counter() - start < 0.05
 
 
 def dense_head_local(ins, x):

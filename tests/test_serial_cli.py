@@ -632,8 +632,8 @@ class TestCli:
         assert capsys.readouterr().out == src + "\n"
 
     def test_far_wall_transport_in_time(self, tmp_path, capsys):
-        # the wall 8,000 cells left of the origin costs one head-shift step
-        # per cell, each one cell swap on the lone head
+        # the lone head crosses the 8,000 cells to the wall in one
+        # HeadShift power: one step and one slide
         src = tmp_path / "src.tuple"
         dst = tmp_path / "dst.tuple"
         word = tmp_path / "w.json"
@@ -647,6 +647,33 @@ class TestCli:
                               parse_word(word.read_text()))
         assert emit_tuple(replayed) == "@0:1\n"
         capsys.readouterr()
+
+    def test_huge_head_shift_on_a_lone_head_in_time(self, tmp_path, capsys):
+        # every step after the first moves the lone head by the same law,
+        # so the other 10^9 - 1 are one slide
+        src = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@0:3\n")
+        word.write_text('[{"op":"HS","e":1000000000}]')
+        start = time.monotonic()
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
+        assert time.monotonic() - start < 3.0
+        assert capsys.readouterr().out == "@1000000000:3\n"
+
+    def test_very_far_wall_transport_in_time(self, tmp_path, capsys):
+        # the head crosses 10^8 cells in one HeadShift power
+        src = tmp_path / "src.tuple"
+        dst = tmp_path / "dst.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@-100000000:12\n")
+        dst.write_text("@0:1\n")
+        start = time.monotonic()
+        assert main(["transport", "--src", str(src), "--dst", str(dst),
+                     "-o", str(word)]) == 0
+        assert main(["verify", "--src", str(src), "--dst", str(dst),
+                     "--word", str(word)]) == 0
+        assert time.monotonic() - start < 3.0
+        assert capsys.readouterr().out.endswith("verified\n")
 
     def test_witness_width_bound_capped_exit_2(self, tmp_path, capsys):
         word = tmp_path / "w.json"
