@@ -10,14 +10,15 @@ so words invert by reversing the list of inverted steps.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import get_args
 
 from . import safety
-from .core import (HEAD, Config, DomainError, ParseError, TupleK, digit_cells,
-                   emit_runs, isolated, json_int, parse_runs)
-from .permbuild import WordPerm
+from .core import (CELLS, HEAD, PARTICLE, WALL, Config, DomainError, ParseError,
+                   TupleK, digit_cells, emit_runs, isolated, json_int, parse_runs)
+from .permbuild import WordPerm, checked_word
 from .safety import SafeRewrite
 
 
@@ -103,11 +104,11 @@ class HeadLocal:
             raise IllFormedInstruction("radius must be positive")
         if self.wp.length != 2 * self.r:
             raise IllFormedInstruction("window permutation length must be 2r")
-        if any(isinstance(s, str) for s, _ in self.wp.moved):
+        if any(isinstance(w, str) for w in self.wp.images):
             raise IllFormedInstruction("windows are keyed on their cells")
 
     def apply(self, x: Config) -> Config:
-        if not self.wp.moved:
+        if not self.wp.images:
             return x
         r, blocks = self.r, []
         # neighbours at least 2r+3 away keep every other head out
@@ -130,32 +131,50 @@ class HeadLocal:
     @classmethod
     def from_obj(cls, obj) -> "HeadLocal":
         """Inverse of to_obj; a dense `"map"` of 2r-letter words in place
-        of `"cells"` still loads."""
+        of `"cells"` still loads.  Each window is checked once, when read."""
         r = json_int(obj["r"])
         if ("map" in obj) == ("cells" in obj):
             raise ParseError("an HL object holds one of map and cells")
         if "cells" in obj:
-            listed, read = obj["cells"], _window_of_runs
+            listed, read = obj["cells"], _window_of_line
         else:
-            listed, read = obj["map"], lambda word: _window_of_word(word, r)
+            listed, read = obj["map"], _window_of_word
         pairs, windows = [], {}  # a window named twice is read once
         for s, d in listed:
             for w in (s, d):
                 if w not in windows:
-                    windows[w] = read(w)
+                    windows[w] = read(w, r)
             pairs.append((windows[s], windows[d]))
-        return cls(r, WordPerm.from_pairs(pairs, 2 * r))
+        return cls(r, WordPerm.of_checked(pairs, 2 * r))
 
 
-def _window_of_runs(text) -> tuple[tuple[int, int], ...]:
+# One run of digits 0-2, and the cells of CELLS by digit at offset + 64.
+_WINDOW_RUN = re.compile(r"@(-?[0-9]{1,20}):([012]+)")
+_CELL_ROWS = {str(s): [CELLS[o, s] for o in range(-64, 65)] for s in (PARTICLE, WALL)}
+
+
+def _window_of_line(text, r: int) -> tuple[tuple[int, int], ...]:
+    """The cells of a window run line of radius r: "ZERO", or for r <= 64
+    one run checked as text (digits 0-2, a 0 at the head's offset, the ends
+    within +-r) with its cells from CELLS; else parse_runs and checked_word."""
     if not isinstance(text, str):
         raise ParseError(f"a window is a run line, not {text!r}")
-    return tuple(parse_runs(text))
+    m = _WINDOW_RUN.fullmatch(text)
+    if m is None or r > 64:
+        return () if text == "ZERO" else checked_word(tuple(parse_runs(text)), 2 * r)
+    offset, digits = int(m[1]), m[2]
+    first = offset + len(digits) - len(digits.lstrip("0"))
+    last = offset + len(digits.rstrip("0")) - 1
+    if first <= last and (first < -r or last > r or (
+            first <= 0 <= last and digits[-offset] != "0")):
+        raise ParseError(f"not a window of radius {r}: {text!r}")
+    return tuple([_CELL_ROWS[c][i]
+                  for i, c in enumerate(digits, offset + 64) if c != "0"])
 
 
 def _window_of_word(word, r: int) -> tuple[tuple[int, int], ...]:
     """The cells of a dense window word of {0,1,2}^(2r)."""
-    if not isinstance(word, str) or len(word) != 2 * r:
+    if not isinstance(word, str) or len(word) != 2 * r or "3" in word:
         raise ParseError(f"not a window word of length {2 * r}: {word!r}")
     return tuple((o + (o >= 0), s) for o, s in digit_cells(-r, word))
 

@@ -6,7 +6,7 @@ window map of head-local rewrites.  A window of radius r is a word of
 {0,1,2}^(2r) around a head, held by its nonzero cells: a tuple of
 (offset from the head, symbol) pairs with increasing offsets,
 0 < |offset| <= r and symbol 1 or 2, so nothing costs O(r).  Pairs are
-kept in the order of their sources as dense words.  Every map of words,
+listed in the order of their sources as dense words.  Every map of words,
 built in code or read from a word file, follows one rule: a word is a
 source at most once and a target at most once, and fixed points are
 allowed.  The main construction closes each chain of requested pairs
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import CELLS, PARTICLE, WALL, DomainError
 
@@ -37,27 +37,25 @@ class NoRoom(DomainError):
     """Not enough untouched words are left for a parity-fixing transposition."""
 
 
-def _stored(w: Word, length: int) -> tuple[Word, Word]:
-    """(dense-order key, w as stored) of a word of `length`, in one pass:
-    a string of `length` letters is its own key; a window of
-    {0,1,2}^length is keyed so that one with a cell at an offset where
-    another has none is the larger, and its cells near the head are those
-    of CELLS."""
+def checked_word(w: Word, length: int) -> Word:
+    """w as stored, checked to be a word of `length`: a string of `length`
+    letters, or a window of {0,1,2}^length checked cell by cell, its cells
+    near the head taken from CELLS."""
     if isinstance(w, str):
-        if len(w) != length:
-            raise DomainError(f"not a word of length {length}: {w!r}")
-        return w, w
-    r = length // 2
-    prev = -r - 1
-    key, stored = [], []
-    for c in w:
-        o, s = c
-        if not (prev < o <= r and o != 0 and s in (PARTICLE, WALL)):
-            raise DomainError(f"not a word of length {length}: {w!r}")
-        prev = o
-        key.append((-o, s))
-        stored.append(CELLS.get(c, c))
-    return tuple(key), tuple(stored)
+        if len(w) == length:
+            return w
+    elif isinstance(w, tuple):
+        r, stored = length // 2, []
+        prev = -r - 1
+        for c in w:
+            o, s = c
+            if not (prev < o <= r and o != 0 and s in (PARTICLE, WALL)):
+                break
+            prev = o
+            stored.append(CELLS.get(c, c))
+        else:
+            return tuple(stored)
+    raise DomainError(f"not a word of length {length}: {w!r}")
 
 
 def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:
@@ -71,47 +69,60 @@ def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:
     return mapping
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WordPerm:
-    """Permutation of the words of one length moving only finitely many;
-    checked when built, so apply is a lookup.  The moved pairs are stored
-    in the dense order of their sources, whatever order they are given in."""
+    """Permutation of the words of one length moving only finitely many,
+    held as the dict of its moved pairs, so apply is a lookup.  Each word
+    is checked once: by `from_pairs`, or by its reader before `of_checked`."""
 
     length: int
-    moved: tuple[tuple[Word, Word], ...]  # src != dst
-    _images: dict = field(init=False, repr=False, compare=False)
+    images: dict  # each moved word to its image, never changed
 
-    def __post_init__(self):
-        images = _one_to_one(self.moved)
-        if images.keys() != set(images.values()):
-            raise DomainError("moved pairs do not form a bijection")
-        if any(s == d for s, d in self.moved):
+    def __init__(self, length: int, moved: Iterable[tuple[Word, Word]] = ()):
+        """`from_pairs` of the moved pairs, refusing a fixed point."""
+        moved = list(moved)
+        if any(s == d for s, d in moved):
             raise DomainError("identity pair stored in moved set")
-        rows = sorted(_stored(w, self.length) for w in images)
-        stored = {w: w for _, w in rows}
-        moved = tuple((w, stored[images[w]]) for _, w in rows)
-        object.__setattr__(self, "moved", moved)
-        object.__setattr__(self, "_images", dict(moved))
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "images", WordPerm.from_pairs(moved, length).images)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Word, Word]], length: int) -> "WordPerm":
-        """The permutation listed by `pairs`, fixed points included; each
-        moved word is stored once, as a source and as a target."""
-        pairs = list(pairs)
-        moved = tuple((s, d) for s, d in pairs if s != d)
-        if len(moved) < len(pairs):
-            # a fixed point is a word, named once like any other
-            _one_to_one(pairs)
-            for s, d in pairs:
-                if s == d:
-                    _stored(s, length)
-        return WordPerm(length, moved)
+        """The permutation listed by `pairs`, fixed points included."""
+        return WordPerm.of_checked([(checked_word(s, length), checked_word(d, length))
+                                    for s, d in pairs], length)
+
+    @staticmethod
+    def of_checked(pairs: Sequence[tuple[Word, Word]], length: int) -> "WordPerm":
+        """`from_pairs` of words already checked: only the map is checked."""
+        images = _one_to_one(pairs)
+        if images.keys() != set(images.values()):
+            raise DomainError("moved pairs do not form a bijection")
+        return WordPerm._of(length, {s: d for s, d in images.items() if s != d})
+
+    @staticmethod
+    def _of(length: int, images: dict) -> "WordPerm":
+        """The permutation moving the checked words of `images` as it stands."""
+        wp = object.__new__(WordPerm)
+        object.__setattr__(wp, "length", length)
+        object.__setattr__(wp, "images", images)
+        return wp
+
+    @property
+    def moved(self) -> tuple[tuple[Word, Word], ...]:
+        """The moved pairs in the dense order of their sources: a window
+        with a cell at an offset where another has none is the larger."""
+        return tuple(sorted(self.images.items(), key=lambda p: p[0] if isinstance(
+            p[0], str) else [(-o, s) for o, s in p[0]]))
 
     def apply(self, w: Word) -> Word:
-        return self._images.get(w, w)
+        return self.images.get(w, w)
 
     def inverse(self) -> "WordPerm":
-        return WordPerm(self.length, tuple((d, s) for s, d in self.moved))
+        return WordPerm._of(self.length, {d: s for s, d in self.images.items()})
+
+    def __hash__(self) -> int:
+        return hash((self.length, frozenset(self.images.items())))
 
 
 def parity(mapping: Mapping) -> int:
@@ -158,7 +169,8 @@ def build_mapping_perm(pairs: Sequence[tuple[Word, Word]],
     Each maximal chain s0 -> ... -> sm (sm not a source) is closed by
     sm -> s0; an odd result also swaps the two smallest windows, in the
     order of the dense words, that no pair names."""
-    perm = _one_to_one(pairs)
+    perm = _one_to_one([(checked_word(s, length), checked_word(d, length))
+                        for s, d in pairs])
     targets = set(perm.values())
     for start in [s for s in perm if s not in targets]:
         w = start
@@ -173,4 +185,4 @@ def build_mapping_perm(pairs: Sequence[tuple[Word, Word]],
             raise NoRoom("fewer than two untouched words available")
         a, b = free
         perm[a], perm[b] = b, a
-    return WordPerm.from_pairs(perm.items(), length)
+    return WordPerm._of(length, {s: d for s, d in perm.items() if s != d})

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import (CELLS, Config, DomainError, digit_cells, isolated, json_int,
                    shift)
@@ -233,7 +233,7 @@ class SafeRewrite:
                 raise IllFormedSpec(f"rule {self.pi.tag!r} does not permute U")
         elif not (isinstance(self.pi, WordPerm) and self.pi.length == k
                   and isinstance(self.U, ExplicitWords)
-                  and all(s in self.U.words for s, _ in self.pi.moved)):
+                  and self.pi.images.keys() <= self.U.words):
             raise IllFormedSpec("pi must be a word permutation moving only U")
         if self.V == HEAD_MARKER:
             _check_head_layouts(self.U)
@@ -250,7 +250,10 @@ class SafeRewrite:
         return apply_safe_rewrite(x, self)
 
     def inverse(self) -> "SafeRewrite":
-        return replace(self, pi=self.pi.inverse())
+        """pi inverted: U, V and the moved words stay, so nothing is checked."""
+        inv = object.__new__(SafeRewrite)
+        inv.__dict__.update(self.__dict__, pi=self.pi.inverse())
+        return inv
 
     def to_obj(self) -> dict:
         """Word-file fields: a rule and its head-gap family both by the
@@ -379,20 +382,26 @@ def head_shift_once(x: Config, direction: int) -> Config:
     Where every head is isolated, no other head within m_rad cells, each
     head follows the step law: the head at q moves to p = q + direction
     and the symbol it displaces moves from p to q, all by one
-    `Config.swap` with a splice per head.  Heads closer than that step by
-    the composition of the two head-gap rewrites, TAU then PI for +1,
-    which -1 inverts exactly on every configuration, run on x shifted to
-    centre its support so no intermediate head nears the limit."""
+    `Config.swap` with a splice per head.  Other heads step by the two
+    head-gap rewrites, TAU then PI for +1, which -1 inverts exactly.  A
+    rewrite reads within m_rad + k cells of a head, so each group of cells
+    more than twice that from the others steps alone, centred on 0."""
     if direction not in (1, -1):
         raise DomainError("direction must be +1 or -1")
     heads = x.heads()
     if not heads:
         return x
-    if (len(heads) == 1
-            or len(isolated(heads, SIGMA3_TAU_SPEC.m_rad)) == len(heads)):
+    if len(isolated(heads, SIGMA3_TAU_SPEC.m_rad)) == len(heads):
         return x.swap(heads, direction)
-    c = (x.min_pos() + x.max_pos()) // 2
-    y = shift(x, c)
-    for spec in (SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC)[::direction]:
-        y = apply_safe_rewrite(y, spec)
-    return shift(y, -c)
+    reach, cells, out = 2 * (SIGMA3_TAU_SPEC.m_rad + SIGMA3_LEN), x.cells, []
+    first, end = cells[0][0], cells[-1][0] + 1
+    cuts = [0, *(j for j in range(1, len(cells))
+                 if cells[j][0] - cells[j - 1][0] > reach), len(cells)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        start, stop = cells[lo][0], cells[hi - 1][0] + 1
+        c = (start + stop) // 2
+        y = shift(x.overwrite(((first, start, ()), (stop, end, ()))), c)
+        for spec in (SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC)[::direction]:
+            y = apply_safe_rewrite(y, spec)
+        out += shift(y, -c).cells
+    return x.overwrite(((first - reach, end + reach, out),))

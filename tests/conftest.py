@@ -8,8 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, Config,
-                            DomainError, PositionOverflow, TupleK,
-                            validate_tuple)
+                            DomainError, ParseError, PositionOverflow, TupleK,
+                            parse_runs, validate_tuple)
 from fourshift.generators import HeadLocal
 from fourshift.permbuild import WordPerm, parity
 from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
@@ -175,6 +175,36 @@ def head_local(r: int, pairs) -> HeadLocal:
     """The head-local rewrite of radius r listed by dense word pairs."""
     return HeadLocal(r, WordPerm.from_pairs(
         [(window(s), window(d)) for s, d in pairs], 2 * r))
+
+
+def two_pass_window(text, r: int) -> tuple[tuple[int, int], ...]:
+    """The cells of a window run line of radius r read by `parse_runs`,
+    then checked cell by cell in a second pass: increasing offsets,
+    0 < |offset| <= r and symbol 1 or 2, else DomainError.  The oracle of
+    the one-pass window reader of `HeadLocal.from_obj`."""
+    if not isinstance(text, str):
+        raise ParseError(f"a window is a run line, not {text!r}")
+    cells, prev = tuple(parse_runs(text)), -r - 1
+    for o, s in cells:
+        if not (prev < o <= r and o != 0 and s in (PARTICLE, WALL)):
+            raise DomainError(f"not a window of radius {r}: {text!r}")
+        prev = o
+    return cells
+
+
+def two_pass_head_local(obj) -> dict:
+    """The moved pairs of the `"cells"` of an HL object, each window read
+    by `two_pass_window` and the map checked on plain sets: a window named
+    twice as a source or twice as a target, or a target that is no source,
+    raises DomainError.  The oracle of `HeadLocal.from_obj`."""
+    r = obj["r"]
+    pairs = [(two_pass_window(s, r), two_pass_window(d, r))
+             for s, d in obj["cells"]]
+    sources, targets = [s for s, _ in pairs], [d for _, d in pairs]
+    if (len(set(sources)) < len(pairs) or len(set(targets)) < len(pairs)
+            or set(sources) != set(targets)):
+        raise DomainError("the windows do not form a permutation")
+    return {s: d for s, d in pairs if s != d}
 
 
 @pytest.fixture

@@ -1,25 +1,29 @@
 """The instruction algebra: exact evaluation, inversion, and word replay."""
 
 import itertools
+import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fourshift.core import (POSITION_LIMIT, Config, DomainError,
-                            PositionOverflow, ZERO, shift, tracks,
+from fourshift.core import (CELLS, POSITION_LIMIT, Config, DomainError,
+                            ParseError, PositionOverflow, ZERO, shift, tracks,
                             validate_tuple)
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
                                   IllFormedInstruction, Particle, SymbolPerm,
-                                  TransportWord, apply_instruction, apply_word,
-                                  invert_word, size_report)
+                                  TransportWord, _window_of_line,
+                                  apply_instruction, apply_word, invert_word,
+                                  size_report)
 from fourshift.permbuild import WordPerm, build_mapping_perm
 from fourshift.safety import make_explicit_spec
+from fourshift.serial import parse_word
 
 from conftest import (dense, dict_overwrite, edge_cells, from_cells_relabel,
                       from_tracks, head_local, rand_config, rand_tuple,
                       same_or_overflow, stepwise_head_shift, sym_window,
-                      two_rewrite_shift, window)
+                      two_pass_head_local, two_pass_window, two_rewrite_shift,
+                      window)
 
 
 def cfg(offset, digits):
@@ -300,6 +304,91 @@ class TestHeadLocalOracle:
             [(((1, 1),), ((2, 1),)), (((2, 1),), ((1, 1),))], 2 * 10**15))
         assert ins.apply(cfg(0, "31")) == cfg(0, "301")
         assert ins.apply(cfg(0, "3" + "0" * 9 + "3")) == cfg(0, "3" + "0" * 9 + "3")
+
+
+def window_lines(r: int):
+    """Window run lines around radius r: one run with offsets at and past
+    +-r and at the head, leading and trailing zeros and the digit 3; two
+    runs, in order or not; near misses of the run syntax; and values that
+    are not strings."""
+    offsets = (st.sampled_from([-r - 1, -r, -1, 0, 1, r, r + 1])
+               | st.integers(-r - 3, r + 3))
+    digits = st.text("0123", min_size=1, max_size=6) | st.text(
+        "00012", min_size=1, max_size=2 * r + 3)
+    run = st.builds("@{}:{}".format, offsets, digits)
+    return (run | st.builds("{} {}".format, run, run)
+            | st.sampled_from(["ZERO", "@0:0", "@-0:1", "@+1:1", "@01:1", "@1:",
+                               "@:1", " @1:1", "@1:1 ", "@1:1\n", "", " ",
+                               "zero", "@1:\u0661", "@\u0661:1"])
+            | st.text("@-:0123 Z", max_size=8)
+            | st.none() | st.integers(0, 3) | st.lists(st.just("@1:1"), max_size=1))
+
+
+# Windows of radius 2, some malformed, and pair lists over them: random ones
+# repeat sources and targets or leave a target that is no source, and
+# permutations of distinct lines list fixed points.
+HL_LINES = ["ZERO", "@0:0", "@1:1", "@-1:2", "@2:1", "@-2:1", "@1:12",
+            "@-2:10002", "@-1:1", "@0:1", "@3:1", "@1:3", "@1:1 @2:1"]
+hl_pairs = (st.lists(st.tuples(st.sampled_from(HL_LINES),
+                               st.sampled_from(HL_LINES)), max_size=6)
+            | st.lists(st.sampled_from(HL_LINES), unique=True, max_size=6).flatmap(
+                lambda ws: st.permutations(ws).map(lambda ds: list(zip(ws, ds)))))
+
+
+class TestWindowReader:
+    """The one-pass reader of HL windows against the two-pass one it
+    replaced: `parse_runs`, then a check of every cell."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_matches_the_two_pass_reader(self, data):
+        r = data.draw(st.sampled_from([1, 2, 3, 5, 64, 65]))
+        text = data.draw(window_lines(r))
+        try:
+            want = two_pass_window(text, r)
+        except DomainError:
+            with pytest.raises(DomainError):
+                _window_of_line(text, r)
+            return
+        got = _window_of_line(text, r)
+        assert got == want and type(got) is tuple
+        assert all(CELLS.get(c, c) is c for c in got)
+
+    @pytest.mark.parametrize("text, r, want", [
+        ("@-2:10001", 2, ((-2, 1), (2, 1))), ("@-5:000100", 2, ((-2, 1),)),
+        ("@-1:20", 1, ((-1, 2),)), ("@0:0", 2, ()), ("ZERO", 2, ()),
+        ("@99999999999999999999:000", 2, ()), ("@1:1 @70:2", 70, ((1, 1), (70, 2))),
+        ("@-65:1", 65, ((-65, 1),)), ("@1:12 @2:2", 2, None), ("@0:1", 2, None),
+        ("@-2:10101", 2, None), ("@-3:1", 2, None), ("@3:1", 2, None),
+        ("@1:3", 2, None), ("@1:1 @70:2", 64, None), ("@-66:1", 65, None),
+        (1, 2, None), (None, 2, None)])
+    def test_edges(self, text, r, want):
+        # one run at +-r and past it, leading zeros, all zeros, a cell at
+        # the head or overlapping runs, radii beyond CELLS
+        if want is None:
+            for read in (_window_of_line, two_pass_window):
+                with pytest.raises(DomainError):
+                    read(text, r)
+        else:
+            assert _window_of_line(text, r) == two_pass_window(text, r) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(hl_pairs)
+    @example([("@1:1", "@2:1"), ("@1:1", "@-1:1")])
+    @example([("@1:1", "@2:1"), ("@-1:1", "@2:1")])
+    @example([("@1:1", "@2:1")])
+    @example([("@1:1", "@1:1"), ("@2:1", "@-1:1"), ("@-1:1", "@2:1")])
+    def test_head_local_objects_match_the_two_pass_read(self, pairs):
+        obj = {"op": "HL", "r": 2, "cells": [list(p) for p in pairs]}
+        try:
+            want = two_pass_head_local(obj)
+        except DomainError:
+            with pytest.raises(ParseError):
+                parse_word(json.dumps([obj]))
+            return
+        wp = parse_word(json.dumps([obj])).steps[0].wp
+        assert wp.images == want
+        assert [dense(s, 2) for s, _ in wp.moved] == sorted(dense(s, 2) for s in want)
 
 
 class TestApplyWord:

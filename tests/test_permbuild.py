@@ -136,6 +136,65 @@ class TestWordPerm:
             WordPerm.from_pairs(pairs, 2)
 
 
+def seeded_perms(rng, n):
+    """Permutations built by build_mapping_perm from seeded window pairs,
+    and the same maps on dense words."""
+    for pairs, length in seeded_pair_lists(rng, n):
+        try:
+            wp = build_mapping_perm([(window(s), window(d)) for s, d in pairs],
+                                    length)
+        except DomainError:
+            continue
+        yield wp
+        yield WordPerm.from_pairs([(dense(s, length // 2), dense(d, length // 2))
+                                   for s, d in wp.moved], length)
+
+
+class TestWordPermChecksOnce:
+    """A map is checked once, where it is built; the inverse and the
+    completed map are not sent through the check again."""
+
+    def test_inverse_swaps_the_checked_map(self):
+        count = 0
+        for wp in seeded_perms(random.Random(5), 300):
+            inv = wp.inverse()
+            assert inv == WordPerm(wp.length, [(d, s) for s, d in wp.moved])
+            assert inv.inverse() == wp
+            # the same moved words, so the same sources in dense order
+            assert [s for s, _ in inv.moved] == [s for s, _ in wp.moved]
+            count += bool(wp.moved)
+        assert count > 300
+
+    def test_built_map_is_its_checked_permutation(self):
+        built = 0
+        for pairs, length in seeded_pair_lists(random.Random(11), 500):
+            try:
+                wp = build_mapping_perm(
+                    [(window(s), window(d)) for s, d in pairs], length)
+            except DomainError:
+                continue
+            checked = WordPerm.from_pairs(wp.moved, length)
+            assert checked == wp and checked.moved == wp.moved
+            built += 1
+        assert built > 350
+
+    def test_equality_and_hash_agree(self):
+        rng = random.Random(8)
+        perms = list(seeded_perms(rng, 200))
+        for wp in perms:
+            # listed in another order, the zero word as a fixed point
+            zero = "0" * wp.length if isinstance(next(iter(wp.images), ""), str) else ()
+            pairs = [*wp.moved, *([(zero, zero)] if zero not in wp.images else [])]
+            rng.shuffle(pairs)
+            listed = WordPerm.from_pairs(pairs, wp.length)
+            assert listed == wp and hash(listed) == hash(wp)
+        distinct = {wp: (wp.length, wp.moved) for wp in perms}
+        assert len(distinct) == len(set(distinct.values())) > 100
+        for a, b in itertools.combinations(perms[:80], 2):
+            assert (a == b) == ((a.length, a.moved) == (b.length, b.moved))
+            assert a != b or hash(a) == hash(b)
+
+
 class TestParity:
     def test_identity_even(self):
         assert parity({}) == 0

@@ -4,7 +4,7 @@ spec checks when built, and the simulated head shift."""
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fourshift.core import (POSITION_LIMIT, Config, PositionOverflow, ZERO,
                             digit_cells, shift)
@@ -403,6 +403,22 @@ class TestSpecChecksItself:
             WordPerm(6, ())).m_rad == 4**2 + 1 + 12 + 2
 
 
+class TestInverse:
+    def test_inverse_is_the_rewrite_of_the_inverted_map(self):
+        # the named rules and the 60 orbit-permutation rewrites of the
+        # digest: inverting pi alone gives what the constructor builds
+        from test_word_digest import digest_words
+        specs = [SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
+                 *(word.steps[0] for word in itertools.islice(digest_words(), 150, None))]
+        assert len(specs) == 62
+        for spec in specs:
+            inv = spec.inverse()
+            want = SafeRewrite(spec.U, spec.V, spec.pi.inverse())
+            assert inv == want and hash(inv) == hash(want)
+            assert (inv.k, inv.h, inv.ell, inv.m_rad) == (want.k, want.h, want.ell, want.m_rad)
+            assert inv.inverse() == spec
+
+
 class TestStrictParams:
     def test_sigma3_constants(self):
         p = SIGMA3_PI_SPEC
@@ -560,6 +576,31 @@ class TestHeadShift:
                         assert head_shift_once(far, direction) == want
                         results[1] += 1
         assert min(results) > 100, results
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([1, 2, 3, 4, 5, 47, 49, 92, 93, 137, 138, 139, 140, 300]),
+        st.sampled_from([0, 1, 2, 3, 3, 3])), min_size=2, max_size=9),
+           st.sampled_from([1, -1]))
+    def test_groups_far_apart_step_alone(self, cells, direction):
+        # cells 1-300 apart, heads among them: each group more than 138
+        # cells from the others steps on its own, as one configuration
+        positions = itertools.accumulate(gap for gap, _ in cells)
+        x = Config.from_cells(zip(positions, (s for _, s in cells)))
+        assert head_shift_once(x, direction) == two_rewrite_shift(x, direction)
+
+    def test_close_pair_and_far_head_across_the_whole_range(self):
+        # a close pair next to the upper limit steps near 0, apart from the
+        # head at the lower limit; centred on the whole support, the pair
+        # passed the limit although the result fits
+        L = POSITION_LIMIT
+        x = Config.from_cells({1 - L: 3, L - 4: 3, L - 3: 2, L - 2: 3})
+        y = Config.from_cells({-L: 3, L - 4: 1, L - 3: 3, L: 3})
+        assert head_shift_once(x, -1) == HeadShift(-1).apply(x) == y
+        assert head_shift_once(y, 1) == x
+        pair = Config.from_cells({-1: 3, 0: 2, 1: 3})
+        assert shift(two_rewrite_shift(pair, -1), 3 - L) == Config.from_cells(
+            {L - 4: 1, L - 3: 3, L: 3})
 
     def test_step_law_needs_only_the_new_head_position(self):
         # the two rewrites pass through a second head at q + 1 + a, so near

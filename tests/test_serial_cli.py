@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fourshift import generators, permbuild
 from fourshift.cli import main
 from fourshift.core import RUN_GAP, Config, DomainError, ZERO, parse_runs
 from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
@@ -365,6 +366,37 @@ class TestReplayChecksNoCellTwice:
         for src, word, dst in cases:
             assert apply_word(src, word) == dst
             assert apply_word(dst, invert_word(word)) == src
+
+
+class TestReadChecksNoWindowTwice:
+    """A window line of one run is checked as text when it is read, so a
+    word file reads without the cell-by-cell check of `checked_word`, and
+    no map of checked windows is checked again."""
+
+    @staticmethod
+    def refuse_window_checks(monkeypatch):
+        check = permbuild.checked_word
+
+        def strings_only(w, length):
+            if not isinstance(w, str):
+                raise AssertionError(f"window {w!r} checked cell by cell")
+            return check(w, length)
+        for module in (permbuild, generators):
+            monkeypatch.setattr(module, "checked_word", strings_only)
+
+    def test_cells_files_and_transport_words(self, rng, monkeypatch):
+        texts = [p.read_text() for p in sorted(GOLDEN.parent.glob("*_cells.json"))]
+        want = [parse_word(text) for text in texts]
+        words = []
+        for _ in range(30):
+            k = rng.randrange(1, 6)
+            words.append(transport(rand_tuple(rng, k), rand_tuple(rng, k)))
+        emitted = [emit_word(word) for word in words]
+        assert sum(isinstance(ins, HeadLocal) and bool(ins.wp.images)
+                   for word in [*want, *words] for ins in word.steps) > 60
+        self.refuse_window_checks(monkeypatch)
+        assert [parse_word(text) for text in texts] == want
+        assert [parse_word(text) for text in emitted] == words
 
 
 @pytest.fixture
