@@ -253,6 +253,27 @@ def invert_word(word: TransportWord) -> TransportWord:
     return TransportWord(tuple(ins.inverse() for ins in reversed(word.steps)))
 
 
+def _moves_nothing(ins: Instruction) -> bool:
+    if isinstance(ins, HeadLocal):
+        return not ins.wp.images
+    return isinstance(ins, (Particle, HeadShift)) and not ins.e
+
+
+def fuse(word: TransportWord) -> TransportWord:
+    """The same automorphism in fewer steps, in one left-to-right pass:
+    a particle power right after another becomes their sum, since
+    P^a P^b = P^(a+b), and P^0, HS^0 and head-local steps that move no
+    window are dropped; a drop can bring two particle powers together,
+    and they merge too."""
+    out: list[Instruction] = []
+    for ins in word.steps:
+        if out and isinstance(ins, Particle) and isinstance(out[-1], Particle):
+            ins = Particle(out.pop().e + ins.e)
+        if not _moves_nothing(ins):
+            out.append(ins)
+    return TransportWord(tuple(out))
+
+
 def size_report(word: TransportWord) -> dict[str, int]:
     """Instruction counts by tag, for word-length reporting."""
     return dict(Counter(type(ins).__name__ for ins in word.steps))

@@ -1,6 +1,7 @@
 """Transport of distinct-orbit tuples: classify, make good and make great
 on both sides, then splice the two great tuples with one head-local
-rewrite (`make_canonical`) followed by the inverted destination word.
+rewrite (`make_canonical`) followed by the inverted destination word, and
+fuse the whole word once before it is verified.
 
 Every emitted word is built by simulating its own application, so the
 returned tuple is always the exact replay result.
@@ -14,7 +15,8 @@ from typing import Optional
 
 from .core import Config, DomainError, TupleK, classify, tracks, validate_tuple
 from .generators import (SWAP_13, SWAP_23, HeadLocal, HeadShift, Particle,
-                         TransportWord, apply_word, head_cells, invert_word)
+                         TransportWord, apply_word, fuse, head_cells,
+                         invert_word)
 from .permbuild import build_mapping_perm
 
 
@@ -181,7 +183,10 @@ def make_canonical(t: TupleK, goal: TupleK) -> tuple[TransportWord, TupleK]:
 
 def transport(src: TupleK, dst: TupleK) -> TransportWord:
     """A word whose replay maps src to dst exactly: both tuples are made
-    good and then great, and the great ones are spliced."""
+    good and then great, the great ones are spliced, and the destination's
+    word is inverted.  The whole word is fused once (`generators.fuse`),
+    so it holds no P right after a P and no identity step, and the closing
+    `verify` replays the fused word."""
     src = validate_tuple(src.components)
     dst = validate_tuple(dst.components)
     if len(src) != len(dst):
@@ -191,7 +196,7 @@ def transport(src: TupleK, dst: TupleK) -> TransportWord:
     good_d, dst1 = make_good(dst)
     great_d, dst2 = make_great(dst1)
     splice, _ = make_canonical(src2, dst2)
-    word = good_s + great_s + splice + invert_word(good_d + great_d)
+    word = fuse(good_s + great_s + splice + invert_word(good_d + great_d))
     if not verify(word, src, dst):
         raise InternalScheduleViolation("transport word failed replay")
     return word

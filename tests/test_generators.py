@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -10,11 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 from fourshift.core import (CELLS, POSITION_LIMIT, Config, DomainError,
                             ParseError, PositionOverflow, ZERO, shift, tracks,
                             validate_tuple)
-from fourshift.generators import (SWAP_23, HeadLocal, HeadShift,
-                                  IllFormedInstruction, Particle, SymbolPerm,
-                                  TransportWord, _window_of_line,
-                                  apply_instruction, apply_word, invert_word,
-                                  size_report)
+from fourshift.generators import (SWAP_12, SWAP_13, SWAP_23, HeadLocal,
+                                  HeadShift, IllFormedInstruction, Particle,
+                                  SymbolPerm, TransportWord, _window_of_line,
+                                  apply_instruction, apply_word, fuse,
+                                  invert_word, size_report)
 from fourshift.permbuild import WordPerm, build_mapping_perm
 from fourshift.safety import make_explicit_spec
 from fourshift.serial import parse_word
@@ -450,6 +451,66 @@ class TestInstructionInvariants:
                                        for _ in range(3)))
             out = apply_word(t, word)
             validate_tuple(out.components)  # must not raise
+
+
+IDENTITIES = (Particle(0), HeadShift(0))
+IDENTITY_HL = HeadLocal(1, WordPerm.from_pairs([], 2))
+SR_SWAP = make_explicit_spec(["030", "031"], [("030", "031"), ("031", "030")])
+
+
+def rewrite_fuse(word):
+    """The oracle of `fuse`, one rule at a time until none applies: drop
+    an identity step, or merge the first P·P pair."""
+    steps = list(word.steps)
+    while True:
+        for i, ins in enumerate(steps):
+            if ins in IDENTITIES or (isinstance(ins, HeadLocal) and not ins.wp.images):
+                del steps[i]
+                break
+            if i and isinstance(ins, Particle) and isinstance(steps[i - 1], Particle):
+                steps[i - 1:i + 1] = [Particle(steps[i - 1].e + ins.e)]
+                break
+        else:
+            return TransportWord(tuple(steps))
+
+
+# Short words of all five kinds, with runs of P (P(0) among them), HS(0)
+# and an HL that moves nothing.
+fuse_words = st.lists(st.one_of(
+    st.lists(st.integers(-3, 3).map(Particle), min_size=1, max_size=3),
+    st.sampled_from([SWAP_12, SWAP_13, SWAP_23]).map(lambda s: [s]),
+    st.sampled_from([IDENTITY_HL, head_local(1, [("00", "12"), ("12", "00")])]
+                    ).map(lambda s: [s]),
+    st.integers(-2, 2).map(lambda e: [HeadShift(e)]),
+    st.sampled_from([SR_SWAP, SR_SWAP.inverse()]).map(lambda s: [s]),
+), max_size=6).map(lambda runs: TransportWord(tuple(i for run in runs for i in run)))
+
+
+class TestFuse:
+    def test_examples(self):
+        p, hs = Particle, HeadShift
+        assert fuse(TransportWord((p(1), p(2), SWAP_23, p(3)))).steps == \
+            (p(3), SWAP_23, p(3))
+        # the identity HL between two P is dropped, then the P merge and cancel
+        assert fuse(TransportWord((hs(1), p(-2), IDENTITY_HL, p(2), hs(0),
+                                   SWAP_12))).steps == (hs(1), SWAP_12)
+        assert fuse(TransportWord((p(0),))).steps == ()
+
+    @settings(max_examples=400, deadline=None)
+    @given(fuse_words, st.integers(0, 2**32))
+    def test_matches_the_unfused_word(self, word, seed):
+        fused = fuse(word)
+        assert fused == rewrite_fuse(word)
+        rng = random.Random(seed)
+        for _ in range(3):
+            t = rand_tuple(rng, rng.randrange(1, 4))
+            assert apply_word(t, fused) == apply_word(t, word)
+        steps = fused.steps
+        assert not any(isinstance(a, Particle) and isinstance(b, Particle)
+                       for a, b in zip(steps, steps[1:]))
+        assert not any(ins in IDENTITIES or ins == IDENTITY_HL for ins in steps)
+        assert fuse(fused) == fused
+        assert fuse(invert_word(word)) == invert_word(fused)
 
 
 class TestSizeReport:

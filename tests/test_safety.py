@@ -409,7 +409,7 @@ class TestInverse:
         # digest: inverting pi alone gives what the constructor builds
         from test_word_digest import digest_words
         specs = [SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
-                 *(word.steps[0] for word in itertools.islice(digest_words(), 150, None))]
+                 *(word.steps[0] for word in digest_words()[1])]
         assert len(specs) == 62
         for spec in specs:
             inv = spec.inverse()

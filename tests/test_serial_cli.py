@@ -1,7 +1,9 @@
 """Text/JSON formats and the command-line surface."""
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -726,3 +728,68 @@ class TestCli:
             path = tmp_path / "w.json"
             path.write_text(emit_word(word))
             assert parse_word(path.read_text()) == word
+
+
+# Small tuple and word files for the bounded-surface test: a few runs of
+# cells near the origin, and up to four instructions of every kind with
+# |e| <= 64 and radius r <= 8.
+def config_line(offset, digits, more):
+    """One run, or two with the second `gap` cells after the first."""
+    line = f"@{offset}:{digits}"
+    if more is None:
+        return line
+    gap, second = more
+    return f"{line} @{offset + len(digits) + gap}:{second}"
+
+
+digits = st.builds(str.__add__, st.text("0123", max_size=5), st.sampled_from("123"))
+tuple_files = st.lists(st.builds(config_line, st.integers(-20, 20), digits,
+                                 st.none() | st.tuples(st.integers(0, 40), digits)),
+                       min_size=1, max_size=3).map(lambda ls: "\n".join(ls) + "\n")
+window_runs = st.builds("@{}:{}".format, st.integers(-8, 8),
+                        st.text("012", min_size=1, max_size=8)) | st.just("ZERO")
+small_powers = st.integers(-64, 64)
+small_instructions = st.one_of(
+    small_powers.map(lambda e: {"op": "P", "e": e}),
+    small_powers.map(lambda e: {"op": "HS", "e": e}),
+    st.permutations([1, 2, 3]).map(lambda img: {"op": "SYM", "img": [0, *img]}),
+    st.builds(lambda r, pair: {"op": "HL", "r": r, "cells": [pair, pair[::-1]]},
+              st.integers(1, 8), st.lists(window_runs, min_size=2, max_size=2)),
+    st.builds(lambda r, cells: {"op": "HL", "r": r, "cells": cells},
+              st.integers(1, 8), st.lists(st.lists(window_runs, min_size=2,
+                                                   max_size=2), max_size=3)),
+    st.just(json.loads(SWAP)[0]),
+)
+word_files = st.lists(small_instructions, max_size=4).map(json.dumps)
+
+
+class TestBoundedSurface:
+    """`apply` and `verify` on small arbitrary files end in exit 0, 1 or 2,
+    within a time budget and with bounded output.
+
+    Large HS powers on close heads are excluded, not shrunk away: heads
+    within m_rad cells of another still step one cell at a time, so
+    `HS 10^9` on the 5-byte line `@0:313` would run for about a day.  The
+    bound |e| <= 64 lifts once HeadShift on close heads has an
+    event-driven law (ROADMAP item 2)."""
+
+    BUDGET_S = 2.0
+    MAX_OUTPUT = 4096
+
+    @settings(max_examples=150, deadline=None)
+    @given(tuple_files, tuple_files, word_files)
+    def test_apply_and_verify_end_in_time(self, tmp_path_factory, src, dst, word):
+        tmp = tmp_path_factory.mktemp("surface")
+        paths = [tmp / "s.tuple", tmp / "d.tuple", tmp / "w.json"]
+        for path, text in zip(paths, (src, dst, word)):
+            path.write_text(text)
+        s, d, w = map(str, paths)
+        for argv, codes in ((["apply", "--src", s, "--word", w], (0, 2)),
+                            (["verify", "--src", s, "--dst", d, "--word", w], (0, 1, 2))):
+            out, err = io.StringIO(), io.StringIO()
+            start = time.monotonic()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert time.monotonic() - start < self.BUDGET_S
+            assert code in codes
+            assert len(out.getvalue()) + len(err.getvalue()) <= self.MAX_OUTPUT

@@ -9,7 +9,7 @@ from fourshift.core import (Config, ZERO, DomainError, classify, shift, tracks,
                             validate_tuple)
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift, Particle,
                                   TransportWord, apply_instruction,
-                                  apply_word, invert_word)
+                                  apply_word, fuse, invert_word)
 from fourshift.serial import emit_word, parse_word
 from fourshift.transporter import (LengthMismatch, NotGood, NotGreat, Reading,
                                    canonical_great, make_canonical, make_good,
@@ -237,7 +237,21 @@ class TestTransport:
         with pytest.raises(LengthMismatch):
             transport(rand_tuple(rng, 2), rand_tuple(rng, 3))
 
+    def test_words_are_fused(self, rng):
+        """No P right after a P and no step that moves nothing, at either
+        good-to-great seam or where the splice is the identity."""
+        for i in range(200):
+            k = 1 + i % 5
+            steps = transport(rand_tuple(rng, k), rand_tuple(rng, k)).steps
+            assert not any(isinstance(a, Particle) and isinstance(b, Particle)
+                           for a, b in zip(steps, steps[1:]))
+            assert not any(ins in (Particle(0), HeadShift(0)) or (
+                isinstance(ins, HeadLocal) and not ins.wp.images) for ins in steps)
+
     def test_one_head_local_at_the_splice(self, rng):
+        """The word before fusion is the source's good and great words, one
+        head-local splice and the destination's inverted words; transport
+        returns that word fused."""
         for _ in range(30):
             k = rng.randrange(1, 5)
             s, d = rand_tuple(rng, k), rand_tuple(rng, k)
@@ -247,14 +261,16 @@ class TestTransport:
             great_d, gd = make_great(gd)
             head = (good_s + great_s).steps
             tail = invert_word(good_d + great_d).steps
-            steps = transport(s, d).steps
+            splice, _ = make_canonical(gs, gd)
+            unfused = good_s + great_s + splice + invert_word(good_d + great_d)
+            steps = unfused.steps
             assert len(steps) == len(head) + 1 + len(tail)
             assert steps[:len(head)] == head
-            splice, _ = make_canonical(gs, gd)
             assert steps[len(head):len(head) + 1] == splice.steps
             assert steps[len(head) + 1:] == tail
             assert not any(isinstance(a, HeadLocal) and isinstance(b, HeadLocal)
                            for a, b in zip(steps, steps[1:]))
+            assert transport(s, d) == fuse(unfused)
 
     def test_inverse_word_transports_back(self, rng):
         for _ in range(30):

@@ -1,9 +1,15 @@
-"""Seeded golden digest of word files: refactors must leave every emitted
-byte of a fixed set of transport and orbit-permutation words unchanged."""
+"""Seeded golden digests of word files: a refactor must leave every emitted
+byte of a fixed set of transport and orbit-permutation words unchanged.
+
+The two sets have their own digests.  Transport words change whenever the
+transporter's output does (last when `transport` began to fuse its word);
+orbit-permutation words bypass the transporter, so their digest holds
+across such a change."""
 
 import hashlib
 import json
 import random
+from functools import cache
 
 from fourshift.generators import TransportWord
 from fourshift.orbitperm import orbit_permutation_instruction
@@ -13,11 +19,15 @@ from fourshift.transporter import transport
 
 from conftest import dense, rand_tuple
 
-# sha256 over the word files below, each followed by a newline.
-DIGEST = "4c640d57cf0f5d93c39352981411da2f95623550024529973c5747ec300e8fc6"
+# sha256 over the transport word files, each followed by a newline.
+DIGEST = "c89a1f29ebf515189008b3b8a2efec774724f894c3d37c7982f810a4fe01eec7"
 # The same over the words as dense_text writes them, which is how word
 # files were written before HL windows were keyed on their cells.
-DENSE_DIGEST = "0617cc35f405d0778d241677deb426717a53ba358c28037c8ed23fd59f773e7e"
+DENSE_DIGEST = "cf9d0aa86a820d54fa3af2ce6b86dca5ca4fd0f28c8b1befa0f54ceb995ce5f0"
+# Both digests over the orbit-permutation word files; they are the bytes
+# these words had before transport words were fused.
+ORBIT_DIGEST = "5d2bd987a2e41d5a82382af5f25efd45d2ab212b8eb537fc7a880ea77f8ce11e"
+ORBIT_DENSE_DIGEST = "a62aa13d9608fd546563bc62533666ff634c496fea838f5a5433cc5439fa3bed"
 
 
 def dense_text(word):
@@ -31,13 +41,17 @@ def dense_text(word):
     return json.dumps(objs, indent=1)
 
 
+@cache
 def digest_words():
-    """150 transports (k 1..5, span 5) and 60 even orbit permutations
+    """150 transports (k 1..5, span 5), then 60 even orbit permutations
     (k 5..8), all from one seeded stream."""
     rng = random.Random(4)
+    transports = []
     for i in range(150):
         k = 1 + i % 5
-        yield transport(rand_tuple(rng, k, span=5), rand_tuple(rng, k, span=5))
+        transports.append(transport(rand_tuple(rng, k, span=5),
+                                    rand_tuple(rng, k, span=5)))
+    orbits = []
     for i in range(60):
         k = 5 + i % 4
         t = rand_tuple(rng, k)
@@ -46,15 +60,25 @@ def digest_words():
             rng.shuffle(beta)
             if parity(dict(enumerate(beta))) == 0:
                 break
-        yield TransportWord((orbit_permutation_instruction(t, tuple(beta)),))
+        orbits.append(TransportWord((orbit_permutation_instruction(t, tuple(beta)),)))
+    return transports, orbits
 
 
-def test_word_files_are_pinned():
+def digests(words):
+    """sha256 of the word files and of their dense texts; each file also
+    parses back to its word."""
     h, dense_h = hashlib.sha256(), hashlib.sha256()
-    for word in digest_words():
+    for word in words:
         text, old = emit_word(word), dense_text(word)
         assert parse_word(text) == word == parse_word(old)
         h.update(text.encode() + b"\n")
         dense_h.update(old.encode() + b"\n")
-    assert dense_h.hexdigest() == DENSE_DIGEST
-    assert h.hexdigest() == DIGEST
+    return h.hexdigest(), dense_h.hexdigest()
+
+
+def test_word_files_are_pinned():
+    assert digests(digest_words()[0]) == (DIGEST, DENSE_DIGEST)
+
+
+def test_orbit_permutation_word_files_are_pinned():
+    assert digests(digest_words()[1]) == (ORBIT_DIGEST, ORBIT_DENSE_DIGEST)
