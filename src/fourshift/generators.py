@@ -124,17 +124,28 @@ class HeadLocal:
         return HeadLocal(self.r, self.wp.inverse())
 
     def to_obj(self) -> dict:
-        """Each window as a run line relative to the head."""
-        return {"op": self.OP, "r": self.r, "cells": [
-            [emit_runs(s), emit_runs(d)] for s, d in self.wp.moved]}
+        """The map as its disjoint cycles (`WordPerm.cycles`), each window
+        a run line relative to the head, written once; the identity is
+        `"cycles": []`."""
+        return {"op": self.OP, "r": self.r, "cycles": [
+            [emit_runs(w) for w in cycle] for cycle in self.wp.cycles()]}
 
     @classmethod
     def from_obj(cls, obj) -> "HeadLocal":
-        """Inverse of to_obj; a dense `"map"` of 2r-letter words in place
-        of `"cells"` still loads.  Each window is checked once, when read."""
+        """Inverse of to_obj.  The pair forms still load: `"cells"`, a list
+        of [src, dst] run lines, and the dense `"map"` of 2r-letter words;
+        an object holds exactly one of the three.  Each window is checked
+        once, when read."""
         r = json_int(obj["r"])
-        if ("map" in obj) == ("cells" in obj):
-            raise ParseError("an HL object holds one of map and cells")
+        if sum(form in obj for form in ("map", "cells", "cycles")) != 1:
+            raise ParseError("an HL object holds exactly one of map, cells and cycles")
+        if "cycles" in obj:
+            cycles = []
+            for cycle in obj["cycles"]:
+                if not isinstance(cycle, list):
+                    raise ParseError(f"a cycle is a list of windows, not a {type(cycle).__name__}")
+                cycles.append([_window_of_line(w, r) for w in cycle])
+            return cls(r, WordPerm.of_cycles(cycles, 2 * r))
         if "cells" in obj:
             listed, read = obj["cells"], _window_of_line
         else:

@@ -6,12 +6,13 @@ window map of head-local rewrites.  A window of radius r is a word of
 {0,1,2}^(2r) around a head, held by its nonzero cells: a tuple of
 (offset from the head, symbol) pairs with increasing offsets,
 0 < |offset| <= r and symbol 1 or 2, so nothing costs O(r).  Pairs are
-listed in the order of their sources as dense words.  Every map of words,
-built in code or read from a word file, follows one rule: a word is a
-source at most once and a target at most once, and fixed points are
-allowed.  The main construction closes each chain of requested pairs
-into a cycle and, if the result is odd, adds one transposition of words
-no pair names, so every requested pair stays intact.
+listed in the order of their sources as dense words.  Every map of words
+given as pairs, built in code or read from a word file, follows one rule:
+a word is a source at most once and a target at most once, and fixed
+points are allowed.  A map given as disjoint cycles names each word
+once.  The main construction closes each chain of requested pairs into a
+cycle and, if the result is odd, adds one transposition of words no pair
+names, so every requested pair stays intact.
 """
 
 from __future__ import annotations
@@ -101,6 +102,22 @@ class WordPerm:
         return WordPerm._of(length, {s: d for s, d in images.items() if s != d})
 
     @staticmethod
+    def of_cycles(cycles: Iterable[Sequence[Word]], length: int) -> "WordPerm":
+        """The permutation sending each word of a cycle to the next, the
+        last to the first, for words already checked.  Disjoint cycles are
+        a permutation, so the one check is that no word is named twice;
+        a cycle holds at least two words."""
+        images, named = {}, 0
+        for cycle in cycles:
+            if len(cycle) < 2:
+                raise DomainError("a cycle names fewer than two words")
+            named += len(cycle)
+            images.update(zip(cycle, [*cycle[1:], cycle[0]]))
+        if len(images) != named:
+            raise DomainError("a word is named twice in the cycles")
+        return WordPerm._of(length, images)
+
+    @staticmethod
     def _of(length: int, images: dict) -> "WordPerm":
         """The permutation moving the checked words of `images` as it stands."""
         wp = object.__new__(WordPerm)
@@ -114,6 +131,20 @@ class WordPerm:
         with a cell at an offset where another has none is the larger."""
         return tuple(sorted(self.images.items(), key=lambda p: p[0] if isinstance(
             p[0], str) else [(-o, s) for o, s in p[0]]))
+
+    def cycles(self) -> tuple[tuple[Word, ...], ...]:
+        """The disjoint cycles of the moved words in the dense order of
+        their least words, each starting at its least word."""
+        images, seen, cycles = self.images, set(), []
+        for start, w in self.moved:
+            if start not in seen:
+                cycle = [start]
+                while w != start:
+                    cycle.append(w)
+                    w = images[w]
+                seen.update(cycle)
+                cycles.append(tuple(cycle))
+        return tuple(cycles)
 
     def apply(self, w: Word) -> Word:
         return self.images.get(w, w)

@@ -193,13 +193,20 @@ def two_pass_window(text, r: int) -> tuple[tuple[int, int], ...]:
 
 
 def two_pass_head_local(obj) -> dict:
-    """The moved pairs of the `"cells"` of an HL object, each window read
-    by `two_pass_window` and the map checked on plain sets: a window named
-    twice as a source or twice as a target, or a target that is no source,
-    raises DomainError.  The oracle of `HeadLocal.from_obj`."""
+    """The moved pairs of an HL object: its `"cells"`, or each window of
+    each of its `"cycles"` paired with the next, the last with the first.
+    Each window is read by `two_pass_window` and the map checked on plain
+    sets: a cycle of fewer than two windows, a window named twice as a
+    source or twice as a target, or a target that is no source, raises
+    DomainError.  The oracle of `HeadLocal.from_obj`."""
     r = obj["r"]
-    pairs = [(two_pass_window(s, r), two_pass_window(d, r))
-             for s, d in obj["cells"]]
+    if "cycles" in obj:
+        if any(not isinstance(c, list) or len(c) < 2 for c in obj["cycles"]):
+            raise DomainError("a cycle is a list of at least two windows")
+        lines = [(c[i - 1], c[i]) for c in obj["cycles"] for i in range(len(c))]
+    else:
+        lines = obj["cells"]
+    pairs = [(two_pass_window(s, r), two_pass_window(d, r)) for s, d in lines]
     sources, targets = [s for s, _ in pairs], [d for _, d in pairs]
     if (len(set(sources)) < len(pairs) or len(set(targets)) < len(pairs)
             or set(sources) != set(targets)):

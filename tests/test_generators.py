@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fourshift.core import (CELLS, POSITION_LIMIT, Config, DomainError,
-                            ParseError, PositionOverflow, ZERO, shift, tracks,
-                            validate_tuple)
+                            ParseError, PositionOverflow, ZERO, emit_runs,
+                            shift, tracks, validate_tuple)
 from fourshift.generators import (SWAP_12, SWAP_13, SWAP_23, HeadLocal,
                                   HeadShift, IllFormedInstruction, Particle,
                                   SymbolPerm, TransportWord, _window_of_line,
@@ -18,7 +18,8 @@ from fourshift.generators import (SWAP_12, SWAP_13, SWAP_23, HeadLocal,
                                   invert_word, size_report)
 from fourshift.permbuild import WordPerm, build_mapping_perm
 from fourshift.safety import make_explicit_spec
-from fourshift.serial import parse_word
+from fourshift.serial import emit_word, parse_word
+from fourshift.transporter import transport
 
 from conftest import (dense, dict_overwrite, edge_cells, from_cells_relabel,
                       from_tracks, head_local, rand_config, rand_tuple,
@@ -390,6 +391,68 @@ class TestWindowReader:
         wp = parse_word(json.dumps([obj])).steps[0].wp
         assert wp.images == want
         assert [dense(s, 2) for s, _ in wp.moved] == sorted(dense(s, 2) for s in want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(HL_LINES), max_size=4), max_size=3))
+    @example([["@1:1", "@2:1", "@-1:1"], ["ZERO", "@1:12"]])
+    @example([["@1:1", "@2:1"], ["@-1:1", "@1:1"]])
+    @example([["@1:1", "@0:01"]])
+    @example([["@1:1"]])
+    def test_cycle_objects_match_the_two_pass_read(self, cycles):
+        obj = {"op": "HL", "r": 2, "cycles": cycles}
+        try:
+            want = two_pass_head_local(obj)
+        except DomainError:
+            with pytest.raises(ParseError):
+                parse_word(json.dumps([obj]))
+            return
+        assert parse_word(json.dumps([obj])).steps[0].wp.images == want
+
+
+def chain_maps(rng: random.Random, n: int):
+    """Head-local rewrites of radius 1 to 3 that `build_mapping_perm` makes
+    from one seeded chain of up to seven windows, so cycles of two to
+    seven windows occur."""
+    for _ in range(n):
+        r = rng.randint(1, 3)
+        chain = list(dict.fromkeys("".join(rng.choice("012") for _ in range(2 * r))
+                                   for _ in range(rng.randint(2, 7))))
+        yield HeadLocal(r, build_mapping_perm(
+            [(window(s), window(d)) for s, d in zip(chain, chain[1:])], 2 * r))
+
+
+class TestCycleForm:
+    """An HL map written as its disjoint cycles reads back as the same map
+    as its [src, dst] pairs do, and as the two-pass oracle reads it."""
+
+    @staticmethod
+    def check(ins: HeadLocal) -> None:
+        obj = ins.to_obj()
+        cells = {"op": "HL", "r": ins.r, "cells": [
+            [emit_runs(s), emit_runs(d)] for s, d in ins.wp.moved]}
+        assert HeadLocal.from_obj(obj) == HeadLocal.from_obj(cells) == ins
+        assert two_pass_head_local(obj) == two_pass_head_local(cells) == ins.wp.images
+
+    def test_transport_words(self):
+        rng, maps = random.Random(22), 0
+        for i in range(40):
+            k = 1 + i % 5
+            word = transport(rand_tuple(rng, k, span=5), rand_tuple(rng, k, span=5))
+            assert parse_word(emit_word(word)) == word
+            for ins in word.steps:
+                if isinstance(ins, HeadLocal):
+                    self.check(ins)
+                    maps += 1
+        assert maps > 150
+
+    def test_built_maps_with_chains(self):
+        lengths = set()
+        for ins in chain_maps(random.Random(23), 300):
+            self.check(ins)
+            word = TransportWord((ins, Particle(1), ins.inverse()))
+            assert parse_word(emit_word(word)) == word
+            lengths.update(map(len, ins.wp.cycles()))
+        assert lengths == {2, 3, 4, 5, 6, 7}
 
 
 class TestApplyWord:

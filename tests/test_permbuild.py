@@ -195,6 +195,42 @@ class TestWordPermChecksOnce:
             assert a != b or hash(a) == hash(b)
 
 
+class TestCycles:
+    """`WordPerm.cycles` and its decoder `WordPerm.of_cycles`."""
+
+    def test_round_trip(self):
+        longest = 0
+        for wp in seeded_perms(random.Random(6), 300):
+            cycles = wp.cycles()
+            assert WordPerm.of_cycles(cycles, wp.length) == wp
+            # disjoint, each following the map and closing, none a fixed point
+            named = [w for cycle in cycles for w in cycle]
+            assert sorted(named, key=str) == sorted(wp.images, key=str)
+            for cycle in cycles:
+                assert len(cycle) >= 2
+                assert [wp.apply(w) for w in cycle] == [*cycle[1:], cycle[0]]
+            # each starts at its least word, in the order of those words
+            least = [min(dense_word(w, wp.length) for w in cycle) for cycle in cycles]
+            assert least == [dense_word(c[0], wp.length) for c in cycles] == sorted(least)
+            longest = max(longest, *map(len, cycles), 0)
+        assert longest >= 5
+
+    def test_identity(self):
+        assert WordPerm(2).cycles() == ()
+        assert WordPerm.of_cycles([], 2) == WordPerm(2)
+
+    @pytest.mark.parametrize("cycles", [
+        [("00", "01", "00")], [("00", "01"), ("02", "00")], [("00",)], [()]],
+        ids=["twice-in-a-cycle", "in-two-cycles", "one-word", "empty"])
+    def test_refused(self, cycles):
+        with pytest.raises(DomainError):
+            WordPerm.of_cycles(cycles, 2)
+
+
+def dense_word(w, length: int) -> str:
+    return w if isinstance(w, str) else dense(w, length // 2)
+
+
 class TestParity:
     def test_identity_even(self):
         assert parity({}) == 0

@@ -99,8 +99,11 @@ def sample_words(rng):
 
 
 # The word file of all_ops_word(), pinned byte for byte: one instruction
-# per line, the HL windows as run lines.
-GOLDEN = Path(__file__).parent / "data" / "all_ops_word_cells.json"
+# per line, each HL map as disjoint cycles of run lines.
+GOLDEN = Path(__file__).parent / "data" / "all_ops_word_cycles.json"
+# The same word as written before HL maps were cycles, as [src, dst] pairs
+# of run lines; each *_cells.json golden re-emits as its *_cycles.json.
+CELLS_GOLDEN = Path(__file__).parent / "data" / "all_ops_word_cells.json"
 # The same word as written before: indented, with a dense HL map.  Files
 # written before the SR "mode" key was dropped differ from it only by
 # that key.
@@ -152,7 +155,8 @@ json_values = st.recursive(
 # decoder sees every field malformed; values that look like integers
 # without being JSON integers are drawn often.
 GOLDEN_OBJS = [*json.loads(DENSE_GOLDEN.read_text()),
-               *(o for o in json.loads(GOLDEN.read_text()) if o["op"] == "HL")]
+               *(o for path in (CELLS_GOLDEN, GOLDEN)
+                 for o in json.loads(path.read_text()) if o["op"] == "HL")]
 one_field_off = st.builds(
     lambda slot, v: [{**GOLDEN_OBJS[slot[0]], slot[1]: v}],
     st.sampled_from([(i, key) for i, obj in enumerate(GOLDEN_OBJS)
@@ -198,13 +202,16 @@ class TestWordFiles:
             assert inv.apply(swap.apply(x)) == x
 
     def test_hl_map_sorted(self):
-        # pairs in the order of their sources as dense words, which is not
-        # the order of the cell tuples
-        word = TransportWord((head_local(
-            2, [("1000", "0001"), ("0001", "0100"), ("0100", "1000")]),))
+        # cycles in the dense order of their least windows, each starting
+        # there and following the map; the order of the cell tuples is
+        # the reverse one here
+        word = TransportWord((head_local(2, [
+            ("0200", "0010"), ("0001", "1000"), ("1000", "0100"),
+            ("0010", "0200"), ("0100", "0001")]),))
         data = json.loads(emit_word(word))
-        sources = [dense(parse_runs(s), 2) for s, _ in data[0]["cells"]]
-        assert sources == sorted(sources) == ["0001", "0100", "1000"]
+        cycles = [[dense(parse_runs(w), 2) for w in cycle]
+                  for cycle in data[0]["cycles"]]
+        assert cycles == [["0001", "1000", "0100"], ["0010", "0200"]]
 
     def test_schematic_tags(self):
         data = json.loads(emit_word(
@@ -219,6 +226,14 @@ class TestWordFiles:
 
     def test_dense_golden_still_read(self):
         assert parse_word(DENSE_GOLDEN.read_text()) == all_ops_word()
+
+    @pytest.mark.parametrize("name", ["all_ops_word", "demo3_pipeline_word"])
+    def test_cells_golden_re_emits_as_cycles(self, name):
+        cells = GOLDEN.parent / f"{name}_cells.json"
+        cycles = GOLDEN.parent / f"{name}_cycles.json"
+        word = parse_word(cells.read_text())
+        assert emit_word(word) + "\n" == cycles.read_text()
+        assert parse_word(cycles.read_text()) == word
 
     def test_mode_key_still_read(self):
         objs = json.loads(DENSE_GOLDEN.read_text())
@@ -387,7 +402,8 @@ class TestReadChecksNoWindowTwice:
             monkeypatch.setattr(module, "checked_word", strings_only)
 
     def test_cells_files_and_transport_words(self, rng, monkeypatch):
-        texts = [p.read_text() for p in sorted(GOLDEN.parent.glob("*_cells.json"))]
+        texts = [p.read_text() for form in ("cells", "cycles")
+                 for p in sorted(GOLDEN.parent.glob(f"*_{form}.json"))]
         want = [parse_word(text) for text in texts]
         words = []
         for _ in range(30):
@@ -609,12 +625,13 @@ class TestCli:
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"
         src.write_text("@0:31\n")
-        word.write_text('[{"op":"HL","r":1000000000000000,'
-                        '"cells":[["@1:1","@2:1"],["@2:1","@1:1"]]}]')
-        start = time.monotonic()
-        assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
-        assert time.monotonic() - start < 1.0
-        assert capsys.readouterr().out == "@0:301\n"
+        for obj in ('"cells":[["@1:1","@2:1"],["@2:1","@1:1"]]',
+                    '"cycles":[["@1:1","@2:1"]]'):
+            word.write_text('[{"op":"HL","r":1000000000000000,%s}]' % obj)
+            start = time.monotonic()
+            assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
+            assert time.monotonic() - start < 1.0
+            assert capsys.readouterr().out == "@0:301\n"
 
     @pytest.mark.parametrize("obj", [
         '"cells":[["@0:1","@1:1"],["@1:1","@0:1"]]',
@@ -625,10 +642,23 @@ class TestCli:
         '"cells":[],"map":[]', '"r2":2',
         '"cells":[["@1:1","@2:1"],["@2:1","@1:1"],["@1:1","@2:1"]]',
         '"cells":[["@1:1","@2:1"],["@2:1","@1:1"],["@-1:1","@2:1"]]',
-        '"map":[["\\u0661000","0100"],["0100","\\u0661000"]]'],
+        '"map":[["\\u0661000","0100"],["0100","\\u0661000"]]',
+        '"cycles":[["@1:1","@2:1","@1:1"]]',
+        '"cycles":[["@1:1","@2:1"],["@-1:1","@1:1"]]',
+        '"cycles":[["@1:1","@0:01"]]',
+        '"cycles":[["@1:1"]]', '"cycles":[[]]',
+        '"cycles":[{"@1:1":0,"@2:1":0}]', '"cycles":["@1:1 @2:1"]',
+        '"cycles":[["@3:1","@1:1"]]', '"cycles":[["@1:1","@-3:1","@2:1"]]',
+        '"cycles":[],"cells":[]', '"cycles":[],"map":[]'],
         ids=["offset-0", "below-minus-r", "above-r", "symbol-3",
              "cell-written-twice", "map-and-cells", "neither",
-             "repeated-source", "repeated-target", "map-arabic-indic-one"])
+             "repeated-source", "repeated-target", "map-arabic-indic-one",
+             "window-twice-in-a-cycle", "window-in-two-cycles",
+             "window-twice-spelled-two-ways",
+             "one-window-cycle", "empty-cycle", "cycle-a-dict",
+             "cycle-a-string", "cycle-window-above-r",
+             "cycle-window-below-minus-r", "cycles-and-cells",
+             "cycles-and-map"])
     def test_bad_hl_window_exit_2(self, tmp_path, capsys, obj):
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"
@@ -758,6 +788,9 @@ small_instructions = st.one_of(
     st.builds(lambda r, cells: {"op": "HL", "r": r, "cells": cells},
               st.integers(1, 8), st.lists(st.lists(window_runs, min_size=2,
                                                    max_size=2), max_size=3)),
+    st.builds(lambda r, cycles: {"op": "HL", "r": r, "cycles": cycles},
+              st.integers(1, 8), st.lists(st.lists(window_runs, min_size=1,
+                                                   max_size=3), max_size=3)),
     st.just(json.loads(SWAP)[0]),
 )
 word_files = st.lists(small_instructions, max_size=4).map(json.dumps)

@@ -2,9 +2,11 @@
 byte of a fixed set of transport and orbit-permutation words unchanged.
 
 The two sets have their own digests.  Transport words change whenever the
-transporter's output does (last when `transport` began to fuse its word);
-orbit-permutation words bypass the transporter, so their digest holds
-across such a change."""
+transporter's output or the HL form does (last when HL maps began to be
+written as disjoint cycles; before that, when `transport` began to fuse its
+word); orbit-permutation words bypass the transporter and hold no HL, so
+their digest holds across such a change, and the dense digests, which write
+HL maps as pairs, show that no replayed word moved."""
 
 import hashlib
 import json
@@ -20,7 +22,7 @@ from fourshift.transporter import transport
 from conftest import dense, rand_tuple
 
 # sha256 over the transport word files, each followed by a newline.
-DIGEST = "c89a1f29ebf515189008b3b8a2efec774724f894c3d37c7982f810a4fe01eec7"
+DIGEST = "d50cadad50f373711c00c5bcaf50fc8b0c353f695114057d812d0f188d04160f"
 # The same over the words as dense_text writes them, which is how word
 # files were written before HL windows were keyed on their cells.
 DENSE_DIGEST = "cf9d0aa86a820d54fa3af2ce6b86dca5ca4fd0f28c8b1befa0f54ceb995ce5f0"
