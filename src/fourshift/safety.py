@@ -38,46 +38,56 @@ class IllFormedSpec(DomainError):
 
 # --- word set descriptors -------------------------------------------------
 
+Key = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class ExplicitWords:
     """A finite, explicitly listed set of words over {0,1,2,3}.  Each word
-    is also keyed on its nonzero cells, (offset, symbol) pairs in order of
-    offset; `keys` holds them sorted, and `firsts` the distinct offsets of
-    their first cells, in increasing order."""
+    is keyed once on its nonzero cells, (offset, symbol) pairs in order of
+    offset: `key_of` maps each word to its key.  `shapes` maps each key's
+    cells taken relative to its first cell to the first offsets where that
+    shape starts in a word, and `sizes` holds (cell count, least first
+    offset of a key of that count) in increasing order of count."""
 
     length: int
     words: frozenset[str]
-    keys: tuple[tuple[tuple[int, int], ...], ...] = field(
+    key_of: dict[str, Key] = field(init=False, repr=False, compare=False)
+    shapes: dict[Key, tuple[int, ...]] = field(
         init=False, repr=False, compare=False)
-    firsts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    sizes: tuple[tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.words:
             raise IllFormedWordSet("empty word set")
-        keys = []
+        key_of, shapes, least = {}, {}, {}
         for w in self.words:
             if len(w) != self.length:
                 raise IllFormedWordSet(f"word {w!r} is not of length {self.length}")
-            key = _word_key(w)
+            key = key_of[w] = _shared(digit_cells(0, w))
             if not key:
                 raise IllFormedWordSet("word set contains the all-zero word")
-            keys.append(key)
-        object.__setattr__(self, "keys", tuple(sorted(keys)))
-        object.__setattr__(self, "firsts",
-                           tuple(sorted({key[0][0] for key in keys})))
+            f = key[0][0]
+            shape = _shared([(o - f, s) for o, s in key])
+            shapes[shape] = (*shapes.get(shape, ()), f)
+            least[len(key)] = min(least.get(len(key), f), f)
+        object.__setattr__(self, "key_of", key_of)
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "sizes", tuple(sorted(least.items())))
 
     @staticmethod
     def of(words: Iterable[str]) -> "ExplicitWords":
         ws = frozenset(words)
         lengths = {len(w) for w in ws}
-        if len(lengths) != 1:
+        if len(lengths) > 1:
             raise IllFormedWordSet("words of mixed length")
-        return ExplicitWords(lengths.pop(), ws)
+        return ExplicitWords(max(lengths, default=0), ws)
 
 
-def _word_key(w: str) -> tuple[tuple[int, int], ...]:
-    """The nonzero cells of w in order of offset, sharing those of CELLS."""
-    return tuple(CELLS.get(c, c) for c in digit_cells(0, w))
+def _shared(cells: Iterable[tuple[int, int]]) -> Key:
+    """`cells` as a tuple, sharing the cell objects of CELLS."""
+    return tuple([CELLS.get(c, c) for c in cells])
 
 
 @dataclass(frozen=True)
@@ -106,24 +116,32 @@ WordSetDesc = ExplicitWords | HeadLayoutWords | NonzeroWords
 def occurrences(x: Config, wset: ExplicitWords | HeadLayoutWords) -> frozenset[int]:
     """Positions i with x[i .. i+len-1] in the word set; exact and finite.
 
-    Listed words are matched by key: a start i is tried only where a cell
-    p of x is the window's first, at the first offset f = p - i of some
-    key, and the window's cells, `x.cells_in(i, i + len)` shifted to
-    offsets from i, must be a key.  Cost: cells of x times distinct first
-    offsets, each a slice of the cells in the window.  Head layouts read
-    the heads of each candidate window as one bisect slice of the sorted
-    heads."""
+    Listed words are matched by shape: a start i = p - f is tried only
+    where a cell p of x is the window's first, so f is less than the gap g
+    from the cell before p.  The cell counts of the keys are tried in
+    increasing order: the scan stops at the first count n whose n-th cell
+    from p lies k or more past p, skips a count whose keys all start at
+    offsets of g or more, and otherwise looks up the n cells from p,
+    relative to p, in `shapes`; each first offset f < g whose window holds
+    no further cell gives a start.  Cost: at most one tuple of cells per
+    cell of x and distinct cell count, never the word length.  Head
+    layouts read the heads of each candidate window as one bisect slice
+    of the sorted heads."""
     if isinstance(wset, ExplicitWords):
-        cells, k, keys, found = x.cells, wset.length, wset.keys, []
+        cells, k, shapes, found = x.cells, wset.length, wset.shapes, []
+        end = len(cells)
         for j, (p, _) in enumerate(cells):
-            for f in wset.firsts:
-                i = p - f
-                if j and cells[j - 1][0] >= i:
-                    break  # a cell before p lies in this and every later window
-                window = tuple((q - i, s) for q, s in x.cells_in(i, i + k))
-                n = bisect_left(keys, window)
-                if n < len(keys) and keys[n] == window:
-                    found.append(i)
+            g = p - cells[j - 1][0] if j else k
+            for n, least in wset.sizes:
+                stop = j + n
+                if stop > end or cells[stop - 1][0] - p >= k:
+                    break
+                if least >= g:
+                    continue
+                shape = tuple([(q - p, s) for q, s in cells[j:stop]])
+                for f in shapes.get(shape, ()):
+                    if f < g and (stop == end or cells[stop][0] >= p - f + k):
+                        found.append(p - f)
         return frozenset(found)
     if isinstance(wset, HeadLayoutWords):
         heads, L = x.heads(), wset.length
@@ -213,7 +231,9 @@ class SafeRewrite:
     V allow it.  With k = |U| and h = |V| the radii are the minimal strict
     ones over the 4-symbol alphabet: ell = 4^h + 1 and m_rad = ell + 2k + h.
     Built only when it is an automorphism: pi permutes U, and U meets the
-    marker rule of V (the head marker or the nonzero words of length h)."""
+    marker rule of V (the head marker or the nonzero words of length h).
+    A listed map is also held on cells: `cell_map` sends the key of each
+    moved word to the key of its image; it is None for a named rule."""
 
     U: WordSetDesc
     V: WordSetDesc
@@ -222,6 +242,7 @@ class SafeRewrite:
     h: int = field(init=False)
     ell: int = field(init=False)
     m_rad: int = field(init=False)
+    cell_map: dict[Key, Key] | None = field(init=False, repr=False, compare=False)
     OP = "SR"
 
     def __post_init__(self):
@@ -242,17 +263,23 @@ class SafeRewrite:
         else:
             raise IllFormedSpec(f"no marker rule for V = {self.V!r}")
         ell = SIGMA_SIZE**h + 1
+        cell_map = None if isinstance(self.pi, RuleWordMap) else {
+            self.U.key_of[s]: self.U.key_of[d] for s, d in self.pi.images.items()}
         for name, value in (("k", k), ("h", h), ("ell", ell),
-                            ("m_rad", ell + 2 * k + h)):
+                            ("m_rad", ell + 2 * k + h), ("cell_map", cell_map)):
             object.__setattr__(self, name, value)
 
     def apply(self, x: Config) -> Config:
         return apply_safe_rewrite(x, self)
 
     def inverse(self) -> "SafeRewrite":
-        """pi inverted: U, V and the moved words stay, so nothing is checked."""
+        """pi and its cell map inverted: U, V and the moved words stay, so
+        nothing is checked."""
         inv = object.__new__(SafeRewrite)
-        inv.__dict__.update(self.__dict__, pi=self.pi.inverse())
+        cell_map = self.cell_map
+        if cell_map is not None:
+            cell_map = {d: s for s, d in cell_map.items()}
+        inv.__dict__.update(self.__dict__, pi=self.pi.inverse(), cell_map=cell_map)
         return inv
 
     def to_obj(self) -> dict:
@@ -345,13 +372,24 @@ def chi_sites(x: Config, spec: SafeRewrite) -> frozenset[int]:
 
 def apply_safe_rewrite(x: Config, spec: SafeRewrite) -> Config:
     """Replace the k-block at every chi site by its image under the spec's
-    permutation; all other cells are unchanged."""
+    permutation; all other cells are unchanged.  A listed map reads each
+    block once, `x.cells_in(i, i + k)` shifted to offsets from i, looks it
+    up in `cell_map` and writes the image cells of each moved block by one
+    `Config.overwrite`.  A named head-gap rule is defined on letters: its
+    blocks go through `Config.window` and `digit_cells`."""
     sites = sorted(chi_sites(x, spec))
     if not sites:
         return x
-    k, pi = spec.k, spec.pi
-    return x.overwrite((i, i + k, digit_cells(i, pi.apply(x.window(i, i + k))))
-                       for i in sites)
+    k, pi, cell_map = spec.k, spec.pi, spec.cell_map
+    if cell_map is None:
+        return x.overwrite((i, i + k, digit_cells(i, pi.apply(x.window(i, i + k))))
+                           for i in sites)
+    blocks = []
+    for i in sites:
+        image = cell_map.get(tuple([(p - i, s) for p, s in x.cells_in(i, i + k)]))
+        if image is not None:
+            blocks.append((i, i + k, [(i + o, s) for o, s in image]))
+    return x.overwrite(blocks) if blocks else x
 
 
 # --- the simulated head shift ------------------------------------------------

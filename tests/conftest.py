@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, Config,
                             DomainError, ParseError, PositionOverflow, TupleK,
-                            parse_runs, validate_tuple)
+                            digit_cells, parse_runs, validate_tuple)
 from fourshift.generators import HeadLocal
 from fourshift.permbuild import WordPerm, parity
 from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
-                              apply_safe_rewrite, head_shift_once)
+                              apply_safe_rewrite, chi_sites, head_shift_once)
 
 
 # Up to six nonzero cells, each near one end of the position range or near 0.
@@ -53,6 +53,18 @@ def two_rewrite_shift(x: Config, direction: int) -> Config:
     first, second = ((SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC) if direction == 1
                      else (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC))
     return apply_safe_rewrite(apply_safe_rewrite(x, first), second)
+
+
+def string_rewrite(x: Config, spec) -> Config:
+    """The safe rewrite `spec` on letters: at each chi site i the block
+    `x.window(i, i + k)` is mapped by `spec.pi` and its image written back
+    as `digit_cells`.  The oracle of the cell route of
+    `safety.apply_safe_rewrite` for listed maps."""
+    sites, k = sorted(chi_sites(x, spec)), spec.k
+    if not sites:
+        return x
+    return x.overwrite((i, i + k, digit_cells(i, spec.pi.apply(x.window(i, i + k))))
+                       for i in sites)
 
 
 def stepwise_head_shift(x: Config, e: int) -> Config:

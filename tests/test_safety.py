@@ -2,6 +2,7 @@
 spec checks when built, and the simulated head shift."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,8 @@ from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
                               make_zero_padded_spec, occurrences)
 
 from conftest import (rand_config, rand_even_perm, rand_single_head, rand_tuple,
-                      sym_window, two_rewrite_shift)
+                      same_or_overflow, string_rewrite, sym_window,
+                      two_rewrite_shift)
 
 
 def cfg(offset, digits):
@@ -83,6 +85,12 @@ class TestOccurrences:
     def test_all_zero_word_rejected(self):
         with pytest.raises(IllFormedWordSet):
             ExplicitWords.of(["000"])
+
+    def test_empty_and_mixed_word_sets_rejected(self):
+        with pytest.raises(IllFormedWordSet, match="empty word set"):
+            ExplicitWords.of([])
+        with pytest.raises(IllFormedWordSet, match="mixed length"):
+            ExplicitWords.of(["01", "010"])
 
     def test_translation_equivariance(self, rng):
         wset = ExplicitWords.of(["030", "031", "132"])
@@ -176,10 +184,71 @@ class TestOccurrences:
             assert got == span_scan(x, U)
             hits += bool(got)
             several += len(got) > 1 and max(got) - min(got) <= ins.m_rad
-            mixed_firsts += len(U.firsts) > 1
+            mixed_firsts += len({key[0][0] for key in U.key_of.values()}) > 1
             longest = max(longest, U.length)
         assert hits > 90 and several > 30
         assert mixed_firsts > 100 and longest >= 72
+
+    @pytest.mark.parametrize("f", [2, 3, 7, 40])
+    def test_first_offsets_at_the_gap(self, f):
+        # a word whose first cell is f cells in, on a cell p whose previous
+        # cell is f - 1, f or f + 1 cells back: only a gap past f lets p
+        # start a window; a second word starts at the previous cell
+        wset = ExplicitWords.of(["0" * f + "1200", "2" + "0" * (f - 1) + "1200"])
+        for g, want in ((f - 1, set()), (f, {-f}), (f + 1, {-f})):
+            for at in (0, 10**9, -10**9):
+                x = Config.from_cells({at - g: 2, at: 1, at + 1: 2})
+                got = occurrences(x, wset)
+                assert got == span_scan(x, wset)
+                assert got == {i + at for i in want}, (f, g)
+
+    def test_dense_line_against_words_of_many_cell_counts(self, rng):
+        # 50 words of 120 letters holding 1 .. 50 cells, first offsets 0 to
+        # 30, on a line of 2,000 cells 1 or 2 apart with a copy of a word,
+        # alone, after every 100 cells (a part of a copy may be a word too)
+        k, words = 120, []
+        for n in range(1, 51):
+            f = rng.choice((0, 1, 2, 5, 30))
+            offsets = [f, *sorted(rng.sample(range(f + 1, k), n - 1))]
+            row = ["0"] * k
+            for o in offsets:
+                row[o] = str(rng.randrange(1, 4))
+            words.append("".join(row))
+        wset = ExplicitWords.of(words)
+        cells, p, copies = {}, 0, set()
+        for j in range(2000):
+            if j % 100 == 99:
+                w = rng.choice(words)
+                copies.add(p + k)
+                cells.update(digit_cells(p + k, w))
+                p += 3 * k
+            cells[p] = rng.randrange(1, 4)
+            p += rng.choice((1, 1, 1, 2))
+        x = Config.from_cells(cells)
+        start = time.perf_counter()
+        got = occurrences(x, wset)
+        assert time.perf_counter() - start < 0.5
+        assert got == span_scan(x, wset) and got >= copies
+
+    def test_long_word_with_one_cell_on_spread_cells(self, rng):
+        # one cell 25,000 letters into a 60,000-letter word, on 3,000
+        # cells whose gaps lie on both sides of the padding before and
+        # after that cell; the starts follow from the gaps alone
+        k, f = 60000, 25000
+        wset = ExplicitWords.of(["0" * f + "1" + "0" * (k - f - 1)])
+        gaps = (1, f, f + 1, k - f - 1, k - f, k, 10**6)
+        at, cells = rng.choice((0, 10**9, -10**9)), []
+        for _ in range(3000):
+            cells.append((at, rng.choice((1, 1, 2))))
+            at += rng.choice(gaps)
+        x = Config.from_cells(cells)
+        start = time.perf_counter()
+        got = occurrences(x, wset)
+        assert time.perf_counter() - start < 0.5
+        want = {p - f for j, (p, s) in enumerate(cells) if s == 1
+                and (j == 0 or p - cells[j - 1][0] > f)
+                and (j == len(cells) - 1 or cells[j + 1][0] - p >= k - f)}
+        assert got == want and len(want) > 100
 
 
 def pairwise_sites(occ_u, occ_v, spec):
@@ -312,6 +381,85 @@ class TestApplySafeRewrite:
             assert apply_safe_rewrite(apply_safe_rewrite(x, spec), inv) == x
 
 
+def rand_head_spec(rng):
+    """A listed rewrite guarded by the head marker: 2 to 6 words of length
+    3, 6 or 9 with a head first in the middle third, and more heads there
+    in some, permuted at random."""
+    k3 = rng.randrange(1, 4)
+    words = set()
+    while len(words) < rng.randrange(2, 7):
+        row = [rng.choice("0012") for _ in range(3 * k3)]
+        for o in {k3, *rng.sample(range(k3, 2 * k3), rng.randrange(k3))}:
+            row[o] = "3"
+        words.add("".join(row))
+    words = sorted(words)
+    images = rng.sample(words, len(words))
+    return make_explicit_spec(words, zip(words, images))
+
+
+def rand_orbit_spec(rng):
+    """The zero-padded rewrite of an even permutation of 5 to 8 components
+    of span 1 to 12, with the tuple it permutes."""
+    k = rng.randrange(5, 9)
+    t = rand_tuple(rng, k, span=rng.choice((1, 2, 4, 12)))
+    return orbit_permutation_instruction(t, rand_even_perm(rng, k)), t
+
+
+class TestListedRewrites:
+    """The cell route of `apply_safe_rewrite` equals the string route of
+    `conftest.string_rewrite` on listed maps and their inverses."""
+
+    def test_matches_the_string_route(self, rng):
+        # copies of the words of U (and of the components an orbit rewrite
+        # permutes) m_rad or more apart, or closer, near 0 and near
+        # +-10^9, with a few cells of noise among them
+        sites = several = moved = 0
+        for case in range(400):
+            if case % 2:
+                spec, t = rand_orbit_spec(rng)
+                pieces = [c.cells for c in t]
+            else:
+                spec = rand_head_spec(rng)
+                pieces = [digit_cells(0, w) for w in spec.U.words]
+            gaps = (1, spec.k, spec.m_rad, spec.m_rad + 1, 3 * spec.m_rad, 10**8)
+            at = rng.choice((0, 10**9, -10**9)) + rng.randrange(-99, 100)
+            cells = {}
+            for _ in range(rng.randrange(1, 6)):
+                cells.update((at + p, s) for p, s in rng.choice(pieces))
+                at += rng.choice(gaps)
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                cells[rng.choice(list(cells)) + rng.randrange(-9, 10)] = \
+                    rng.randrange(1, 4)
+            x = Config.from_cells(cells)
+            for sp in (spec, spec.inverse()):
+                got = apply_safe_rewrite(x, sp)
+                assert got == string_rewrite(x, sp), (x, sp)
+                moved += got != x
+            n = len(chi_sites(x, spec))
+            sites += n
+            several += n > 1
+        assert sites > 400 and several > 80 and moved > 300
+
+    def test_overflow_matches_the_string_route(self, rng):
+        # a copy of a word of U whose last cell is at +POSITION_LIMIT, or
+        # whose first cell is at -POSITION_LIMIT: an image reaching past
+        # the limit raises PositionOverflow on both routes
+        overflows = 0
+        for case in range(200):
+            spec = rand_orbit_spec(rng)[0] if case % 2 else rand_head_spec(rng)
+            for sp in (spec, spec.inverse()):
+                for w in sp.U.words:
+                    key = sp.U.key_of[w]
+                    for i in (POSITION_LIMIT - key[-1][0], -POSITION_LIMIT - key[0][0]):
+                        x = Config.from_cells(digit_cells(i, w))
+                        same_or_overflow(apply_safe_rewrite, string_rewrite, x, sp)
+                        try:
+                            string_rewrite(x, sp)
+                        except PositionOverflow:
+                            overflows += 1
+        assert overflows > 500
+
+
 class TestValidators:
     """The marker rules, checked when the factories build a spec."""
 
@@ -415,6 +563,7 @@ class TestInverse:
             inv = spec.inverse()
             want = SafeRewrite(spec.U, spec.V, spec.pi.inverse())
             assert inv == want and hash(inv) == hash(want)
+            assert inv.cell_map == want.cell_map
             assert (inv.k, inv.h, inv.ell, inv.m_rad) == (want.k, want.h, want.ell, want.m_rad)
             assert inv.inverse() == spec
 

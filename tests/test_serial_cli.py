@@ -587,6 +587,17 @@ class TestCli:
         assert captured.err.startswith("error: ParseError")
         assert captured.err.count("\n") == 1
 
+    def test_empty_word_set_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@0:1\n")
+        word.write_text(sr_obj(**{**ZERO_PADDED, "U": [], "map": []}))
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError")
+        assert "empty word set" in captured.err
+
     @pytest.mark.parametrize("e, line", [
         (100000000, "@-100000000:1 @1:2"),
         (-4611686018427387900, "@1:2 @4611686018427387900:1")],
