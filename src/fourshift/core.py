@@ -142,14 +142,6 @@ class Config:
         lo = bisect_left(cells, (start,))
         return cells[lo:bisect_left(cells, (stop,), lo)]
 
-    def window(self, start: int, stop: int) -> str:
-        """The symbols at start .. stop - 1 as a digit string: the cells
-        in the block laid into a row of zeros."""
-        row = ["0"] * (stop - start)
-        for p, s in self.cells_in(start, stop):
-            row[p - start] = str(s)
-        return "".join(row)
-
     def overwrite(self, blocks: Iterable[tuple[int, int, Iterable]]) -> "Config":
         """This configuration with the cells at start .. stop - 1 replaced
         by `cells`, for each block `(start, stop, cells)`.  Blocks come in

@@ -4,8 +4,8 @@ as a single zero-padded safe rewrite."""
 from __future__ import annotations
 
 from .core import DomainError, TupleK, validate_tuple
-from .permbuild import parity
-from .safety import SafeRewrite, make_zero_padded_spec
+from .permbuild import WordPerm, parity
+from .safety import ExplicitWords, NonzeroWords, SafeRewrite, cell_key
 
 
 class KTooSmall(DomainError):
@@ -28,12 +28,10 @@ def orbit_permutation_instruction(t: TupleK, beta: tuple[int, ...]) -> SafeRewri
     if parity(dict(enumerate(beta))) != 0:
         raise BetaOdd("only even component permutations are realizable")
 
-    m = 1
-    for c in t:
-        for p in c.support():
-            # supports must fit in [-m, m-1]
-            m = max(m, p + 1, -p)
+    # supports must fit in [-m, m - 1]
+    m = max(1, *(max(c.max_pos() + 1, -c.min_pos()) for c in t))
 
-    words = [c.window(-3 * m, 3 * m) for c in t]
-    pairs = [(words[i], words[beta.index(i)]) for i in range(k)]
-    return make_zero_padded_spec(words, pairs)
+    # each component's word is 0^(2m) c 0^(2m), its key c's cells from -3m
+    keys = [cell_key(c.cells, -3 * m) for c in t]
+    pi = WordPerm.of_checked([(keys[i], keys[beta.index(i)]) for i in range(k)], 6 * m)
+    return SafeRewrite(ExplicitWords(6 * m, frozenset(keys)), NonzeroWords(2 * m), pi)

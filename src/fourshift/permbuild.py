@@ -1,7 +1,7 @@
 """Sparse permutations of fixed-length words.
 
 A WordPerm stores only its moved pairs; everything else is fixed.  It is
-the word map of explicit safe rewrites, whose words are strings, and the
+the word map of explicit safe rewrites, whose words are cell keys, and the
 window map of head-local rewrites.  A window of radius r is a word of
 {0,1,2}^(2r) around a head, held by its nonzero cells: a tuple of
 (offset from the head, symbol) pairs with increasing offsets,

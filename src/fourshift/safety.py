@@ -20,8 +20,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .core import (CELLS, Config, DomainError, digit_cells, isolated, json_int,
-                   shift)
+from .core import (CELLS, HEAD, PARTICLE, WALL, Config, DomainError, digit_cells,
+                   isolated, json_int, shift)
 from .permbuild import WordPerm
 
 SIGMA_SIZE = 4
@@ -43,36 +43,35 @@ Key = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class ExplicitWords:
-    """A finite, explicitly listed set of words over {0,1,2,3}.  Each word
-    is keyed once on its nonzero cells, (offset, symbol) pairs in order of
-    offset: `key_of` maps each word to its key.  `shapes` maps each key's
-    cells taken relative to its first cell to the first offsets where that
+    """A finite, explicitly listed set of words over {0,1,2,3}, each held
+    by its key: its nonzero cells, (offset, symbol) pairs with increasing
+    offsets in [0, length); `of` reads letter words.  `shapes` maps each
+    key's cells relative to its first cell to the first offsets where that
     shape starts in a word, and `sizes` holds (cell count, least first
     offset of a key of that count) in increasing order of count."""
 
     length: int
-    words: frozenset[str]
-    key_of: dict[str, Key] = field(init=False, repr=False, compare=False)
+    keys: frozenset[Key]
     shapes: dict[Key, tuple[int, ...]] = field(
         init=False, repr=False, compare=False)
     sizes: tuple[tuple[int, int], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.words:
+        if not self.keys:
             raise IllFormedWordSet("empty word set")
-        key_of, shapes, least = {}, {}, {}
-        for w in self.words:
-            if len(w) != self.length:
-                raise IllFormedWordSet(f"word {w!r} is not of length {self.length}")
-            key = key_of[w] = _shared(digit_cells(0, w))
+        shapes, least = {}, {}
+        for key in self.keys:
             if not key:
                 raise IllFormedWordSet("word set contains the all-zero word")
-            f = key[0][0]
-            shape = _shared([(o - f, s) for o, s in key])
+            f, prev = key[0][0], -1
+            for o, s in key:  # increasing offsets in [0, length), symbols 1-3
+                if not (prev < o < self.length and s in (PARTICLE, WALL, HEAD)):
+                    raise IllFormedWordSet(f"{key!r} is not a word key in [0, {self.length})")
+                prev = o
+            shape = cell_key(key, f)
             shapes[shape] = (*shapes.get(shape, ()), f)
             least[len(key)] = min(least.get(len(key), f), f)
-        object.__setattr__(self, "key_of", key_of)
         object.__setattr__(self, "shapes", shapes)
         object.__setattr__(self, "sizes", tuple(sorted(least.items())))
 
@@ -82,12 +81,29 @@ class ExplicitWords:
         lengths = {len(w) for w in ws}
         if len(lengths) > 1:
             raise IllFormedWordSet("words of mixed length")
-        return ExplicitWords(max(lengths, default=0), ws)
+        length = max(lengths, default=0)
+        return ExplicitWords(length, frozenset([read_key(w, length) for w in ws]))
 
 
-def _shared(cells: Iterable[tuple[int, int]]) -> Key:
-    """`cells` as a tuple, sharing the cell objects of CELLS."""
-    return tuple([CELLS.get(c, c) for c in cells])
+def cell_key(cells: Iterable[tuple[int, int]], start: int = 0) -> Key:
+    """The cells relative to `start`, sharing the cell objects of CELLS."""
+    return tuple([CELLS.get(c, c) for c in [(p - start, s) for p, s in cells]])
+
+
+def read_key(word: str, length: int) -> Key:
+    """The key of a letter word of `length` over {0,1,2,3}."""
+    if not isinstance(word, str) or len(word) != length:
+        raise IllFormedWordSet(f"word {word!r} is not of length {length}")
+    return cell_key(digit_cells(0, word))
+
+
+def letters(key: Key, length: int, start: int = 0) -> str:
+    """The letter word of `length` whose nonzero cells are those of `key`
+    moved `start` cells on."""
+    row = ["0"] * length
+    for o, s in key:
+        row[o + start] = str(s)
+    return "".join(row)
 
 
 @dataclass(frozen=True)
@@ -160,17 +176,23 @@ class RuleWordMap:
 
     tag: str  # a key of HEAD_GAP_FAMILIES
 
-    def apply(self, w: str) -> str:
-        """PI keeps the letter left of the head, TAU the letter right of it."""
-        left = self.tag == "SIGMA3_PI"
-        heads = [i for i, c in enumerate(w) if c == HEAD_CHAR]
-        m = SIGMA3_M
+    def apply(self, key: Key) -> Key:
+        """PI keeps the letter left of the head, TAU the letter right of
+        it: with m = SIGMA3_M, that letter a becomes heads at m and
+        m + 1 + a, and heads at m and q the letter q - m - 1 by a head."""
+        m, left = SIGMA3_M, self.tag == "SIGMA3_PI"
+        heads = [o for o, s in key if s == HEAD]
+        out = [c for c in key if c[0] < m]
         if len(heads) == 1:  # one head: encode the kept letter as a gap
-            a, v = int(w[m] if left else w[m + 1]), w[m + 2:]
-            return w[:m] + HEAD_CHAR + v[:a] + HEAD_CHAR + v[a:]
-        j = str(heads[1] - m - 1)  # two heads: decode the gap back to a letter
-        v = w[m + 1:heads[1]] + w[heads[1] + 1:]
-        return w[:m] + (j + HEAD_CHAR if left else HEAD_CHAR + j) + v
+            a = dict(key).get(m if left else m + 1, 0)
+            out.append((m, HEAD))
+            out += [(o - 1, s) for o, s in key if m + 2 <= o < m + 2 + a]
+            out.append((m + 1 + a, HEAD))
+            return tuple(out + [c for c in key if c[0] >= m + 2 + a])
+        q, j = heads[1], heads[1] - m - 1  # two heads: decode the gap as a letter
+        out += [(m, j), (m + 1, HEAD)] if left else [(m, HEAD), (m + 1, j)]
+        out += [(o + 1, s) for o, s in key if m < o < q]
+        return tuple([c for c in out if c[1]] + [c for c in key if c[0] > q])
 
     def inverse(self) -> "RuleWordMap":
         return self  # both rules are involutions
@@ -188,8 +210,8 @@ def _check_head_layouts(U: WordSetDesc) -> None:
     if isinstance(U, HeadLayoutWords):
         layouts = U.layouts
     elif isinstance(U, ExplicitWords):
-        layouts = [frozenset(i for i, c in enumerate(w) if c == HEAD_CHAR)
-                   for w in sorted(U.words)]
+        layouts = [frozenset(o for o, s in key if s == HEAD)
+                   for key in sorted(U.keys)]
     else:
         raise IllFormedSpec("the head marker needs listed words or layouts")
     if U.length % 3 != 0:
@@ -210,17 +232,15 @@ def _check_head_layouts(U: WordSetDesc) -> None:
 
 def _check_zero_padded(U: WordSetDesc, n: int) -> None:
     """Sufficient condition for V = all nonzero words of length n: every
-    word of U has the shape 0^n w 0^n and no core sits at two offsets."""
+    word of U has the shape 0^n w 0^n and no core sits at two offsets,
+    read from the shapes of U."""
     if not isinstance(U, ExplicitWords) or U.length != 3 * n:
         raise IllFormedSpec("zero-padded words must be listed, of length 3n")
-    core_offset: dict[str, tuple[int, str]] = {}
-    for w in sorted(U.words):
-        if w[:n].strip("0") or w[2 * n:].strip("0"):
-            raise IllFormedSpec(f"nonzero symbol outside the middle third: {w!r}")
-        first = len(w) - len(w.lstrip("0"))
-        off, prev = core_offset.setdefault(w.strip("0"), (first, w))
-        if off != first:
-            raise IllFormedSpec(f"same core at two offsets: {prev!r}, {w!r}")
+    for shape, (f, *more) in U.shapes.items():
+        if more or not n <= f < 2 * n - shape[-1][0]:
+            words = ", ".join(repr(letters(shape, U.length, g)) for g in (f, *more))
+            raise IllFormedSpec(("same core at two offsets: " if more else
+                                 "nonzero symbol outside the middle third: ") + words)
 
 
 # --- the safe rewrite -------------------------------------------------------
@@ -232,8 +252,8 @@ class SafeRewrite:
     ones over the 4-symbol alphabet: ell = 4^h + 1 and m_rad = ell + 2k + h.
     Built only when it is an automorphism: pi permutes U, and U meets the
     marker rule of V (the head marker or the nonzero words of length h).
-    A listed map is also held on cells: `cell_map` sends the key of each
-    moved word to the key of its image; it is None for a named rule."""
+    pi maps word keys: a named rule, or a WordPerm moving only the keys
+    of listed words U."""
 
     U: WordSetDesc
     V: WordSetDesc
@@ -242,7 +262,6 @@ class SafeRewrite:
     h: int = field(init=False)
     ell: int = field(init=False)
     m_rad: int = field(init=False)
-    cell_map: dict[Key, Key] | None = field(init=False, repr=False, compare=False)
     OP = "SR"
 
     def __post_init__(self):
@@ -254,7 +273,7 @@ class SafeRewrite:
                 raise IllFormedSpec(f"rule {self.pi.tag!r} does not permute U")
         elif not (isinstance(self.pi, WordPerm) and self.pi.length == k
                   and isinstance(self.U, ExplicitWords)
-                  and self.pi.images.keys() <= self.U.words):
+                  and self.pi.images.keys() <= self.U.keys):
             raise IllFormedSpec("pi must be a word permutation moving only U")
         if self.V == HEAD_MARKER:
             _check_head_layouts(self.U)
@@ -263,36 +282,29 @@ class SafeRewrite:
         else:
             raise IllFormedSpec(f"no marker rule for V = {self.V!r}")
         ell = SIGMA_SIZE**h + 1
-        cell_map = None if isinstance(self.pi, RuleWordMap) else {
-            self.U.key_of[s]: self.U.key_of[d] for s, d in self.pi.images.items()}
-        for name, value in (("k", k), ("h", h), ("ell", ell),
-                            ("m_rad", ell + 2 * k + h), ("cell_map", cell_map)):
+        for name, value in (("k", k), ("h", h), ("ell", ell), ("m_rad", ell + 2 * k + h)):
             object.__setattr__(self, name, value)
 
     def apply(self, x: Config) -> Config:
         return apply_safe_rewrite(x, self)
 
     def inverse(self) -> "SafeRewrite":
-        """pi and its cell map inverted: U, V and the moved words stay, so
-        nothing is checked."""
+        """pi inverted; U, V and the moved words stay, so nothing is checked."""
         inv = object.__new__(SafeRewrite)
-        cell_map = self.cell_map
-        if cell_map is not None:
-            cell_map = {d: s for s, d in cell_map.items()}
-        inv.__dict__.update(self.__dict__, pi=self.pi.inverse(), cell_map=cell_map)
+        inv.__dict__.update(self.__dict__, pi=self.pi.inverse())
         return inv
 
     def to_obj(self) -> dict:
         """Word-file fields: a rule and its head-gap family both by the
         rule's name, the key of U in HEAD_GAP_FAMILIES; listed words and
-        pairs otherwise; the radii as "strict"."""
-        named = isinstance(self.pi, RuleWordMap)
+        pairs otherwise, as sorted letter words; the radii as "strict"."""
+        named, k, pi = isinstance(self.pi, RuleWordMap), self.k, self.pi
         return {
-            "op": self.OP, "k": self.k, "h": self.h,
-            "U": self.pi.tag if named else sorted(self.U.words),
+            "op": self.OP, "k": k, "h": self.h,
+            "U": pi.tag if named else sorted([letters(u, k) for u in self.U.keys]),
             "V": [HEAD_CHAR] if self.V == HEAD_MARKER else "NONZERO_N",
-            "map": (self.pi.tag if named
-                    else [list(p) for p in sorted(self.pi.moved)]),
+            "map": pi.tag if named else sorted(
+                [[letters(s, k), letters(d, k)] for s, d in pi.images.items()]),
             "ell": "strict", "mrad": "strict",
         }
 
@@ -300,9 +312,10 @@ class SafeRewrite:
     def from_obj(obj) -> "SafeRewrite":
         """Inverse of to_obj, one field rule for named and listed rewrites:
         U is a name in HEAD_GAP_FAMILIES or a word list, V is ["3"] (repeats
-        allowed) or "NONZERO_N", map a rule name or a pair list.  The
-        constructor refuses every unsafe (U, V, pi); then k and h must be
-        the word lengths and each radius "strict" or the strict integer."""
+        allowed) or "NONZERO_N", map a rule name or a pair list whose words
+        are read as those of U are.  The constructor refuses every unsafe
+        (U, V, pi); then k and h must be the word lengths and each radius
+        "strict" or the strict integer."""
         k, h = json_int(obj["k"]), json_int(obj["h"])
         words, markers, pairs = obj["U"], obj["V"], obj["map"]
         if isinstance(words, list):
@@ -317,8 +330,7 @@ class SafeRewrite:
             V = NonzeroWords(h)
         else:
             raise IllFormedSpec(f"bad marker set {markers!r}")
-        pi = (RuleWordMap(pairs) if isinstance(pairs, str)
-              else WordPerm.from_pairs(pairs, U.length))
+        pi = RuleWordMap(pairs) if isinstance(pairs, str) else _key_perm(pairs, U.length)
         rewrite = SafeRewrite(U, V, pi)
         if (k, h) != (rewrite.k, rewrite.h):
             raise IllFormedSpec("k and h do not match the word lengths")
@@ -328,20 +340,24 @@ class SafeRewrite:
         return rewrite
 
 
+def _key_perm(pairs: Iterable[tuple[str, str]], length: int) -> WordPerm:
+    """The permutation of word keys listed by pairs of letter words."""
+    return WordPerm.of_checked([(read_key(s, length), read_key(d, length))
+                                for s, d in pairs], length)
+
+
 def make_explicit_spec(words: Iterable[str],
                        pairs: Iterable[tuple[str, str]]) -> SafeRewrite:
     """A rewrite of explicit words U guarded by the head marker."""
     U = ExplicitWords.of(words)
-    pi = WordPerm.from_pairs(pairs, U.length)
-    return SafeRewrite(U, HEAD_MARKER, pi)
+    return SafeRewrite(U, HEAD_MARKER, _key_perm(pairs, U.length))
 
 
 def make_zero_padded_spec(words: Iterable[str],
                           pairs: Iterable[tuple[str, str]]) -> SafeRewrite:
     """Spec for U of shape 0^n w 0^n with V = all nonzero words of length n."""
     U = ExplicitWords.of(words)
-    pi = WordPerm.from_pairs(pairs, U.length)
-    return SafeRewrite(U, NonzeroWords(U.length // 3), pi)
+    return SafeRewrite(U, NonzeroWords(U.length // 3), _key_perm(pairs, U.length))
 
 
 # --- chi-site selection and rewriting ---------------------------------------
@@ -372,22 +388,15 @@ def chi_sites(x: Config, spec: SafeRewrite) -> frozenset[int]:
 
 def apply_safe_rewrite(x: Config, spec: SafeRewrite) -> Config:
     """Replace the k-block at every chi site by its image under the spec's
-    permutation; all other cells are unchanged.  A listed map reads each
-    block once, `x.cells_in(i, i + k)` shifted to offsets from i, looks it
-    up in `cell_map` and writes the image cells of each moved block by one
-    `Config.overwrite`.  A named head-gap rule is defined on letters: its
-    blocks go through `Config.window` and `digit_cells`."""
+    permutation; all other cells are unchanged.  Each block is read once as
+    a key, `x.cells_in(i, i + k)` shifted to offsets from i, and the moved
+    blocks' image cells are written by one `Config.overwrite`."""
     sites = sorted(chi_sites(x, spec))
-    if not sites:
-        return x
-    k, pi, cell_map = spec.k, spec.pi, spec.cell_map
-    if cell_map is None:
-        return x.overwrite((i, i + k, digit_cells(i, pi.apply(x.window(i, i + k))))
-                           for i in sites)
-    blocks = []
+    k, pi, blocks = spec.k, spec.pi, []
     for i in sites:
-        image = cell_map.get(tuple([(p - i, s) for p, s in x.cells_in(i, i + k)]))
-        if image is not None:
+        key = tuple([(p - i, s) for p, s in x.cells_in(i, i + k)])
+        image = pi.apply(key)
+        if image != key:
             blocks.append((i, i + k, [(i + o, s) for o, s in image]))
     return x.overwrite(blocks) if blocks else x
 

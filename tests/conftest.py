@@ -12,8 +12,9 @@ from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, Config,
                             digit_cells, parse_runs, validate_tuple)
 from fourshift.generators import HeadLocal
 from fourshift.permbuild import WordPerm, parity
-from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
-                              apply_safe_rewrite, chi_sites, head_shift_once)
+from fourshift.safety import (SIGMA3_M, SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
+                              apply_safe_rewrite, chi_sites, head_shift_once,
+                              make_explicit_spec)
 
 
 # Up to six nonzero cells, each near one end of the position range or near 0.
@@ -55,16 +56,47 @@ def two_rewrite_shift(x: Config, direction: int) -> Config:
     return apply_safe_rewrite(apply_safe_rewrite(x, first), second)
 
 
+def letter_rule(tag: str, w: str) -> str:
+    """The head-gap rule `tag` on a letter word of SIGMA3_LEN letters: PI
+    keeps the letter left of the head, TAU the letter right of it.  One
+    head and that letter a become heads a + 1 apart; two heads become one
+    beside the letter that counts the gap between them.  The oracle of
+    `RuleWordMap.apply`, which maps word keys."""
+    left, m = tag == "SIGMA3_PI", SIGMA3_M
+    heads = [i for i, c in enumerate(w) if c == "3"]
+    if len(heads) == 1:  # one head: encode the kept letter as a gap
+        a, v = int(w[m] if left else w[m + 1]), w[m + 2:]
+        return w[:m] + "3" + v[:a] + "3" + v[a:]
+    j = str(heads[1] - m - 1)  # two heads: decode the gap back to a letter
+    v = w[m + 1:heads[1]] + w[heads[1] + 1:]
+    return w[:m] + (j + "3" if left else "3" + j) + v
+
+
 def string_rewrite(x: Config, spec) -> Config:
-    """The safe rewrite `spec` on letters: at each chi site i the block
-    `x.window(i, i + k)` is mapped by `spec.pi` and its image written back
-    as `digit_cells`.  The oracle of the cell route of
-    `safety.apply_safe_rewrite` for listed maps."""
+    """The safe rewrite `spec` on letters, its map read from its word-file
+    object: the listed letter pairs, or `letter_rule` for a rule name.  At
+    each chi site i the block `sym_window(x, range(i, i + k))` is mapped
+    and its image written back as `digit_cells`.  The oracle of the key
+    route of `safety.apply_safe_rewrite`."""
+    rule = spec.to_obj()["map"]
+    pairs = {} if isinstance(rule, str) else dict(map(tuple, rule))
+
+    def image(w):
+        return letter_rule(rule, w) if isinstance(rule, str) else pairs.get(w, w)
+
     sites, k = sorted(chi_sites(x, spec)), spec.k
     if not sites:
         return x
-    return x.overwrite((i, i + k, digit_cells(i, spec.pi.apply(x.window(i, i + k))))
-                       for i in sites)
+    return x.overwrite(
+        (i, i + k, digit_cells(i, image(sym_window(x, range(i, i + k)))))
+        for i in sites)
+
+
+def string_shift(x: Config, direction: int) -> Config:
+    """`two_rewrite_shift` with each rewrite by `string_rewrite`."""
+    for spec in (SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC)[::direction]:
+        x = string_rewrite(x, spec)
+    return x
 
 
 def stepwise_head_shift(x: Config, e: int) -> Config:
@@ -99,7 +131,8 @@ def dict_slide(x: Config, e: int) -> Config:
 
 def sym_window(x: Config, positions) -> str:
     """The symbols of x at `positions`, in order, read from a dict of its
-    cells: the oracle of `Config.window` and `Config.sym`."""
+    cells: the oracle of `Config.sym`, and the block reader of
+    `string_rewrite`."""
     cells = dict(x.cells)
     return "".join(str(cells.get(p, 0)) for p in positions)
 
@@ -157,6 +190,22 @@ def rand_tuple(rng: random.Random, k: int, span: int = 5,
             return validate_tuple(comps)
         except DomainError:
             continue
+
+
+def rand_head_spec(rng: random.Random):
+    """A listed rewrite guarded by the head marker: 2 to 6 words of length
+    3, 6 or 9 with a head first in the middle third, and more heads there
+    in some, permuted at random."""
+    k3 = rng.randrange(1, 4)
+    words = set()
+    while len(words) < rng.randrange(2, 7):
+        row = [rng.choice("0012") for _ in range(3 * k3)]
+        for o in {k3, *rng.sample(range(k3, 2 * k3), rng.randrange(k3))}:
+            row[o] = "3"
+        words.add("".join(row))
+    words = sorted(words)
+    images = rng.sample(words, len(words))
+    return make_explicit_spec(words, zip(words, images))
 
 
 def rand_even_perm(rng: random.Random, k: int) -> tuple[int, ...]:

@@ -136,8 +136,8 @@ class TestDigitCells:
 
 
 class TestConfigWindow:
-    """Config.window and Config.overwrite against their oracles: one
-    Config.sym per position, and a dict of cells."""
+    """Config.cells_in and Config.overwrite against their oracles: the
+    cells filtered by position, and a dict of cells."""
 
     # strips of 41 cells from these bases, the last two reaching the limits
     BASES = (0, 10**9, -10**9, POSITION_LIMIT - 40, -POSITION_LIMIT)
@@ -170,7 +170,6 @@ class TestConfigWindow:
             blocks = [b for p in [*cells, rng.randrange(base, top + 1)]
                       for b in self.blocks_around(rng, p)]
             for a, b in blocks:
-                assert x.window(a, b) == sym_window(x, range(a, b)), (x, a, b)
                 assert x.cells_in(a, b) == tuple(
                     (p, s) for p, s in x.cells if a <= p < b), (x, a, b)
                 counts["cells at both ends"] += (b - a > 1 and a in cells

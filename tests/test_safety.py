@@ -8,21 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourshift.core import (POSITION_LIMIT, Config, PositionOverflow, ZERO,
-                            digit_cells, shift)
+                            digit_cells, isolated, shift)
 from fourshift.generators import HeadShift
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
-from fourshift.safety import (HEAD_MARKER, ExplicitWords, HeadLayoutWords,
-                              IllFormedSpec, IllFormedWordSet, NonzeroWords,
-                              RuleWordMap, SafeRewrite, SIGMA3_PI_SPEC,
+from fourshift.safety import (HEAD_GAP_FAMILIES, HEAD_MARKER, ExplicitWords,
+                              HeadLayoutWords, IllFormedSpec, IllFormedWordSet,
+                              NonzeroWords, RuleWordMap, SafeRewrite, SIGMA3_PI_SPEC,
                               SIGMA3_LEN, SIGMA3_PI_WORDS, SIGMA3_TAU_SPEC,
                               SIGMA3_TAU_WORDS, apply_safe_rewrite,
                               chi_sites, head_shift_once, make_explicit_spec,
                               make_zero_padded_spec, occurrences)
 
-from conftest import (rand_config, rand_even_perm, rand_single_head, rand_tuple,
-                      same_or_overflow, string_rewrite, sym_window,
-                      two_rewrite_shift)
+from conftest import (letter_rule, rand_config, rand_even_perm,
+                      rand_head_spec, rand_single_head, rand_tuple,
+                      same_or_overflow, string_rewrite, string_shift,
+                      sym_window, two_rewrite_shift)
 
 
 def cfg(offset, digits):
@@ -40,7 +41,8 @@ def span_scan(x, wset):
         return frozenset()
     k = wset.length
     return frozenset(i for i in range(x.min_pos() - k + 1, x.max_pos() + 1)
-                     if sym_window(x, range(i, i + k)) in wset.words)
+                     if tuple(digit_cells(0, sym_window(x, range(i, i + k))))
+                     in wset.keys)
 
 
 def all_heads_scan(x, wset):
@@ -85,6 +87,15 @@ class TestOccurrences:
     def test_all_zero_word_rejected(self):
         with pytest.raises(IllFormedWordSet):
             ExplicitWords.of(["000"])
+
+    @pytest.mark.parametrize("key", [
+        ((3, 1),), ((-1, 1), (1, 3)), ((0, 2), (5, 1)), (), ((1, 0),),
+        ((1, 4),), ((0, 1), (0, 2)), ((2, 1), (0, 2))])
+    def test_keys_that_are_no_word_rejected(self, key):
+        # an offset before 0 or at the length or past it, no cell, a
+        # symbol that is no nonzero letter, or offsets not increasing
+        with pytest.raises(IllFormedWordSet):
+            ExplicitWords(3, frozenset({((1, 3),), key}))
 
     def test_empty_and_mixed_word_sets_rejected(self):
         with pytest.raises(IllFormedWordSet, match="empty word set"):
@@ -184,7 +195,7 @@ class TestOccurrences:
             assert got == span_scan(x, U)
             hits += bool(got)
             several += len(got) > 1 and max(got) - min(got) <= ins.m_rad
-            mixed_firsts += len({key[0][0] for key in U.key_of.values()}) > 1
+            mixed_firsts += len({key[0][0] for key in U.keys}) > 1
             longest = max(longest, U.length)
         assert hits > 90 and several > 30
         assert mixed_firsts > 100 and longest >= 72
@@ -311,14 +322,14 @@ class TestChiSites:
             k, h, ell, m_rad = spec.k, spec.h, spec.ell, spec.m_rad
             edges = (-ell - 1, -ell, h - 2, h - 1, k - h, k - h + 1,
                      k + ell + h - 2, k + ell + h - 1)
-            words = sorted(spec.U.words)
+            keys = sorted(spec.U.keys)
             kept = dropped = 0
             for _ in range(500):
                 cells, starts, i = {}, [], 0
                 for _ in range(rng.randrange(1, 6)):
                     i += rng.choice((m_rad - 1, m_rad, m_rad + 1, m_rad + 2))
                     starts.append(i)
-                    cells.update(digit_cells(i, rng.choice(words)))
+                    cells.update((i + o, s) for o, s in rng.choice(keys))
                 for i in starts:
                     for _ in range(rng.randrange(0, 3)):
                         p = i + rng.choice(edges)
@@ -381,22 +392,6 @@ class TestApplySafeRewrite:
             assert apply_safe_rewrite(apply_safe_rewrite(x, spec), inv) == x
 
 
-def rand_head_spec(rng):
-    """A listed rewrite guarded by the head marker: 2 to 6 words of length
-    3, 6 or 9 with a head first in the middle third, and more heads there
-    in some, permuted at random."""
-    k3 = rng.randrange(1, 4)
-    words = set()
-    while len(words) < rng.randrange(2, 7):
-        row = [rng.choice("0012") for _ in range(3 * k3)]
-        for o in {k3, *rng.sample(range(k3, 2 * k3), rng.randrange(k3))}:
-            row[o] = "3"
-        words.add("".join(row))
-    words = sorted(words)
-    images = rng.sample(words, len(words))
-    return make_explicit_spec(words, zip(words, images))
-
-
 def rand_orbit_spec(rng):
     """The zero-padded rewrite of an even permutation of 5 to 8 components
     of span 1 to 12, with the tuple it permutes."""
@@ -406,7 +401,7 @@ def rand_orbit_spec(rng):
 
 
 class TestListedRewrites:
-    """The cell route of `apply_safe_rewrite` equals the string route of
+    """The key route of `apply_safe_rewrite` equals the string route of
     `conftest.string_rewrite` on listed maps and their inverses."""
 
     def test_matches_the_string_route(self, rng):
@@ -420,7 +415,7 @@ class TestListedRewrites:
                 pieces = [c.cells for c in t]
             else:
                 spec = rand_head_spec(rng)
-                pieces = [digit_cells(0, w) for w in spec.U.words]
+                pieces = sorted(spec.U.keys)
             gaps = (1, spec.k, spec.m_rad, spec.m_rad + 1, 3 * spec.m_rad, 10**8)
             at = rng.choice((0, 10**9, -10**9)) + rng.randrange(-99, 100)
             cells = {}
@@ -448,16 +443,70 @@ class TestListedRewrites:
         for case in range(200):
             spec = rand_orbit_spec(rng)[0] if case % 2 else rand_head_spec(rng)
             for sp in (spec, spec.inverse()):
-                for w in sp.U.words:
-                    key = sp.U.key_of[w]
+                for key in sp.U.keys:
                     for i in (POSITION_LIMIT - key[-1][0], -POSITION_LIMIT - key[0][0]):
-                        x = Config.from_cells(digit_cells(i, w))
+                        x = Config.from_cells((i + o, s) for o, s in key)
                         same_or_overflow(apply_safe_rewrite, string_rewrite, x, sp)
                         try:
                             string_rewrite(x, sp)
                         except PositionOverflow:
                             overflows += 1
         assert overflows > 500
+
+
+class TestNamedRules:
+    """The head-gap rules on keys against `conftest.letter_rule`, and the
+    named rewrites and the close-head step against the string route."""
+
+    def test_key_rule_matches_the_letter_rule(self, rng):
+        # 3,000 words of each head layout of both families, the other
+        # letters drawn from 0-2; each rule is an involution
+        for tag, family in HEAD_GAP_FAMILIES.items():
+            rule = RuleWordMap(tag)
+            for layout in family.layouts:
+                for _ in range(3000):
+                    row = [rng.choice("012") for _ in range(SIGMA3_LEN)]
+                    for o in layout:
+                        row[o] = "3"
+                    w = "".join(row)
+                    key = tuple(digit_cells(0, w))
+                    image = rule.apply(key)
+                    assert image == tuple(digit_cells(0, letter_rule(tag, w))), w
+                    assert rule.apply(image) == key
+
+    @staticmethod
+    def close_heads(rng):
+        """1-3 heads 1-5 or 47-50 apart, near 0 and near +-10^9, with up
+        to nine particles and walls around them."""
+        heads = [rng.choice((0, 10**9, -10**9)) + rng.randrange(-20, 21)]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            heads.append(heads[-1] + rng.choice((1, 2, 3, 4, 5, 47, 48, 49, 50)))
+        cells = dict.fromkeys(heads, 3)
+        for _ in range(rng.randrange(0, 10)):
+            cells.setdefault(rng.randrange(heads[0] - 12, heads[-1] + 13),
+                             rng.randrange(1, 3))
+        return Config.from_cells(cells)
+
+    def test_named_rewrites_match_the_string_route(self, rng):
+        moved = 0
+        for _ in range(600):
+            x = self.close_heads(rng)
+            for spec in (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC):
+                got = apply_safe_rewrite(x, spec)
+                assert got == string_rewrite(x, spec), (x, spec)
+                moved += got != x
+        assert moved > 600
+
+    def test_close_heads_step_as_the_string_route(self, rng):
+        close = 0
+        for _ in range(600):
+            x = self.close_heads(rng)
+            heads = x.heads()
+            close += len(isolated(heads, SIGMA3_TAU_SPEC.m_rad)) < len(heads)
+            for direction in (1, -1):
+                assert head_shift_once(x, direction) == \
+                    string_shift(x, direction), (x, direction)
+        assert close > 200
 
 
 class TestValidators:
@@ -501,7 +550,9 @@ class TestValidators:
             assert apply_safe_rewrite(apply_safe_rewrite(x, spec), spec) == x
 
 
-SWAP_PI = WordPerm.from_pairs([("030", "031"), ("031", "030")], 3)
+# the keys of the words 030, 031 and 032
+K030, K031, K032 = ((1, 3),), ((1, 3), (2, 1)), ((1, 3), (2, 2))
+SWAP_PI = WordPerm.of_checked([(K030, K031), (K031, K030)], 3)
 NO_MOVE = WordPerm(3, ())
 
 
@@ -516,8 +567,11 @@ class TestSpecChecksItself:
         pytest.param(ExplicitWords.of(["003000", "000300"]), HEAD_MARKER,
                      WordPerm(6, ()), id="one-head-each-different-leftmost"),
         pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
-                     WordPerm.from_pairs([("030", "032"), ("032", "030")], 3),
+                     WordPerm.of_checked([(K030, K032), (K032, K030)], 3),
                      id="pi-moves-a-word-outside-U"),
+        pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
+                     WordPerm.from_pairs([("030", "031"), ("031", "030")], 3),
+                     id="pi-on-letter-words"),
         pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
                      WordPerm(6, ()), id="pi-of-the-wrong-length"),
         pytest.param(SIGMA3_TAU_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_PI"),
@@ -528,6 +582,8 @@ class TestSpecChecksItself:
                      WordPerm(6, ()), id="zero-padded-core-at-two-offsets"),
         pytest.param(ExplicitWords.of(["110"]), NonzeroWords(1), NO_MOVE,
                      id="zero-padded-nonzero-padding"),
+        pytest.param(ExplicitWords.of(["010", "011"]), NonzeroWords(1), NO_MOVE,
+                     id="zero-padded-nonzero-right-padding"),
         pytest.param(ExplicitWords.of(["030", "031"]), NonzeroWords(3),
                      SWAP_PI, id="zero-padded-wrong-length"),
         pytest.param(ExplicitWords.of(["030", "031"]), ExplicitWords.of(["3"]),
@@ -563,7 +619,8 @@ class TestInverse:
             inv = spec.inverse()
             want = SafeRewrite(spec.U, spec.V, spec.pi.inverse())
             assert inv == want and hash(inv) == hash(want)
-            assert inv.cell_map == want.cell_map
+            if isinstance(spec.pi, WordPerm):
+                assert inv.pi.images == {d: s for s, d in spec.pi.images.items()}
             assert (inv.k, inv.h, inv.ell, inv.m_rad) == (want.k, want.h, want.ell, want.m_rad)
             assert inv.inverse() == spec
 

@@ -189,8 +189,11 @@ class TestWordFiles:
             assert parse_word(emit_word(word)) == word
 
     def test_safe_rewrite_is_the_sr_instruction(self, rng):
-        pi = WordPerm.from_pairs([("030", "031"), ("031", "030")], 3)
+        k030, k031 = ((1, 3),), ((1, 3), (2, 1))  # the keys of 030 and 031
+        pi = WordPerm.of_checked([(k030, k031), (k031, k030)], 3)
         swap = SafeRewrite(ExplicitWords.of(["030", "031"]), HEAD_MARKER, pi)
+        assert swap == make_explicit_spec(["030", "031"],
+                                          [("030", "031"), ("031", "030")])
         assert OPS["SR"] is SafeRewrite
         text = emit_word(TransportWord((swap,)))
         assert text == "[\n" + json.dumps(json.loads(SWAP)[0]) + "\n]"
@@ -597,6 +600,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ParseError")
         assert "empty word set" in captured.err
+
+    @pytest.mark.parametrize("word", ["0x0", "٣٣٣"])
+    def test_fixed_pair_of_non_words_exit_2(self, tmp_path, capsys, word):
+        # a pair's words are read as those of U are, even a fixed pair,
+        # which moves nothing
+        src = tmp_path / "src.tuple"
+        path = tmp_path / "w.json"
+        src.write_text("@0:1\n")
+        path.write_text(sr_obj(**{**ZERO_PADDED,
+                                  "map": [*ZERO_PADDED["map"], [word, word]]}))
+        assert main(["apply", "--src", str(src), "--word", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError")
+        assert "invalid digit" in captured.err
 
     @pytest.mark.parametrize("e, line", [
         (100000000, "@-100000000:1 @1:2"),
