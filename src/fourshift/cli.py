@@ -158,8 +158,9 @@ def cmd_selftest(args) -> int:
                     continue
         src, dst = tuples
         try:
-            word = transport(src, dst)  # raises unless the word maps src to dst
-            ok = verify(invert_word(word), dst, src)
+            # transport raises unless its word maps src to dst; replay its file both ways
+            word = parse_word(emit_word(transport(src, dst)))
+            ok = verify(word, src, dst) and verify(invert_word(word), dst, src)
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             print(f"trial {trial}: error {exc}", file=sys.stderr)
             ok = False

@@ -55,20 +55,21 @@ class Particle:
 
     @classmethod
     def from_obj(cls, obj) -> "Particle":
-        return cls(json_int(obj["e"]))
+        return cls(obj["e"])
 
 
 @dataclass(frozen=True, slots=True)
 class SymbolPerm:
     """Cellwise permutation of the symbols {0,1,2,3} fixing 0; `img[s]` is
-    the image of s."""
+    the image of s, and `img` a tuple of four ints."""
 
     img: tuple[int, int, int, int]
     OP = "SYM"
 
     def __post_init__(self):
-        if sorted(self.img) != [0, 1, 2, 3] or self.img[0] != 0:
-            raise IllFormedInstruction(f"not a 0-fixing symbol permutation: {self.img}")
+        if (type(self.img) is not tuple or list(map(type, self.img)) != [int] * 4
+                or sorted(self.img) != [0, 1, 2, 3] or self.img[0] != 0):
+            raise IllFormedInstruction(f"not a 0-fixing symbol permutation: {self.img!r}")
 
     def apply(self, x: Config) -> Config:
         return x.relabel(self.img)
@@ -81,7 +82,7 @@ class SymbolPerm:
 
     @classmethod
     def from_obj(cls, obj) -> "SymbolPerm":
-        return cls(tuple(json_int(v) for v in obj["img"]))
+        return cls(tuple(obj["img"]))
 
 
 SWAP_12 = SymbolPerm((0, 2, 1, 3))
@@ -100,12 +101,13 @@ class HeadLocal:
     OP = "HL"
 
     def __post_init__(self):
+        if type(self.r) is not int or not isinstance(self.wp, WordPerm):
+            raise IllFormedInstruction(f"need an int radius and a WordPerm, not "
+                                       f"{self.r!r} and a {type(self.wp).__name__}")
         if self.r < 1:
             raise IllFormedInstruction("radius must be positive")
         if self.wp.length != 2 * self.r:
             raise IllFormedInstruction("window permutation length must be 2r")
-        if any(isinstance(w, str) for w in self.wp.images):
-            raise IllFormedInstruction("windows are keyed on their cells")
 
     def apply(self, x: Config) -> Config:
         if not self.wp.images:
@@ -229,7 +231,7 @@ class HeadShift:
 
     @classmethod
     def from_obj(cls, obj) -> "HeadShift":
-        return cls(json_int(obj["e"]))
+        return cls(obj["e"])
 
 
 Instruction = Particle | SymbolPerm | HeadLocal | HeadShift | SafeRewrite

@@ -1,18 +1,18 @@
-"""Sparse permutations of fixed-length words.
+"""Sparse permutations of fixed-length words held by their cells.
 
-A WordPerm stores only its moved pairs; everything else is fixed.  It is
-the word map of explicit safe rewrites, whose words are cell keys, and the
-window map of head-local rewrites.  A window of radius r is a word of
-{0,1,2}^(2r) around a head, held by its nonzero cells: a tuple of
-(offset from the head, symbol) pairs with increasing offsets,
-0 < |offset| <= r and symbol 1 or 2, so nothing costs O(r).  Pairs are
-listed in the order of their sources as dense words.  Every map of words
-given as pairs, built in code or read from a word file, follows one rule:
-a word is a source at most once and a target at most once, and fixed
-points are allowed.  A map given as disjoint cycles names each word
-once.  The main construction closes each chain of requested pairs into a
-cycle and, if the result is odd, adds one transposition of words no pair
-names, so every requested pair stays intact.
+A WordPerm stores only its moved pairs; everything else is fixed.  Its
+words are cell keys, never letters: the keys of explicit safe rewrites,
+read by `safety`, and the windows of head-local rewrites.  A window of
+radius r is a word of {0,1,2}^(2r) around a head, held by its nonzero
+cells: a tuple of (offset from the head, symbol) pairs of ints with
+increasing offsets, 0 < |offset| <= r and symbol 1 or 2, so nothing
+costs O(r).  Pairs are listed in the order of their sources as dense
+words.  Every map of words given as pairs, built in code or read from a
+word file, follows one rule: a word is a source at most once and a
+target at most once, and fixed points are allowed.  A map given as
+disjoint cycles names each word once.  The main construction closes
+each chain of requested pairs into a cycle and, if the result is odd,
+adds one transposition of words no pair names.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .core import CELLS, PARTICLE, WALL, DomainError
 
-Word = str | tuple[tuple[int, int], ...]
+Word = tuple[tuple[int, int], ...]
 
 
 class DuplicateSource(DomainError):
@@ -39,24 +39,22 @@ class NoRoom(DomainError):
 
 
 def checked_word(w: Word, length: int) -> Word:
-    """w as stored, checked to be a word of `length`: a string of `length`
-    letters, or a window of {0,1,2}^length checked cell by cell, its cells
-    near the head taken from CELLS."""
-    if isinstance(w, str):
-        if len(w) == length:
-            return w
-    elif isinstance(w, tuple):
+    """w as stored, checked cell by cell to be a window of {0,1,2}^length,
+    its offsets and symbols ints (no bools), its cells near the head taken
+    from CELLS."""
+    if isinstance(w, tuple):
         r, stored = length // 2, []
         prev = -r - 1
         for c in w:
             o, s = c
-            if not (prev < o <= r and o != 0 and s in (PARTICLE, WALL)):
+            if not (type(o) is int and type(s) is int and prev < o <= r
+                    and o != 0 and s in (PARTICLE, WALL)):
                 break
             prev = o
             stored.append(CELLS.get(c, c))
         else:
             return tuple(stored)
-    raise DomainError(f"not a word of length {length}: {w!r}")
+    raise DomainError(f"not a window of length {length}: {w!r}")
 
 
 def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:
@@ -74,22 +72,16 @@ def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:
 class WordPerm:
     """Permutation of the words of one length moving only finitely many,
     held as the dict of its moved pairs, so apply is a lookup.  Each word
-    is checked once: by `from_pairs`, or by its reader before `of_checked`."""
+    is checked once: by `from_pairs`, or by its reader before `of_checked`
+    or `of_cycles`, the only ways to build one."""
 
     length: int
     images: dict  # each moved word to its image, never changed
 
-    def __init__(self, length: int, moved: Iterable[tuple[Word, Word]] = ()):
-        """`from_pairs` of the moved pairs, refusing a fixed point."""
-        moved = list(moved)
-        if any(s == d for s, d in moved):
-            raise DomainError("identity pair stored in moved set")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "images", WordPerm.from_pairs(moved, length).images)
-
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Word, Word]], length: int) -> "WordPerm":
-        """The permutation listed by `pairs`, fixed points included."""
+        """The permutation of windows listed by `pairs`, fixed points
+        included, each window checked by `checked_word`."""
         return WordPerm.of_checked([(checked_word(s, length), checked_word(d, length))
                                     for s, d in pairs], length)
 
@@ -129,8 +121,8 @@ class WordPerm:
     def moved(self) -> tuple[tuple[Word, Word], ...]:
         """The moved pairs in the dense order of their sources: a window
         with a cell at an offset where another has none is the larger."""
-        return tuple(sorted(self.images.items(), key=lambda p: p[0] if isinstance(
-            p[0], str) else [(-o, s) for o, s in p[0]]))
+        return tuple(sorted(self.images.items(),
+                            key=lambda p: [(-o, s) for o, s in p[0]]))
 
     def cycles(self) -> tuple[tuple[Word, ...], ...]:
         """The disjoint cycles of the moved words in the dense order of

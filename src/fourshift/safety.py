@@ -65,8 +65,9 @@ class ExplicitWords:
             if not key:
                 raise IllFormedWordSet("word set contains the all-zero word")
             f, prev = key[0][0], -1
-            for o, s in key:  # increasing offsets in [0, length), symbols 1-3
-                if not (prev < o < self.length and s in (PARTICLE, WALL, HEAD)):
+            for o, s in key:  # increasing int offsets in [0, length), symbols 1-3
+                if not (type(o) is int and type(s) is int and prev < o < self.length
+                        and s in (PARTICLE, WALL, HEAD)):
                     raise IllFormedWordSet(f"{key!r} is not a word key in [0, {self.length})")
                 prev = o
             shape = cell_key(key, f)
@@ -266,8 +267,8 @@ class SafeRewrite:
 
     def __post_init__(self):
         k, h = self.U.length, self.V.length
-        if not k >= h >= 1:
-            raise IllFormedSpec("need k >= h >= 1")
+        if type(k) is not int or type(h) is not int or not k >= h >= 1:
+            raise IllFormedSpec(f"need int word lengths k >= h >= 1, not {k!r}, {h!r}")
         if isinstance(self.pi, RuleWordMap):
             if self.U != HEAD_GAP_FAMILIES.get(self.pi.tag):
                 raise IllFormedSpec(f"rule {self.pi.tag!r} does not permute U")

@@ -80,6 +80,20 @@ class TestApplyInstruction:
         with pytest.raises(IllFormedInstruction):
             SymbolPerm((1, 0, 2, 3))
 
+    @pytest.mark.parametrize("img", [
+        (0, True, 2, 3), (0, 1, 2, 3.0), [0, 2, 1, 3], (0, 1, 2), "0123"])
+    def test_symbol_perm_must_be_a_tuple_of_four_ints(self, img):
+        # a list would make an unhashable instruction
+        with pytest.raises(IllFormedInstruction):
+            SymbolPerm(img)
+
+    @pytest.mark.parametrize("r, wp", [
+        (True, WordPerm.from_pairs((), 2)), (1.0, WordPerm.from_pairs((), 2)),
+        ("2", WordPerm.from_pairs((), 4)), (1, {}), (1, None)])
+    def test_head_local_fields_checked_first(self, r, wp):
+        with pytest.raises(IllFormedInstruction):
+            HeadLocal(r, wp)
+
     def test_head_local_rewrites_isolated_window(self):
         ins = head_local(1, [("00", "10"), ("10", "00")])
         assert apply_instruction(cfg(0, "3"), ins) == cfg(-1, "13")
@@ -90,7 +104,7 @@ class TestApplyInstruction:
 
     def test_head_local_window_length_checked(self):
         with pytest.raises(IllFormedInstruction):
-            HeadLocal(2, WordPerm(2, ()))
+            HeadLocal(2, WordPerm.from_pairs((), 2))
 
     def test_safe_rewrite_instruction(self):
         spec = make_explicit_spec(["030", "031"],

@@ -12,18 +12,20 @@ from fourshift.permbuild import (DuplicateSource, DuplicateTarget, NoRoom,
 from conftest import dense, window
 
 
-def brute_sign(wp: WordPerm, length: int) -> int:
-    """Independent parity oracle: count inversions over all of A^length."""
+def brute_sign(mapping: dict, length: int) -> int:
+    """Independent parity oracle: count inversions over all of A^length,
+    `mapping` sending dense words to dense words and fixing the rest."""
     words = ["".join(t) for t in itertools.product("012", repeat=length)]
-    images = [wp.apply(w) for w in words]
+    images = [mapping.get(w, w) for w in words]
     inv = sum(1 for i in range(len(words)) for j in range(i + 1, len(words))
               if images[i] > images[j])
     return inv & 1
 
 
 # The two-stage construction that build_mapping_perm folds into one pass,
-# kept as its oracle: close each chain into a cycle, then even out an odd
-# result with the two smallest words no pair names.
+# kept as its oracle on plain dicts of dense words: close each chain into
+# a cycle, then even out an odd result with the two smallest words no
+# pair names.
 
 def complete_partial_injection(pairs, length):
     srcs = [s for s, _ in pairs]
@@ -43,33 +45,37 @@ def complete_partial_injection(pairs, length):
             w = mapping[w]
         if w != start:
             closed[w] = start
-    return WordPerm.from_pairs(closed.items(), length)
+    return closed
 
 
-def make_even(wp, protected=frozenset()):
-    if brute_sign(wp, wp.length) == 0:
-        return wp
-    avoid = {s for s, _ in wp.moved} | protected
-    if 3**wp.length - len(avoid) < 2:
+def make_even(mapping, length, protected=frozenset()):
+    if brute_sign(mapping, length) == 0:
+        return mapping
+    avoid = set(mapping) | protected
+    if 3**length - len(avoid) < 2:
         raise NoRoom("fewer than two untouched words available")
-    words = ("".join(t) for t in itertools.product("012", repeat=wp.length))
+    words = ("".join(t) for t in itertools.product("012", repeat=length))
     a, b = itertools.islice((w for w in words if w not in avoid), 2)
-    return WordPerm.from_pairs([*wp.moved, (a, b), (b, a)], wp.length)
+    return {**mapping, a: b, b: a}
 
 
 def build_dense(pairs, length):
     """build_mapping_perm on the windows of dense word pairs, read back as
-    a permutation of dense words, so the dense oracle can check it."""
-    wp = build_mapping_perm([(window(s), window(d)) for s, d in pairs], length)
-    return WordPerm.from_pairs(
-        [(dense(s, length // 2), dense(d, length // 2)) for s, d in wp.moved],
-        length)
+    the dict of its moved dense words, so the dense oracle can check it."""
+    wp = build_mapping_perm(windows(pairs), length)
+    return {dense(s, length // 2): dense(d, length // 2)
+            for s, d in wp.images.items()}
 
 
 def two_stage(pairs, length):
-    wp = complete_partial_injection(pairs, length)
+    mapping = complete_partial_injection(pairs, length)
     protected = frozenset(s for s, _ in pairs) | frozenset(d for _, d in pairs)
-    return make_even(wp, protected)
+    return make_even(mapping, length, protected)
+
+
+def windows(pairs):
+    """The pairs of dense words as pairs of windows."""
+    return [(window(s), window(d)) for s, d in pairs]
 
 
 def outcome(build, pairs, length):
@@ -97,29 +103,28 @@ def seeded_pair_lists(rng, n):
         yield pairs, length
 
 
+# the windows of radius 1 written 00, 01 and 02 as dense words
+W00, W01, W02 = window("00"), window("01"), window("02")
+
+
 class TestWordPerm:
     def test_identity(self):
-        wp = WordPerm(2, ())
-        assert wp.moved == () and wp.apply("01") == "01"
+        wp = WordPerm.from_pairs((), 2)
+        assert wp.moved == () and wp.apply(W01) == W01
 
     def test_apply_and_inverse(self):
-        wp = WordPerm.from_pairs([("00", "01"), ("01", "00")], 2)
-        assert wp.apply("00") == "01"
-        assert wp.inverse().apply("01") == "00"
+        wp = WordPerm.from_pairs([(W00, W01), (W01, W00)], 2)
+        assert wp.apply(W00) == W01
+        assert wp.inverse().apply(W01) == W00
 
     def test_non_bijection_rejected(self):
         with pytest.raises(Exception):
-            WordPerm.from_pairs([("00", "01"), ("02", "01")], 2)
-
-    def test_stored_identity_pair_rejected(self):
-        # from_pairs drops fixed points; the moved set itself may not hold one
-        with pytest.raises(DomainError, match="identity pair"):
-            WordPerm(2, (("00", "00"),))
+            WordPerm.from_pairs([(W00, W01), (W02, W01)], 2)
 
     def test_fixed_points_listed_and_dropped(self):
-        wp = WordPerm.from_pairs([("02", "02"), ("00", "01"), ("01", "00")], 2)
-        assert wp == WordPerm.from_pairs([("00", "01"), ("01", "00")], 2)
-        assert wp.moved == (("00", "01"), ("01", "00"))
+        wp = WordPerm.from_pairs([(W02, W02), (W00, W01), (W01, W00)], 2)
+        assert wp == WordPerm.from_pairs([(W00, W01), (W01, W00)], 2)
+        assert wp.moved == ((W00, W01), (W01, W00))
 
     @pytest.mark.parametrize("pairs, error", [
         ([("00", "01"), ("00", "01"), ("01", "00")], DuplicateSource),
@@ -127,27 +132,29 @@ class TestWordPerm:
         ([("00", "02"), ("00", "01"), ("01", "00")], DuplicateSource),
         ([("02", "02"), ("00", "02"), ("02", "00")], DuplicateSource),
         ([("01", "01"), ("00", "01"), ("02", "00")], DuplicateTarget),
-        ([("0", "0"), ("00", "01"), ("01", "00")], DomainError),
+        ([("0001", "0001"), ("00", "01"), ("01", "00")], DomainError),
     ])
     def test_one_map_rule(self, pairs, error):
-        # every listed word has the length, fixed points included, and is
-        # named at most once as a source and at most once as a target
+        # every listed window has the length, fixed points included, and
+        # is named at most once as a source and at most once as a target
         with pytest.raises(error):
-            WordPerm.from_pairs(pairs, 2)
+            WordPerm.from_pairs(windows(pairs), 2)
+
+    @pytest.mark.parametrize("w", [((True, 1),), ((1, True),), ((1.0, 1),),
+                                   ((1, 2.0),), ((-1, 1), (False, 2))])
+    def test_cells_are_ints(self, w):
+        # as in a configuration, a bool or a float is no offset or symbol
+        with pytest.raises(DomainError):
+            WordPerm.from_pairs([(W00, w), (w, W00)], 2)
 
 
 def seeded_perms(rng, n):
-    """Permutations built by build_mapping_perm from seeded window pairs,
-    and the same maps on dense words."""
+    """Permutations built by build_mapping_perm from seeded window pairs."""
     for pairs, length in seeded_pair_lists(rng, n):
         try:
-            wp = build_mapping_perm([(window(s), window(d)) for s, d in pairs],
-                                    length)
+            yield build_mapping_perm(windows(pairs), length)
         except DomainError:
             continue
-        yield wp
-        yield WordPerm.from_pairs([(dense(s, length // 2), dense(d, length // 2))
-                                   for s, d in wp.moved], length)
 
 
 class TestWordPermChecksOnce:
@@ -156,9 +163,9 @@ class TestWordPermChecksOnce:
 
     def test_inverse_swaps_the_checked_map(self):
         count = 0
-        for wp in seeded_perms(random.Random(5), 300):
+        for wp in seeded_perms(random.Random(5), 600):
             inv = wp.inverse()
-            assert inv == WordPerm(wp.length, [(d, s) for s, d in wp.moved])
+            assert inv == WordPerm.from_pairs([(d, s) for s, d in wp.moved], wp.length)
             assert inv.inverse() == wp
             # the same moved words, so the same sources in dense order
             assert [s for s, _ in inv.moved] == [s for s, _ in wp.moved]
@@ -169,8 +176,7 @@ class TestWordPermChecksOnce:
         built = 0
         for pairs, length in seeded_pair_lists(random.Random(11), 500):
             try:
-                wp = build_mapping_perm(
-                    [(window(s), window(d)) for s, d in pairs], length)
+                wp = build_mapping_perm(windows(pairs), length)
             except DomainError:
                 continue
             checked = WordPerm.from_pairs(wp.moved, length)
@@ -180,11 +186,10 @@ class TestWordPermChecksOnce:
 
     def test_equality_and_hash_agree(self):
         rng = random.Random(8)
-        perms = list(seeded_perms(rng, 200))
+        perms = list(seeded_perms(rng, 400))
         for wp in perms:
-            # listed in another order, the zero word as a fixed point
-            zero = "0" * wp.length if isinstance(next(iter(wp.images), ""), str) else ()
-            pairs = [*wp.moved, *([(zero, zero)] if zero not in wp.images else [])]
+            # listed in another order, the empty window as a fixed point
+            pairs = [*wp.moved, *([((), ())] if () not in wp.images else [])]
             rng.shuffle(pairs)
             listed = WordPerm.from_pairs(pairs, wp.length)
             assert listed == wp and hash(listed) == hash(wp)
@@ -200,35 +205,33 @@ class TestCycles:
 
     def test_round_trip(self):
         longest = 0
-        for wp in seeded_perms(random.Random(6), 300):
+        for wp in seeded_perms(random.Random(6), 600):
             cycles = wp.cycles()
             assert WordPerm.of_cycles(cycles, wp.length) == wp
             # disjoint, each following the map and closing, none a fixed point
             named = [w for cycle in cycles for w in cycle]
-            assert sorted(named, key=str) == sorted(wp.images, key=str)
+            assert sorted(named) == sorted(wp.images)
             for cycle in cycles:
                 assert len(cycle) >= 2
                 assert [wp.apply(w) for w in cycle] == [*cycle[1:], cycle[0]]
             # each starts at its least word, in the order of those words
-            least = [min(dense_word(w, wp.length) for w in cycle) for cycle in cycles]
-            assert least == [dense_word(c[0], wp.length) for c in cycles] == sorted(least)
+            r = wp.length // 2
+            least = [min(dense(w, r) for w in cycle) for cycle in cycles]
+            assert least == [dense(c[0], r) for c in cycles] == sorted(least)
             longest = max(longest, *map(len, cycles), 0)
         assert longest >= 5
 
     def test_identity(self):
-        assert WordPerm(2).cycles() == ()
-        assert WordPerm.of_cycles([], 2) == WordPerm(2)
+        identity = WordPerm.from_pairs((), 2)
+        assert identity.cycles() == ()
+        assert WordPerm.of_cycles([], 2) == identity
 
     @pytest.mark.parametrize("cycles", [
         [("00", "01", "00")], [("00", "01"), ("02", "00")], [("00",)], [()]],
         ids=["twice-in-a-cycle", "in-two-cycles", "one-word", "empty"])
     def test_refused(self, cycles):
         with pytest.raises(DomainError):
-            WordPerm.of_cycles(cycles, 2)
-
-
-def dense_word(w, length: int) -> str:
-    return w if isinstance(w, str) else dense(w, length // 2)
+            WordPerm.of_cycles([tuple(map(window, c)) for c in cycles], 2)
 
 
 class TestParity:
@@ -239,10 +242,9 @@ class TestParity:
         assert parity({"00": "01", "01": "00"}) == 1
 
     def test_three_cycle_even(self):
-        wp = WordPerm.from_pairs(
-            [("00", "01"), ("01", "02"), ("02", "00")], 2)
-        assert parity(dict(wp.moved)) == 0
-        assert brute_sign(wp, 2) == 0
+        cycle = {"00": "01", "01": "02", "02": "00"}
+        assert parity(cycle) == 0
+        assert brute_sign(cycle, 2) == 0
 
     def test_matches_brute_force(self, rng):
         for _ in range(50):
@@ -250,9 +252,8 @@ class TestParity:
             rng.shuffle(words)
             n = rng.randrange(2, 6)
             cycle = words[:n]
-            wp = WordPerm.from_pairs(
-                [(cycle[i], cycle[(i + 1) % n]) for i in range(n)], 2)
-            assert parity(dict(wp.moved)) == brute_sign(wp, 2)
+            mapping = {cycle[i]: cycle[(i + 1) % n] for i in range(n)}
+            assert parity(mapping) == brute_sign(mapping, 2)
 
     def test_index_permutation_parity(self):
         assert parity(dict(enumerate((0, 1, 2)))) == 0
@@ -265,16 +266,15 @@ class TestCompletion:
 
     def test_single_pair_closes_to_transposition(self):
         # 00 -> 01 closes with 01 -> 00; the odd result recruits 02 <-> 10
-        wp = build_dense([("00", "01")], 2)
-        assert dict(wp.moved) == {"00": "01", "01": "00",
-                                  "02": "10", "10": "02"}
+        assert build_dense([("00", "01")], 2) == {"00": "01", "01": "00",
+                                                  "02": "10", "10": "02"}
 
     def test_identity_pair(self):
-        assert build_dense([("00", "00")], 2).moved == ()
+        assert build_dense([("00", "00")], 2) == {}
 
     def test_existing_permutation_unchanged(self):
         swaps = [("00", "01"), ("01", "00"), ("02", "10"), ("10", "02")]
-        assert build_dense(swaps, 2) == WordPerm.from_pairs(swaps, 2)
+        assert build_dense(swaps, 2) == dict(swaps)
 
     def test_duplicate_source(self):
         with pytest.raises(DuplicateSource):
@@ -290,12 +290,10 @@ class TestCompletion:
             picks = rng.sample(words, rng.randrange(2, 9))
             half = len(picks) // 2
             pairs = list(zip(picks[:half], picks[half:2 * half]))
-            wp = build_dense(pairs, 4)
-            srcs = {s for s, _ in wp.moved}
-            dsts = {d for _, d in wp.moved}
-            assert srcs == dsts
+            mapping = build_dense(pairs, 4)
+            assert set(mapping) == set(mapping.values())
             for s, d in pairs:
-                assert wp.apply(s) == d
+                assert mapping.get(s, s) == d
 
 
 class TestMakeEven:
@@ -303,13 +301,13 @@ class TestMakeEven:
 
     def test_even_unchanged(self):
         cycle = [("00", "01"), ("01", "02"), ("02", "00")]
-        assert build_dense(cycle, 2) == WordPerm.from_pairs(cycle, 2)
+        assert build_dense(cycle, 2) == dict(cycle)
 
     def test_odd_composed_with_lex_smallest_free_pair(self):
         out = build_dense([("00", "01"), ("01", "00")], 2)
-        assert parity(dict(out.moved)) == 0
-        assert out.apply("00") == "01"
-        assert out.apply("02") == "10" and out.apply("10") == "02"
+        assert parity(out) == 0
+        assert out["00"] == "01"
+        assert out["02"] == "10" and out["10"] == "02"
 
     def test_no_room(self):
         # the requested fixed points may not be recruited, and one word of
@@ -321,7 +319,7 @@ class TestMakeEven:
 
 class TestBuildMappingPerm:
     def test_identity_pairs(self):
-        assert build_dense([("00", "00")], 2).moved == ()
+        assert build_dense([("00", "00")], 2) == {}
 
     def test_large_radius_costs_nothing(self):
         # the parity pair is the all-zero window and the one holding a
@@ -332,24 +330,24 @@ class TestBuildMappingPerm:
         assert wp.apply(((2, 1),)) == ((1, 1),)
 
     def test_single_pair(self):
-        wp = build_dense([("00", "01")], 2)
-        assert parity(dict(wp.moved)) == 0 and wp.apply("00") == "01"
+        mapping = build_dense([("00", "01")], 2)
+        assert parity(mapping) == 0 and mapping["00"] == "01"
 
     def test_random_disjoint_pairs(self, rng):
         words = ["".join(t) for t in itertools.product("012", repeat=4)]
         for _ in range(25):
             picks = rng.sample(words, 6)
             pairs = list(zip(picks[:3], picks[3:]))
-            wp = build_dense(pairs, 4)
-            assert parity(dict(wp.moved)) == 0
+            mapping = build_dense(pairs, 4)
+            assert parity(mapping) == 0
             for s, d in pairs:
-                assert wp.apply(s) == d
+                assert mapping[s] == d
 
     def test_requested_fixed_points_survive(self):
         # an odd completion must not recruit a requested identity pair
-        wp = build_dense([("00", "01"), ("02", "02")], 2)
-        assert parity(dict(wp.moved)) == 0
-        assert wp.apply("02") == "02" and wp.apply("00") == "01"
+        mapping = build_dense([("00", "01"), ("02", "02")], 2)
+        assert parity(mapping) == 0
+        assert "02" not in mapping and mapping["00"] == "01"
 
     def test_matches_the_two_stage_oracle(self):
         seen = set()
@@ -357,14 +355,14 @@ class TestBuildMappingPerm:
             # the same parity pair as the dense construction, read back
             got = outcome(build_dense, pairs, length)
             assert got == outcome(two_stage, pairs, length), (pairs, length)
-            if isinstance(got, WordPerm):
+            if isinstance(got, dict):
                 assert brute_sign(got, length) == 0
-                assert all(got.apply(s) == d for s, d in pairs)
+                assert all(got.get(s, s) == d for s, d in pairs)
                 closure = complete_partial_injection(pairs, length)
                 seen.add("odd completion" if got != closure else "even")
                 seen.add("fixed point" if any(s == d for s, d in pairs)
                          else "no fixed point")
-                seen.add("chain" if len(closure.moved) > sum(
+                seen.add("chain" if len(closure) > sum(
                     s != d for s, d in pairs) else "cycles only")
             else:
                 seen.add(got.__name__)

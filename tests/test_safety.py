@@ -90,10 +90,12 @@ class TestOccurrences:
 
     @pytest.mark.parametrize("key", [
         ((3, 1),), ((-1, 1), (1, 3)), ((0, 2), (5, 1)), (), ((1, 0),),
-        ((1, 4),), ((0, 1), (0, 2)), ((2, 1), (0, 2))])
+        ((1, 4),), ((0, 1), (0, 2)), ((2, 1), (0, 2)), ((1, True),),
+        ((1, 3), (True, 1)), ((1, 3), (2, 1.0)), ((1, 3), (2.0, 1))])
     def test_keys_that_are_no_word_rejected(self, key):
         # an offset before 0 or at the length or past it, no cell, a
-        # symbol that is no nonzero letter, or offsets not increasing
+        # symbol that is no nonzero letter, offsets not increasing, or an
+        # offset or symbol that is not an int
         with pytest.raises(IllFormedWordSet):
             ExplicitWords(3, frozenset({((1, 3),), key}))
 
@@ -553,7 +555,7 @@ class TestValidators:
 # the keys of the words 030, 031 and 032
 K030, K031, K032 = ((1, 3),), ((1, 3), (2, 1)), ((1, 3), (2, 2))
 SWAP_PI = WordPerm.of_checked([(K030, K031), (K031, K030)], 3)
-NO_MOVE = WordPerm(3, ())
+NO_MOVE = WordPerm.from_pairs((), 3)
 
 
 class TestSpecChecksItself:
@@ -565,21 +567,21 @@ class TestSpecChecksItself:
         pytest.param(ExplicitWords.of(["030", "010"]), HEAD_MARKER, NO_MOVE,
                      id="headless-word"),
         pytest.param(ExplicitWords.of(["003000", "000300"]), HEAD_MARKER,
-                     WordPerm(6, ()), id="one-head-each-different-leftmost"),
+                     WordPerm.from_pairs((), 6), id="one-head-each-different-leftmost"),
         pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
                      WordPerm.of_checked([(K030, K032), (K032, K030)], 3),
                      id="pi-moves-a-word-outside-U"),
         pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
-                     WordPerm.from_pairs([("030", "031"), ("031", "030")], 3),
+                     WordPerm.of_checked([("030", "031"), ("031", "030")], 3),
                      id="pi-on-letter-words"),
         pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
-                     WordPerm(6, ()), id="pi-of-the-wrong-length"),
+                     WordPerm.from_pairs((), 6), id="pi-of-the-wrong-length"),
         pytest.param(SIGMA3_TAU_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_PI"),
                      id="pi-rule-on-the-tau-family"),
         pytest.param(SIGMA3_PI_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_TAU"),
                      id="tau-rule-on-the-pi-family"),
         pytest.param(ExplicitWords.of(["001000", "000100"]), NonzeroWords(2),
-                     WordPerm(6, ()), id="zero-padded-core-at-two-offsets"),
+                     WordPerm.from_pairs((), 6), id="zero-padded-core-at-two-offsets"),
         pytest.param(ExplicitWords.of(["110"]), NonzeroWords(1), NO_MOVE,
                      id="zero-padded-nonzero-padding"),
         pytest.param(ExplicitWords.of(["010", "011"]), NonzeroWords(1), NO_MOVE,
@@ -591,7 +593,11 @@ class TestSpecChecksItself:
         pytest.param(ExplicitWords.of(["030"]), NonzeroWords(4), NO_MOVE,
                      id="k-below-h"),
         pytest.param(ExplicitWords.of(["0300", "0310"]), HEAD_MARKER,
-                     WordPerm(4, ()), id="head-marker-length-not-divisible-by-3"),
+                     WordPerm.from_pairs((), 4), id="head-marker-length-not-divisible-by-3"),
+        pytest.param(HeadLayoutWords(21.0, SIGMA3_PI_WORDS.layouts), HEAD_MARKER,
+                     RuleWordMap("SIGMA3_PI"), id="float-word-length"),
+        pytest.param(SIGMA3_PI_WORDS, HeadLayoutWords(True, HEAD_MARKER.layouts),
+                     RuleWordMap("SIGMA3_PI"), id="bool-marker-length"),
     ])
     def test_unsafe_spec_refused(self, U, V, pi):
         with pytest.raises(IllFormedSpec):
@@ -604,7 +610,7 @@ class TestSpecChecksItself:
                            RuleWordMap("SIGMA3_PI")) == SIGMA3_PI_SPEC
         assert SafeRewrite(
             ExplicitWords.of(["001000", "000200"]), NonzeroWords(2),
-            WordPerm(6, ())).m_rad == 4**2 + 1 + 12 + 2
+            WordPerm.from_pairs((), 6)).m_rad == 4**2 + 1 + 12 + 2
 
 
 class TestInverse:

@@ -4,6 +4,7 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,12 +14,14 @@ from fourshift import generators, permbuild
 from fourshift.cli import main
 from fourshift.core import RUN_GAP, Config, DomainError, ZERO, parse_runs
 from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
-                                  Particle, TransportWord, apply_word,
-                                  invert_word)
+                                  Particle, SymbolPerm, TransportWord,
+                                  apply_word, invert_word)
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
-from fourshift.safety import (HEAD_MARKER, SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
-                              ExplicitWords, SafeRewrite, make_explicit_spec)
+from fourshift.safety import (HEAD_GAP_FAMILIES, HEAD_MARKER, SIGMA3_PI_SPEC,
+                              SIGMA3_TAU_SPEC, ExplicitWords, HeadLayoutWords,
+                              NonzeroWords, RuleWordMap, SafeRewrite,
+                              make_explicit_spec, read_key)
 from fourshift.serial import (ParseError, emit_config, emit_tuple, emit_word,
                               parse_config, parse_tuple, parse_word)
 from fourshift.transporter import transport
@@ -329,6 +332,7 @@ class TestWordFiles:
     @settings(deadline=None)
     @given(st.sampled_from(MAP_BASES), word_maps)
     @example(MAP_BASES[0], json.loads(CONTRADICTORY)[0]["map"])
+    @example(MAP_BASES[0], json.loads(SWAP)[0]["map"])
     def test_arbitrary_maps_load_as_listed_or_raise_parse_error(self, base,
                                                                 pairs):
         try:
@@ -339,7 +343,8 @@ class TestWordFiles:
         if isinstance(ins, HeadLocal):
             ins, pairs = ins.wp, [(window(s), window(d)) for s, d in pairs]
         else:
-            ins = ins.pi
+            k = ins.k
+            ins, pairs = ins.pi, [(read_key(s, k), read_key(d, k)) for s, d in pairs]
         for s, d in pairs:
             assert ins.apply(s) == d
 
@@ -395,14 +400,10 @@ class TestReadChecksNoWindowTwice:
 
     @staticmethod
     def refuse_window_checks(monkeypatch):
-        check = permbuild.checked_word
-
-        def strings_only(w, length):
-            if not isinstance(w, str):
-                raise AssertionError(f"window {w!r} checked cell by cell")
-            return check(w, length)
+        def refuse(w, length):
+            raise AssertionError(f"window {w!r} checked cell by cell")
         for module in (permbuild, generators):
-            monkeypatch.setattr(module, "checked_word", strings_only)
+            monkeypatch.setattr(module, "checked_word", refuse)
 
     def test_cells_files_and_transport_words(self, rng, monkeypatch):
         texts = [p.read_text() for form in ("cells", "cycles")
@@ -418,6 +419,100 @@ class TestReadChecksNoWindowTwice:
         self.refuse_window_checks(monkeypatch)
         assert [parse_word(text) for text in texts] == want
         assert [parse_word(text) for text in emitted] == words
+
+
+def near(n):
+    """n as an int most often, else as the float or the bool equal to it."""
+    return st.sampled_from([n] * 6 + [float(n)] + [bool(n)] * (n in (0, 1)))
+
+
+def cycle_pairs(words):
+    """Each word paired with the next, the last with the first."""
+    return list(zip(words, [*words[1:], *words[:1]]))
+
+
+def head_local_of(r, windows, length, plain):
+    """HeadLocal(r, wp) for wp the cycle through `windows` of `length`,
+    given as its dict of images when `plain`."""
+    wp = WordPerm.from_pairs(cycle_pairs(windows), length)
+    return HeadLocal(r, wp.images if plain else wp)
+
+
+def listed_rewrite(keys, length, V):
+    """The safe rewrite of the word keys `keys` of `length`, guarded by V,
+    permuted as one cycle."""
+    return SafeRewrite(ExplicitWords(length, frozenset(keys)), V,
+                       WordPerm.of_checked(cycle_pairs(keys), length))
+
+
+@st.composite
+def head_local_builds(draw):
+    r = draw(st.sampled_from([1, 2, 65]))  # 65: offsets past core.CELLS
+    offsets = [*range(-r, 0), *range(1, r + 1)]
+    windows = draw(st.lists(
+        st.dictionaries(st.sampled_from(offsets), st.integers(1, 2), max_size=3),
+        min_size=1, max_size=3, unique_by=lambda w: tuple(sorted(w.items()))))
+    windows = [tuple((draw(near(o)), draw(near(s))) for o, s in sorted(w.items()))
+               for w in windows]
+    return partial(head_local_of, draw(near(r)), windows, 2 * r,
+                   draw(st.sampled_from([False] * 3 + [True])))
+
+
+@st.composite
+def listed_rewrite_builds(draw):
+    # words of length 3 with a head in the middle: 030, 031, ..., 232
+    ends = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         min_size=1, max_size=3, unique=True))
+    keys = [tuple((draw(near(o)), draw(near(s)))
+                  for o, s in ((0, a), (1, 3), (2, b)) if s) for a, b in ends]
+    V = draw(st.sampled_from([HEAD_MARKER, NonzeroWords(draw(near(1)))]))
+    return partial(listed_rewrite, keys, draw(near(3)), V)
+
+
+@st.composite
+def named_rewrite_builds(draw):
+    tag = draw(st.sampled_from(sorted(HEAD_GAP_FAMILIES)))
+    U = HEAD_GAP_FAMILIES[tag]
+    return partial(SafeRewrite, HeadLayoutWords(draw(near(U.length)), U.layouts),
+                   HeadLayoutWords(draw(near(1)), HEAD_MARKER.layouts),
+                   RuleWordMap(tag))
+
+
+symbol_images = (st.permutations([1, 2, 3]).flatmap(
+    lambda p: st.tuples(near(0), *map(near, p)))
+    | st.tuples(*[st.integers(-1, 4)] * 4)).flatmap(
+    lambda img: st.sampled_from([img] * 3 + [list(img)]))
+# Every instruction kind built through the Python API from fields drawn
+# from ints and the bools and floats equal to them, and lists for `img`.
+api_builds = (st.builds(partial, st.sampled_from([Particle, HeadShift]),
+                        st.integers(-3, 3).flatmap(near))
+              | st.builds(partial, st.just(SymbolPerm), symbol_images)
+              | head_local_builds() | listed_rewrite_builds()
+              | named_rewrite_builds())
+
+
+class TestApiAndFilesRefuseAlike:
+    """An instruction built through the Python API is refused with a
+    DomainError, or its word file reads back as the same instruction and
+    replays the same: the API builds nothing that a word file refuses."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(api_builds, st.dictionaries(st.integers(-8, 8), st.integers(1, 3),
+                                       max_size=6))
+    @example(partial(SymbolPerm, (0, True, 2, 3)), {0: 2})
+    @example(partial(head_local_of, 1.0, [(), ((1, 1),)], 2, False), {0: 3})
+    @example(partial(listed_rewrite, [((1, 3),), ((1, 3), (2, True))], 3,
+                     HEAD_MARKER), {0: 3})
+    def test_built_or_refused(self, build, cells):
+        try:
+            ins = build()
+        except DomainError:
+            return
+        word = TransportWord((ins,))
+        read = parse_word(emit_word(word))
+        x = Config.from_cells(cells)
+        assert read == word
+        assert apply_word(x, read) == apply_word(x, word)
 
 
 @pytest.fixture
