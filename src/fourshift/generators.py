@@ -17,7 +17,7 @@ from typing import get_args
 
 from . import safety
 from .core import (CELLS, HEAD, PARTICLE, WALL, Config, DomainError, ParseError,
-                   TupleK, digit_cells, emit_runs, isolated, json_int, parse_runs)
+                   TupleK, emit_runs, isolated, json_int, parse_runs)
 from .permbuild import WordPerm, checked_word
 from .safety import SafeRewrite
 
@@ -134,31 +134,18 @@ class HeadLocal:
 
     @classmethod
     def from_obj(cls, obj) -> "HeadLocal":
-        """Inverse of to_obj.  The pair forms still load: `"cells"`, a list
-        of [src, dst] run lines, and the dense `"map"` of 2r-letter words;
-        an object holds exactly one of the three.  Each window is checked
-        once, when read."""
+        """Inverse of to_obj: the map is read from `"cycles"` only, and
+        each window is checked once, when read."""
         r = json_int(obj["r"])
-        if sum(form in obj for form in ("map", "cells", "cycles")) != 1:
-            raise ParseError("an HL object holds exactly one of map, cells and cycles")
-        if "cycles" in obj:
-            cycles = []
-            for cycle in obj["cycles"]:
-                if not isinstance(cycle, list):
-                    raise ParseError(f"a cycle is a list of windows, not a {type(cycle).__name__}")
-                cycles.append([_window_of_line(w, r) for w in cycle])
-            return cls(r, WordPerm.of_cycles(cycles, 2 * r))
-        if "cells" in obj:
-            listed, read = obj["cells"], _window_of_line
-        else:
-            listed, read = obj["map"], _window_of_word
-        pairs, windows = [], {}  # a window named twice is read once
-        for s, d in listed:
-            for w in (s, d):
-                if w not in windows:
-                    windows[w] = read(w, r)
-            pairs.append((windows[s], windows[d]))
-        return cls(r, WordPerm.of_checked(pairs, 2 * r))
+        for form in ("map", "cells"):
+            if form in obj:
+                raise ParseError(f"an HL map is written as cycles, not as {form!r}")
+        cycles = []
+        for cycle in obj["cycles"]:
+            if not isinstance(cycle, list):
+                raise ParseError(f"a cycle is a list of windows, not a {type(cycle).__name__}")
+            cycles.append([_window_of_line(w, r) for w in cycle])
+        return cls(r, WordPerm._of_cycles(cycles, 2 * r))
 
 
 # One run of digits 0-2, and the cells of CELLS by digit at offset + 64.
@@ -183,13 +170,6 @@ def _window_of_line(text, r: int) -> tuple[tuple[int, int], ...]:
         raise ParseError(f"not a window of radius {r}: {text!r}")
     return tuple([_CELL_ROWS[c][i]
                   for i, c in enumerate(digits, offset + 64) if c != "0"])
-
-
-def _window_of_word(word, r: int) -> tuple[tuple[int, int], ...]:
-    """The cells of a dense window word of {0,1,2}^(2r)."""
-    if not isinstance(word, str) or len(word) != 2 * r or "3" in word:
-        raise ParseError(f"not a window word of length {2 * r}: {word!r}")
-    return tuple((o + (o >= 0), s) for o, s in digit_cells(-r, word))
 
 
 @dataclass(frozen=True, slots=True)

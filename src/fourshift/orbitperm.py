@@ -33,5 +33,5 @@ def orbit_permutation_instruction(t: TupleK, beta: tuple[int, ...]) -> SafeRewri
 
     # each component's word is 0^(2m) c 0^(2m), its key c's cells from -3m
     keys = [cell_key(c.cells, -3 * m) for c in t]
-    pi = WordPerm.of_checked([(keys[i], keys[beta.index(i)]) for i in range(k)], 6 * m)
+    pi = WordPerm._of_checked([(keys[i], keys[beta.index(i)]) for i in range(k)], 6 * m)
     return SafeRewrite(ExplicitWords(6 * m, frozenset(keys)), NonzeroWords(2 * m), pi)

@@ -7,12 +7,13 @@ radius r is a word of {0,1,2}^(2r) around a head, held by its nonzero
 cells: a tuple of (offset from the head, symbol) pairs of ints with
 increasing offsets, 0 < |offset| <= r and symbol 1 or 2, so nothing
 costs O(r).  Pairs are listed in the order of their sources as dense
-words.  Every map of words given as pairs, built in code or read from a
-word file, follows one rule: a word is a source at most once and a
-target at most once, and fixed points are allowed.  A map given as
-disjoint cycles names each word once.  The main construction closes
-each chain of requested pairs into a cycle and, if the result is odd,
-adds one transposition of words no pair names.
+words.  Every map of words given as pairs, built in code or read as a
+safe rewrite's pair list, follows one rule: a word is a source at most
+once and a target at most once, and fixed points are allowed.  A
+head-local map is read from a word file only as disjoint cycles, which
+name each word once.  The main construction closes each chain of
+requested pairs into a cycle and, if the result is odd, adds one
+transposition of words no pair names.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:
 @dataclass(frozen=True, slots=True, init=False)
 class WordPerm:
     """Permutation of the words of one length moving only finitely many,
-    held as the dict of its moved pairs, so apply is a lookup.  Each word
-    is checked once: by `from_pairs`, or by its reader before `of_checked`
-    or `of_cycles`, the only ways to build one."""
+    held as the dict of its moved pairs, so apply is a lookup.  The public
+    builders, `from_pairs` and `build_mapping_perm`, check every word; the
+    private `_of_checked` and `_of_cycles` trust theirs, and are called
+    only by readers that have checked each word once."""
 
     length: int
     images: dict  # each moved word to its image, never changed
@@ -82,11 +84,11 @@ class WordPerm:
     def from_pairs(pairs: Iterable[tuple[Word, Word]], length: int) -> "WordPerm":
         """The permutation of windows listed by `pairs`, fixed points
         included, each window checked by `checked_word`."""
-        return WordPerm.of_checked([(checked_word(s, length), checked_word(d, length))
-                                    for s, d in pairs], length)
+        return WordPerm._of_checked([(checked_word(s, length), checked_word(d, length))
+                                     for s, d in pairs], length)
 
     @staticmethod
-    def of_checked(pairs: Sequence[tuple[Word, Word]], length: int) -> "WordPerm":
+    def _of_checked(pairs: Sequence[tuple[Word, Word]], length: int) -> "WordPerm":
         """`from_pairs` of words already checked: only the map is checked."""
         images = _one_to_one(pairs)
         if images.keys() != set(images.values()):
@@ -94,7 +96,7 @@ class WordPerm:
         return WordPerm._of(length, {s: d for s, d in images.items() if s != d})
 
     @staticmethod
-    def of_cycles(cycles: Iterable[Sequence[Word]], length: int) -> "WordPerm":
+    def _of_cycles(cycles: Iterable[Sequence[Word]], length: int) -> "WordPerm":
         """The permutation sending each word of a cycle to the next, the
         last to the first, for words already checked.  Disjoint cycles are
         a permutation, so the one check is that no word is named twice;

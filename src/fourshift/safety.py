@@ -64,12 +64,15 @@ class ExplicitWords:
         for key in self.keys:
             if not key:
                 raise IllFormedWordSet("word set contains the all-zero word")
-            f, prev = key[0][0], -1
-            for o, s in key:  # increasing int offsets in [0, length), symbols 1-3
-                if not (type(o) is int and type(s) is int and prev < o < self.length
-                        and s in (PARTICLE, WALL, HEAD)):
-                    raise IllFormedWordSet(f"{key!r} is not a word key in [0, {self.length})")
-                prev = o
+            try:  # (offset, symbol) pairs: increasing int offsets in [0, length), symbols 1-3
+                f, prev = key[0][0], -1
+                for o, s in key:
+                    if not (type(o) is int and type(s) is int and prev < o < self.length
+                            and s in (PARTICLE, WALL, HEAD)):
+                        raise ValueError
+                    prev = o
+            except (TypeError, ValueError):
+                raise IllFormedWordSet(f"{key!r} is not a word key in [0, {self.length})") from None
             shape = cell_key(key, f)
             shapes[shape] = (*shapes.get(shape, ()), f)
             least[len(key)] = min(least.get(len(key), f), f)
@@ -177,6 +180,10 @@ class RuleWordMap:
 
     tag: str  # a key of HEAD_GAP_FAMILIES
 
+    def __post_init__(self):
+        if type(self.tag) is not str or self.tag not in HEAD_GAP_FAMILIES:
+            raise IllFormedSpec(f"no head-gap rule named {self.tag!r}")
+
     def apply(self, key: Key) -> Key:
         """PI keeps the letter left of the head, TAU the letter right of
         it: with m = SIGMA3_M, that letter a becomes heads at m and
@@ -270,7 +277,7 @@ class SafeRewrite:
         if type(k) is not int or type(h) is not int or not k >= h >= 1:
             raise IllFormedSpec(f"need int word lengths k >= h >= 1, not {k!r}, {h!r}")
         if isinstance(self.pi, RuleWordMap):
-            if self.U != HEAD_GAP_FAMILIES.get(self.pi.tag):
+            if self.U != HEAD_GAP_FAMILIES[self.pi.tag]:
                 raise IllFormedSpec(f"rule {self.pi.tag!r} does not permute U")
         elif not (isinstance(self.pi, WordPerm) and self.pi.length == k
                   and isinstance(self.U, ExplicitWords)
@@ -343,7 +350,7 @@ class SafeRewrite:
 
 def _key_perm(pairs: Iterable[tuple[str, str]], length: int) -> WordPerm:
     """The permutation of word keys listed by pairs of letter words."""
-    return WordPerm.of_checked([(read_key(s, length), read_key(d, length))
+    return WordPerm._of_checked([(read_key(s, length), read_key(d, length))
                                 for s, d in pairs], length)
 
 

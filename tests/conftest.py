@@ -254,25 +254,19 @@ def two_pass_window(text, r: int) -> tuple[tuple[int, int], ...]:
 
 
 def two_pass_head_local(obj) -> dict:
-    """The moved pairs of an HL object: its `"cells"`, or each window of
-    each of its `"cycles"` paired with the next, the last with the first.
-    Each window is read by `two_pass_window` and the map checked on plain
-    sets: a cycle of fewer than two windows, a window named twice as a
-    source or twice as a target, or a target that is no source, raises
-    DomainError.  The oracle of `HeadLocal.from_obj`."""
+    """The moved pairs of an HL object: each window of each of its
+    `"cycles"` paired with the next, the last with the first.  Each window
+    is read by `two_pass_window`; a cycle of fewer than two windows, or a
+    window named twice, raises DomainError.  The oracle of
+    `HeadLocal.from_obj`."""
     r = obj["r"]
-    if "cycles" in obj:
-        if any(not isinstance(c, list) or len(c) < 2 for c in obj["cycles"]):
-            raise DomainError("a cycle is a list of at least two windows")
-        lines = [(c[i - 1], c[i]) for c in obj["cycles"] for i in range(len(c))]
-    else:
-        lines = obj["cells"]
-    pairs = [(two_pass_window(s, r), two_pass_window(d, r)) for s, d in lines]
-    sources, targets = [s for s, _ in pairs], [d for _, d in pairs]
-    if (len(set(sources)) < len(pairs) or len(set(targets)) < len(pairs)
-            or set(sources) != set(targets)):
-        raise DomainError("the windows do not form a permutation")
-    return {s: d for s, d in pairs if s != d}
+    if any(not isinstance(c, list) or len(c) < 2 for c in obj["cycles"]):
+        raise DomainError("a cycle is a list of at least two windows")
+    pairs = [(two_pass_window(c[i - 1], r), two_pass_window(c[i], r))
+             for c in obj["cycles"] for i in range(len(c))]
+    if len({s for s, _ in pairs}) < len(pairs):
+        raise DomainError("a window is named twice in the cycles")
+    return dict(pairs)
 
 
 @pytest.fixture

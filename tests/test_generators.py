@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fourshift.core import (CELLS, POSITION_LIMIT, Config, DomainError,
-                            ParseError, PositionOverflow, ZERO, emit_runs,
-                            shift, tracks, validate_tuple)
+                            ParseError, PositionOverflow, ZERO, shift, tracks,
+                            validate_tuple)
 from fourshift.generators import (SWAP_12, SWAP_13, SWAP_23, HeadLocal,
                                   HeadShift, IllFormedInstruction, Particle,
                                   SymbolPerm, TransportWord, _window_of_line,
@@ -340,15 +340,9 @@ def window_lines(r: int):
             | st.none() | st.integers(0, 3) | st.lists(st.just("@1:1"), max_size=1))
 
 
-# Windows of radius 2, some malformed, and pair lists over them: random ones
-# repeat sources and targets or leave a target that is no source, and
-# permutations of distinct lines list fixed points.
+# Windows of radius 2, some malformed.
 HL_LINES = ["ZERO", "@0:0", "@1:1", "@-1:2", "@2:1", "@-2:1", "@1:12",
             "@-2:10002", "@-1:1", "@0:1", "@3:1", "@1:3", "@1:1 @2:1"]
-hl_pairs = (st.lists(st.tuples(st.sampled_from(HL_LINES),
-                               st.sampled_from(HL_LINES)), max_size=6)
-            | st.lists(st.sampled_from(HL_LINES), unique=True, max_size=6).flatmap(
-                lambda ws: st.permutations(ws).map(lambda ds: list(zip(ws, ds)))))
 
 
 class TestWindowReader:
@@ -389,24 +383,6 @@ class TestWindowReader:
             assert _window_of_line(text, r) == two_pass_window(text, r) == want
 
     @settings(max_examples=400, deadline=None)
-    @given(hl_pairs)
-    @example([("@1:1", "@2:1"), ("@1:1", "@-1:1")])
-    @example([("@1:1", "@2:1"), ("@-1:1", "@2:1")])
-    @example([("@1:1", "@2:1")])
-    @example([("@1:1", "@1:1"), ("@2:1", "@-1:1"), ("@-1:1", "@2:1")])
-    def test_head_local_objects_match_the_two_pass_read(self, pairs):
-        obj = {"op": "HL", "r": 2, "cells": [list(p) for p in pairs]}
-        try:
-            want = two_pass_head_local(obj)
-        except DomainError:
-            with pytest.raises(ParseError):
-                parse_word(json.dumps([obj]))
-            return
-        wp = parse_word(json.dumps([obj])).steps[0].wp
-        assert wp.images == want
-        assert [dense(s, 2) for s, _ in wp.moved] == sorted(dense(s, 2) for s in want)
-
-    @settings(max_examples=400, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(HL_LINES), max_size=4), max_size=3))
     @example([["@1:1", "@2:1", "@-1:1"], ["ZERO", "@1:12"]])
     @example([["@1:1", "@2:1"], ["@-1:1", "@1:1"]])
@@ -436,16 +412,14 @@ def chain_maps(rng: random.Random, n: int):
 
 
 class TestCycleForm:
-    """An HL map written as its disjoint cycles reads back as the same map
-    as its [src, dst] pairs do, and as the two-pass oracle reads it."""
+    """An HL map written as its disjoint cycles reads back as the same map,
+    and as the two-pass oracle reads it."""
 
     @staticmethod
     def check(ins: HeadLocal) -> None:
         obj = ins.to_obj()
-        cells = {"op": "HL", "r": ins.r, "cells": [
-            [emit_runs(s), emit_runs(d)] for s, d in ins.wp.moved]}
-        assert HeadLocal.from_obj(obj) == HeadLocal.from_obj(cells) == ins
-        assert two_pass_head_local(obj) == two_pass_head_local(cells) == ins.wp.images
+        assert HeadLocal.from_obj(obj) == ins
+        assert two_pass_head_local(obj) == ins.wp.images
 
     def test_transport_words(self):
         rng, maps = random.Random(22), 0

@@ -201,13 +201,14 @@ class TestWordPermChecksOnce:
 
 
 class TestCycles:
-    """`WordPerm.cycles` and its decoder `WordPerm.of_cycles`."""
+    """`WordPerm.cycles` and its decoder, the private `WordPerm._of_cycles`
+    that `HeadLocal.from_obj` calls."""
 
     def test_round_trip(self):
         longest = 0
         for wp in seeded_perms(random.Random(6), 600):
             cycles = wp.cycles()
-            assert WordPerm.of_cycles(cycles, wp.length) == wp
+            assert WordPerm._of_cycles(cycles, wp.length) == wp
             # disjoint, each following the map and closing, none a fixed point
             named = [w for cycle in cycles for w in cycle]
             assert sorted(named) == sorted(wp.images)
@@ -224,14 +225,14 @@ class TestCycles:
     def test_identity(self):
         identity = WordPerm.from_pairs((), 2)
         assert identity.cycles() == ()
-        assert WordPerm.of_cycles([], 2) == identity
+        assert WordPerm._of_cycles([], 2) == identity
 
     @pytest.mark.parametrize("cycles", [
         [("00", "01", "00")], [("00", "01"), ("02", "00")], [("00",)], [()]],
         ids=["twice-in-a-cycle", "in-two-cycles", "one-word", "empty"])
     def test_refused(self, cycles):
         with pytest.raises(DomainError):
-            WordPerm.of_cycles([tuple(map(window, c)) for c in cycles], 2)
+            WordPerm._of_cycles([tuple(map(window, c)) for c in cycles], 2)
 
 
 class TestParity:

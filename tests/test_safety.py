@@ -554,7 +554,7 @@ class TestValidators:
 
 # the keys of the words 030, 031 and 032
 K030, K031, K032 = ((1, 3),), ((1, 3), (2, 1)), ((1, 3), (2, 2))
-SWAP_PI = WordPerm.of_checked([(K030, K031), (K031, K030)], 3)
+SWAP_PI = demo_spec().pi
 NO_MOVE = WordPerm.from_pairs((), 3)
 
 
@@ -569,10 +569,10 @@ class TestSpecChecksItself:
         pytest.param(ExplicitWords.of(["003000", "000300"]), HEAD_MARKER,
                      WordPerm.from_pairs((), 6), id="one-head-each-different-leftmost"),
         pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
-                     WordPerm.of_checked([(K030, K032), (K032, K030)], 3),
+                     WordPerm._of_checked([(K030, K032), (K032, K030)], 3),
                      id="pi-moves-a-word-outside-U"),
         pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
-                     WordPerm.of_checked([("030", "031"), ("031", "030")], 3),
+                     WordPerm._of_checked([("030", "031"), ("031", "030")], 3),
                      id="pi-on-letter-words"),
         pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
                      WordPerm.from_pairs((), 6), id="pi-of-the-wrong-length"),
@@ -604,6 +604,7 @@ class TestSpecChecksItself:
             SafeRewrite(U, V, pi)
 
     def test_safe_specs_built_directly(self):
+        assert SWAP_PI.images == {K030: K031, K031: K030}
         assert SafeRewrite(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
                            SWAP_PI) == demo_spec()
         assert SafeRewrite(SIGMA3_PI_WORDS, HEAD_MARKER,

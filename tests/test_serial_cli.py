@@ -19,14 +19,14 @@ from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
 from fourshift.safety import (HEAD_GAP_FAMILIES, HEAD_MARKER, SIGMA3_PI_SPEC,
-                              SIGMA3_TAU_SPEC, ExplicitWords, HeadLayoutWords,
-                              NonzeroWords, RuleWordMap, SafeRewrite,
-                              make_explicit_spec, read_key)
+                              SIGMA3_PI_WORDS, SIGMA3_TAU_SPEC, ExplicitWords,
+                              HeadLayoutWords, NonzeroWords, RuleWordMap,
+                              SafeRewrite, make_explicit_spec, read_key)
 from fourshift.serial import (ParseError, emit_config, emit_tuple, emit_word,
                               parse_config, parse_tuple, parse_word)
 from fourshift.transporter import transport
 
-from conftest import dense, head_local, rand_config, rand_tuple, window
+from conftest import dense, head_local, rand_config, rand_tuple
 
 
 def cfg(offset, digits):
@@ -102,15 +102,9 @@ def sample_words(rng):
 
 
 # The word file of all_ops_word(), pinned byte for byte: one instruction
-# per line, each HL map as disjoint cycles of run lines.
+# per line, each HL map as disjoint cycles of run lines, the one form an
+# HL map is read in.
 GOLDEN = Path(__file__).parent / "data" / "all_ops_word_cycles.json"
-# The same word as written before HL maps were cycles, as [src, dst] pairs
-# of run lines; each *_cells.json golden re-emits as its *_cycles.json.
-CELLS_GOLDEN = Path(__file__).parent / "data" / "all_ops_word_cells.json"
-# The same word as written before: indented, with a dense HL map.  Files
-# written before the SR "mode" key was dropped differ from it only by
-# that key.
-DENSE_GOLDEN = Path(__file__).parent / "data" / "all_ops_word.json"
 
 SWAP = ('[{"op":"SR","k":3,"h":1,"U":["030","031"],"V":["3"],'
         '"map":[["030","031"],["031","030"]],"ell":"strict","mrad":"strict"}]')
@@ -157,18 +151,15 @@ json_values = st.recursive(
 # Each valid object of the golden file with one field replaced, so every
 # decoder sees every field malformed; values that look like integers
 # without being JSON integers are drawn often.
-GOLDEN_OBJS = [*json.loads(DENSE_GOLDEN.read_text()),
-               *(o for path in (CELLS_GOLDEN, GOLDEN)
-                 for o in json.loads(path.read_text()) if o["op"] == "HL")]
+GOLDEN_OBJS = json.loads(GOLDEN.read_text())
 one_field_off = st.builds(
     lambda slot, v: [{**GOLDEN_OBJS[slot[0]], slot[1]: v}],
     st.sampled_from([(i, key) for i, obj in enumerate(GOLDEN_OBJS)
                      for key in obj]),
     st.sampled_from([1e999, -1e999, 2.0, True, "1"]) | json_values)
-# The objects whose map lists words: an HL map, an explicit SR map and a
-# zero-padded SR map, each fed map lists of near-miss words and pairs.
-MAP_BASES = [json.loads(SWAP)[0], json.loads(sr_obj(**ZERO_PADDED))[0],
-             {"op": "HL", "r": 1, "map": []}]
+# The objects whose map lists words: an explicit SR map and a zero-padded
+# SR map, each fed map lists of near-miss words and pairs.
+MAP_BASES = [json.loads(SWAP)[0], json.loads(sr_obj(**ZERO_PADDED))[0]]
 map_words = (st.sampled_from(["00", "01", "12", "030", "031", "032", "010",
                               "020", "0", "3", ""])
              | st.text("0123", max_size=4) | st.integers(0, 3)
@@ -192,11 +183,11 @@ class TestWordFiles:
             assert parse_word(emit_word(word)) == word
 
     def test_safe_rewrite_is_the_sr_instruction(self, rng):
+        swap = make_explicit_spec(["030", "031"],
+                                  [("030", "031"), ("031", "030")])
         k030, k031 = ((1, 3),), ((1, 3), (2, 1))  # the keys of 030 and 031
-        pi = WordPerm.of_checked([(k030, k031), (k031, k030)], 3)
-        swap = SafeRewrite(ExplicitWords.of(["030", "031"]), HEAD_MARKER, pi)
-        assert swap == make_explicit_spec(["030", "031"],
-                                          [("030", "031"), ("031", "030")])
+        assert swap.U == ExplicitWords(3, frozenset({k030, k031}))
+        assert swap.pi.images == {k030: k031, k031: k030}
         assert OPS["SR"] is SafeRewrite
         text = emit_word(TransportWord((swap,)))
         assert text == "[\n" + json.dumps(json.loads(SWAP)[0]) + "\n]"
@@ -230,19 +221,16 @@ class TestWordFiles:
         assert all(json.loads(line.rstrip(","))
                    for line in GOLDEN.read_text().splitlines()[1:-1])
 
-    def test_dense_golden_still_read(self):
-        assert parse_word(DENSE_GOLDEN.read_text()) == all_ops_word()
-
-    @pytest.mark.parametrize("name", ["all_ops_word", "demo3_pipeline_word"])
-    def test_cells_golden_re_emits_as_cycles(self, name):
-        cells = GOLDEN.parent / f"{name}_cells.json"
-        cycles = GOLDEN.parent / f"{name}_cycles.json"
-        word = parse_word(cells.read_text())
-        assert emit_word(word) + "\n" == cycles.read_text()
-        assert parse_word(cycles.read_text()) == word
+    def test_goldens_are_current_word_files(self):
+        # a golden in an older form cannot come back unnoticed
+        paths = sorted(GOLDEN.parent.glob("*.json"))
+        assert GOLDEN in paths
+        for path in paths:
+            text = path.read_text()
+            assert emit_word(parse_word(text)) + "\n" == text, path.name
 
     def test_mode_key_still_read(self):
-        objs = json.loads(DENSE_GOLDEN.read_text())
+        objs = json.loads(GOLDEN.read_text())
         for obj in objs:
             if obj["op"] == "SR":
                 obj["mode"] = "strict"
@@ -265,18 +253,18 @@ class TestWordFiles:
                 '[{"op":["P"],"e":1}]', '[{"op":"P","e":1e999}]',
                 '[{"op":"HS","e":1e999}]', '[{"op":"P","e":true}]',
                 '[{"op":"P","e":2.0}]', '[{"op":"SYM","img":[0,1,2,3.5]}]',
-                '[{"op":"HL","r":1.0,"map":[]}]', sr_obj(k=1e999),
+                '[{"op":"HL","r":1.0,"cycles":[]}]', sr_obj(k=1e999),
                 sr_obj(map="BOGUS"), sr_obj(U="SIGMA3_TAU"), sr_obj(ell=6),
                 SWAP.replace('"ell":"strict"', '"ell":6'),
-                '[{"op":"HL","r":1,"map":[["03","10"],["10","03"]]}]',
+                '[{"op":"HL","r":1,"cycles":[["@1:3","@-1:1"]]}]',
                 # an Arabic-Indic one, a digit to int() but not a symbol
-                '[{"op":"HL","r":1,"map":[["\\u06610","01"],["01","\\u06610"]]}]',
+                '[{"op":"HL","r":1,"cycles":[["@-1:\\u0661","@1:1"]]}]',
                 ORBIT_MERGING, SWAP.replace('"k":3', '"k":4'),
                 sr_obj(**ZERO_PADDED, ell=99),
                 sr_obj(**{**ZERO_PADDED, "U": "010"}),
                 ZERO_PADDED_FOREIGN_SOURCE, *REPEATED_SOURCES,
                 SWAP.replace('"map":[', '"map":[["03","03"],'),
-                '[{"op":"HL","r":0,"map":[]}]', sr_obj(V="NONZERO_N"),
+                '[{"op":"HL","r":0,"cycles":[]}]', sr_obj(V="NONZERO_N"),
                 *(SWAP.replace('"U":["030","031"]', f'"U":["030",{w}]')
                   for w in ('"0310"', '"0x1"')),
                 *(SWAP.replace('"V":["3"]', f'"V":{v}')
@@ -308,10 +296,6 @@ class TestWordFiles:
             assert apply_word(apply_word(x, word), inverse) == x
         assert moved > 50
 
-    def test_hl_fixed_point_pair_is_dropped(self):
-        hl = '[{"op":"HL","r":1,"map":[%s["01","12"],["12","01"]]}]'
-        assert parse_word(hl % '["00","00"],') == parse_word(hl % "")
-
     def test_far_apart_cells_replay_in_time(self):
         # P^E leaves the cells of @0:12 10^9 apart; the explicit rewrite
         # then reads only the windows over them, not the span between
@@ -340,27 +324,23 @@ class TestWordFiles:
         except ParseError:
             return
         ins, = word.steps
-        if isinstance(ins, HeadLocal):
-            ins, pairs = ins.wp, [(window(s), window(d)) for s, d in pairs]
-        else:
-            k = ins.k
-            ins, pairs = ins.pi, [(read_key(s, k), read_key(d, k)) for s, d in pairs]
         for s, d in pairs:
-            assert ins.apply(s) == d
+            assert ins.pi.apply(read_key(s, ins.k)) == read_key(d, ins.k)
 
     @settings(deadline=None)
-    @given(st.lists(st.tuples(run_lines, run_lines), max_size=4))
-    @example([("@1:1", "@2:1"), ("@2:1", "@1:1")])
+    @given(st.lists(st.lists(run_lines, max_size=4), max_size=3))
+    @example([["@1:1", "@2:1"]])
     def test_arbitrary_windows_load_as_listed_or_raise_parse_error(self,
-                                                                   pairs):
+                                                                   cycles):
         try:
             word = parse_word(json.dumps(
-                [{"op": "HL", "r": 2, "cells": pairs}]))
+                [{"op": "HL", "r": 2, "cycles": cycles}]))
         except ParseError:
             return
         wp = word.steps[0].wp
-        for s, d in pairs:
-            assert wp.apply(tuple(parse_runs(s))) == tuple(parse_runs(d))
+        for cycle in cycles:
+            for s, d in zip(cycle, [*cycle[1:], cycle[0]]):
+                assert wp.apply(tuple(parse_runs(s))) == tuple(parse_runs(d))
 
 
 class TestReplayChecksNoCellTwice:
@@ -406,8 +386,7 @@ class TestReadChecksNoWindowTwice:
             monkeypatch.setattr(module, "checked_word", refuse)
 
     def test_cells_files_and_transport_words(self, rng, monkeypatch):
-        texts = [p.read_text() for form in ("cells", "cycles")
-                 for p in sorted(GOLDEN.parent.glob(f"*_{form}.json"))]
+        texts = [p.read_text() for p in sorted(GOLDEN.parent.glob("*.json"))]
         want = [parse_word(text) for text in texts]
         words = []
         for _ in range(30):
@@ -442,7 +421,7 @@ def listed_rewrite(keys, length, V):
     """The safe rewrite of the word keys `keys` of `length`, guarded by V,
     permuted as one cycle."""
     return SafeRewrite(ExplicitWords(length, frozenset(keys)), V,
-                       WordPerm.of_checked(cycle_pairs(keys), length))
+                       WordPerm._of_checked(cycle_pairs(keys), length))
 
 
 @st.composite
@@ -458,24 +437,34 @@ def head_local_builds(draw):
                    draw(st.sampled_from([False] * 3 + [True])))
 
 
+def named_rewrite(U, V, tag):
+    """The safe rewrite of U by the head-gap rule named `tag`, guarded by V."""
+    return SafeRewrite(U, V, RuleWordMap(tag))
+
+
 @st.composite
 def listed_rewrite_builds(draw):
-    # words of length 3 with a head in the middle: 030, 031, ..., 232
+    # words of length 3 with a head in the middle: 030, 031, ..., 232;
+    # now and then a key that is no tuple of (offset, symbol) pairs
     ends = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                          min_size=1, max_size=3, unique=True))
     keys = [tuple((draw(near(o)), draw(near(s)))
                   for o, s in ((0, a), (1, 3), (2, b)) if s) for a, b in ends]
+    keys += draw(st.lists(st.sampled_from(["030", "", 3, (1,), ((1,),), ((1, 3, 0),)]),
+                          max_size=1))
     V = draw(st.sampled_from([HEAD_MARKER, NonzeroWords(draw(near(1)))]))
     return partial(listed_rewrite, keys, draw(near(3)), V)
 
 
 @st.composite
 def named_rewrite_builds(draw):
-    tag = draw(st.sampled_from(sorted(HEAD_GAP_FAMILIES)))
-    U = HEAD_GAP_FAMILIES[tag]
-    return partial(SafeRewrite, HeadLayoutWords(draw(near(U.length)), U.layouts),
-                   HeadLayoutWords(draw(near(1)), HEAD_MARKER.layouts),
-                   RuleWordMap(tag))
+    family = draw(st.sampled_from(sorted(HEAD_GAP_FAMILIES)))
+    U = HEAD_GAP_FAMILIES[family]
+    # the family's own rule most often, else the other one, a list, an
+    # int or an unknown name
+    tag = draw(st.sampled_from([family] * 6 + [*HEAD_GAP_FAMILIES, [family], 3, "SIGMA3"]))
+    return partial(named_rewrite, HeadLayoutWords(draw(near(U.length)), U.layouts),
+                   HeadLayoutWords(draw(near(1)), HEAD_MARKER.layouts), tag)
 
 
 symbol_images = (st.permutations([1, 2, 3]).flatmap(
@@ -503,6 +492,8 @@ class TestApiAndFilesRefuseAlike:
     @example(partial(head_local_of, 1.0, [(), ((1, 1),)], 2, False), {0: 3})
     @example(partial(listed_rewrite, [((1, 3),), ((1, 3), (2, True))], 3,
                      HEAD_MARKER), {0: 3})
+    @example(partial(named_rewrite, SIGMA3_PI_WORDS, HEAD_MARKER, ["x"]), {0: 3})
+    @example(partial(listed_rewrite, ["030"], 3, HEAD_MARKER), {0: 3})
     def test_built_or_refused(self, build, cells):
         try:
             ins = build()
@@ -749,24 +740,22 @@ class TestCli:
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"
         src.write_text("@0:31\n")
-        for obj in ('"cells":[["@1:1","@2:1"],["@2:1","@1:1"]]',
-                    '"cycles":[["@1:1","@2:1"]]'):
-            word.write_text('[{"op":"HL","r":1000000000000000,%s}]' % obj)
-            start = time.monotonic()
-            assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
-            assert time.monotonic() - start < 1.0
-            assert capsys.readouterr().out == "@0:301\n"
+        word.write_text('[{"op":"HL","r":1000000000000000,"cycles":[["@1:1","@2:1"]]}]')
+        start = time.monotonic()
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().out == "@0:301\n"
 
     @pytest.mark.parametrize("obj", [
-        '"cells":[["@0:1","@1:1"],["@1:1","@0:1"]]',
-        '"cells":[["@-3:1","@1:1"],["@1:1","@-3:1"]]',
-        '"cells":[["@3:1","@1:1"],["@1:1","@3:1"]]',
-        '"cells":[["@1:3","@1:1"],["@1:1","@1:3"]]',
-        '"cells":[["@1:1 @1:2","@1:1"],["@1:1","@1:1 @1:2"]]',
+        '"cycles":[["@0:1","@1:1"]]',
+        '"cycles":[["@-3:1","@1:1"]]',
+        '"cycles":[["@3:1","@1:1"]]',
+        '"cycles":[["@1:3","@1:1"]]',
+        '"cycles":[["@1:1 @1:2","@1:1"]]',
         '"cells":[],"map":[]', '"r2":2',
-        '"cells":[["@1:1","@2:1"],["@2:1","@1:1"],["@1:1","@2:1"]]',
-        '"cells":[["@1:1","@2:1"],["@2:1","@1:1"],["@-1:1","@2:1"]]',
-        '"map":[["\\u0661000","0100"],["0100","\\u0661000"]]',
+        '"cycles":[["@1:1","@2:1"],["@1:1","@-1:1"]]',
+        '"cycles":[["@1:1","@2:1"],["@-1:1","@2:1"]]',
+        '"cycles":[["@-2:\\u0661","@1:1"]]',
         '"cycles":[["@1:1","@2:1","@1:1"]]',
         '"cycles":[["@1:1","@2:1"],["@-1:1","@1:1"]]',
         '"cycles":[["@1:1","@0:01"]]',
@@ -794,13 +783,28 @@ class TestCli:
         assert captured.err.startswith("error: ParseError")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("form", ["map", "cells"])
+    def test_pair_form_head_local_exit_2(self, tmp_path, capsys, form):
+        # HL maps are read as cycles only; an older form is named
+        src = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@0:31\n")
+        word.write_text('[{"op":"HL","r":1,"%s":[]}]' % form)
+        for argv in (["apply", "--src", str(src), "--word", str(word)],
+                     ["verify", "--src", str(src), "--dst", str(src), "--word", str(word)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ParseError")
+            assert f"'{form}'" in captured.err and captured.err.count("\n") == 1
+
     def test_identity_head_local_reads_nothing(self, tmp_path, capsys):
         # an empty map is the identity whatever the radius: no window of
         # 2r cells is read
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"
         src.write_text("@0:3\n")
-        word.write_text('[{"op":"HL","r":1000000000,"map":[]}]')
+        word.write_text('[{"op":"HL","r":1000000000,"cycles":[]}]')
         start = time.monotonic()
         assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
         assert time.monotonic() - start < 1.0
@@ -907,11 +911,8 @@ small_instructions = st.one_of(
     small_powers.map(lambda e: {"op": "P", "e": e}),
     small_powers.map(lambda e: {"op": "HS", "e": e}),
     st.permutations([1, 2, 3]).map(lambda img: {"op": "SYM", "img": [0, *img]}),
-    st.builds(lambda r, pair: {"op": "HL", "r": r, "cells": [pair, pair[::-1]]},
+    st.builds(lambda r, pair: {"op": "HL", "r": r, "cycles": [pair]},
               st.integers(1, 8), st.lists(window_runs, min_size=2, max_size=2)),
-    st.builds(lambda r, cells: {"op": "HL", "r": r, "cells": cells},
-              st.integers(1, 8), st.lists(st.lists(window_runs, min_size=2,
-                                                   max_size=2), max_size=3)),
     st.builds(lambda r, cycles: {"op": "HL", "r": r, "cycles": cycles},
               st.integers(1, 8), st.lists(st.lists(window_runs, min_size=1,
                                                    max_size=3), max_size=3)),

@@ -28,12 +28,8 @@ DEMO3_GOOD = validate_tuple((cfg(-5, "100102"), cfg(-4, "1102"),
 # The word of make_good, make_great and make_canonical(..., canonical_great(3))
 # on DEMO3, pinned byte for byte: it holds the buzz schedule of make_great and
 # the head-local rewrites of both make_great and make_canonical.
+# Each HL map is written as its disjoint cycles, the one form it is read in.
 DEMO3_PIPELINE = Path(__file__).parent / "data" / "demo3_pipeline_word_cycles.json"
-# The same word as written before HL maps were cycles, as [src, dst] pairs
-# of run lines, and before HL windows were keyed on their cells: indented,
-# with dense HL maps.
-DEMO3_PIPELINE_CELLS = Path(__file__).parent / "data" / "demo3_pipeline_word_cells.json"
-DEMO3_PIPELINE_DENSE = Path(__file__).parent / "data" / "demo3_pipeline_word.json"
 
 
 def phi_bruteforce(x):
@@ -221,8 +217,7 @@ class TestCanonical:
         splice, out = make_canonical(t2, canonical_great(3))
         word = good + great + splice
         assert emit_word(word) + "\n" == DEMO3_PIPELINE.read_text()
-        assert parse_word(DEMO3_PIPELINE_CELLS.read_text()) == word
-        assert parse_word(DEMO3_PIPELINE_DENSE.read_text()) == word
+        assert parse_word(DEMO3_PIPELINE.read_text()) == word
         assert out.components == canonical_great(3).components
 
 

@@ -5,13 +5,12 @@ The two sets have their own digests.  Transport words change whenever the
 transporter's output or the HL form does (last when HL maps began to be
 written as disjoint cycles; before that, when `transport` began to fuse its
 word); orbit-permutation words bypass the transporter and hold no HL, so
-their digest holds across such a change, and the dense digests, which write
-HL maps as pairs, show that no replayed word moved.  Listed head-marker
-rewrites and the two named head-gap rewrites have a digest of their own,
-which pins the order of their words and pairs in `"U"` and `"map"`."""
+their digest holds across such a change.  Each file also parses back to
+its word.  Listed head-marker rewrites and the two named head-gap rewrites
+have a digest of their own, which pins the order of their words and pairs
+in `"U"` and `"map"`."""
 
 import hashlib
-import json
 import random
 from functools import cache
 
@@ -22,31 +21,16 @@ from fourshift.safety import SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC
 from fourshift.serial import emit_word, parse_word
 from fourshift.transporter import transport
 
-from conftest import dense, rand_head_spec, rand_tuple
+from conftest import rand_head_spec, rand_tuple
 
 # sha256 over the transport word files, each followed by a newline.
 DIGEST = "d50cadad50f373711c00c5bcaf50fc8b0c353f695114057d812d0f188d04160f"
-# The same over the words as dense_text writes them, which is how word
-# files were written before HL windows were keyed on their cells.
-DENSE_DIGEST = "cf9d0aa86a820d54fa3af2ce6b86dca5ca4fd0f28c8b1befa0f54ceb995ce5f0"
-# Both digests over the orbit-permutation word files; they are the bytes
-# these words had before transport words were fused.
+# The same over the orbit-permutation word files; they are the bytes these
+# words had before transport words were fused.
 ORBIT_DIGEST = "5d2bd987a2e41d5a82382af5f25efd45d2ab212b8eb537fc7a880ea77f8ce11e"
-ORBIT_DENSE_DIGEST = "a62aa13d9608fd546563bc62533666ff634c496fea838f5a5433cc5439fa3bed"
 # sha256 over the listed and named safe-rewrite word files, each followed
 # by a newline.
 LISTED_DIGEST = "e3ae81f1114b043760289103c68c28a790763e99150ce6f64a1a99c93a604349"
-
-
-def dense_text(word):
-    """The word file indented, with each HL map as pairs of 2r-letter
-    window words."""
-    objs = [ins.to_obj() for ins in word.steps]
-    for i, ins in enumerate(word.steps):
-        if objs[i]["op"] == "HL":
-            objs[i] = {"op": "HL", "r": ins.r, "map": [
-                [dense(s, ins.r), dense(d, ins.r)] for s, d in ins.wp.moved]}
-    return json.dumps(objs, indent=1)
 
 
 @cache
@@ -83,25 +67,23 @@ def listed_words():
                     TransportWord((SIGMA3_TAU_SPEC,))]
 
 
-def digests(words):
-    """sha256 of the word files and of their dense texts; each file also
-    parses back to its word."""
-    h, dense_h = hashlib.sha256(), hashlib.sha256()
+def digest(words):
+    """sha256 of the word files; each file also parses back to its word."""
+    h = hashlib.sha256()
     for word in words:
-        text, old = emit_word(word), dense_text(word)
-        assert parse_word(text) == word == parse_word(old)
+        text = emit_word(word)
+        assert parse_word(text) == word
         h.update(text.encode() + b"\n")
-        dense_h.update(old.encode() + b"\n")
-    return h.hexdigest(), dense_h.hexdigest()
+    return h.hexdigest()
 
 
 def test_word_files_are_pinned():
-    assert digests(digest_words()[0]) == (DIGEST, DENSE_DIGEST)
+    assert digest(digest_words()[0]) == DIGEST
 
 
 def test_orbit_permutation_word_files_are_pinned():
-    assert digests(digest_words()[1]) == (ORBIT_DIGEST, ORBIT_DENSE_DIGEST)
+    assert digest(digest_words()[1]) == ORBIT_DIGEST
 
 
 def test_listed_and_named_rewrite_word_files_are_pinned():
-    assert digests(listed_words())[0] == LISTED_DIGEST
+    assert digest(listed_words()) == LISTED_DIGEST
