@@ -17,7 +17,7 @@ from typing import get_args
 
 from . import safety
 from .core import (CELLS, HEAD, PARTICLE, WALL, Config, DomainError, ParseError,
-                   TupleK, emit_runs, isolated, json_int, parse_runs)
+                   TupleK, isolated, json_int, parse_runs)
 from .permbuild import WordPerm, checked_word
 from .safety import SafeRewrite
 
@@ -126,26 +126,22 @@ class HeadLocal:
         return HeadLocal(self.r, self.wp.inverse())
 
     def to_obj(self) -> dict:
-        """The map as its disjoint cycles (`WordPerm.cycles`), each window
-        a run line relative to the head, written once; the identity is
+        """The map as its disjoint cycles (`WordPerm.to_cycles`), each
+        window a run line relative to the head; the identity is
         `"cycles": []`."""
-        return {"op": self.OP, "r": self.r, "cycles": [
-            [emit_runs(w) for w in cycle] for cycle in self.wp.cycles()]}
+        return {"op": self.OP, "r": self.r, "cycles": self.wp.to_cycles()}
 
     @classmethod
     def from_obj(cls, obj) -> "HeadLocal":
-        """Inverse of to_obj: the map is read from `"cycles"` only, and
-        each window is checked once, when read."""
+        """Inverse of to_obj: the map is read from `"cycles"` only, by
+        `WordPerm._read_cycles`, and each window is checked once, when
+        read."""
         r = json_int(obj["r"])
         for form in ("map", "cells"):
             if form in obj:
                 raise ParseError(f"an HL map is written as cycles, not as {form!r}")
-        cycles = []
-        for cycle in obj["cycles"]:
-            if not isinstance(cycle, list):
-                raise ParseError(f"a cycle is a list of windows, not a {type(cycle).__name__}")
-            cycles.append([_window_of_line(w, r) for w in cycle])
-        return cls(r, WordPerm._of_cycles(cycles, 2 * r))
+        return cls(r, WordPerm._read_cycles(
+            obj["cycles"], lambda w: _window_of_line(w, r), 2 * r))
 
 
 # One run of digits 0-2, and the cells of CELLS by digit at offset + 64.

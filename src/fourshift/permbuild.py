@@ -1,17 +1,17 @@
 """Sparse permutations of fixed-length words held by their cells.
 
 A WordPerm stores only its moved pairs; everything else is fixed.  Its
-words are cell keys, never letters: the keys of explicit safe rewrites,
-read by `safety`, and the windows of head-local rewrites.  A window of
-radius r is a word of {0,1,2}^(2r) around a head, held by its nonzero
-cells: a tuple of (offset from the head, symbol) pairs of ints with
-increasing offsets, 0 < |offset| <= r and symbol 1 or 2, so nothing
-costs O(r).  Pairs are listed in the order of their sources as dense
-words.  Every map of words given as pairs, built in code or read as a
-safe rewrite's pair list, follows one rule: a word is a source at most
-once and a target at most once, and fixed points are allowed.  A
-head-local map is read from a word file only as disjoint cycles, which
-name each word once.  The main construction closes each chain of
+words are cell keys, never letters: the keys of explicit safe rewrites
+and the windows of head-local rewrites.  A window of radius r is a word
+of {0,1,2}^(2r) around a head, held by its nonzero cells: a tuple of
+(offset from the head, symbol) pairs of ints with increasing offsets,
+0 < |offset| <= r and symbol 1 or 2, so nothing costs O(r).  Pairs are
+listed in the order of their sources as dense words.  Every map of
+words given as pairs in code follows one rule: a word is a source at
+most once and a target at most once, and fixed points are allowed.  A
+word file holds every map of both rewrites as disjoint cycles of run
+lines, which name each moved word once; `to_cycles` writes them and
+`_read_cycles` reads them.  The main construction closes each chain of
 requested pairs into a cycle and, if the result is odd, adds one
 transposition of words no pair names.
 """
@@ -19,10 +19,10 @@ transposition of words no pair names.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .core import CELLS, PARTICLE, WALL, DomainError
+from .core import CELLS, PARTICLE, WALL, DomainError, ParseError, emit_runs
 
 Word = tuple[tuple[int, int], ...]
 
@@ -74,8 +74,8 @@ class WordPerm:
     """Permutation of the words of one length moving only finitely many,
     held as the dict of its moved pairs, so apply is a lookup.  The public
     builders, `from_pairs` and `build_mapping_perm`, check every word; the
-    private `_of_checked` and `_of_cycles` trust theirs, and are called
-    only by readers that have checked each word once."""
+    private `_of_checked` trusts its words and `_read_cycles` leaves them
+    to its caller's reader, so each word is checked once."""
 
     length: int
     images: dict  # each moved word to its image, never changed
@@ -96,17 +96,21 @@ class WordPerm:
         return WordPerm._of(length, {s: d for s, d in images.items() if s != d})
 
     @staticmethod
-    def _of_cycles(cycles: Iterable[Sequence[Word]], length: int) -> "WordPerm":
+    def _read_cycles(cycles, read: Callable[[object], Word], length: int) -> "WordPerm":
         """The permutation sending each word of a cycle to the next, the
-        last to the first, for words already checked.  Disjoint cycles are
-        a permutation, so the one check is that no word is named twice;
-        a cycle holds at least two words."""
+        last to the first, from a word file's list of cycles, each word
+        read and checked by `read`.  Disjoint cycles are a permutation, so
+        the one check of the map is that no word is named twice; a cycle
+        holds at least two words."""
+        if not isinstance(cycles, list):
+            raise ParseError(f"cycles are a list, not a {type(cycles).__name__}")
         images, named = {}, 0
         for cycle in cycles:
-            if len(cycle) < 2:
-                raise DomainError("a cycle names fewer than two words")
-            named += len(cycle)
-            images.update(zip(cycle, [*cycle[1:], cycle[0]]))
+            if not isinstance(cycle, list) or len(cycle) < 2:
+                raise ParseError("a cycle is a list of at least two words")
+            words = [read(w) for w in cycle]
+            named += len(words)
+            images.update(zip(words, [*words[1:], words[0]]))
         if len(images) != named:
             raise DomainError("a word is named twice in the cycles")
         return WordPerm._of(length, images)
@@ -126,9 +130,10 @@ class WordPerm:
         return tuple(sorted(self.images.items(),
                             key=lambda p: [(-o, s) for o, s in p[0]]))
 
-    def cycles(self) -> tuple[tuple[Word, ...], ...]:
-        """The disjoint cycles of the moved words in the dense order of
-        their least words, each starting at its least word."""
+    def to_cycles(self) -> list[list[str]]:
+        """The disjoint cycles of the moved words as run lines, in the
+        dense order of their least words, each starting at its least word
+        and written once."""
         images, seen, cycles = self.images, set(), []
         for start, w in self.moved:
             if start not in seen:
@@ -137,8 +142,8 @@ class WordPerm:
                     cycle.append(w)
                     w = images[w]
                 seen.update(cycle)
-                cycles.append(tuple(cycle))
-        return tuple(cycles)
+                cycles.append([emit_runs(w) for w in cycle])
+        return cycles
 
     def apply(self, w: Word) -> Word:
         return self.images.get(w, w)

@@ -12,6 +12,8 @@ a one-letter head-gap family, guards the simulated shift and explicit
 rewrites with third-anchored heads.  V = all nonzero words of length n
 guards the zero-padded words 0^n w 0^n of even orbit permutations.  Word
 families too large to enumerate are schematic and matched by pattern.
+Listed words are held by their cell keys, written in a word file as run
+lines from their first letter; a listed map is their disjoint cycles.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .core import (CELLS, HEAD, PARTICLE, WALL, Config, DomainError, digit_cells,
-                   isolated, json_int, shift)
+from .core import (CELLS, HEAD, PARTICLE, WALL, Config, DomainError, ParseError,
+                   emit_runs, isolated, json_int, parse_runs, shift)
 from .permbuild import WordPerm
 
 SIGMA_SIZE = 4
-HEAD_CHAR = "3"
 
 
 class IllFormedWordSet(DomainError):
@@ -45,7 +46,7 @@ Key = tuple[tuple[int, int], ...]
 class ExplicitWords:
     """A finite, explicitly listed set of words over {0,1,2,3}, each held
     by its key: its nonzero cells, (offset, symbol) pairs with increasing
-    offsets in [0, length); `of` reads letter words.  `shapes` maps each
+    offsets in [0, length).  `shapes` maps each
     key's cells relative to its first cell to the first offsets where that
     shape starts in a word, and `sizes` holds (cell count, least first
     offset of a key of that count) in increasing order of count."""
@@ -79,35 +80,17 @@ class ExplicitWords:
         object.__setattr__(self, "shapes", shapes)
         object.__setattr__(self, "sizes", tuple(sorted(least.items())))
 
-    @staticmethod
-    def of(words: Iterable[str]) -> "ExplicitWords":
-        ws = frozenset(words)
-        lengths = {len(w) for w in ws}
-        if len(lengths) > 1:
-            raise IllFormedWordSet("words of mixed length")
-        length = max(lengths, default=0)
-        return ExplicitWords(length, frozenset([read_key(w, length) for w in ws]))
-
 
 def cell_key(cells: Iterable[tuple[int, int]], start: int = 0) -> Key:
     """The cells relative to `start`, sharing the cell objects of CELLS."""
     return tuple([CELLS.get(c, c) for c in [(p - start, s) for p, s in cells]])
 
 
-def read_key(word: str, length: int) -> Key:
-    """The key of a letter word of `length` over {0,1,2,3}."""
-    if not isinstance(word, str) or len(word) != length:
-        raise IllFormedWordSet(f"word {word!r} is not of length {length}")
-    return cell_key(digit_cells(0, word))
-
-
-def letters(key: Key, length: int, start: int = 0) -> str:
-    """The letter word of `length` whose nonzero cells are those of `key`
-    moved `start` cells on."""
-    row = ["0"] * length
-    for o, s in key:
-        row[o + start] = str(s)
-    return "".join(row)
+def _key_of_line(line) -> Key:
+    """The key of a word's run line, checked by `ExplicitWords` or `SafeRewrite`."""
+    if not isinstance(line, str):
+        raise ParseError(f"a word is a run line, not a {type(line).__name__}")
+    return cell_key(parse_runs(line))
 
 
 @dataclass(frozen=True)
@@ -246,7 +229,7 @@ def _check_zero_padded(U: WordSetDesc, n: int) -> None:
         raise IllFormedSpec("zero-padded words must be listed, of length 3n")
     for shape, (f, *more) in U.shapes.items():
         if more or not n <= f < 2 * n - shape[-1][0]:
-            words = ", ".join(repr(letters(shape, U.length, g)) for g in (f, *more))
+            words = ", ".join(repr(emit_runs(cell_key(shape, -g))) for g in (f, *more))
             raise IllFormedSpec(("same core at two offsets: " if more else
                                  "nonzero symbol outside the middle third: ") + words)
 
@@ -257,7 +240,9 @@ def _check_zero_padded(U: WordSetDesc, n: int) -> None:
 class SafeRewrite:
     """The instruction SR: rewrite the words U by pi where the marker words
     V allow it.  With k = |U| and h = |V| the radii are the minimal strict
-    ones over the 4-symbol alphabet: ell = 4^h + 1 and m_rad = ell + 2k + h.
+    ones over the 4-symbol alphabet: ell = 4^h + 1 and m_rad = ell + 2k + h;
+    past h = 32, 4^32 + 1 stands for ell, since it already exceeds the
+    distance of any two positions, so it selects the same sites.
     Built only when it is an automorphism: pi permutes U, and U meets the
     marker rule of V (the head marker or the nonzero words of length h).
     pi maps word keys: a named rule, or a WordPerm moving only the keys
@@ -289,7 +274,7 @@ class SafeRewrite:
             _check_zero_padded(self.U, h)
         else:
             raise IllFormedSpec(f"no marker rule for V = {self.V!r}")
-        ell = SIGMA_SIZE**h + 1
+        ell = SIGMA_SIZE**min(h, 32) + 1
         for name, value in (("k", k), ("h", h), ("ell", ell), ("m_rad", ell + 2 * k + h)):
             object.__setattr__(self, name, value)
 
@@ -304,68 +289,78 @@ class SafeRewrite:
 
     def to_obj(self) -> dict:
         """Word-file fields: a rule and its head-gap family both by the
-        rule's name, the key of U in HEAD_GAP_FAMILIES; listed words and
-        pairs otherwise, as sorted letter words; the radii as "strict"."""
-        named, k, pi = isinstance(self.pi, RuleWordMap), self.k, self.pi
+        rule's name, the key of U in HEAD_GAP_FAMILIES; otherwise U as the
+        sorted run lines of its words, each written from the word's first
+        letter, and pi as its disjoint cycles (`WordPerm.to_cycles`).  V
+        is "HEAD" or "NONZERO_N"; the radii are always the strict ones, so
+        they are not written."""
+        named, pi = isinstance(self.pi, RuleWordMap), self.pi
         return {
-            "op": self.OP, "k": k, "h": self.h,
-            "U": pi.tag if named else sorted([letters(u, k) for u in self.U.keys]),
-            "V": [HEAD_CHAR] if self.V == HEAD_MARKER else "NONZERO_N",
-            "map": pi.tag if named else sorted(
-                [[letters(s, k), letters(d, k)] for s, d in pi.images.items()]),
-            "ell": "strict", "mrad": "strict",
+            "op": self.OP, "k": self.k, "h": self.h,
+            "U": pi.tag if named else sorted([emit_runs(u) for u in self.U.keys]),
+            "V": "HEAD" if self.V == HEAD_MARKER else "NONZERO_N",
+            "map": pi.tag if named else pi.to_cycles(),
         }
 
     @staticmethod
     def from_obj(obj) -> "SafeRewrite":
         """Inverse of to_obj, one field rule for named and listed rewrites:
-        U is a name in HEAD_GAP_FAMILIES or a word list, V is ["3"] (repeats
-        allowed) or "NONZERO_N", map a rule name or a pair list whose words
-        are read as those of U are.  The constructor refuses every unsafe
-        (U, V, pi); then k and h must be the word lengths and each radius
-        "strict" or the strict integer."""
+        U is a name in HEAD_GAP_FAMILIES or a list of run lines, each word
+        named once, V is "HEAD" or "NONZERO_N", and map a rule name or
+        disjoint cycles of run lines, each word read as those of U are.
+        The constructor refuses every unsafe (U, V, pi), a cycle word
+        outside U included; then k and h must be the word lengths.  An
+        object that holds radii is refused."""
         k, h = json_int(obj["k"]), json_int(obj["h"])
-        words, markers, pairs = obj["U"], obj["V"], obj["map"]
+        if "ell" in obj or "mrad" in obj:
+            raise ParseError("an SR object holds no radii: they are always the strict ones")
+        words, markers, rule = obj["U"], obj["V"], obj["map"]
         if isinstance(words, list):
-            U = ExplicitWords.of(words)
+            U = ExplicitWords(k, frozenset([_key_of_line(w) for w in words]))
+            if len(U.keys) != len(words):
+                raise IllFormedSpec("a word is named twice in U")
         elif isinstance(words, str) and words in HEAD_GAP_FAMILIES:
             U = HEAD_GAP_FAMILIES[words]
         else:
             raise IllFormedSpec(f"bad word set {words!r}")
-        if isinstance(markers, list) and set(markers) == {HEAD_CHAR}:
-            V = HEAD_MARKER
-        elif markers == "NONZERO_N":
-            V = NonzeroWords(h)
-        else:
-            raise IllFormedSpec(f"bad marker set {markers!r}")
-        pi = RuleWordMap(pairs) if isinstance(pairs, str) else _key_perm(pairs, U.length)
+        if markers not in ("HEAD", "NONZERO_N"):
+            raise IllFormedSpec(f"bad marker set {markers!r}: not \"HEAD\" or \"NONZERO_N\"")
+        V = HEAD_MARKER if markers == "HEAD" else NonzeroWords(h)
+        pi = (RuleWordMap(rule) if isinstance(rule, str)
+              else WordPerm._read_cycles(rule, _key_of_line, U.length))
         rewrite = SafeRewrite(U, V, pi)
         if (k, h) != (rewrite.k, rewrite.h):
             raise IllFormedSpec("k and h do not match the word lengths")
-        for key, strict in (("ell", rewrite.ell), ("mrad", rewrite.m_rad)):
-            if obj[key] != "strict" and json_int(obj[key]) != strict:
-                raise IllFormedSpec("radii must be the strict ones")
         return rewrite
 
 
-def _key_perm(pairs: Iterable[tuple[str, str]], length: int) -> WordPerm:
-    """The permutation of word keys listed by pairs of letter words."""
-    return WordPerm._of_checked([(read_key(s, length), read_key(d, length))
-                                for s, d in pairs], length)
+def _perm_of_keys(U: ExplicitWords, pairs: Iterable[tuple[Key, Key]]) -> WordPerm:
+    """The permutation of the keys of U listed by key pairs, fixed pairs
+    included, each word taken as U holds it; a pair word that is no key
+    of U is refused."""
+    if not isinstance(U, ExplicitWords):
+        raise IllFormedSpec(f"listed words are an ExplicitWords, not {U!r}")
+    own = {u: u for u in U.keys}
+    try:
+        pairs = [(own[s], own[d]) for s, d in pairs]
+    except (KeyError, TypeError, ValueError):  # no key of U, or no pair
+        raise IllFormedSpec("a pair names a word that is not a key of U") from None
+    return WordPerm._of_checked(pairs, U.length)
 
 
-def make_explicit_spec(words: Iterable[str],
-                       pairs: Iterable[tuple[str, str]]) -> SafeRewrite:
-    """A rewrite of explicit words U guarded by the head marker."""
-    U = ExplicitWords.of(words)
-    return SafeRewrite(U, HEAD_MARKER, _key_perm(pairs, U.length))
+def make_explicit_spec(U: ExplicitWords,
+                       pairs: Iterable[tuple[Key, Key]]) -> SafeRewrite:
+    """A rewrite of explicit words U guarded by the head marker, its map
+    listed by key pairs."""
+    return SafeRewrite(U, HEAD_MARKER, _perm_of_keys(U, pairs))
 
 
-def make_zero_padded_spec(words: Iterable[str],
-                          pairs: Iterable[tuple[str, str]]) -> SafeRewrite:
-    """Spec for U of shape 0^n w 0^n with V = all nonzero words of length n."""
-    U = ExplicitWords.of(words)
-    return SafeRewrite(U, NonzeroWords(U.length // 3), _key_perm(pairs, U.length))
+def make_zero_padded_spec(U: ExplicitWords,
+                          pairs: Iterable[tuple[Key, Key]]) -> SafeRewrite:
+    """Spec for U of shape 0^n w 0^n with V = all nonzero words of length
+    n, its map listed by key pairs."""
+    pi = _perm_of_keys(U, pairs)
+    return SafeRewrite(U, NonzeroWords(U.length // 3), pi)
 
 
 # --- chi-site selection and rewriting ---------------------------------------

@@ -13,8 +13,8 @@ from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, Config,
 from fourshift.generators import HeadLocal
 from fourshift.permbuild import WordPerm, parity
 from fourshift.safety import (SIGMA3_M, SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
-                              apply_safe_rewrite, chi_sites, head_shift_once,
-                              make_explicit_spec)
+                              ExplicitWords, apply_safe_rewrite, chi_sites,
+                              head_shift_once, make_explicit_spec)
 
 
 # Up to six nonzero cells, each near one end of the position range or near 0.
@@ -74,22 +74,30 @@ def letter_rule(tag: str, w: str) -> str:
 
 def string_rewrite(x: Config, spec) -> Config:
     """The safe rewrite `spec` on letters, its map read from its word-file
-    object: the listed letter pairs, or `letter_rule` for a rule name.  At
-    each chi site i the block `sym_window(x, range(i, i + k))` is mapped
-    and its image written back as `digit_cells`.  The oracle of the key
-    route of `safety.apply_safe_rewrite`."""
-    rule = spec.to_obj()["map"]
-    pairs = {} if isinstance(rule, str) else dict(map(tuple, rule))
+    object: its cycles as letter pairs, each word read by `line_letters`,
+    or `letter_rule` for a rule name.  At each chi site i the block
+    `sym_window(x, range(i, i + k))` is mapped and its image written back
+    as `digit_cells`.  The oracle of the key route of
+    `safety.apply_safe_rewrite`."""
+    rule, k = spec.to_obj()["map"], spec.k
+    pairs = {} if isinstance(rule, str) else {
+        line_letters(c[i - 1], k): line_letters(c[i], k)
+        for c in rule for i in range(len(c))}
 
     def image(w):
         return letter_rule(rule, w) if isinstance(rule, str) else pairs.get(w, w)
 
-    sites, k = sorted(chi_sites(x, spec)), spec.k
+    sites = sorted(chi_sites(x, spec))
     if not sites:
         return x
     return x.overwrite(
         (i, i + k, digit_cells(i, image(sym_window(x, range(i, i + k)))))
         for i in sites)
+
+
+def line_letters(line: str, k: int) -> str:
+    """The k-letter word of a run line written from its first letter."""
+    return sym_window(Config.from_cells(parse_runs(line)), range(k))
 
 
 def string_shift(x: Config, direction: int) -> Config:
@@ -205,7 +213,7 @@ def rand_head_spec(rng: random.Random):
         words.add("".join(row))
     words = sorted(words)
     images = rng.sample(words, len(words))
-    return make_explicit_spec(words, zip(words, images))
+    return make_explicit_spec(explicit(words), key_pairs(zip(words, images)))
 
 
 def rand_even_perm(rng: random.Random, k: int) -> tuple[int, ...]:
@@ -215,6 +223,24 @@ def rand_even_perm(rng: random.Random, k: int) -> tuple[int, ...]:
         rng.shuffle(img)
         if parity(dict(enumerate(img))) == 0:
             return tuple(img)
+
+
+def key(word: str) -> tuple[tuple[int, int], ...]:
+    """The key of a letter word: its nonzero cells as (offset, symbol)
+    pairs, offsets from its first letter."""
+    return tuple((o, int(c)) for o, c in enumerate(word) if c != "0")
+
+
+def explicit(words) -> ExplicitWords:
+    """The listed word set of letter words of one length, by their keys."""
+    words = list(words)
+    assert len({len(w) for w in words}) == 1, words
+    return ExplicitWords(len(words[0]), frozenset(map(key, words)))
+
+
+def key_pairs(pairs) -> list:
+    """Pairs of letter words as pairs of their keys."""
+    return [(key(s), key(d)) for s, d in pairs]
 
 
 def window(word: str) -> tuple[tuple[int, int], ...]:

@@ -24,7 +24,8 @@ from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
                               make_explicit_spec)
 from fourshift.transporter import Reading, phi_clock, transport, verify
 
-from conftest import head_local, rand_config, rand_single_head, rand_tuple
+from conftest import (explicit, head_local, key_pairs, rand_config,
+                      rand_single_head, rand_tuple)
 from test_orbitperm import rand_even_perm
 
 
@@ -114,14 +115,14 @@ def test_c05_chi_stability_and_homomorphism():
     """Rewrite sites are invariant under rewriting, and composing two
     rewrites of the same word set equals the rewrite of the composed
     permutation, for the simulated-shift spec and three explicit specs."""
-    u3 = ["030", "031", "032"]
-    cycle = make_explicit_spec(u3, [("030", "031"), ("031", "032"),
-                                    ("032", "030")])
-    swap01 = make_explicit_spec(u3, [("030", "031"), ("031", "030")])
-    composed = make_explicit_spec(u3, [("030", "032"), ("031", "031"),
-                                       ("032", "030")])
-    pair_swap = make_explicit_spec(["130", "131"],
-                                   [("130", "131"), ("131", "130")])
+    u3 = explicit(["030", "031", "032"])
+    cycle = make_explicit_spec(u3, key_pairs([("030", "031"), ("031", "032"),
+                                              ("032", "030")]))
+    swap01 = make_explicit_spec(u3, key_pairs([("030", "031"), ("031", "030")]))
+    composed = make_explicit_spec(u3, key_pairs([("030", "032"), ("031", "031"),
+                                                 ("032", "030")]))
+    pair_swap = make_explicit_spec(explicit(["130", "131"]),
+                                   key_pairs([("130", "131"), ("131", "130")]))
     rng = seeded(5)
     for _ in range(500):
         x = rand_config(rng, span=10, max_cells=6)

@@ -21,8 +21,9 @@ from fourshift.safety import make_explicit_spec
 from fourshift.serial import emit_word, parse_word
 from fourshift.transporter import transport
 
-from conftest import (dense, dict_overwrite, edge_cells, from_cells_relabel,
-                      from_tracks, head_local, rand_config, rand_tuple,
+from conftest import (dense, dict_overwrite, edge_cells, explicit,
+                      from_cells_relabel, from_tracks, head_local, key_pairs,
+                      rand_config, rand_tuple,
                       same_or_overflow, stepwise_head_shift, sym_window,
                       two_pass_head_local, two_pass_window, two_rewrite_shift,
                       window)
@@ -107,8 +108,8 @@ class TestApplyInstruction:
             HeadLocal(2, WordPerm.from_pairs((), 2))
 
     def test_safe_rewrite_instruction(self):
-        spec = make_explicit_spec(["030", "031"],
-                                  [("030", "031"), ("031", "030")])
+        spec = make_explicit_spec(explicit(["030", "031"]),
+                                  key_pairs([("030", "031"), ("031", "030")]))
         assert apply_instruction(cfg(1, "3"), spec) == cfg(1, "31")
 
     def test_head_shift_stepwise(self):
@@ -439,7 +440,7 @@ class TestCycleForm:
             self.check(ins)
             word = TransportWord((ins, Particle(1), ins.inverse()))
             assert parse_word(emit_word(word)) == word
-            lengths.update(map(len, ins.wp.cycles()))
+            lengths.update(map(len, ins.wp.to_cycles()))
         assert lengths == {2, 3, 4, 5, 6, 7}
 
 
@@ -506,7 +507,8 @@ class TestInstructionInvariants:
 
 IDENTITIES = (Particle(0), HeadShift(0))
 IDENTITY_HL = HeadLocal(1, WordPerm.from_pairs([], 2))
-SR_SWAP = make_explicit_spec(["030", "031"], [("030", "031"), ("031", "030")])
+SR_SWAP = make_explicit_spec(explicit(["030", "031"]),
+                             key_pairs([("030", "031"), ("031", "030")]))
 
 
 def rewrite_fuse(word):

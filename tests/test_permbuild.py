@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fourshift.core import DomainError
+from fourshift.core import DomainError, ParseError, parse_runs
 from fourshift.permbuild import (DuplicateSource, DuplicateTarget, NoRoom,
                                  WordPerm, build_mapping_perm, parity)
 
@@ -200,15 +200,22 @@ class TestWordPermChecksOnce:
             assert a != b or hash(a) == hash(b)
 
 
+def read_line(line):
+    """The cells of a run line, unchecked."""
+    return tuple(parse_runs(line))
+
+
 class TestCycles:
-    """`WordPerm.cycles` and its decoder, the private `WordPerm._of_cycles`
-    that `HeadLocal.from_obj` calls."""
+    """`WordPerm.to_cycles` and its reader, the private
+    `WordPerm._read_cycles` that `HeadLocal.from_obj` and
+    `SafeRewrite.from_obj` call."""
 
     def test_round_trip(self):
         longest = 0
         for wp in seeded_perms(random.Random(6), 600):
-            cycles = wp.cycles()
-            assert WordPerm._of_cycles(cycles, wp.length) == wp
+            lines = wp.to_cycles()
+            assert WordPerm._read_cycles(lines, read_line, wp.length) == wp
+            cycles = [tuple(map(read_line, c)) for c in lines]
             # disjoint, each following the map and closing, none a fixed point
             named = [w for cycle in cycles for w in cycle]
             assert sorted(named) == sorted(wp.images)
@@ -224,15 +231,23 @@ class TestCycles:
 
     def test_identity(self):
         identity = WordPerm.from_pairs((), 2)
-        assert identity.cycles() == ()
-        assert WordPerm._of_cycles([], 2) == identity
+        assert identity.to_cycles() == []
+        assert WordPerm._read_cycles([], read_line, 2) == identity
 
     @pytest.mark.parametrize("cycles", [
-        [("00", "01", "00")], [("00", "01"), ("02", "00")], [("00",)], [()]],
+        [["00", "01", "00"]], [["00", "01"], ["02", "00"]], [["00"]], [[]]],
         ids=["twice-in-a-cycle", "in-two-cycles", "one-word", "empty"])
     def test_refused(self, cycles):
         with pytest.raises(DomainError):
-            WordPerm._of_cycles([tuple(map(window, c)) for c in cycles], 2)
+            WordPerm._read_cycles(cycles, window, 2)
+
+    @pytest.mark.parametrize("cycles", [
+        "00 01", {"00": "01"}, "", {}, [("00", "01")], ["00", "01"]],
+        ids=["string", "dict", "empty-string", "empty-dict", "tuple-cycle",
+             "string-cycles"])
+    def test_not_lists_refused(self, cycles):
+        with pytest.raises(ParseError):
+            WordPerm._read_cycles(cycles, window, 2)
 
 
 class TestParity:

@@ -20,7 +20,7 @@ from fourshift.safety import (HEAD_GAP_FAMILIES, HEAD_MARKER, ExplicitWords,
                               chi_sites, head_shift_once, make_explicit_spec,
                               make_zero_padded_spec, occurrences)
 
-from conftest import (letter_rule, rand_config, rand_even_perm,
+from conftest import (explicit, key_pairs, letter_rule, rand_config, rand_even_perm,
                       rand_head_spec, rand_single_head, rand_tuple,
                       same_or_overflow, string_rewrite, string_shift,
                       sym_window, two_rewrite_shift)
@@ -31,7 +31,7 @@ def cfg(offset, digits):
 
 
 def demo_spec(pairs=(("030", "031"), ("031", "030"))):
-    return make_explicit_spec(["030", "031"], pairs)
+    return make_explicit_spec(explicit(["030", "031"]), key_pairs(pairs))
 
 
 def span_scan(x, wset):
@@ -67,14 +67,14 @@ EDGE_LAYOUTS = HeadLayoutWords(SIGMA3_LEN, frozenset(map(frozenset, (
 
 class TestOccurrences:
     def test_explicit_window_match(self):
-        assert occurrences(cfg(1, "3"), ExplicitWords.of(["030", "031"])) == \
+        assert occurrences(cfg(1, "3"), explicit(["030", "031"])) == \
             frozenset({0})
 
     def test_zero_point(self):
-        assert occurrences(ZERO, ExplicitWords.of(["030"])) == frozenset()
+        assert occurrences(ZERO, explicit(["030"])) == frozenset()
 
     def test_marker_singleton(self):
-        assert occurrences(cfg(0, "33"), ExplicitWords.of(["3"])) == \
+        assert occurrences(cfg(0, "33"), explicit(["3"])) == \
             frozenset({0, 1})
 
     def test_nonzero_words(self):
@@ -86,7 +86,7 @@ class TestOccurrences:
 
     def test_all_zero_word_rejected(self):
         with pytest.raises(IllFormedWordSet):
-            ExplicitWords.of(["000"])
+            explicit(["000"])
 
     @pytest.mark.parametrize("key", [
         ((3, 1),), ((-1, 1), (1, 3)), ((0, 2), (5, 1)), (), ((1, 0),),
@@ -100,13 +100,15 @@ class TestOccurrences:
             ExplicitWords(3, frozenset({((1, 3),), key}))
 
     def test_empty_and_mixed_word_sets_rejected(self):
+        # a key is checked against the set's one length: the key of a
+        # longer word is refused by its offset
         with pytest.raises(IllFormedWordSet, match="empty word set"):
-            ExplicitWords.of([])
-        with pytest.raises(IllFormedWordSet, match="mixed length"):
-            ExplicitWords.of(["01", "010"])
+            ExplicitWords(3, frozenset())
+        with pytest.raises(IllFormedWordSet, match=r"in \[0, 2\)"):
+            ExplicitWords(2, frozenset({((1, 1),), ((2, 1),)}))
 
     def test_translation_equivariance(self, rng):
-        wset = ExplicitWords.of(["030", "031", "132"])
+        wset = explicit(["030", "031", "132"])
         for _ in range(100):
             x = rand_config(rng)
             n = rng.randrange(-7, 8)
@@ -120,7 +122,7 @@ class TestOccurrences:
 
     def test_head_marker_matches_the_explicit_scan(self, rng):
         # the window scan over the explicit word set {3} is the oracle
-        oracle = ExplicitWords.of(["3"])
+        oracle = explicit(["3"])
         many_heads = 0
         for _ in range(400):
             x = rand_config(rng, span=12, max_cells=8)
@@ -161,7 +163,7 @@ class TestOccurrences:
         for _ in range(1500):
             n = rng.randrange(1, 5)
             pool = [w for w in nonzero_words if len(w) == n]
-            wset = ExplicitWords.of(rng.sample(pool, rng.randrange(1, 4)))
+            wset = explicit(rng.sample(pool, rng.randrange(1, 4)))
             span = rng.choice((3, 8, 40))
             x = rand_config(rng, span=span, max_cells=rng.randrange(1, 12))
             got = occurrences(x, wset)
@@ -171,7 +173,7 @@ class TestOccurrences:
 
     def test_keys_with_different_first_offsets(self):
         # one core at three offsets: each cell starts up to three windows
-        wset = ExplicitWords.of(["1200", "0120", "0012", "0102"])
+        wset = explicit(["1200", "0120", "0012", "0102"])
         for x in (cfg(0, "12"), cfg(0, "1012"), cfg(10**9, "12000012"),
                   cfg(-10**9, "102")):
             assert occurrences(x, wset) == span_scan(x, wset)
@@ -207,7 +209,7 @@ class TestOccurrences:
         # a word whose first cell is f cells in, on a cell p whose previous
         # cell is f - 1, f or f + 1 cells back: only a gap past f lets p
         # start a window; a second word starts at the previous cell
-        wset = ExplicitWords.of(["0" * f + "1200", "2" + "0" * (f - 1) + "1200"])
+        wset = explicit(["0" * f + "1200", "2" + "0" * (f - 1) + "1200"])
         for g, want in ((f - 1, set()), (f, {-f}), (f + 1, {-f})):
             for at in (0, 10**9, -10**9):
                 x = Config.from_cells({at - g: 2, at: 1, at + 1: 2})
@@ -227,7 +229,7 @@ class TestOccurrences:
             for o in offsets:
                 row[o] = str(rng.randrange(1, 4))
             words.append("".join(row))
-        wset = ExplicitWords.of(words)
+        wset = explicit(words)
         cells, p, copies = {}, 0, set()
         for j in range(2000):
             if j % 100 == 99:
@@ -248,7 +250,7 @@ class TestOccurrences:
         # cells whose gaps lie on both sides of the padding before and
         # after that cell; the starts follow from the gaps alone
         k, f = 60000, 25000
-        wset = ExplicitWords.of(["0" * f + "1" + "0" * (k - f - 1)])
+        wset = explicit(["0" * f + "1" + "0" * (k - f - 1)])
         gaps = (1, f, f + 1, k - f - 1, k - f, k, 10**6)
         at, cells = rng.choice((0, 10**9, -10**9)), []
         for _ in range(3000):
@@ -281,11 +283,11 @@ def v_occurrences(x, spec):
     words."""
     if isinstance(spec.V, NonzeroWords):
         return covering_starts(x, spec.h)
-    return occurrences(x, ExplicitWords.of(["3"]))
+    return occurrences(x, explicit(["3"]))
 
 
 def swap_spec(a, b):
-    return make_zero_padded_spec([a, b], [(a, b), (b, a)])
+    return make_zero_padded_spec(explicit([a, b]), key_pairs([(a, b), (b, a)]))
 
 
 # (U, V) rewrites with small radii: the head marker at k = 3, and the
@@ -386,8 +388,8 @@ class TestApplySafeRewrite:
 
     def test_invert_spec_round_trip(self, rng):
         spec = make_explicit_spec(
-            ["030", "031", "032"],
-            [("030", "031"), ("031", "032"), ("032", "030")])
+            explicit(["030", "031", "032"]),
+            key_pairs([("030", "031"), ("031", "032"), ("032", "030")]))
         inv = spec.inverse()
         for _ in range(200):
             x = rand_config(rng, span=12)
@@ -515,41 +517,56 @@ class TestValidators:
     """The marker rules, checked when the factories build a spec."""
 
     def test_sufficient_ok(self):
-        make_explicit_spec(["030", "031"], [])
+        make_explicit_spec(explicit(["030", "031"]), [])
 
     def test_sufficient_shape_violation(self):
         with pytest.raises(IllFormedSpec):
-            make_explicit_spec(["030", "300"], [])
+            make_explicit_spec(explicit(["030", "300"]), [])
 
     def test_sufficient_leftmost_violation(self):
         with pytest.raises(IllFormedSpec):
-            make_explicit_spec(["030", "013"], [])
+            make_explicit_spec(explicit(["030", "013"]), [])
 
     def test_sufficient_needs_a_head(self):
         with pytest.raises(IllFormedSpec, match="lacks the marker symbol"):
-            make_explicit_spec(["030", "010"], [])
+            make_explicit_spec(explicit(["030", "010"]), [])
 
     def test_zero_padded_ok(self):
-        make_zero_padded_spec(["010", "020"], [])
+        make_zero_padded_spec(explicit(["010", "020"]), [])
 
     def test_zero_padded_offset_violation(self):
         with pytest.raises(IllFormedSpec):
-            make_zero_padded_spec(["010000", "001000"], [])
+            make_zero_padded_spec(explicit(["010000", "001000"]), [])
 
     def test_zero_padded_all_zero(self):
         # ExplicitWords refuses the all-zero word before any marker rule
         with pytest.raises(IllFormedWordSet):
-            make_zero_padded_spec(["000"], [])
+            make_zero_padded_spec(explicit(["000"]), [])
 
     def test_explicit_specs_use_the_head_marker(self):
         assert demo_spec().V == HEAD_MARKER and demo_spec().h == 1
 
     def test_zero_padded_spec_round_trip(self, rng):
         spec = make_zero_padded_spec(
-            ["010", "020"], [("010", "020"), ("020", "010")])
+            explicit(["010", "020"]), key_pairs([("010", "020"), ("020", "010")]))
         for _ in range(100):
             x = rand_config(rng)
             assert apply_safe_rewrite(apply_safe_rewrite(x, spec), spec) == x
+
+    @pytest.mark.parametrize("factory, U, pairs", [
+        (make_explicit_spec, explicit(["030", "031"]), key_pairs([("010", "010")])),
+        (make_explicit_spec, explicit(["030", "031"]),
+         key_pairs([("030", "032"), ("032", "030")])),
+        (make_zero_padded_spec, explicit(["010", "020"]),
+         key_pairs([("010", "030"), ("030", "010")])),
+        (make_explicit_spec, explicit(["030", "031"]), [("030", "031"), ("031", "030")]),
+        (make_zero_padded_spec, ["010", "020"], [])],
+        ids=["fixed-pair-outside-U", "swap-with-a-word-outside-U",
+             "zero-padded-swap-outside-U", "letter-pairs", "letter-U"])
+    def test_pair_words_must_be_keys_of_U(self, factory, U, pairs):
+        # a fixed pair moves nothing, but it still names a word of U
+        with pytest.raises(IllFormedSpec):
+            factory(U, pairs)
 
 
 # the keys of the words 030, 031 and 032
@@ -562,37 +579,37 @@ class TestSpecChecksItself:
     """A spec built directly, not through a factory, is still checked."""
 
     @pytest.mark.parametrize("U, V, pi", [
-        pytest.param(ExplicitWords.of(["030", "300"]), HEAD_MARKER, NO_MOVE,
+        pytest.param(explicit(["030", "300"]), HEAD_MARKER, NO_MOVE,
                      id="head-outside-the-middle-third"),
-        pytest.param(ExplicitWords.of(["030", "010"]), HEAD_MARKER, NO_MOVE,
+        pytest.param(explicit(["030", "010"]), HEAD_MARKER, NO_MOVE,
                      id="headless-word"),
-        pytest.param(ExplicitWords.of(["003000", "000300"]), HEAD_MARKER,
+        pytest.param(explicit(["003000", "000300"]), HEAD_MARKER,
                      WordPerm.from_pairs((), 6), id="one-head-each-different-leftmost"),
-        pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
+        pytest.param(explicit(["030", "031"]), HEAD_MARKER,
                      WordPerm._of_checked([(K030, K032), (K032, K030)], 3),
                      id="pi-moves-a-word-outside-U"),
-        pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
+        pytest.param(explicit(["030", "031"]), HEAD_MARKER,
                      WordPerm._of_checked([("030", "031"), ("031", "030")], 3),
                      id="pi-on-letter-words"),
-        pytest.param(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
+        pytest.param(explicit(["030", "031"]), HEAD_MARKER,
                      WordPerm.from_pairs((), 6), id="pi-of-the-wrong-length"),
         pytest.param(SIGMA3_TAU_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_PI"),
                      id="pi-rule-on-the-tau-family"),
         pytest.param(SIGMA3_PI_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_TAU"),
                      id="tau-rule-on-the-pi-family"),
-        pytest.param(ExplicitWords.of(["001000", "000100"]), NonzeroWords(2),
+        pytest.param(explicit(["001000", "000100"]), NonzeroWords(2),
                      WordPerm.from_pairs((), 6), id="zero-padded-core-at-two-offsets"),
-        pytest.param(ExplicitWords.of(["110"]), NonzeroWords(1), NO_MOVE,
+        pytest.param(explicit(["110"]), NonzeroWords(1), NO_MOVE,
                      id="zero-padded-nonzero-padding"),
-        pytest.param(ExplicitWords.of(["010", "011"]), NonzeroWords(1), NO_MOVE,
+        pytest.param(explicit(["010", "011"]), NonzeroWords(1), NO_MOVE,
                      id="zero-padded-nonzero-right-padding"),
-        pytest.param(ExplicitWords.of(["030", "031"]), NonzeroWords(3),
+        pytest.param(explicit(["030", "031"]), NonzeroWords(3),
                      SWAP_PI, id="zero-padded-wrong-length"),
-        pytest.param(ExplicitWords.of(["030", "031"]), ExplicitWords.of(["3"]),
+        pytest.param(explicit(["030", "031"]), explicit(["3"]),
                      SWAP_PI, id="marker-set-without-a-rule"),
-        pytest.param(ExplicitWords.of(["030"]), NonzeroWords(4), NO_MOVE,
+        pytest.param(explicit(["030"]), NonzeroWords(4), NO_MOVE,
                      id="k-below-h"),
-        pytest.param(ExplicitWords.of(["0300", "0310"]), HEAD_MARKER,
+        pytest.param(explicit(["0300", "0310"]), HEAD_MARKER,
                      WordPerm.from_pairs((), 4), id="head-marker-length-not-divisible-by-3"),
         pytest.param(HeadLayoutWords(21.0, SIGMA3_PI_WORDS.layouts), HEAD_MARKER,
                      RuleWordMap("SIGMA3_PI"), id="float-word-length"),
@@ -605,12 +622,12 @@ class TestSpecChecksItself:
 
     def test_safe_specs_built_directly(self):
         assert SWAP_PI.images == {K030: K031, K031: K030}
-        assert SafeRewrite(ExplicitWords.of(["030", "031"]), HEAD_MARKER,
+        assert SafeRewrite(explicit(["030", "031"]), HEAD_MARKER,
                            SWAP_PI) == demo_spec()
         assert SafeRewrite(SIGMA3_PI_WORDS, HEAD_MARKER,
                            RuleWordMap("SIGMA3_PI")) == SIGMA3_PI_SPEC
         assert SafeRewrite(
-            ExplicitWords.of(["001000", "000200"]), NonzeroWords(2),
+            explicit(["001000", "000200"]), NonzeroWords(2),
             WordPerm.from_pairs((), 6)).m_rad == 4**2 + 1 + 12 + 2
 
 
@@ -638,11 +655,11 @@ class TestStrictParams:
         assert (p.ell, p.m_rad) == (5, 48)
 
     def test_small(self):
-        p = make_explicit_spec(["030", "031", "032"], [])
+        p = make_explicit_spec(explicit(["030", "031", "032"]), [])
         assert (p.ell, p.m_rad) == (5, 12)
 
     def test_saturation_flag(self):
-        p = make_zero_padded_spec(["0" * 20 + "1" * 20 + "0" * 20], [])
+        p = make_zero_padded_spec(explicit(["0" * 20 + "1" * 20 + "0" * 20]), [])
         assert p.ell == 4**20 + 1
 
 

@@ -21,12 +21,13 @@ from fourshift.permbuild import WordPerm
 from fourshift.safety import (HEAD_GAP_FAMILIES, HEAD_MARKER, SIGMA3_PI_SPEC,
                               SIGMA3_PI_WORDS, SIGMA3_TAU_SPEC, ExplicitWords,
                               HeadLayoutWords, NonzeroWords, RuleWordMap,
-                              SafeRewrite, make_explicit_spec, read_key)
+                              SafeRewrite, make_explicit_spec)
 from fourshift.serial import (ParseError, emit_config, emit_tuple, emit_word,
                               parse_config, parse_tuple, parse_word)
 from fourshift.transporter import transport
 
-from conftest import dense, head_local, rand_config, rand_tuple
+from conftest import (dense, explicit, head_local, key, key_pairs, rand_config,
+                      rand_tuple)
 
 
 def cfg(offset, digits):
@@ -88,8 +89,8 @@ class TestTupleFiles:
 
 
 def sample_words(rng):
-    spec = make_explicit_spec(["030", "031"],
-                              [("030", "031"), ("031", "030")])
+    spec = make_explicit_spec(explicit(["030", "031"]),
+                              key_pairs([("030", "031"), ("031", "030")]))
     five = rand_tuple(rng, 5)
     beta = (1, 2, 0, 3, 4)
     yield TransportWord(())
@@ -106,21 +107,27 @@ def sample_words(rng):
 # HL map is read in.
 GOLDEN = Path(__file__).parent / "data" / "all_ops_word_cycles.json"
 
-SWAP = ('[{"op":"SR","k":3,"h":1,"U":["030","031"],"V":["3"],'
-        '"map":[["030","031"],["031","030"]],"ell":"strict","mrad":"strict"}]')
-# Sends both 030 and 031 to 031: replaying it would merge the orbits of
-# @0:3 and @10:31.
-ORBIT_MERGING = SWAP.replace(',["031","030"]', "")
-# SWAP with 030 listed as a source twice, once with a contradicting target.
-CONTRADICTORY = SWAP.replace('"map":[', '"map":[["030","032"],')
+# The words 030 and 031 swapped: each word a run line from its first
+# letter, the map its one cycle.
+SWAP = ('[{"op":"SR","k":3,"h":1,"U":["@1:3","@1:31"],"V":"HEAD",'
+        '"map":[["@1:3","@1:31"]]}]')
+# The same rewrite in the letter form, with its pair map, marker list and
+# radii: no longer read.
+LETTER_SWAP = ('[{"op":"SR","k":3,"h":1,"U":["030","031"],"V":["3"],'
+               '"map":[["030","031"],["031","030"]],"ell":"strict","mrad":"strict"}]')
+# Names 031 twice in one cycle: read as pairs it would send both 030 and
+# 031 to 031, and replaying it would merge the orbits of @0:3 and @10:31.
+ORBIT_MERGING = SWAP.replace('[["@1:3","@1:31"]]', '[["@1:3","@1:31","@1:31"]]')
+# SWAP with 030 in a second cycle, with a contradicting image.
+CONTRADICTORY = SWAP.replace('"map":[', '"map":[["@1:3","@1:32"],')
 REPEATED_SOURCES = (CONTRADICTORY,
-                    SWAP.replace('"map":[', '"map":[["030","030"],'),
-                    SWAP.replace('"map":[', '"map":[["030","031"],'))
+                    SWAP.replace('"map":[', '"map":[["@1:3","@1:3"],'),
+                    SWAP.replace('"map":[', '"map":[["@1:3","@1:31"],'))
 
 
 def all_ops_word():
-    spec = make_explicit_spec(["030", "031"],
-                              [("030", "031"), ("031", "030")])
+    spec = make_explicit_spec(explicit(["030", "031"]),
+                              key_pairs([("030", "031"), ("031", "030")]))
     return TransportWord((
         Particle(-3), SWAP_13,
         head_local(1, [("00", "12"), ("12", "00")]),
@@ -128,23 +135,23 @@ def all_ops_word():
 
 
 def sr_obj(**fields) -> str:
-    obj = {"op": "SR", "k": 21, "h": 1, "U": "SIGMA3_PI", "V": ["3"],
-           "map": "SIGMA3_PI", "ell": "strict", "mrad": "strict"}
+    obj = {"op": "SR", "k": 21, "h": 1, "U": "SIGMA3_PI", "V": "HEAD",
+           "map": "SIGMA3_PI"}
     return json.dumps([{**obj, **fields}])
 
 
-ZERO_PADDED = dict(k=3, h=1, U=["010", "020"], V="NONZERO_N",
-                   map=[["010", "020"], ["020", "010"]])
-# Moves a source that is not in U: U itself is left in place, but the map
+ZERO_PADDED = dict(k=3, h=1, U=["@1:1", "@1:2"], V="NONZERO_N",
+                   map=[["@1:1", "@1:2"]])
+# Moves a word that is not in U: U itself is left in place, but the map
 # is not a permutation of U.
 ZERO_PADDED_FOREIGN_SOURCE = sr_obj(**{**ZERO_PADDED,
-                                       "map": [["030", "0000"]]})
+                                       "map": [["@1:3", "@1:1"]]})
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=4)
-    | st.sampled_from([*OPS, "strict", "NONZERO_N", "SIGMA3_PI",
-                       "SIGMA3_TAU", "030", "031", "3", "12"]),
+    | st.sampled_from([*OPS, "HEAD", "NONZERO_N", "SIGMA3_PI",
+                       "SIGMA3_TAU", "@1:3", "@1:31", "ZERO", "030", "3", "12"]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
         st.text(max_size=4), inner, max_size=8),
     max_leaves=24)
@@ -158,12 +165,15 @@ one_field_off = st.builds(
                      for key in obj]),
     st.sampled_from([1e999, -1e999, 2.0, True, "1"]) | json_values)
 # The objects whose map lists words: an explicit SR map and a zero-padded
-# SR map, each fed map lists of near-miss words and pairs.
+# SR map, each fed cycle lists of near-miss words: words of U and words
+# outside it, spelled canonically or not, past the word length, letter
+# words, and values that are no run line.
 MAP_BASES = [json.loads(SWAP)[0], json.loads(sr_obj(**ZERO_PADDED))[0]]
-map_words = (st.sampled_from(["00", "01", "12", "030", "031", "032", "010",
-                              "020", "0", "3", ""])
-             | st.text("0123", max_size=4) | st.integers(0, 3)
-             | st.lists(st.just("0"), max_size=1))
+map_words = (st.sampled_from(["@1:3", "@1:31", "@1:32", "@1:1", "@1:2",
+                              "@0:03", "@1:10", "@2:3", "@3:1", "ZERO",
+                              "030", "010", ""])
+             | st.from_regex(r"@-?[0-3]:[0-3]{1,3}", fullmatch=True)
+             | st.integers(0, 3) | st.lists(st.just("@1:3"), max_size=1))
 # Window run lines near the radius-2 window: in range, at the head, past
 # r, with symbol 3, overlapping or out of order, or not runs at all.
 run_lines = (st.sampled_from(["ZERO", "@1:1", "@-2:12", "@-1:102", "@0:1",
@@ -183,8 +193,8 @@ class TestWordFiles:
             assert parse_word(emit_word(word)) == word
 
     def test_safe_rewrite_is_the_sr_instruction(self, rng):
-        swap = make_explicit_spec(["030", "031"],
-                                  [("030", "031"), ("031", "030")])
+        swap = make_explicit_spec(explicit(["030", "031"]),
+                                  key_pairs([("030", "031"), ("031", "030")]))
         k030, k031 = ((1, 3),), ((1, 3), (2, 1))  # the keys of 030 and 031
         assert swap.U == ExplicitWords(3, frozenset({k030, k031}))
         assert swap.pi.images == {k030: k031, k031: k030}
@@ -214,7 +224,7 @@ class TestWordFiles:
         data = json.loads(emit_word(
             TransportWord((SIGMA3_PI_SPEC,))))
         assert data[0]["U"] == "SIGMA3_PI" and data[0]["map"] == "SIGMA3_PI"
-        assert data[0]["ell"] == "strict" and data[0]["mrad"] == "strict"
+        assert data[0]["V"] == "HEAD" and "ell" not in data[0] and "mrad" not in data[0]
 
     def test_golden_bytes(self):
         assert emit_word(all_ops_word()) + "\n" == GOLDEN.read_text()
@@ -240,12 +250,6 @@ class TestWordFiles:
         assert parse_word(sr_obj()) == TransportWord((SIGMA3_PI_SPEC,))
         parse_word(sr_obj(**ZERO_PADDED))
         parse_word(SWAP)
-        # a repeated head marker is still the marker set {3}
-        assert parse_word(SWAP.replace('"V":["3"]', '"V":["3","3"]')) == \
-            parse_word(SWAP)
-        # an integer radius equal to the strict one reads as "strict"
-        assert parse_word(SWAP.replace('"ell":"strict"', '"ell":5')) == \
-            parse_word(SWAP)
 
     def test_parse_errors(self):
         for bad in (
@@ -254,8 +258,7 @@ class TestWordFiles:
                 '[{"op":"HS","e":1e999}]', '[{"op":"P","e":true}]',
                 '[{"op":"P","e":2.0}]', '[{"op":"SYM","img":[0,1,2,3.5]}]',
                 '[{"op":"HL","r":1.0,"cycles":[]}]', sr_obj(k=1e999),
-                sr_obj(map="BOGUS"), sr_obj(U="SIGMA3_TAU"), sr_obj(ell=6),
-                SWAP.replace('"ell":"strict"', '"ell":6'),
+                sr_obj(map="BOGUS"), sr_obj(U="SIGMA3_TAU"),
                 '[{"op":"HL","r":1,"cycles":[["@1:3","@-1:1"]]}]',
                 # an Arabic-Indic one, a digit to int() but not a symbol
                 '[{"op":"HL","r":1,"cycles":[["@-1:\\u0661","@1:1"]]}]',
@@ -265,25 +268,47 @@ class TestWordFiles:
                 ZERO_PADDED_FOREIGN_SOURCE, *REPEATED_SOURCES,
                 SWAP.replace('"map":[', '"map":[["03","03"],'),
                 '[{"op":"HL","r":0,"cycles":[]}]', sr_obj(V="NONZERO_N"),
-                *(SWAP.replace('"U":["030","031"]', f'"U":["030",{w}]')
-                  for w in ('"0310"', '"0x1"')),
-                *(SWAP.replace('"V":["3"]', f'"V":{v}')
-                  for v in ('["33"]', '["1"]', '["3","1"]'))):
+                *(SWAP.replace('"U":["@1:3","@1:31"]', f'"U":["@1:3",{w}]')
+                  for w in ('"@2:31"', '"@1:3x1"', '"ZERO"', '3', '["@1:31"]')),
+                # the letter form: letter words, a pair map, a marker
+                # list, radii written out
+                LETTER_SWAP, SWAP.replace('"U":["@1:3","@1:31"]', '"U":["030","031"]'),
+                SWAP.replace('[["@1:3","@1:31"]]', '[["030","031"],["031","030"]]'),
+                SWAP.replace('[["@1:3","@1:31"]]', '[["@1:3","@1:31"],["@1:31","@1:3"]]'),
+                *(SWAP.replace('"V":"HEAD"', f'"V":{v}')
+                  for v in ('["3"]', '["3","3"]', '"3"', '"head"', '["HEAD"]')),
+                *(SWAP.replace('"h":1', f'"h":1,{r}')
+                  for r in ('"ell":"strict"', '"ell":5', '"mrad":"strict"', '"mrad":12')),
+                sr_obj(ell="strict"), sr_obj(mrad=48), sr_obj(**ZERO_PADDED, ell=99),
+                sr_obj(**{**ZERO_PADDED, "V": ["3"]}),
+                # a cycle word outside U, a word named twice in U, a cycle
+                # or a map that is no list
+                SWAP.replace('[["@1:3","@1:31"]]', '[["@1:3","@1:32"]]'),
+                SWAP.replace('[["@1:3","@1:31"]]', '[["@1:32","@2:3"]]'),
+                SWAP.replace('"U":["@1:3","@1:31"]', '"U":["@1:3","@1:3","@1:31"]'),
+                SWAP.replace('"U":["@1:3","@1:31"]', '"U":["@1:3","@0:03","@1:31"]'),
+                SWAP.replace('[["@1:3","@1:31"]]', '["@1:3","@1:31"]'),
+                SWAP.replace('[["@1:3","@1:31"]]', '[{"@1:3":"@1:31"}]'),
+                SWAP.replace('[["@1:3","@1:31"]]', '{"@1:3":"@1:31"}'),
+                SWAP.replace('[["@1:3","@1:31"]]', '[["@1:3"]]')):
             with pytest.raises(ParseError):
                 parse_word(bad)
 
     @pytest.mark.parametrize("key", ["ell", "mrad", "V"])
     @pytest.mark.parametrize("canonical", [
         SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
-        make_explicit_spec(["030", "031"], [("030", "031"), ("031", "030")])],
+        make_explicit_spec(explicit(["030", "031"]),
+                           key_pairs([("030", "031"), ("031", "030")]))],
         ids=["named-pi", "named-tau", "listed"])
     def test_one_field_rule_for_named_and_listed(self, canonical, key):
-        # an integer strict radius and a repeated head marker read the same
-        # on a named rewrite as on a listed one
+        # an integer strict radius and a repeated head marker, spellings
+        # of the letter form, are refused on a named rewrite as on a
+        # listed one
         value = {"ell": canonical.ell, "mrad": canonical.m_rad,
                  "V": ["3", "3"]}[key]
         text = json.dumps([{**canonical.to_obj(), key: value}])
-        assert parse_word(text) == TransportWord((canonical,))
+        with pytest.raises(ParseError):
+            parse_word(text)
 
     def test_inverse_word_undoes_every_op(self, rng):
         # the named rewrite is inverted by its own rule
@@ -318,14 +343,15 @@ class TestWordFiles:
     @example(MAP_BASES[0], json.loads(CONTRADICTORY)[0]["map"])
     @example(MAP_BASES[0], json.loads(SWAP)[0]["map"])
     def test_arbitrary_maps_load_as_listed_or_raise_parse_error(self, base,
-                                                                pairs):
+                                                                cycles):
         try:
-            word = parse_word(json.dumps([{**base, "map": pairs}]))
+            word = parse_word(json.dumps([{**base, "map": cycles}]))
         except ParseError:
             return
         ins, = word.steps
-        for s, d in pairs:
-            assert ins.pi.apply(read_key(s, ins.k)) == read_key(d, ins.k)
+        for cycle in cycles:
+            for s, d in cycle_pairs(cycle):
+                assert ins.pi.apply(tuple(parse_runs(s))) == tuple(parse_runs(d))
 
     @settings(deadline=None)
     @given(st.lists(st.lists(run_lines, max_size=4), max_size=3))
@@ -457,6 +483,19 @@ def listed_rewrite_builds(draw):
 
 
 @st.composite
+def explicit_spec_builds(draw):
+    # words of length 3 with a head in the middle listed as U, and pairs
+    # of those words and others: words outside U (010, 032, 000), fixed
+    # pairs, and offsets or symbols as floats or bools
+    U = draw(st.lists(st.sampled_from(["030", "031", "130", "230"]),
+                      min_size=1, max_size=4, unique=True))
+    pool = st.sampled_from([*U, *U, "010", "032", "000"])
+    pairs = [[tuple((draw(near(o)), draw(near(s))) for o, s in key(w)) for w in pair]
+             for pair in draw(st.lists(st.tuples(pool, pool), max_size=4))]
+    return partial(make_explicit_spec, explicit(U), pairs)
+
+
+@st.composite
 def named_rewrite_builds(draw):
     family = draw(st.sampled_from(sorted(HEAD_GAP_FAMILIES)))
     U = HEAD_GAP_FAMILIES[family]
@@ -477,7 +516,7 @@ api_builds = (st.builds(partial, st.sampled_from([Particle, HeadShift]),
                         st.integers(-3, 3).flatmap(near))
               | st.builds(partial, st.just(SymbolPerm), symbol_images)
               | head_local_builds() | listed_rewrite_builds()
-              | named_rewrite_builds())
+              | explicit_spec_builds() | named_rewrite_builds())
 
 
 class TestApiAndFilesRefuseAlike:
@@ -494,6 +533,8 @@ class TestApiAndFilesRefuseAlike:
                      HEAD_MARKER), {0: 3})
     @example(partial(named_rewrite, SIGMA3_PI_WORDS, HEAD_MARKER, ["x"]), {0: 3})
     @example(partial(listed_rewrite, ["030"], 3, HEAD_MARKER), {0: 3})
+    @example(partial(make_explicit_spec, explicit(["030", "031"]),
+                     key_pairs([("010", "010")])), {0: 3})
     def test_built_or_refused(self, build, cells):
         try:
             ins = build()
@@ -661,10 +702,11 @@ class TestCli:
                      "--word", str(word)]) == 1
         assert "does not reach the destination" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [ORBIT_MERGING, '[{"op":"P","e":1e999}]',
-                                      ZERO_PADDED_FOREIGN_SOURCE,
-                                      pytest.param(CONTRADICTORY,
-                                                   id="contradictory-map")])
+    @pytest.mark.parametrize("text", [
+        pytest.param(ORBIT_MERGING, id="orbit-merging-map"), '[{"op":"P","e":1e999}]',
+        pytest.param(ZERO_PADDED_FOREIGN_SOURCE, id="zero-padded-foreign-source"),
+        pytest.param(CONTRADICTORY, id="contradictory-map"),
+        pytest.param(LETTER_SWAP, id="letter-form-sr")])
     def test_apply_bad_word_exit_2(self, tmp_path, capsys, text):
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"
@@ -689,18 +731,19 @@ class TestCli:
 
     @pytest.mark.parametrize("word", ["0x0", "٣٣٣"])
     def test_fixed_pair_of_non_words_exit_2(self, tmp_path, capsys, word):
-        # a pair's words are read as those of U are, even a fixed pair,
-        # which moves nothing
+        # a cycle's words are read as those of U are, even in a cycle
+        # that names one word twice, before the map is checked
         src = tmp_path / "src.tuple"
         path = tmp_path / "w.json"
         src.write_text("@0:1\n")
+        line = f"@0:{word}"
         path.write_text(sr_obj(**{**ZERO_PADDED,
-                                  "map": [*ZERO_PADDED["map"], [word, word]]}))
+                                  "map": [*ZERO_PADDED["map"], [line, line]]}))
         assert main(["apply", "--src", str(src), "--word", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ParseError")
-        assert "invalid digit" in captured.err
+        assert "not a run of cells" in captured.err
 
     @pytest.mark.parametrize("e, line", [
         (100000000, "@-100000000:1 @1:2"),
@@ -722,19 +765,38 @@ class TestCli:
         ids=["one-site", "no-site"])
     def test_long_zero_padded_words_apply_quickly(self, tmp_path, capsys,
                                                   tuple_line, out):
-        # U = {0^n 1 0^(2n-1), 0^n 2 0^(2n-1)} swapped, n = 20,000: a word
-        # file of about 360 KB whose words are found by their one cell
+        # U = {0^n 1 0^(2n-1), 0^n 2 0^(2n-1)} swapped, n = 20,000: words
+        # of 60,000 letters written as one run each and found by their
+        # one cell
         n = 20000
-        one, two = ("0" * n + c + "0" * (2 * n - 1) for c in "12")
+        one, two = f"@{n}:1", f"@{n}:2"
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"
         src.write_text(tuple_line + "\n")
         word.write_text(sr_obj(k=3 * n, h=n, U=[one, two], V="NONZERO_N",
-                               map=[[one, two], [two, one]]))
+                               map=[[one, two]]))
         start = time.monotonic()
         assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
         assert time.monotonic() - start < 2.0
         assert capsys.readouterr().out == out + "\n"
+
+    def test_huge_marker_length_applies_in_time(self, tmp_path, capsys):
+        # n = 10^18 costs a few bytes: the radius 4^n + 1 is never built,
+        # as 4^32 + 1 already exceeds the distance of any two positions
+        n = 10**18
+        src = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@0:1 @4000000000000000000:1\n@0:2\n")
+        word.write_text(sr_obj(k=3 * n, h=n, U=[f"@{n}:1", f"@{n}:2"], V="NONZERO_N",
+                               map=[[f"@{n}:1", f"@{n}:2"]]))
+        start = time.monotonic()
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().out == "@0:1 @4000000000000000000:1\n@0:1\n"
+        # a marker 2^63 - 2n cells past the block still keeps it in place
+        ins, = parse_word(word.read_text()).steps
+        x = Config.from_cells({-2**62: 1, 2**62: 3})
+        assert ins.apply(x) == x
 
     def test_huge_radius_head_local_reads_only_cells(self, tmp_path, capsys):
         src = tmp_path / "src.tuple"

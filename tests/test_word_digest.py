@@ -5,10 +5,12 @@ The two sets have their own digests.  Transport words change whenever the
 transporter's output or the HL form does (last when HL maps began to be
 written as disjoint cycles; before that, when `transport` began to fuse its
 word); orbit-permutation words bypass the transporter and hold no HL, so
-their digest holds across such a change.  Each file also parses back to
-its word.  Listed head-marker rewrites and the two named head-gap rewrites
-have a digest of their own, which pins the order of their words and pairs
-in `"U"` and `"map"`."""
+their digest holds across such a change, and changes only with the SR
+form (last when SR words began to be written as run lines and SR maps as
+cycles).  Each file also parses back to its word and is emitted again
+byte for byte.  Listed head-marker rewrites and the two named head-gap
+rewrites have a digest of their own, which pins the order of the words
+of `"U"` and of the cycles of `"map"`."""
 
 import hashlib
 import random
@@ -25,12 +27,11 @@ from conftest import rand_head_spec, rand_tuple
 
 # sha256 over the transport word files, each followed by a newline.
 DIGEST = "d50cadad50f373711c00c5bcaf50fc8b0c353f695114057d812d0f188d04160f"
-# The same over the orbit-permutation word files; they are the bytes these
-# words had before transport words were fused.
-ORBIT_DIGEST = "5d2bd987a2e41d5a82382af5f25efd45d2ab212b8eb537fc7a880ea77f8ce11e"
+# The same over the orbit-permutation word files.
+ORBIT_DIGEST = "8bf8da6f567c0f57c33825c2b86825f7392262a0da2bb09bf69cea08a6e5af78"
 # sha256 over the listed and named safe-rewrite word files, each followed
 # by a newline.
-LISTED_DIGEST = "e3ae81f1114b043760289103c68c28a790763e99150ce6f64a1a99c93a604349"
+LISTED_DIGEST = "126c8908bb65c580a431b9c9e8010fda724649bff84b93c930e908a74edfc3c3"
 
 
 @cache
@@ -68,11 +69,13 @@ def listed_words():
 
 
 def digest(words):
-    """sha256 of the word files; each file also parses back to its word."""
+    """sha256 of the word files; each file also parses back to its word
+    and is emitted again byte for byte."""
     h = hashlib.sha256()
     for word in words:
         text = emit_word(word)
         assert parse_word(text) == word
+        assert emit_word(parse_word(text)) == text
         h.update(text.encode() + b"\n")
     return h.hexdigest()
 
