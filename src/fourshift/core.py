@@ -55,25 +55,32 @@ class ParseError(DomainError):
     """Text or JSON input that does not encode a valid value."""
 
 
+def quoted(v: object) -> str:
+    """repr(v) cut to 60 characters, its type named, when longer: how an
+    error message quotes a value read from input, in one short line."""
+    text = repr(v)
+    return text if len(text) <= 60 else f"{text[:60]}... (a {type(v).__name__})"
+
+
 def json_int(v: object) -> int:
     """An integer field read from JSON: floats and booleans are rejected."""
     if type(v) is not int:
-        raise ParseError(f"not a JSON integer: {v!r}")
+        raise ParseError(f"not a JSON integer: {quoted(v)}")
     return v
 
 
 def _check_pos(p: int) -> int:
     if not -POSITION_LIMIT <= p <= POSITION_LIMIT:
-        raise PositionOverflow(f"position {p} out of range")
+        raise PositionOverflow(f"position {quoted(p)} out of range")
     return p
 
 
 def _check_cell(p: int, s: int) -> tuple[int, int]:
     """(p, s) as a stored cell: int position and symbol 1-3, no bools."""
     if type(p) is not int:
-        raise DomainError(f"position {p!r} is not an int")
+        raise DomainError(f"position {quoted(p)} is not an int")
     if type(s) is not int or not 0 < s < 4:
-        raise DomainError(f"invalid symbol {s!r} at position {p}")
+        raise DomainError(f"invalid symbol {quoted(s)} at position {quoted(p)}")
     return _check_pos(p), s
 
 
@@ -133,6 +140,7 @@ class Config:
         return tuple([p for p, s in self.cells if s == HEAD])
 
     def sym(self, p: int) -> int:
+        """The symbol at p, 0 where no cell is stored: one bisect slice."""
         cell = self.cells_in(p, p + 1)
         return cell[0][1] if cell else 0
 
@@ -164,33 +172,6 @@ class Config:
                                       f"its block {start} .. {stop - 1}")
                 prev = p
             lo, end = bisect_left(cells, (stop,), i), stop
-        kept += cells[lo:]
-        return Config(tuple(kept))
-
-    def swap(self, qs: Iterable[int], d: int) -> "Config":
-        """This configuration with the symbols at each q of qs, which holds
-        a cell, and at its neighbour p = q + d exchanged, d being +-1: one
-        splice at q's index, p read by `sym`.  The qs come in increasing
-        order at least two apart, so no two splices meet.  Only each p is
-        range-checked, q being a stored position; anything else raises
-        DomainError."""
-        if d not in (1, -1):
-            raise DomainError(f"swap direction {d!r} is not +-1")
-        cells, kept, lo, prev = self.cells, [], 0, -math.inf
-        for q in qs:
-            i = bisect_left(cells, (q,), lo)
-            if q < prev + 2 or i == len(cells) or cells[i][0] != q:
-                raise DomainError(f"no cell at {q} to swap, or it is out of "
-                                  f"order or within one cell of {prev}")
-            p, s = _check_pos(q + d), cells[i][1]
-            a = self.sym(p)
-            if a and d < 0:
-                kept += cells[lo:i - 1]
-                kept += ((p, s), (q, a))
-            else:
-                kept += cells[lo:i]
-                kept += ((q, a), (p, s)) if a else ((p, s),)
-            lo, prev = i + (2 if a and d > 0 else 1), q
         kept += cells[lo:]
         return Config(tuple(kept))
 
@@ -292,13 +273,13 @@ def parse_runs(text: str) -> list[tuple[int, int]]:
     for run in runs:
         m = _RUN_RE.fullmatch(run)
         if m is None:
-            raise ParseError(f"not a run of cells: {run!r}")
+            raise ParseError(f"not a run of cells: {quoted(run)}")
         try:
             offset = int(m[1])
         except ValueError as exc:  # more digits than int() converts
             raise ParseError(f"offset too long: {exc}") from exc
         if end is not None and offset < end:
-            raise ParseError(f"the run at {offset} overlaps the one before")
+            raise ParseError(f"the run at {quoted(offset)} overlaps the one before")
         end = offset + len(m[2])
         cells += digit_cells(offset, m[2])
     return cells

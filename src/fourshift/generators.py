@@ -17,7 +17,7 @@ from typing import get_args
 
 from . import safety
 from .core import (CELLS, HEAD, PARTICLE, WALL, Config, DomainError, ParseError,
-                   TupleK, isolated, json_int, parse_runs)
+                   TupleK, isolated, json_int, parse_runs, quoted)
 from .permbuild import WordPerm, checked_word
 from .safety import SafeRewrite
 
@@ -34,28 +34,35 @@ def head_cells(cells, q: int) -> tuple[tuple[int, int], ...]:
 
 
 @dataclass(frozen=True, slots=True)
-class Particle:
-    """P^e: moves every particle e cells to the left, walls stay put."""
+class _Power:
+    """The e-th power of one generator, e an int: inverted by negating e,
+    written as {"op": OP, "e": e}."""
 
     e: int
-    OP = "P"
 
     def __post_init__(self):
         if type(self.e) is not int:
-            raise IllFormedInstruction(f"particle move {self.e!r} is not an int")
+            raise IllFormedInstruction(f"{self.OP} power {quoted(self.e)} is not an int")
 
-    def apply(self, x: Config) -> Config:
-        return x.move_particles(self.e)
-
-    def inverse(self) -> "Particle":
-        return Particle(-self.e)
+    def inverse(self):
+        return type(self)(-self.e)
 
     def to_obj(self) -> dict:
         return {"op": self.OP, "e": self.e}
 
     @classmethod
-    def from_obj(cls, obj) -> "Particle":
+    def from_obj(cls, obj):
         return cls(obj["e"])
+
+
+@dataclass(frozen=True, slots=True)
+class Particle(_Power):
+    """P^e: moves every particle e cells to the left, walls stay put."""
+
+    OP = "P"
+
+    def apply(self, x: Config) -> Config:
+        return x.move_particles(self.e)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +76,7 @@ class SymbolPerm:
     def __post_init__(self):
         if (type(self.img) is not tuple or list(map(type, self.img)) != [int] * 4
                 or sorted(self.img) != [0, 1, 2, 3] or self.img[0] != 0):
-            raise IllFormedInstruction(f"not a 0-fixing symbol permutation: {self.img!r}")
+            raise IllFormedInstruction(f"not a 0-fixing symbol permutation: {quoted(self.img)}")
 
     def apply(self, x: Config) -> Config:
         return x.relabel(self.img)
@@ -103,7 +110,7 @@ class HeadLocal:
     def __post_init__(self):
         if type(self.r) is not int or not isinstance(self.wp, WordPerm):
             raise IllFormedInstruction(f"need an int radius and a WordPerm, not "
-                                       f"{self.r!r} and a {type(self.wp).__name__}")
+                                       f"{quoted(self.r)} and a {type(self.wp).__name__}")
         if self.r < 1:
             raise IllFormedInstruction("radius must be positive")
         if self.wp.length != 2 * self.r:
@@ -154,7 +161,7 @@ def _window_of_line(text, r: int) -> tuple[tuple[int, int], ...]:
     one run checked as text (digits 0-2, a 0 at the head's offset, the ends
     within +-r) with its cells from CELLS; else parse_runs and checked_word."""
     if not isinstance(text, str):
-        raise ParseError(f"a window is a run line, not {text!r}")
+        raise ParseError(f"a window is a run line, not a {type(text).__name__}")
     m = _WINDOW_RUN.fullmatch(text)
     if m is None or r > 64:
         return () if text == "ZERO" else checked_word(tuple(parse_runs(text)), 2 * r)
@@ -163,27 +170,22 @@ def _window_of_line(text, r: int) -> tuple[tuple[int, int], ...]:
     last = offset + len(digits.rstrip("0")) - 1
     if first <= last and (first < -r or last > r or (
             first <= 0 <= last and digits[-offset] != "0")):
-        raise ParseError(f"not a window of radius {r}: {text!r}")
+        raise ParseError(f"not a window of radius {r}: {quoted(text)}")
     return tuple([_CELL_ROWS[c][i]
                   for i, c in enumerate(digits, offset + 64) if c != "0"])
 
 
 @dataclass(frozen=True, slots=True)
-class HeadShift:
+class HeadShift(_Power):
     """e-th power of the simulated shift of an isolated head."""
 
-    e: int
     OP = "HS"
 
-    def __post_init__(self):
-        if type(self.e) is not int:
-            raise IllFormedInstruction(f"head shift {self.e!r} is not an int")
-
     def apply(self, x: Config) -> Config:
-        """The first step by `safety.head_shift_once`; then, when every
-        head is isolated, the other |e| - 1 in one `Config.slide`, since
-        a step keeps the heads' spacing.  Heads within m_rad cells of
-        another keep stepping one cell at a time."""
+        """The first step by `safety.head_shift_once`, each isolated head
+        by its step law; then, when every head is isolated, the other
+        |e| - 1 steps in one `Config.slide`, as a step keeps the heads'
+        spacing.  Heads within m_rad cells of another step one at a time."""
         if not self.e:
             return x
         step = 1 if self.e > 0 else -1
@@ -198,16 +200,6 @@ class HeadShift:
             if y == x:
                 break
         return y
-
-    def inverse(self) -> "HeadShift":
-        return HeadShift(-self.e)
-
-    def to_obj(self) -> dict:
-        return {"op": self.OP, "e": self.e}
-
-    @classmethod
-    def from_obj(cls, obj) -> "HeadShift":
-        return cls(obj["e"])
 
 
 Instruction = Particle | SymbolPerm | HeadLocal | HeadShift | SafeRewrite
@@ -245,7 +237,7 @@ def invert_word(word: TransportWord) -> TransportWord:
 def _moves_nothing(ins: Instruction) -> bool:
     if isinstance(ins, HeadLocal):
         return not ins.wp.images
-    return isinstance(ins, (Particle, HeadShift)) and not ins.e
+    return isinstance(ins, _Power) and not ins.e
 
 
 def fuse(word: TransportWord) -> TransportWord:

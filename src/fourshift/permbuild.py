@@ -22,7 +22,7 @@ import itertools
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .core import CELLS, PARTICLE, WALL, DomainError, ParseError, emit_runs
+from .core import CELLS, PARTICLE, WALL, DomainError, ParseError, emit_runs, quoted
 
 Word = tuple[tuple[int, int], ...]
 
@@ -55,7 +55,7 @@ def checked_word(w: Word, length: int) -> Word:
             stored.append(CELLS.get(c, c))
         else:
             return tuple(stored)
-    raise DomainError(f"not a window of length {length}: {w!r}")
+    raise DomainError(f"not a window of length {length}: {quoted(w)}")
 
 
 def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:

@@ -23,7 +23,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .core import (CELLS, HEAD, PARTICLE, WALL, Config, DomainError, ParseError,
-                   emit_runs, isolated, json_int, parse_runs, shift)
+                   emit_runs, isolated, json_int, parse_runs, quoted, shift)
 from .permbuild import WordPerm
 
 SIGMA_SIZE = 4
@@ -48,8 +48,8 @@ class ExplicitWords:
     by its key: its nonzero cells, (offset, symbol) pairs with increasing
     offsets in [0, length).  `shapes` maps each
     key's cells relative to its first cell to the first offsets where that
-    shape starts in a word, and `sizes` holds (cell count, least first
-    offset of a key of that count) in increasing order of count."""
+    shape starts in a word, and `sizes` holds (least first offset of a
+    key of that count, cell count) pairs in increasing order."""
 
     length: int
     keys: frozenset[Key]
@@ -73,12 +73,12 @@ class ExplicitWords:
                         raise ValueError
                     prev = o
             except (TypeError, ValueError):
-                raise IllFormedWordSet(f"{key!r} is not a word key in [0, {self.length})") from None
+                raise IllFormedWordSet(f"{quoted(key)} is not a word key in [0, {self.length})") from None
             shape = cell_key(key, f)
             shapes[shape] = (*shapes.get(shape, ()), f)
             least[len(key)] = min(least.get(len(key), f), f)
         object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "sizes", tuple(sorted(least.items())))
+        object.__setattr__(self, "sizes", tuple(sorted((f, n) for n, f in least.items())))
 
 
 def cell_key(cells: Iterable[tuple[int, int]], start: int = 0) -> Key:
@@ -121,13 +121,14 @@ def occurrences(x: Config, wset: ExplicitWords | HeadLayoutWords) -> frozenset[i
 
     Listed words are matched by shape: a start i = p - f is tried only
     where a cell p of x is the window's first, so f is less than the gap g
-    from the cell before p.  The cell counts of the keys are tried in
-    increasing order: the scan stops at the first count n whose n-th cell
-    from p lies k or more past p, skips a count whose keys all start at
-    offsets of g or more, and otherwise looks up the n cells from p,
-    relative to p, in `shapes`; each first offset f < g whose window holds
-    no further cell gives a start.  Cost: at most one tuple of cells per
-    cell of x and distinct cell count, never the word length.  Head
+    from the cell before p.  The cell counts n of the keys are tried in
+    increasing order of their keys' least first offset: the scan stops at
+    the first count whose keys all start at offsets of g or more, skips a
+    count whose n-th cell from p lies k or more past p, and otherwise
+    looks up the n cells from p, relative to p, in `shapes`; each first
+    offset f < g whose window holds no further cell gives a start.  Cost:
+    at most one tuple of cells per cell of x and distinct cell count whose
+    least first offset is below g, never the word length.  Head
     layouts read the heads of each candidate window as one bisect slice
     of the sorted heads."""
     if isinstance(wset, ExplicitWords):
@@ -135,11 +136,11 @@ def occurrences(x: Config, wset: ExplicitWords | HeadLayoutWords) -> frozenset[i
         end = len(cells)
         for j, (p, _) in enumerate(cells):
             g = p - cells[j - 1][0] if j else k
-            for n, least in wset.sizes:
+            for least, n in wset.sizes:
+                if least >= g:
+                    break
                 stop = j + n
                 if stop > end or cells[stop - 1][0] - p >= k:
-                    break
-                if least >= g:
                     continue
                 shape = tuple([(q - p, s) for q, s in cells[j:stop]])
                 for f in shapes.get(shape, ()):
@@ -152,7 +153,7 @@ def occurrences(x: Config, wset: ExplicitWords | HeadLayoutWords) -> frozenset[i
         return frozenset(i for i in starts if frozenset(
             q - i for q in heads[bisect_left(heads, i):bisect_left(heads, i + L)]
         ) in wset.layouts)
-    raise IllFormedWordSet(f"no occurrence scan for {wset!r}")
+    raise IllFormedWordSet(f"no occurrence scan for {quoted(wset)}")
 
 
 # --- permutations of word sets --------------------------------------------
@@ -165,7 +166,7 @@ class RuleWordMap:
 
     def __post_init__(self):
         if type(self.tag) is not str or self.tag not in HEAD_GAP_FAMILIES:
-            raise IllFormedSpec(f"no head-gap rule named {self.tag!r}")
+            raise IllFormedSpec(f"no head-gap rule named {quoted(self.tag)}")
 
     def apply(self, key: Key) -> Key:
         """PI keeps the letter left of the head, TAU the letter right of
@@ -212,7 +213,7 @@ def _check_head_layouts(U: WordSetDesc) -> None:
     for lay in layouts:
         if not lay:
             raise IllFormedSpec("a word of U lacks the marker symbol")
-        shown = ",".join(map(str, sorted(lay)))
+        shown = quoted(sorted(lay))
         if any(not k3 <= off < 2 * k3 for off in lay):
             raise IllFormedSpec(f"marker outside the middle third: {shown}")
         first = leftmost_by_count.setdefault(len(lay), min(lay))
@@ -229,7 +230,7 @@ def _check_zero_padded(U: WordSetDesc, n: int) -> None:
         raise IllFormedSpec("zero-padded words must be listed, of length 3n")
     for shape, (f, *more) in U.shapes.items():
         if more or not n <= f < 2 * n - shape[-1][0]:
-            words = ", ".join(repr(emit_runs(cell_key(shape, -g))) for g in (f, *more))
+            words = quoted([emit_runs(cell_key(shape, -g)) for g in (f, *more)])
             raise IllFormedSpec(("same core at two offsets: " if more else
                                  "nonzero symbol outside the middle third: ") + words)
 
@@ -260,7 +261,7 @@ class SafeRewrite:
     def __post_init__(self):
         k, h = self.U.length, self.V.length
         if type(k) is not int or type(h) is not int or not k >= h >= 1:
-            raise IllFormedSpec(f"need int word lengths k >= h >= 1, not {k!r}, {h!r}")
+            raise IllFormedSpec(f"need int word lengths k >= h >= 1, not {quoted(k)}, {quoted(h)}")
         if isinstance(self.pi, RuleWordMap):
             if self.U != HEAD_GAP_FAMILIES[self.pi.tag]:
                 raise IllFormedSpec(f"rule {self.pi.tag!r} does not permute U")
@@ -273,7 +274,7 @@ class SafeRewrite:
         elif isinstance(self.V, NonzeroWords):
             _check_zero_padded(self.U, h)
         else:
-            raise IllFormedSpec(f"no marker rule for V = {self.V!r}")
+            raise IllFormedSpec(f"no marker rule for V = {quoted(self.V)}")
         ell = SIGMA_SIZE**min(h, 32) + 1
         for name, value in (("k", k), ("h", h), ("ell", ell), ("m_rad", ell + 2 * k + h)):
             object.__setattr__(self, name, value)
@@ -322,9 +323,9 @@ class SafeRewrite:
         elif isinstance(words, str) and words in HEAD_GAP_FAMILIES:
             U = HEAD_GAP_FAMILIES[words]
         else:
-            raise IllFormedSpec(f"bad word set {words!r}")
+            raise IllFormedSpec(f"bad word set {quoted(words)}")
         if markers not in ("HEAD", "NONZERO_N"):
-            raise IllFormedSpec(f"bad marker set {markers!r}: not \"HEAD\" or \"NONZERO_N\"")
+            raise IllFormedSpec(f"bad marker set {quoted(markers)}: not \"HEAD\" or \"NONZERO_N\"")
         V = HEAD_MARKER if markers == "HEAD" else NonzeroWords(h)
         pi = (RuleWordMap(rule) if isinstance(rule, str)
               else WordPerm._read_cycles(rule, _key_of_line, U.length))
@@ -339,7 +340,7 @@ def _perm_of_keys(U: ExplicitWords, pairs: Iterable[tuple[Key, Key]]) -> WordPer
     included, each word taken as U holds it; a pair word that is no key
     of U is refused."""
     if not isinstance(U, ExplicitWords):
-        raise IllFormedSpec(f"listed words are an ExplicitWords, not {U!r}")
+        raise IllFormedSpec(f"listed words are an ExplicitWords, not {quoted(U)}")
     own = {u: u for u in U.keys}
     try:
         pairs = [(own[s], own[d]) for s, d in pairs]
@@ -431,8 +432,9 @@ def head_shift_once(x: Config, direction: int) -> Config:
     """One step of the simulated shift.  With no head it is the identity.
     Where every head is isolated, no other head within m_rad cells, each
     head follows the step law: the head at q moves to p = q + direction
-    and the symbol it displaces moves from p to q, all by one
-    `Config.swap` with a splice per head.  Other heads step by the two
+    and the symbol it displaces, read by `Config.sym`, moves from p to q.
+    The step of each head is one block of one `Config.overwrite`, which
+    range-checks the cells it writes.  Other heads step by the two
     head-gap rewrites, TAU then PI for +1, which -1 inverts exactly.  A
     rewrite reads within m_rad + k cells of a head, so each group of cells
     more than twice that from the others steps alone, centred on 0."""
@@ -442,7 +444,12 @@ def head_shift_once(x: Config, direction: int) -> Config:
     if not heads:
         return x
     if len(isolated(heads, SIGMA3_TAU_SPEC.m_rad)) == len(heads):
-        return x.swap(heads, direction)
+        blocks = []
+        for q in heads:  # q's cell before p's for +1, after it for -1
+            p, a = q + direction, x.sym(q + direction)
+            blocks.append((min(p, q), max(p, q) + 1,
+                           ((q, a), (p, HEAD))[::direction] if a else ((p, HEAD),)))
+        return x.overwrite(blocks)
     reach, cells, out = 2 * (SIGMA3_TAU_SPEC.m_rad + SIGMA3_LEN), x.cells, []
     first, end = cells[0][0], cells[-1][0] + 1
     cuts = [0, *(j for j in range(1, len(cells))

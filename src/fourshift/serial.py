@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 
 from .core import (Config, DomainError, ParseError, TupleK, emit_runs,
-                   parse_runs, validate_tuple)
+                   parse_runs, quoted, validate_tuple)
 from .generators import OPS, Instruction, TransportWord
 
 
@@ -41,7 +41,7 @@ def _instruction_from_obj(obj) -> Instruction:
     try:
         cls = OPS.get(obj["op"])
         if cls is None:
-            raise ParseError(f"unknown op {obj!r}")
+            raise ParseError(f"unknown op {quoted(obj)}")
         return cls.from_obj(obj)
     except ParseError:
         raise

@@ -42,29 +42,6 @@ class TestConfig:
                 assert str(x.sym(p)) == sym_window(x, [p])
 
     @given(configs, st.integers(-20, 20),
-           st.lists(st.integers(2, 6), max_size=3), st.sampled_from([1, -1]))
-    def test_swap_matches_the_dict_form(self, x, q, gaps, direction):
-        qs = list(itertools.accumulate([q, *gaps]))
-        x = Config.from_cells({**x.as_dict(), **dict.fromkeys(qs, 3)})
-        blocks = [([q, q + direction], sym_window(x, [q + direction, q]))
-                  for q in qs]
-        assert x.swap(qs, direction) == dict_overwrite(x, blocks)
-
-    @pytest.mark.parametrize("qs, d", [([3], 1), ([0], 2), ([0], 0), ([0, 1], 1),
-                                       ([0, 1], -1), ([2, 0], 1), ([0, 0], 1)])
-    def test_swap_needs_a_cell_and_a_neighbour(self, qs, d):
-        # no cell at q, a step other than +-1, or qs out of order or
-        # closer than two cells, so that two splices would meet
-        with pytest.raises(DomainError):
-            cfg(0, "313").swap(qs, d)
-
-    @pytest.mark.parametrize("q", [POSITION_LIMIT, -POSITION_LIMIT])
-    def test_swap_past_the_limit_overflows(self, q):
-        x = Config.from_cells({q: 3, -q // 2: 3})
-        with pytest.raises(PositionOverflow):
-            x.swap(sorted((q, -q // 2)), 1 if q > 0 else -1)
-
-    @given(configs, st.integers(-20, 20),
            st.lists(st.sampled_from([1, 2, 3, 5, 20, 49]), max_size=3),
            st.integers(-60, 60))
     def test_slide_matches_the_dict_form(self, x, q, gaps, e):

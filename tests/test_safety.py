@@ -265,6 +265,21 @@ class TestOccurrences:
                 and (j == len(cells) - 1 or cells[j + 1][0] - p >= k - f)}
         assert got == want and len(want) > 100
 
+    def test_many_cell_counts_on_close_cells(self):
+        # 1,000 keys of 1-1,000 cells, each first at offset 2 of a
+        # 2,000-letter word, on 20,000 cells 1 apart: no cell but the
+        # first has a gap above 1, so no count is tried there; one
+        # 5-cell word far away is found
+        wset = ExplicitWords(2000, frozenset(
+            tuple((2 + o, 1) for o in range(n)) for n in range(1, 1001)))
+        far = 10**6
+        x = Config.from_cells([*((p, 1) for p in range(20000)),
+                               *((far + o, 1) for o in range(5))])
+        start = time.perf_counter()
+        got = occurrences(x, wset)
+        assert time.perf_counter() - start < 0.25
+        assert got == frozenset({far - 2})
+
 
 def pairwise_sites(occ_u, occ_v, spec):
     """The chi sites of the given occurrence sets, each U-occurrence tested

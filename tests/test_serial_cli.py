@@ -146,6 +146,8 @@ ZERO_PADDED = dict(k=3, h=1, U=["@1:1", "@1:2"], V="NONZERO_N",
 # is not a permutation of U.
 ZERO_PADDED_FOREIGN_SOURCE = sr_obj(**{**ZERO_PADDED,
                                        "map": [["@1:3", "@1:1"]]})
+# A field value as long as a whole word file.
+LONG = "x" * 20000
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -717,6 +719,54 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ParseError")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("obj", [
+        pytest.param(json.loads(sr_obj(U={"a": LONG})), id="sr-U-dict"),
+        pytest.param(json.loads(sr_obj(V=LONG)), id="sr-V"),
+        pytest.param(json.loads(sr_obj(map=LONG)), id="sr-map-string"),
+        pytest.param(json.loads(sr_obj(k=3, U=["@0:" + "1" * 20000],
+                                       map=[])), id="sr-U-long-run-line"),
+        pytest.param([{"op": LONG}], id="unknown-op"),
+        pytest.param([{"op": "P", "e": LONG}], id="P-e"),
+        pytest.param([{"op": "HS", "e": LONG}], id="HS-e"),
+        pytest.param([{"op": "SYM", "img": LONG}], id="SYM-img"),
+        pytest.param([{"op": "HL", "r": LONG, "cycles": []}], id="HL-r"),
+        pytest.param(json.loads(sr_obj(k=LONG)), id="sr-k"),
+        pytest.param([{"op": "HL", "r": 1, "cycles": [[{"a": LONG}, "ZERO"]]}],
+                     id="HL-window-not-a-string"),
+        pytest.param([{"op": "HL", "r": 1, "cycles": [["@0:" + "1" * 20000, "ZERO"]]}],
+                     id="HL-window-too-long")])
+    def test_refusals_quote_input_cut_short(self, tmp_path, capsys, obj):
+        # each field holds 20,000 letters or more, and the one error line
+        # quotes it cut short or names its type
+        src = tmp_path / "src.tuple"
+        word = tmp_path / "w.json"
+        src.write_text("@0:3\n")
+        word.write_text(json.dumps(obj))
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError")
+        assert captured.err.count("\n") == 1
+        assert len(captured.err.encode()) <= 300
+
+    @pytest.mark.parametrize("tuple_line, word", [
+        pytest.param("@0:1", [{"op": "P", "e": 10**4000}], id="P-past-the-limit"),
+        pytest.param("@0:3", [{"op": "HS", "e": 10**4000}], id="HS-past-the-limit"),
+        pytest.param(f"@{10**4000}:1", [], id="position-past-the-limit"),
+        pytest.param(f"@5:1 @-{10**4000}:1", [], id="runs-overlap")])
+    def test_huge_integers_quoted_cut_short(self, tmp_path, capsys, tuple_line, word):
+        # integers of 4,001 digits, as JSON and run lines allow, are
+        # refused on one short line
+        src = tmp_path / "src.tuple"
+        path = tmp_path / "w.json"
+        src.write_text(tuple_line + "\n")
+        path.write_text(json.dumps(word))
+        assert main(["apply", "--src", str(src), "--word", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert len(captured.err.encode()) <= 300
 
     def test_empty_word_set_exit_2(self, tmp_path, capsys):
         src = tmp_path / "src.tuple"
