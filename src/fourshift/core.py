@@ -335,18 +335,19 @@ class ClassFlags:
 
 
 def classify(x: Config) -> ClassFlags:
-    """Staged normal-form flags of a nonzero finite point."""
+    """Staged normal-form flags of a nonzero finite point, in one pass: it is
+    prepregood when it has no head and no particle follows its first wall."""
     if x.is_zero():
         raise ZeroPoint("cannot classify the zero point")
-    particles, walls = tracks(x)
-    heads = particles & walls
-    prepregood = not heads and (
-        not particles or not walls or max(particles) < min(walls))
-    pregood = prepregood and bool(particles)
-    good = pregood and bool(walls)
-    unihead = len(heads) == 1
-    great = unihead and 0 in heads
-    return ClassFlags(prepregood, pregood, good, unihead, great)
+    heads, prev, late = [], PARTICLE, False
+    for p, s in x.cells:
+        if s == HEAD:
+            heads.append(p)
+        late, prev = late or s < prev, s  # a particle after a wall, or a head
+    prepregood = not heads and not late
+    pregood = prepregood and x.cells[0][1] == PARTICLE
+    return ClassFlags(prepregood, pregood, pregood and x.cells[-1][1] == WALL,
+                      len(heads) == 1, heads == [0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,15 +366,17 @@ class TupleK:
         return iter(self.components)
 
 
-def validate_tuple(components: Sequence[Config]) -> TupleK:
-    """The tuple, else ZeroPoint, or OrbitCollision(i, j) for the first i
-    with an orbit-mate after it and j its first mate."""
+def validate_tuple(components: Iterable[Config]) -> TupleK:
+    """The Configs as a tuple, else DomainError, ZeroPoint, or OrbitCollision(i,
+    j) for the first i with an orbit-mate after it and j its first mate."""
     comps = tuple(components)
     if not comps:
         raise DomainError("a tuple needs at least one component")
     first: dict[Config, int] = {}  # canonical form -> first component
     mates = []
     for j, c in enumerate(comps):
+        if not isinstance(c, Config):
+            raise DomainError(f"component {j} is not a Config: {quoted(c)}")
         if c.is_zero():
             raise ZeroPoint(f"component {j} is the zero point")
         i = first.setdefault(canonical_form(c)[0], j)

@@ -117,6 +117,7 @@ class HeadLocal:
             raise IllFormedInstruction("window permutation length must be 2r")
 
     def apply(self, x: Config) -> Config:
+        """Every point with no head is fixed: only head windows are read."""
         if not self.wp.images:
             return x
         r, blocks = self.r, []
@@ -182,10 +183,10 @@ class HeadShift(_Power):
     OP = "HS"
 
     def apply(self, x: Config) -> Config:
-        """The first step by `safety.head_shift_once`, each isolated head
-        by its step law; then, when every head is isolated, the other
-        |e| - 1 steps in one `Config.slide`, as a step keeps the heads'
-        spacing.  Heads within m_rad cells of another step one at a time."""
+        """Every point with no head is fixed.  The first step is one
+        `safety.head_shift_once`; if every head is then isolated, the other
+        |e| - 1 steps are one `Config.slide`, as a step keeps the heads'
+        spacing, and else each is one more `head_shift_once`."""
         if not self.e:
             return x
         step = 1 if self.e > 0 else -1

@@ -3,8 +3,8 @@ on both sides, then splice the two great tuples with one head-local
 rewrite (`make_canonical`) followed by the inverted destination word, and
 fuse the whole word once before it is verified.
 
-Every emitted word is built by simulating its own application, so the
-returned tuple is always the exact replay result.
+Every emitted word is built by replaying each step once, on the components
+it can move, so the returned tuple is always the exact replay result.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Config, DomainError, TupleK, classify, tracks, validate_tuple
+from .core import (PARTICLE, WALL, Config, DomainError, TupleK, classify,
+                   quoted, tracks, validate_tuple)
 from .generators import (SWAP_13, SWAP_23, HeadLocal, HeadShift, Particle,
-                         TransportWord, apply_word, fuse, head_cells,
-                         invert_word)
+                         TransportWord, apply_instruction, apply_word, fuse,
+                         head_cells, invert_word)
 from .permbuild import build_mapping_perm
 
 
@@ -58,36 +59,37 @@ def phi_clock(x: Config) -> Optional[Reading]:
     return Reading(hits[0], s - 1) if len(hits) == 1 else None
 
 
-def _align_amount(t: TupleK) -> int:
-    """Smallest particle move putting all particles strictly left of all
-    walls in every component."""
-    need = 0
-    for c in t:
-        particles, walls = tracks(c)
-        if particles and walls:
-            need = max(need, max(particles) - min(walls) + 1)
+def _align_amount(comps) -> int:
+    """Smallest particle move putting every particle strictly left of every
+    wall in each component; one with no particle or no wall needs none."""
+    need, inf = 0, float("inf")
+    for c in comps:
+        last = next((p for p, s in reversed(c.cells) if s != WALL), -inf)
+        first = next((p for p, s in c.cells if s != PARTICLE), inf)
+        need = max(need, last - first + 1)
     return need
 
 
-def _then(word: TransportWord, t: TupleK, *steps) -> tuple[TransportWord, TupleK]:
-    """`word` followed by `steps`, and `t` replayed through the steps."""
-    more = TransportWord(steps)
-    return word + more, apply_word(t, more)
+def _replay(steps: list, comps: list, ins, which=None) -> None:
+    """Append `ins` to `steps`; replay it on comps[i], i in `which` or all."""
+    steps.append(ins)
+    for i in range(len(comps)) if which is None else which:
+        comps[i] = apply_instruction(comps[i], ins)
 
 
 def make_good(t: TupleK) -> tuple[TransportWord, TupleK]:
     """Particle moves and symbol swaps producing a good tuple; phases whose
     target already holds are skipped."""
-    word = TransportWord()
+    steps, comps = [], list(t)
     for flag, swap in (("prepregood", None), ("pregood", SWAP_23),
                        ("good", SWAP_13)):
-        if not all(getattr(classify(c), flag) for c in t):
+        if not all(getattr(classify(c), flag) for c in comps):
             if swap is not None:
-                word, t = _then(word, t, swap)
-            word, t = _then(word, t, Particle(_align_amount(t)))
-    if not all(classify(c).good for c in t):
+                _replay(steps, comps, swap)
+            _replay(steps, comps, Particle(_align_amount(comps)))
+    if not all(classify(c).good for c in comps):
         raise InternalScheduleViolation("good phase failed")
-    return word, t
+    return TransportWord(tuple(steps)), TupleK(tuple(comps))
 
 
 def _head_local(comps, targets, heads) -> HeadLocal:
@@ -122,21 +124,22 @@ def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
     for i, (_, tau) in enumerate(buzz):
         by_time.setdefault(tau, []).append(i)
 
-    word, now = TransportWord(), 0
+    steps, comps, now = [], list(t), 0
     for tau in sorted(by_time):
         buzzing = by_time[tau]
-        word, t = _then(word, t, Particle(-(tau - now)))
+        _replay(steps, comps, Particle(-(tau - now)))
         now = tau
-        for i, c in enumerate(t):
+        for i, c in enumerate(comps):
             want = (buzz[i][0],) if i in buzzing else ()
             if c.heads() != want:
                 raise InternalScheduleViolation(
                     f"component {i} has heads {list(c.heads())} at time {tau}")
+        # the other components have no head, so both head steps fix them
         e = max(1, 2 - min(buzz[i][0] for i in buzzing))
-        word, t = _then(word, t, HeadShift(e))
+        _replay(steps, comps, HeadShift(e), buzzing)
         kpos = {i: buzz[i][0] + e for i in buzzing}
         for i in buzzing:
-            if t[i].heads() != (kpos[i],):
+            if comps[i].heads() != (kpos[i],):
                 raise InternalScheduleViolation("head shift missed its target")
         targets = {
             i: Config.from_cells({
@@ -147,17 +150,17 @@ def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
             })
             for i in buzzing
         }
-        word, t = _then(word, t, _head_local([t[i] for i in buzzing],
-                                             [targets[i] for i in buzzing],
-                                             [kpos[i] for i in buzzing]))
+        _replay(steps, comps, _head_local([comps[i] for i in buzzing],
+                                          [targets[i] for i in buzzing],
+                                          [kpos[i] for i in buzzing]), buzzing)
         for i in buzzing:
-            if t[i] != targets[i]:
+            if comps[i] != targets[i]:
                 raise InternalScheduleViolation("reset rewrite missed its target")
 
-    word, t = _then(word, t, Particle(-(horizon - now)))
-    if not all(classify(c).great for c in t):
+    _replay(steps, comps, Particle(-(horizon - now)))
+    if not all(classify(c).great for c in comps):
         raise InternalScheduleViolation("great phase failed")
-    return word, t
+    return TransportWord(tuple(steps)), TupleK(tuple(comps))
 
 
 def canonical_great(k: int) -> TupleK:
@@ -175,10 +178,10 @@ def make_canonical(t: TupleK, goal: TupleK) -> tuple[TransportWord, TupleK]:
         raise LengthMismatch("tuples have different arity")
     if not all(classify(c).great for c in (*t, *goal)):
         raise NotGreat("the splice joins two great tuples")
-    word, out = _then(TransportWord(), t, _head_local(t, goal, [0] * len(t)))
-    if out != goal:
+    word = TransportWord((_head_local(t, goal, [0] * len(t)),))
+    if apply_word(t, word) != goal:
         raise InternalScheduleViolation("splice rewrite missed its goal")
-    return word, out
+    return word, goal
 
 
 def transport(src: TupleK, dst: TupleK) -> TransportWord:
@@ -187,8 +190,8 @@ def transport(src: TupleK, dst: TupleK) -> TransportWord:
     word is inverted.  The whole word is fused once (`generators.fuse`),
     so it holds no P right after a P and no identity step, and the closing
     `verify` replays the fused word."""
-    src = validate_tuple(src.components)
-    dst = validate_tuple(dst.components)
+    src = validate_tuple(src)
+    dst = validate_tuple(dst)
     if len(src) != len(dst):
         raise LengthMismatch("tuples have different arity")
     good_s, src1 = make_good(src)
@@ -204,6 +207,9 @@ def transport(src: TupleK, dst: TupleK) -> TransportWord:
 
 def verify(word: TransportWord, src: TupleK, dst: TupleK) -> bool:
     """Exact componentwise equality of the replay result with dst."""
+    if not isinstance(word, TransportWord):
+        raise DomainError(f"not a TransportWord: {quoted(word)}")
+    src, dst = (t if isinstance(t, TupleK) else validate_tuple(t) for t in (src, dst))
     if len(src) != len(dst):
         return False
     return apply_word(src, word).components == dst.components

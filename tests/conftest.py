@@ -7,9 +7,10 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, Config,
-                            DomainError, ParseError, PositionOverflow, TupleK,
-                            digit_cells, parse_runs, validate_tuple)
+from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, ClassFlags,
+                            Config, DomainError, ParseError, PositionOverflow,
+                            TupleK, ZeroPoint, digit_cells, parse_runs, tracks,
+                            validate_tuple)
 from fourshift.generators import HeadLocal
 from fourshift.permbuild import WordPerm, parity
 from fourshift.safety import (SIGMA3_M, SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
@@ -187,6 +188,46 @@ def from_tracks(particles, walls) -> Config:
     particles, walls = set(particles), set(walls)
     return Config.from_cells({p: HEAD if p in particles and p in walls else (
         PARTICLE if p in particles else WALL) for p in particles | walls})
+
+
+def classify_by_tracks(x: Config) -> ClassFlags:
+    """The flags of x from its particle and wall track sets, heads being
+    their intersection: the oracle of the one-pass `core.classify`."""
+    if x.is_zero():
+        raise ZeroPoint("cannot classify the zero point")
+    particles, walls = tracks(x)
+    heads = particles & walls
+    prepregood = not heads and (
+        not particles or not walls or max(particles) < min(walls))
+    pregood = prepregood and bool(particles)
+    good = pregood and bool(walls)
+    unihead = len(heads) == 1
+    great = unihead and 0 in heads
+    return ClassFlags(prepregood, pregood, good, unihead, great)
+
+
+def align_by_tracks(comps) -> int:
+    """The particle move that puts every particle left of every wall, from
+    the track sets of each component: the oracle of
+    `transporter._align_amount`."""
+    need = 0
+    for c in comps:
+        particles, walls = tracks(c)
+        if particles and walls:
+            need = max(need, max(particles) - min(walls) + 1)
+    return need
+
+
+# Symbol sets of head-only, wall-only and particle-only points, and every mix.
+SYMBOL_MIXES = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+
+
+def rand_config_over(rng: random.Random, symbols, span: int = 8,
+                     max_cells: int = 5) -> Config:
+    """`rand_config` with every symbol drawn from `symbols`: head-only,
+    wall-only or particle-only points, or any other mix."""
+    x = rand_config(rng, span, max_cells)
+    return Config.from_cells((p, rng.choice(symbols)) for p, _ in x.cells)
 
 
 def rand_tuple(rng: random.Random, k: int, span: int = 5,

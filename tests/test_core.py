@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,9 +13,10 @@ from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
                             isolated, orbit_equal, shift, tracks,
                             validate_tuple)
 
-from conftest import (dict_overwrite, dict_slide, edge_cells,
-                      from_cells_shift, from_tracks, rand_config,
-                      same_or_overflow, sym_window)
+from conftest import (SYMBOL_MIXES, classify_by_tracks, dict_overwrite,
+                      dict_slide, edge_cells, from_cells_shift, from_tracks,
+                      rand_config, rand_config_over, same_or_overflow,
+                      sym_window)
 
 
 def cfg(offset: int, digits: str) -> Config:
@@ -292,6 +294,16 @@ class TestClassify:
             assert f.great <= f.unihead
             assert not (f.good and f.great)
 
+    def test_matches_the_track_oracle(self, rng):
+        seen = set()
+        for _ in range(2000):
+            x = rand_config_over(rng, rng.choice(SYMBOL_MIXES))
+            f = classify(x)
+            assert f == classify_by_tracks(x), x
+            seen.add(astuple(f))
+        # every reachable combination of flags, the great point included
+        assert len(seen) == 6
+
     def test_shift_invariance(self, rng):
         for _ in range(200):
             x = rand_config(rng)
@@ -313,6 +325,12 @@ class TestValidateTuple:
     def test_zero_component(self):
         with pytest.raises(ZeroPoint):
             validate_tuple((cfg(0, "1"), ZERO))
+
+    @pytest.mark.parametrize("comps", [
+        [cfg(0, "1"), "x"], (cfg(0, "1"), None), [cfg(0, "1"), (0, 1)]])
+    def test_component_that_is_not_a_config(self, comps):
+        with pytest.raises(DomainError, match="component 1 is not a Config"):
+            validate_tuple(comps)
 
     def test_empty_tuple(self):
         with pytest.raises(DomainError, match="at least one component"):

@@ -23,7 +23,7 @@ from fourshift.transporter import transport
 
 from conftest import (dense, dict_overwrite, edge_cells, explicit,
                       from_cells_relabel, from_tracks, head_local, key_pairs,
-                      rand_config, rand_tuple,
+                      rand_config, rand_config_over, rand_tuple,
                       same_or_overflow, stepwise_head_shift, sym_window,
                       two_pass_head_local, two_pass_window, two_rewrite_shift,
                       window)
@@ -321,6 +321,34 @@ class TestHeadLocalOracle:
             [(((1, 1),), ((2, 1),)), (((2, 1),), ((1, 1),))], 2 * 10**15))
         assert ins.apply(cfg(0, "31")) == cfg(0, "301")
         assert ins.apply(cfg(0, "3" + "0" * 9 + "3")) == cfg(0, "3" + "0" * 9 + "3")
+
+
+class TestHeadStepsFixHeadlessPoints:
+    """Both head steps fix every point with no head, which lets
+    `make_great` replay them on the buzzing components only."""
+
+    @pytest.fixture
+    def headless(self, rng):
+        return [rand_config_over(rng, rng.choice([(1,), (2,), (1, 2)]),
+                                 span=rng.randrange(1, 41), max_cells=8)
+                for _ in range(60)]
+
+    def test_head_shift(self, headless):
+        for x in headless:
+            for e in range(-64, 65):
+                assert HeadShift(e).apply(x) == x, (x, e)
+
+    def test_every_head_local_of_a_transport(self, rng, headless):
+        steps = set()
+        for n in range(100):
+            k = 1 + n % 5
+            steps.update(ins for ins in transport(rand_tuple(rng, k),
+                                                  rand_tuple(rng, k)).steps
+                         if isinstance(ins, HeadLocal))
+        assert len(steps) > 200
+        for ins in steps:
+            for x in headless:
+                assert ins.apply(x) == x, (ins, x)
 
 
 def window_lines(r: int):

@@ -12,10 +12,12 @@ from fourshift.generators import (SWAP_23, HeadLocal, HeadShift, Particle,
                                   apply_word, fuse, invert_word)
 from fourshift.serial import emit_word, parse_word
 from fourshift.transporter import (LengthMismatch, NotGood, NotGreat, Reading,
-                                   canonical_great, make_canonical, make_good,
-                                   make_great, phi_clock, transport, verify)
+                                   _align_amount, canonical_great,
+                                   make_canonical, make_good, make_great,
+                                   phi_clock, transport, verify)
 
-from conftest import rand_config, rand_tuple
+from conftest import (SYMBOL_MIXES, align_by_tracks, rand_config,
+                      rand_config_over, rand_tuple)
 
 
 def cfg(offset, digits):
@@ -99,6 +101,14 @@ class TestPhiClock:
         assert time.perf_counter() - start < 1.0
 
 
+class TestAlignAmount:
+    def test_matches_the_track_oracle(self, rng):
+        for _ in range(2000):
+            comps = [rand_config_over(rng, rng.choice(SYMBOL_MIXES))
+                     for _ in range(rng.randrange(1, 4))]
+            assert _align_amount(comps) == align_by_tracks(comps), comps
+
+
 class TestMakeGood:
     def test_demo_word_and_endpoint(self):
         word, out = make_good(DEMO3)
@@ -161,12 +171,16 @@ class TestMakeGreat:
         assert all(classify(c).great for c in out)
 
     def test_random(self, rng):
-        for _ in range(100):
-            t = rand_tuple(rng, rng.randrange(1, 4))
+        shared = 0  # tuples where two components first buzz at one time
+        for n in range(160):
+            t = rand_tuple(rng, 1 + n % 8)
             _, good = make_good(t)
+            taus = [phi_clock(c).t for c in good]
+            shared += len(set(taus)) < len(taus)
             word, out = make_great(good)
             assert all(classify(c).great for c in out)
             assert apply_word(good, word).components == out.components
+        assert shared > 20
 
 
 class TestCanonical:
@@ -277,6 +291,33 @@ class TestTransport:
             word = transport(s, d)
             assert verify(word, s, d)
             assert verify(invert_word(word), d, s)
+
+
+class TestPythonApi:
+    """transport and verify take a TupleK or any sequence of Configs, and
+    refuse anything else with a DomainError."""
+
+    def test_sequences_of_configs_transport_as_tuples(self):
+        dst = canonical_great(3)
+        word = transport(DEMO3, dst)
+        for kind in (list, tuple):
+            comps = kind(DEMO3.components), kind(dst.components)
+            assert transport(*comps) == word
+            assert verify(word, *comps)
+
+    @pytest.mark.parametrize("src", [
+        [cfg(0, "1"), "x"], (cfg(0, "1"), None), [cfg(0, "1"), {0: 1}]])
+    def test_component_that_is_not_a_config(self, src):
+        dst = canonical_great(2)
+        with pytest.raises(DomainError, match="component 1 is not a Config"):
+            transport(src, dst)
+        with pytest.raises(DomainError, match="component 1 is not a Config"):
+            verify(TransportWord(()), src, dst)
+
+    @pytest.mark.parametrize("word", [None, [], (Particle(1),), "[]"])
+    def test_word_that_is_not_a_transport_word(self, word):
+        with pytest.raises(DomainError, match="not a TransportWord"):
+            verify(word, DEMO3, DEMO3)
 
 
 class TestVerify:
