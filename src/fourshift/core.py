@@ -205,6 +205,42 @@ class Config:
         mid.sort()
         return Config(cells[:lo] + tuple(mid) + cells[hi:])
 
+    def head_local(self, r: int, images: Mapping) -> "Config":
+        """The head-local law: the window of each head q with no other
+        head within 2r + 2 cells, its cells at q - r .. q + r but the
+        head's as (offset from q, symbol), replaced by its image in
+        `images` where it has one.  Each window is read by one bisect
+        pair and looked up once, and its image is spliced in by slices
+        with the head put back at offset 0.  An image is checked by its
+        ends only: first offset >= -r, last offset <= r, none at 0, and
+        the first and last written positions in range.  That suffices
+        because every `WordPerm` builder checks each word once, with
+        increasing int offsets and symbols 1-3."""
+        if not images:
+            return self
+        cells, out, lo = self.cells, [], 0
+        for q in isolated(self.heads(), 2 * r + 2):
+            i = bisect_left(cells, (q - r,), lo)
+            j = bisect_left(cells, (q + r + 1,), i)
+            image = images.get(tuple([(p - q, s) for p, s in cells[i:j] if p != q]))
+            if image is None:
+                continue
+            h = bisect_left(image, (0,))
+            if image and (image[0][0] < -r or image[-1][0] > r
+                          or h < len(image) and image[h][0] == 0):
+                raise DomainError(f"not a window of radius {r}: {quoted(image)}")
+            block = [(q + o, s) for o, s in image]
+            block.insert(h, (q, HEAD))
+            _check_pos(block[0][0])
+            _check_pos(block[-1][0])
+            out += cells[lo:i]
+            out += block
+            lo = j
+        if not out:  # no window had an image
+            return self
+        out += cells[lo:]
+        return Config(tuple(out))
+
     def move_particles(self, e: int) -> "Config":
         """P^e: each particle bit moved from p to p - e, wall bits kept.
         The two tracks are split in one pass and merged again, a particle
@@ -369,7 +405,11 @@ class TupleK:
 def validate_tuple(components: Iterable[Config]) -> TupleK:
     """The Configs as a tuple, else DomainError, ZeroPoint, or OrbitCollision(i,
     j) for the first i with an orbit-mate after it and j its first mate."""
-    comps = tuple(components)
+    try:
+        comps = tuple(components)
+    except TypeError as exc:  # not iterable
+        raise DomainError(f"a tuple is a sequence of Configs, not a "
+                          f"{type(components).__name__}") from exc
     if not comps:
         raise DomainError("a tuple needs at least one component")
     first: dict[Config, int] = {}  # canonical form -> first component

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import get_args
 
 from . import safety
-from .core import (CELLS, HEAD, PARTICLE, WALL, Config, DomainError, ParseError,
+from .core import (CELLS, PARTICLE, WALL, Config, DomainError, ParseError,
                    TupleK, isolated, json_int, parse_runs, quoted)
 from .permbuild import WordPerm, checked_word
 from .safety import SafeRewrite
@@ -117,18 +117,9 @@ class HeadLocal:
             raise IllFormedInstruction("window permutation length must be 2r")
 
     def apply(self, x: Config) -> Config:
-        """Every point with no head is fixed: only head windows are read."""
-        if not self.wp.images:
-            return x
-        r, blocks = self.r, []
-        # neighbours at least 2r+3 away keep every other head out
-        for q in isolated(x.heads(), 2 * r + 2):
-            window = head_cells(x.cells_in(q - r, q + r + 1), q)
-            image = self.wp.apply(window)
-            if image != window:
-                blocks.append((q - r, q + r + 1, sorted(
-                    [(q, HEAD), *((q + o, s) for o, s in image)])))
-        return x.overwrite(blocks) if blocks else x
+        """Every point with no head is fixed: only the windows of heads
+        isolated at gap 2r + 2 are read (`Config.head_local`)."""
+        return x.head_local(self.r, self.wp.images)
 
     def inverse(self) -> "HeadLocal":
         return HeadLocal(self.r, self.wp.inverse())
@@ -205,11 +196,23 @@ class HeadShift(_Power):
 
 Instruction = Particle | SymbolPerm | HeadLocal | HeadShift | SafeRewrite
 OPS = {cls.OP: cls for cls in get_args(Instruction)}
+_KINDS = frozenset(OPS.values())
 
 
 @dataclass(frozen=True, slots=True)
 class TransportWord:
+    """A tuple of instructions, each of an `OPS` class, applied left to
+    right."""
+
     steps: tuple[Instruction, ...] = ()
+
+    def __post_init__(self):
+        if type(self.steps) is not tuple:
+            raise IllFormedInstruction(
+                f"steps are a tuple, not a {type(self.steps).__name__}")
+        for ins in self.steps:
+            if type(ins) not in _KINDS:
+                raise IllFormedInstruction(f"not an instruction: {quoted(ins)}")
 
     def __len__(self) -> int:
         return len(self.steps)

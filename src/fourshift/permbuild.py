@@ -74,8 +74,9 @@ class WordPerm:
     """Permutation of the words of one length moving only finitely many,
     held as the dict of its moved pairs, so apply is a lookup.  The public
     builders, `from_pairs` and `build_mapping_perm`, check every word; the
-    private `_of_checked` trusts its words and `_read_cycles` leaves them
-    to its caller's reader, so each word is checked once."""
+    private `_of_checked` and `_mapping_perm` trust their words and
+    `_read_cycles` leaves them to its caller's reader, so each word is
+    checked once."""
 
     length: int
     images: dict  # each moved word to its image, never changed
@@ -196,11 +197,18 @@ def build_mapping_perm(pairs: Sequence[tuple[Word, Word]],
     """Even permutation of the windows of {0,1,2}^length realizing every
     requested pair.
 
-    Each maximal chain s0 -> ... -> sm (sm not a source) is closed by
-    sm -> s0; an odd result also swaps the two smallest windows, in the
-    order of the dense words, that no pair names."""
-    perm = _one_to_one([(checked_word(s, length), checked_word(d, length))
-                        for s, d in pairs])
+    Each window is checked by `checked_word`, and `_mapping_perm` builds
+    the map: each maximal chain s0 -> ... -> sm (sm not a source) is
+    closed by sm -> s0; an odd result also swaps the two smallest
+    windows, in the order of the dense words, that no pair names."""
+    return _mapping_perm([(checked_word(s, length), checked_word(d, length))
+                          for s, d in pairs], length)
+
+
+def _mapping_perm(pairs: Sequence[tuple[Word, Word]], length: int) -> WordPerm:
+    """`build_mapping_perm` of windows already checked: only the map is
+    checked."""
+    perm = _one_to_one(pairs)
     targets = set(perm.values())
     for start in [s for s in perm if s not in targets]:
         w = start

@@ -50,9 +50,13 @@ def _instruction_from_obj(obj) -> Instruction:
 
 
 def emit_word(word: TransportWord) -> str:
-    """A JSON array holding one instruction object per line."""
-    return "[" + ",".join(
-        "\n" + json.dumps(ins.to_obj()) for ins in word.steps) + "\n]"
+    """A JSON array holding one instruction object per line, encoded by
+    one `json.dumps` and broken at each `}, {` between two objects: no
+    instruction object holds a dict or writes a brace in a string."""
+    if not word.steps:
+        return "[\n]"
+    text = json.dumps([ins.to_obj() for ins in word.steps])
+    return "[\n" + text[1:-1].replace("}, {", "},\n{") + "\n]"
 
 
 def parse_word(text: str) -> TransportWord:

@@ -18,7 +18,7 @@ from .core import (PARTICLE, WALL, Config, DomainError, TupleK, classify,
 from .generators import (SWAP_13, SWAP_23, HeadLocal, HeadShift, Particle,
                          TransportWord, apply_instruction, apply_word, fuse,
                          head_cells, invert_word)
-from .permbuild import build_mapping_perm
+from .permbuild import _mapping_perm
 
 
 class LengthMismatch(DomainError):
@@ -95,11 +95,15 @@ def make_good(t: TupleK) -> tuple[TransportWord, TupleK]:
 def _head_local(comps, targets, heads) -> HeadLocal:
     """One head-local rewrite taking each component to its target, both
     with a single head at the same position; the radius covers every
-    other cell of both, so a window is every cell but the head."""
+    other cell of both, so a window is every cell but the head.  Both
+    callers check or build that single head just before, so each window
+    is already one of radius r (increasing int offsets within +-r, none
+    at 0, symbols 1 or 2), and the map is built by the private
+    `permbuild._mapping_perm`, which trusts its windows."""
     pairs = [(head_cells(c.cells, q), head_cells(g.cells, q))
              for c, g, q in zip(comps, targets, heads)]
     r = max([1, *(abs(o) for pair in pairs for w in pair for o, _ in w)])
-    return HeadLocal(r, build_mapping_perm(pairs, 2 * r))
+    return HeadLocal(r, _mapping_perm(pairs, 2 * r))
 
 
 def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:

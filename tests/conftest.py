@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, ClassFlags,
                             Config, DomainError, ParseError, PositionOverflow,
-                            TupleK, ZeroPoint, digit_cells, parse_runs, tracks,
-                            validate_tuple)
-from fourshift.generators import HeadLocal
+                            TupleK, ZeroPoint, digit_cells, isolated,
+                            parse_runs, tracks, validate_tuple)
+from fourshift.generators import HeadLocal, head_cells
 from fourshift.permbuild import WordPerm, parity
 from fourshift.safety import (SIGMA3_M, SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
                               ExplicitWords, apply_safe_rewrite, chi_sites,
@@ -156,6 +157,29 @@ def dict_overwrite(x: Config, blocks) -> Config:
             if ch != "0":
                 cells[p] = int(ch)
     return Config.from_cells(cells)
+
+
+def overwrite_head_local(x: Config, ins: HeadLocal) -> Config:
+    """`HeadLocal(r, wp)` on x by the block route: the window of each head
+    isolated at gap 2r + 2 read by `cells_in` and `head_cells`, mapped by
+    `wp.apply`, and each moved window written back with its head by one
+    `Config.overwrite`, which checks every written cell.  The oracle of
+    `Config.head_local`."""
+    r, blocks = ins.r, []
+    for q in isolated(x.heads(), 2 * r + 2):
+        window = head_cells(x.cells_in(q - r, q + r + 1), q)
+        image = ins.wp.apply(window)
+        if image != window:
+            blocks.append((q - r, q + r + 1, sorted(
+                [(q, HEAD), *((q + o, s) for o, s in image)])))
+    return x.overwrite(blocks)
+
+
+def line_by_line_word(word) -> str:
+    """A word file with each instruction object encoded by its own
+    `json.dumps` and the lines joined: the oracle of `serial.emit_word`."""
+    return "[" + ",".join(
+        "\n" + json.dumps(ins.to_obj()) for ins in word.steps) + "\n]"
 
 
 def from_cells_relabel(x: Config, img) -> Config:

@@ -12,6 +12,7 @@ from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
                             ZeroPoint, canonical_form, classify, digit_cells,
                             isolated, orbit_equal, shift, tracks,
                             validate_tuple)
+from fourshift.transporter import transport, verify
 
 from conftest import (SYMBOL_MIXES, classify_by_tracks, dict_overwrite,
                       dict_slide, edge_cells, from_cells_shift, from_tracks,
@@ -213,6 +214,36 @@ class TestConfigWindow:
             digit_cells(0, "1" + digits)
 
 
+class TestHeadLocal:
+    """`Config.head_local` on raw image maps: each image is checked by its
+    ends only, so these cover what no `WordPerm` builder lets through."""
+
+    def test_isolated_heads_only(self):
+        images = {((1, 1),): ((-1, 2), (1, 1))}
+        # heads 7 then 6 apart: only the first is isolated at gap 2r + 2 = 6
+        x = cfg(0, "31" + "0" * 5 + "31" + "0" * 4 + "31")
+        assert x.head_local(2, images) == cfg(-1, "231" + "0" * 5 + "31" + "0" * 4 + "31")
+        assert x.head_local(1, {}) is x
+        assert x.head_local(2, {((2, 1),): ()}) is x  # no window has an image
+
+    @pytest.mark.parametrize("image", [
+        ((-2, 1),), ((2, 1),), ((0, 1),), ((-1, 1), (0, 2)), ((0, 2), (1, 1)),
+        ((-1, 1), (0, 2), (1, 1))])
+    def test_image_past_the_radius_or_at_the_head_refused(self, image):
+        with pytest.raises(DomainError, match="not a window of radius 1"):
+            cfg(0, "31").head_local(1, {((1, 1),): image})
+
+    @pytest.mark.parametrize("q, image", [
+        (POSITION_LIMIT, ((1, 1),)), (-POSITION_LIMIT, ((-1, 1),)),
+        (POSITION_LIMIT - 1, ((-1, 1), (2, 2)))])
+    def test_written_ends_range_checked(self, q, image):
+        x = Config.from_cells({q: 3})
+        with pytest.raises(PositionOverflow):
+            x.head_local(2, {(): image})
+        assert x.head_local(2, {(): ((-1, 1),) if q > 0 else ((1, 1),)}) == \
+            Config.from_cells({q: 3, q - 1 if q > 0 else q + 1: 1})
+
+
 class TestShift:
     def test_identity(self):
         assert shift(cfg(0, "3"), 0) == cfg(0, "3")
@@ -335,6 +366,19 @@ class TestValidateTuple:
     def test_empty_tuple(self):
         with pytest.raises(DomainError, match="at least one component"):
             validate_tuple(())
+
+    @pytest.mark.parametrize("value", [None, 3, 1.5, cfg(0, "1")])
+    def test_not_a_sequence(self, value):
+        # a lone Config is not iterable, so it is no tuple either
+        with pytest.raises(DomainError, match=type(value).__name__):
+            validate_tuple(value)
+
+    def test_transport_and_verify_refuse_a_non_sequence(self):
+        t = validate_tuple((cfg(0, "3"),))
+        with pytest.raises(DomainError, match="NoneType"):
+            transport(None, None)
+        with pytest.raises(DomainError, match="NoneType"):
+            verify(transport(t, t), None, t)
 
     def test_first_component_with_a_mate_then_its_first_mate(self):
         a, b = cfg(0, "1"), cfg(0, "12")

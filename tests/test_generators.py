@@ -16,14 +16,16 @@ from fourshift.generators import (SWAP_12, SWAP_13, SWAP_23, HeadLocal,
                                   SymbolPerm, TransportWord, _window_of_line,
                                   apply_instruction, apply_word, fuse,
                                   invert_word, size_report)
+from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm, build_mapping_perm
 from fourshift.safety import make_explicit_spec
 from fourshift.serial import emit_word, parse_word
-from fourshift.transporter import transport
+from fourshift.transporter import transport, verify
 
 from conftest import (dense, dict_overwrite, edge_cells, explicit,
                       from_cells_relabel, from_tracks, head_local, key_pairs,
-                      rand_config, rand_config_over, rand_tuple,
+                      overwrite_head_local, rand_config, rand_config_over,
+                      rand_even_perm, rand_tuple,
                       same_or_overflow, stepwise_head_shift, sym_window,
                       two_pass_head_local, two_pass_window, two_rewrite_shift,
                       window)
@@ -323,6 +325,102 @@ class TestHeadLocalOracle:
         assert ins.apply(cfg(0, "3" + "0" * 9 + "3")) == cfg(0, "3" + "0" * 9 + "3")
 
 
+def random_head_local(rng, r):
+    """A head-local rewrite of radius r built from up to six random window
+    pairs, and the source windows of its pairs."""
+    pool = list(dict.fromkeys(
+        "".join(rng.choice("00012") for _ in range(2 * r)) for _ in range(6)))
+    n = rng.randrange(1, len(pool) + 1)
+    pairs = [(window(s), window(d))
+             for s, d in zip(rng.sample(pool, n), rng.sample(pool, n))]
+    return HeadLocal(r, build_mapping_perm(pairs, 2 * r)), [s for s, _ in pairs]
+
+
+def with_windows(rng, heads, sources):
+    """A configuration with a head at each of `heads`, most of them holding
+    one of the `sources` windows, the rest an empty window."""
+    cells = {}
+    for q in heads:
+        key = rng.choice(sources) if rng.random() < 0.8 else ()
+        cells.update((q + o, s) for o, s in key)
+    cells.update(dict.fromkeys(heads, 3))
+    return Config.from_cells(cells)
+
+
+class TestHeadLocalLaw:
+    """`Config.head_local`, the one-pass head-local law, against the block
+    route `overwrite_head_local`: `cells_in`, `head_cells`, `wp.apply` and
+    one checked `overwrite`."""
+
+    def test_matches_the_block_route(self, rng):
+        moved = crowded = 0
+        for r in range(1, 9):
+            for _ in range(150):
+                ins, sources = random_head_local(rng, r)
+                # 0-3 heads, 2r + 2 apart (not isolated) or 2r + 3 apart
+                heads, q = [], rng.randrange(-5, 6)
+                for _ in range(rng.randrange(0, 4)):
+                    heads.append(q)
+                    q += rng.choice([2 * r + 2, 2 * r + 3])
+                x = with_windows(rng, heads, sources)
+                for _ in range(rng.randrange(0, 3)):  # a stray cell or two
+                    p = rng.randrange(-r - 8, q + r + 8)
+                    if p not in heads:
+                        x = x.overwrite([(p, p + 1, [(p, rng.randrange(1, 3))])])
+                y = ins.apply(x)
+                assert y == overwrite_head_local(x, ins), (ins, x)
+                moved += y != x
+                crowded += any(b - a == 2 * r + 2 for a, b in zip(heads, heads[1:]))
+        assert moved > 300 and crowded > 200
+
+    def test_near_the_limit_both_overflow(self, rng):
+        overflowed = moved = 0
+        for r in range(1, 9):
+            for _ in range(60):
+                ins, sources = random_head_local(rng, r)
+                end = rng.choice([-1, 1])
+                q = end * (POSITION_LIMIT - rng.randrange(0, r + 1))
+                heads = sorted([q, q - end * rng.choice([2 * r + 2, 2 * r + 3])])
+                cells = with_windows(rng, [h - q for h in heads], sources).cells
+                x = Config.from_cells([(p + q, s) for p, s in cells
+                                       if abs(p + q) <= POSITION_LIMIT])
+                try:
+                    want = overwrite_head_local(x, ins)
+                except PositionOverflow:
+                    overflowed += 1
+                    with pytest.raises(PositionOverflow):
+                        ins.apply(x)
+                else:
+                    assert ins.apply(x) == want, (ins, x)
+                    moved += want != x
+        assert overflowed > 30 and moved > 100
+
+    def test_any_word_permutation_refused_or_matched(self, rng):
+        # the keys of an orbit permutation, offsets 2m .. 4m - 1 and
+        # symbols 1-3, as the windows of radius 3m: an image past the
+        # radius or at the head is refused by both routes, and any other
+        # image, a head in it included, is written the same well-formed way
+        refused = matched = 0
+        for n in range(300):
+            k = 5 + n % 3
+            t = rand_tuple(rng, k, span=rng.randrange(1, 3), max_cells=2)
+            pi = orbit_permutation_instruction(t, rand_even_perm(rng, k)).pi
+            ins = HeadLocal(pi.length // 2, pi)
+            keys = [w for w in pi.images if all(o and s != 3 for o, s in w)]
+            x = with_windows(rng, [0, 2 * ins.r + 3], keys or [()])
+            try:
+                want = overwrite_head_local(x, ins)
+            except DomainError:
+                refused += 1
+                with pytest.raises(DomainError):
+                    ins.apply(x)
+            else:
+                y = ins.apply(x)
+                assert y == want and Config.from_cells(y.cells) == y, (ins, x)
+                matched += y != x
+        assert refused > 50 and matched > 30
+
+
 class TestHeadStepsFixHeadlessPoints:
     """Both head steps fix every point with no head, which lets
     `make_great` replay them on the buzzing components only."""
@@ -473,6 +571,21 @@ class TestCycleForm:
 
 
 class TestApplyWord:
+    @pytest.mark.parametrize("steps", [
+        (None,), (Particle(1), "P"), (Particle(1), {"op": "P", "e": 1}),
+        (HeadLocal,), [Particle(1)], None])
+    def test_word_of_non_instructions_refused(self, steps):
+        with pytest.raises(IllFormedInstruction):
+            TransportWord(steps)
+
+    def test_replay_of_a_non_instruction_is_a_domain_error(self):
+        # refused when built, so never an AttributeError at replay
+        t = validate_tuple(DEMO3)
+        with pytest.raises(DomainError):
+            verify(TransportWord((None,)), t, t)
+        with pytest.raises(DomainError):
+            apply_word(DEMO3[0], TransportWord((Particle(1), None)))
+
     def test_demo_sequence(self):
         word = TransportWord((Particle(3), SWAP_23, Particle(2)))
         t = validate_tuple(DEMO3)

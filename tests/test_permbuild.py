@@ -345,6 +345,16 @@ class TestBuildMappingPerm:
         assert wp.apply(()) == ((r, 1),) and wp.apply(((r, 1),)) == ()
         assert wp.apply(((2, 1),)) == ((1, 1),)
 
+    @pytest.mark.parametrize("w", [
+        ((1, 3),), ((True, 1),), ((1, True),), ((2, 1),), ((0, 1),),
+        ((1, 1), (1, 2)), ((1, 1), (-1, 2)), "01", None, [(1, 1)]])
+    def test_refuses_what_is_not_a_window(self, w):
+        # a symbol 3, a bool, an offset past r or at the head, offsets out
+        # of order, and values that are no tuple of cells
+        for pairs in ([(((1, 1),), w)], [(w, ((1, 1),))]):
+            with pytest.raises(DomainError):
+                build_mapping_perm(pairs, 2)
+
     def test_single_pair(self):
         mapping = build_dense([("00", "01")], 2)
         assert parity(mapping) == 0 and mapping["00"] == "01"

@@ -2,9 +2,10 @@
 
 import io
 import json
+import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
@@ -26,8 +27,8 @@ from fourshift.serial import (ParseError, emit_config, emit_tuple, emit_word,
                               parse_config, parse_tuple, parse_word)
 from fourshift.transporter import transport
 
-from conftest import (dense, explicit, head_local, key, key_pairs, rand_config,
-                      rand_tuple)
+from conftest import (dense, explicit, head_local, key, key_pairs,
+                      line_by_line_word, rand_config, rand_tuple)
 
 
 def cfg(offset, digits):
@@ -369,6 +370,61 @@ class TestWordFiles:
         for cycle in cycles:
             for s, d in zip(cycle, [*cycle[1:], cycle[0]]):
                 assert wp.apply(tuple(parse_runs(s))) == tuple(parse_runs(d))
+
+
+@cache
+def encoder_words() -> list:
+    """The empty word, one word per kind of instruction, the golden word
+    files and 400 seeded transport words."""
+    rng = random.Random(30)
+    five = rand_tuple(rng, 5)
+    words = [TransportWord(()), *(TransportWord((ins,)) for ins in (
+        Particle(-3), SWAP_13, head_local(1, [("00", "12"), ("12", "00")]),
+        HeadShift(2), SIGMA3_TAU_SPEC, *all_ops_word().steps[4:],
+        parse_word(sr_obj(**ZERO_PADDED)).steps[0],
+        orbit_permutation_instruction(five, (1, 2, 0, 3, 4))))]
+    words += [parse_word(p.read_text()) for p in sorted(GOLDEN.parent.glob("*.json"))]
+    for i in range(400):
+        k = 1 + i % 5
+        words.append(transport(rand_tuple(rng, k, span=5), rand_tuple(rng, k, span=5)))
+    return words
+
+
+def nested_dicts_and_braces(value) -> list:
+    """The dicts inside an instruction object, and the strings in it that
+    hold a brace."""
+    found, todo = [], list(value.values())
+    while todo:
+        v = todo.pop()
+        if isinstance(v, dict) or isinstance(v, str) and ("{" in v or "}" in v):
+            found.append(v)
+        elif isinstance(v, list):
+            todo += v
+    return found
+
+
+class TestEmitWordEncodesOnce:
+    """`emit_word` encodes a word with one `json.dumps` and breaks the text
+    between objects; `line_by_line_word` is its oracle."""
+
+    def test_matches_the_line_by_line_join(self):
+        words = encoder_words()
+        assert {type(ins) for w in words for ins in w.steps} == set(OPS.values())
+        assert emit_word(TransportWord(())) == "[\n]"
+        for word in words:
+            assert emit_word(word) == line_by_line_word(word), word
+
+    def test_no_object_holds_a_dict_or_a_brace(self):
+        # the line break replaces every "}, {", which then only ever
+        # falls between two instruction objects
+        for word in encoder_words():
+            for ins in word.steps:
+                assert nested_dicts_and_braces(ins.to_obj()) == [], ins
+
+    def test_the_checker_finds_dicts_and_braces(self):
+        assert nested_dicts_and_braces(
+            {"op": "X", "a": [["{"], {"b": 1}], "c": "}", "d": "@1:2"}) == [
+                "}", {"b": 1}, "{"]
 
 
 class TestReplayChecksNoCellTwice:

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from fourshift import transporter
 from fourshift.core import (Config, ZERO, DomainError, classify, shift, tracks,
                             validate_tuple)
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift, Particle,
                                   TransportWord, apply_instruction,
-                                  apply_word, fuse, invert_word)
+                                  apply_word, fuse, head_cells, invert_word)
+from fourshift.permbuild import build_mapping_perm
 from fourshift.serial import emit_word, parse_word
 from fourshift.transporter import (LengthMismatch, NotGood, NotGreat, Reading,
                                    _align_amount, canonical_great,
@@ -233,6 +235,32 @@ class TestCanonical:
         assert emit_word(word) + "\n" == DEMO3_PIPELINE.read_text()
         assert parse_word(DEMO3_PIPELINE.read_text()) == word
         assert out.components == canonical_great(3).components
+
+
+class TestHeadLocalMaps:
+    """`_head_local` builds its map by the private `_mapping_perm`, which
+    trusts its windows: on seeded transports each map is the one that the
+    checked `build_mapping_perm` builds from the same pairs."""
+
+    def test_maps_match_the_checked_builder(self, rng, monkeypatch):
+        built, head_local = [], transporter._head_local
+
+        def recorded(comps, targets, heads):
+            ins = head_local(comps, targets, heads)
+            built.append((comps, targets, heads, ins))
+            return ins
+
+        monkeypatch.setattr(transporter, "_head_local", recorded)
+        for n in range(150):
+            k = 1 + n % 5
+            transport(rand_tuple(rng, k, span=5), rand_tuple(rng, k, span=5))
+        assert len(built) > 300
+        for comps, targets, heads, ins in built:
+            pairs = [(head_cells(c.cells, q), head_cells(g.cells, q))
+                     for c, g, q in zip(comps, targets, heads)]
+            r = max(1, *(abs(p - q) for x, q in zip((*comps, *targets), heads * 2)
+                         for p, _ in x.cells))
+            assert ins == HeadLocal(r, build_mapping_perm(pairs, 2 * r))
 
 
 class TestTransport:
