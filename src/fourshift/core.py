@@ -273,9 +273,6 @@ class Config:
         permutation of 0-3 fixing 0, which is not checked here."""
         return Config(tuple([(p, img[s]) for p, s in self.cells]))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.cells)
-
 
 ZERO = Config()
 

@@ -229,6 +229,8 @@ def apply_word(target: Config | TupleK, word: TransportWord):
     """Left-to-right fold of apply_instruction, componentwise on tuples."""
     if isinstance(target, TupleK):
         return TupleK(tuple(apply_word(c, word) for c in target))
+    if not isinstance(target, Config):
+        raise DomainError(f"not a Config or a TupleK: {quoted(target)}")
     for ins in word.steps:
         target = apply_instruction(target, ins)
     return target

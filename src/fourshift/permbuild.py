@@ -73,28 +73,12 @@ def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:
 class WordPerm:
     """Permutation of the words of one length moving only finitely many,
     held as the dict of its moved pairs, so apply is a lookup.  The public
-    builders, `from_pairs` and `build_mapping_perm`, check every word; the
-    private `_of_checked` and `_mapping_perm` trust their words and
-    `_read_cycles` leaves them to its caller's reader, so each word is
-    checked once."""
+    builder `build_mapping_perm` checks every word; the private
+    `_mapping_perm` and `_of` trust their words and `_read_cycles` leaves
+    them to its caller's reader, so each word is checked once."""
 
     length: int
     images: dict  # each moved word to its image, never changed
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[Word, Word]], length: int) -> "WordPerm":
-        """The permutation of windows listed by `pairs`, fixed points
-        included, each window checked by `checked_word`."""
-        return WordPerm._of_checked([(checked_word(s, length), checked_word(d, length))
-                                     for s, d in pairs], length)
-
-    @staticmethod
-    def _of_checked(pairs: Sequence[tuple[Word, Word]], length: int) -> "WordPerm":
-        """`from_pairs` of words already checked: only the map is checked."""
-        images = _one_to_one(pairs)
-        if images.keys() != set(images.values()):
-            raise DomainError("moved pairs do not form a bijection")
-        return WordPerm._of(length, {s: d for s, d in images.items() if s != d})
 
     @staticmethod
     def _read_cycles(cycles, read: Callable[[object], Word], length: int) -> "WordPerm":

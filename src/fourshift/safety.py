@@ -335,35 +335,6 @@ class SafeRewrite:
         return rewrite
 
 
-def _perm_of_keys(U: ExplicitWords, pairs: Iterable[tuple[Key, Key]]) -> WordPerm:
-    """The permutation of the keys of U listed by key pairs, fixed pairs
-    included, each word taken as U holds it; a pair word that is no key
-    of U is refused."""
-    if not isinstance(U, ExplicitWords):
-        raise IllFormedSpec(f"listed words are an ExplicitWords, not {quoted(U)}")
-    own = {u: u for u in U.keys}
-    try:
-        pairs = [(own[s], own[d]) for s, d in pairs]
-    except (KeyError, TypeError, ValueError):  # no key of U, or no pair
-        raise IllFormedSpec("a pair names a word that is not a key of U") from None
-    return WordPerm._of_checked(pairs, U.length)
-
-
-def make_explicit_spec(U: ExplicitWords,
-                       pairs: Iterable[tuple[Key, Key]]) -> SafeRewrite:
-    """A rewrite of explicit words U guarded by the head marker, its map
-    listed by key pairs."""
-    return SafeRewrite(U, HEAD_MARKER, _perm_of_keys(U, pairs))
-
-
-def make_zero_padded_spec(U: ExplicitWords,
-                          pairs: Iterable[tuple[Key, Key]]) -> SafeRewrite:
-    """Spec for U of shape 0^n w 0^n with V = all nonzero words of length
-    n, its map listed by key pairs."""
-    pi = _perm_of_keys(U, pairs)
-    return SafeRewrite(U, NonzeroWords(U.length // 3), pi)
-
-
 # --- chi-site selection and rewriting ---------------------------------------
 
 def chi_sites(x: Config, spec: SafeRewrite) -> frozenset[int]:

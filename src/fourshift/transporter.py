@@ -210,10 +210,12 @@ def transport(src: TupleK, dst: TupleK) -> TransportWord:
 
 
 def verify(word: TransportWord, src: TupleK, dst: TupleK) -> bool:
-    """Exact componentwise equality of the replay result with dst."""
+    """Exact componentwise equality of the replay result with dst; a
+    nonempty TupleK is taken as built, anything else read by `validate_tuple`."""
     if not isinstance(word, TransportWord):
         raise DomainError(f"not a TransportWord: {quoted(word)}")
-    src, dst = (t if isinstance(t, TupleK) else validate_tuple(t) for t in (src, dst))
+    src, dst = (t if isinstance(t, TupleK) and t.components else validate_tuple(t)
+                for t in (src, dst))
     if len(src) != len(dst):
         return False
     return apply_word(src, word).components == dst.components

@@ -1,9 +1,11 @@
-"""Shared randomized generators for the test suite."""
+"""Shared randomized generators, oracles and instruction builders for the
+test suite."""
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -11,12 +13,64 @@ from hypothesis import strategies as st
 from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, ClassFlags,
                             Config, DomainError, ParseError, PositionOverflow,
                             TupleK, ZeroPoint, digit_cells, isolated,
-                            parse_runs, tracks, validate_tuple)
+                            parse_runs, quoted, tracks, validate_tuple)
 from fourshift.generators import HeadLocal, head_cells
-from fourshift.permbuild import WordPerm, parity
-from fourshift.safety import (SIGMA3_M, SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
-                              ExplicitWords, apply_safe_rewrite, chi_sites,
-                              head_shift_once, make_explicit_spec)
+from fourshift.permbuild import Word, WordPerm, _one_to_one, checked_word, parity
+from fourshift.safety import (HEAD_MARKER, SIGMA3_M, SIGMA3_PI_SPEC,
+                              SIGMA3_TAU_SPEC, ExplicitWords, IllFormedSpec,
+                              Key, NonzeroWords, SafeRewrite,
+                              apply_safe_rewrite, chi_sites, head_shift_once)
+
+
+# --- builders of instructions from pairs in code --------------------------
+#
+# The package reads its maps from word-file cycles and builds them from
+# transport's requested pairs (`permbuild._mapping_perm`) or an orbit
+# permutation (`WordPerm._of`); these checked builders of maps listed as
+# pairs serve the tests alone, as factories and oracles.
+
+def from_pairs(pairs: Iterable[tuple[Word, Word]], length: int) -> WordPerm:
+    """The permutation of windows listed by `pairs`, fixed points
+    included, each window checked by `checked_word`."""
+    return of_checked([(checked_word(s, length), checked_word(d, length))
+                       for s, d in pairs], length)
+
+
+def of_checked(pairs: Sequence[tuple[Word, Word]], length: int) -> WordPerm:
+    """`from_pairs` of words already checked: only the map is checked."""
+    images = _one_to_one(pairs)
+    if images.keys() != set(images.values()):
+        raise DomainError("moved pairs do not form a bijection")
+    return WordPerm._of(length, {s: d for s, d in images.items() if s != d})
+
+
+def perm_of_keys(U: ExplicitWords, pairs: Iterable[tuple[Key, Key]]) -> WordPerm:
+    """The permutation of the keys of U listed by key pairs, fixed pairs
+    included, each word taken as U holds it; a pair word that is no key
+    of U is refused."""
+    if not isinstance(U, ExplicitWords):
+        raise IllFormedSpec(f"listed words are an ExplicitWords, not {quoted(U)}")
+    own = {u: u for u in U.keys}
+    try:
+        pairs = [(own[s], own[d]) for s, d in pairs]
+    except (KeyError, TypeError, ValueError):  # no key of U, or no pair
+        raise IllFormedSpec("a pair names a word that is not a key of U") from None
+    return of_checked(pairs, U.length)
+
+
+def make_explicit_spec(U: ExplicitWords,
+                       pairs: Iterable[tuple[Key, Key]]) -> SafeRewrite:
+    """A rewrite of explicit words U guarded by the head marker, its map
+    listed by key pairs."""
+    return SafeRewrite(U, HEAD_MARKER, perm_of_keys(U, pairs))
+
+
+def make_zero_padded_spec(U: ExplicitWords,
+                          pairs: Iterable[tuple[Key, Key]]) -> SafeRewrite:
+    """Spec for U of shape 0^n w 0^n with V = all nonzero words of length
+    n, its map listed by key pairs."""
+    pi = perm_of_keys(U, pairs)
+    return SafeRewrite(U, NonzeroWords(U.length // 3), pi)
 
 
 # Up to six nonzero cells, each near one end of the position range or near 0.
@@ -126,7 +180,7 @@ def dict_slide(x: Config, e: int) -> Config:
     of cells, the head in front first: at each move the head and the
     symbol on the cell it enters change places.  The result is checked by
     `Config.from_cells`: the oracle of `Config.slide`."""
-    cells, d = x.as_dict(), 1 if e > 0 else -1
+    cells, d = dict(x.cells), 1 if e > 0 else -1
     heads = sorted(x.heads(), reverse=d > 0)
     for _ in range(abs(e)):
         for i, q in enumerate(heads):
@@ -150,7 +204,7 @@ def sym_window(x: Config, positions) -> str:
 def dict_overwrite(x: Config, blocks) -> Config:
     """x with each `(positions, digits)` block written at its positions, in
     order, through a dict of cells: the oracle of `Config.overwrite`."""
-    cells = x.as_dict()
+    cells = dict(x.cells)
     for positions, digits in blocks:
         for p, ch in zip(positions, digits):
             cells.pop(p, None)
@@ -325,7 +379,7 @@ def dense(cells, r: int) -> str:
 
 def head_local(r: int, pairs) -> HeadLocal:
     """The head-local rewrite of radius r listed by dense word pairs."""
-    return HeadLocal(r, WordPerm.from_pairs(
+    return HeadLocal(r, from_pairs(
         [(window(s), window(d)) for s, d in pairs], 2 * r))
 
 

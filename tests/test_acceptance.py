@@ -20,12 +20,11 @@ from fourshift.generators import (SWAP_12, SWAP_23, HeadLocal, HeadShift,
                                   apply_word)
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.safety import (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC,
-                              apply_safe_rewrite, chi_sites,
-                              make_explicit_spec)
+                              apply_safe_rewrite, chi_sites)
 from fourshift.transporter import Reading, phi_clock, transport, verify
 
-from conftest import (explicit, head_local, key_pairs, rand_config,
-                      rand_single_head, rand_tuple)
+from conftest import (explicit, head_local, key_pairs, make_explicit_spec,
+                      rand_config, rand_single_head, rand_tuple)
 from test_orbitperm import rand_even_perm
 
 
@@ -86,7 +85,7 @@ def test_c03_head_shift_law():
         for _ in range(500):
             x = rand_single_head(rng)
             q = next(p for p, s in x.cells if s == 3)
-            want = x.as_dict()
+            want = dict(x.cells)
             displaced = want.pop(q + 1, 0)
             del want[q]
             want[q + 1] = 3

@@ -50,7 +50,7 @@ class TestConfig:
     def test_slide_matches_the_dict_form(self, x, q, gaps, e):
         # heads close enough that one cell is passed by several of them
         qs = list(itertools.accumulate([q, *gaps]))
-        x = Config.from_cells({**x.as_dict(), **dict.fromkeys(qs, 3)})
+        x = Config.from_cells({**dict(x.cells), **dict.fromkeys(qs, 3)})
         assert x.slide(e) == dict_slide(x, e)
 
     @given(configs, st.integers(-5, 5))

@@ -9,22 +9,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fourshift.core import (CELLS, POSITION_LIMIT, Config, DomainError,
-                            ParseError, PositionOverflow, ZERO, shift, tracks,
-                            validate_tuple)
+                            ParseError, PositionOverflow, TupleK, ZERO, shift,
+                            tracks, validate_tuple)
 from fourshift.generators import (SWAP_12, SWAP_13, SWAP_23, HeadLocal,
                                   HeadShift, IllFormedInstruction, Particle,
                                   SymbolPerm, TransportWord, _window_of_line,
                                   apply_instruction, apply_word, fuse,
                                   invert_word, size_report)
 from fourshift.orbitperm import orbit_permutation_instruction
-from fourshift.permbuild import WordPerm, build_mapping_perm
-from fourshift.safety import make_explicit_spec
+from fourshift.permbuild import build_mapping_perm
 from fourshift.serial import emit_word, parse_word
 from fourshift.transporter import transport, verify
 
 from conftest import (dense, dict_overwrite, edge_cells, explicit,
-                      from_cells_relabel, from_tracks, head_local, key_pairs,
-                      overwrite_head_local, rand_config, rand_config_over,
+                      from_cells_relabel, from_pairs, from_tracks, head_local,
+                      key_pairs, make_explicit_spec, overwrite_head_local, rand_config, rand_config_over,
                       rand_even_perm, rand_tuple,
                       same_or_overflow, stepwise_head_shift, sym_window,
                       two_pass_head_local, two_pass_window, two_rewrite_shift,
@@ -91,8 +90,8 @@ class TestApplyInstruction:
             SymbolPerm(img)
 
     @pytest.mark.parametrize("r, wp", [
-        (True, WordPerm.from_pairs((), 2)), (1.0, WordPerm.from_pairs((), 2)),
-        ("2", WordPerm.from_pairs((), 4)), (1, {}), (1, None)])
+        (True, from_pairs((), 2)), (1.0, from_pairs((), 2)),
+        ("2", from_pairs((), 4)), (1, {}), (1, None)])
     def test_head_local_fields_checked_first(self, r, wp):
         with pytest.raises(IllFormedInstruction):
             HeadLocal(r, wp)
@@ -107,7 +106,7 @@ class TestApplyInstruction:
 
     def test_head_local_window_length_checked(self):
         with pytest.raises(IllFormedInstruction):
-            HeadLocal(2, WordPerm.from_pairs((), 2))
+            HeadLocal(2, from_pairs((), 2))
 
     def test_safe_rewrite_instruction(self):
         spec = make_explicit_spec(explicit(["030", "031"]),
@@ -319,7 +318,7 @@ class TestHeadLocalOracle:
             assert y == Config.from_cells(want)
 
     def test_huge_radius_reads_only_the_cells(self):
-        ins = HeadLocal(10**15, WordPerm.from_pairs(
+        ins = HeadLocal(10**15, from_pairs(
             [(((1, 1),), ((2, 1),)), (((2, 1),), ((1, 1),))], 2 * 10**15))
         assert ins.apply(cfg(0, "31")) == cfg(0, "301")
         assert ins.apply(cfg(0, "3" + "0" * 9 + "3")) == cfg(0, "3" + "0" * 9 + "3")
@@ -586,6 +585,19 @@ class TestApplyWord:
         with pytest.raises(DomainError):
             apply_word(DEMO3[0], TransportWord((Particle(1), None)))
 
+    @pytest.mark.parametrize("steps", [(), (Particle(1),)])
+    def test_replay_on_a_non_config_is_a_domain_error(self, steps):
+        # verify takes a nonempty TupleK as built: its components are
+        # checked by apply_word when they are replayed
+        word = TransportWord(steps)
+        for target in (None, "@0:1", (DEMO3[0],), TupleK((None,))):
+            with pytest.raises(DomainError, match="not a Config or a TupleK"):
+                apply_word(target, word)
+        with pytest.raises(DomainError, match="not a Config or a TupleK"):
+            verify(word, TupleK((None,)), TupleK((None,)))
+        with pytest.raises(DomainError, match="at least one component"):
+            verify(word, TupleK(()), TupleK(()))
+
     def test_demo_sequence(self):
         word = TransportWord((Particle(3), SWAP_23, Particle(2)))
         t = validate_tuple(DEMO3)
@@ -647,7 +659,7 @@ class TestInstructionInvariants:
 
 
 IDENTITIES = (Particle(0), HeadShift(0))
-IDENTITY_HL = HeadLocal(1, WordPerm.from_pairs([], 2))
+IDENTITY_HL = HeadLocal(1, from_pairs([], 2))
 SR_SWAP = make_explicit_spec(explicit(["030", "031"]),
                              key_pairs([("030", "031"), ("031", "030")]))
 

@@ -9,7 +9,7 @@ from fourshift.core import DomainError, ParseError, parse_runs
 from fourshift.permbuild import (DuplicateSource, DuplicateTarget, NoRoom,
                                  WordPerm, build_mapping_perm, parity)
 
-from conftest import dense, window
+from conftest import dense, from_pairs, window
 
 
 def brute_sign(mapping: dict, length: int) -> int:
@@ -109,21 +109,21 @@ W00, W01, W02 = window("00"), window("01"), window("02")
 
 class TestWordPerm:
     def test_identity(self):
-        wp = WordPerm.from_pairs((), 2)
+        wp = from_pairs((), 2)
         assert wp.moved == () and wp.apply(W01) == W01
 
     def test_apply_and_inverse(self):
-        wp = WordPerm.from_pairs([(W00, W01), (W01, W00)], 2)
+        wp = from_pairs([(W00, W01), (W01, W00)], 2)
         assert wp.apply(W00) == W01
         assert wp.inverse().apply(W01) == W00
 
     def test_non_bijection_rejected(self):
         with pytest.raises(Exception):
-            WordPerm.from_pairs([(W00, W01), (W02, W01)], 2)
+            from_pairs([(W00, W01), (W02, W01)], 2)
 
     def test_fixed_points_listed_and_dropped(self):
-        wp = WordPerm.from_pairs([(W02, W02), (W00, W01), (W01, W00)], 2)
-        assert wp == WordPerm.from_pairs([(W00, W01), (W01, W00)], 2)
+        wp = from_pairs([(W02, W02), (W00, W01), (W01, W00)], 2)
+        assert wp == from_pairs([(W00, W01), (W01, W00)], 2)
         assert wp.moved == ((W00, W01), (W01, W00))
 
     @pytest.mark.parametrize("pairs, error", [
@@ -138,14 +138,14 @@ class TestWordPerm:
         # every listed window has the length, fixed points included, and
         # is named at most once as a source and at most once as a target
         with pytest.raises(error):
-            WordPerm.from_pairs(windows(pairs), 2)
+            from_pairs(windows(pairs), 2)
 
     @pytest.mark.parametrize("w", [((True, 1),), ((1, True),), ((1.0, 1),),
                                    ((1, 2.0),), ((-1, 1), (False, 2))])
     def test_cells_are_ints(self, w):
         # as in a configuration, a bool or a float is no offset or symbol
         with pytest.raises(DomainError):
-            WordPerm.from_pairs([(W00, w), (w, W00)], 2)
+            from_pairs([(W00, w), (w, W00)], 2)
 
 
 def seeded_perms(rng, n):
@@ -165,7 +165,7 @@ class TestWordPermChecksOnce:
         count = 0
         for wp in seeded_perms(random.Random(5), 600):
             inv = wp.inverse()
-            assert inv == WordPerm.from_pairs([(d, s) for s, d in wp.moved], wp.length)
+            assert inv == from_pairs([(d, s) for s, d in wp.moved], wp.length)
             assert inv.inverse() == wp
             # the same moved words, so the same sources in dense order
             assert [s for s, _ in inv.moved] == [s for s, _ in wp.moved]
@@ -179,7 +179,7 @@ class TestWordPermChecksOnce:
                 wp = build_mapping_perm(windows(pairs), length)
             except DomainError:
                 continue
-            checked = WordPerm.from_pairs(wp.moved, length)
+            checked = from_pairs(wp.moved, length)
             assert checked == wp and checked.moved == wp.moved
             built += 1
         assert built > 350
@@ -191,7 +191,7 @@ class TestWordPermChecksOnce:
             # listed in another order, the empty window as a fixed point
             pairs = [*wp.moved, *([((), ())] if () not in wp.images else [])]
             rng.shuffle(pairs)
-            listed = WordPerm.from_pairs(pairs, wp.length)
+            listed = from_pairs(pairs, wp.length)
             assert listed == wp and hash(listed) == hash(wp)
         distinct = {wp: (wp.length, wp.moved) for wp in perms}
         assert len(distinct) == len(set(distinct.values())) > 100
@@ -230,7 +230,7 @@ class TestCycles:
         assert longest >= 5
 
     def test_identity(self):
-        identity = WordPerm.from_pairs((), 2)
+        identity = from_pairs((), 2)
         assert identity.to_cycles() == []
         assert WordPerm._read_cycles([], read_line, 2) == identity
 

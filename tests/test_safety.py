@@ -17,10 +17,11 @@ from fourshift.safety import (HEAD_GAP_FAMILIES, HEAD_MARKER, ExplicitWords,
                               NonzeroWords, RuleWordMap, SafeRewrite, SIGMA3_PI_SPEC,
                               SIGMA3_LEN, SIGMA3_PI_WORDS, SIGMA3_TAU_SPEC,
                               SIGMA3_TAU_WORDS, apply_safe_rewrite,
-                              chi_sites, head_shift_once, make_explicit_spec,
-                              make_zero_padded_spec, occurrences)
+                              chi_sites, head_shift_once, occurrences)
 
-from conftest import (explicit, key_pairs, letter_rule, rand_config, rand_even_perm,
+from conftest import (explicit, from_pairs, key_pairs, letter_rule,
+                      make_explicit_spec, make_zero_padded_spec, of_checked,
+                      rand_config, rand_even_perm,
                       rand_head_spec, rand_single_head, rand_tuple,
                       same_or_overflow, string_rewrite, string_shift,
                       sym_window, two_rewrite_shift)
@@ -587,7 +588,7 @@ class TestValidators:
 # the keys of the words 030, 031 and 032
 K030, K031, K032 = ((1, 3),), ((1, 3), (2, 1)), ((1, 3), (2, 2))
 SWAP_PI = demo_spec().pi
-NO_MOVE = WordPerm.from_pairs((), 3)
+NO_MOVE = from_pairs((), 3)
 
 
 class TestSpecChecksItself:
@@ -599,21 +600,21 @@ class TestSpecChecksItself:
         pytest.param(explicit(["030", "010"]), HEAD_MARKER, NO_MOVE,
                      id="headless-word"),
         pytest.param(explicit(["003000", "000300"]), HEAD_MARKER,
-                     WordPerm.from_pairs((), 6), id="one-head-each-different-leftmost"),
+                     from_pairs((), 6), id="one-head-each-different-leftmost"),
         pytest.param(explicit(["030", "031"]), HEAD_MARKER,
-                     WordPerm._of_checked([(K030, K032), (K032, K030)], 3),
+                     of_checked([(K030, K032), (K032, K030)], 3),
                      id="pi-moves-a-word-outside-U"),
         pytest.param(explicit(["030", "031"]), HEAD_MARKER,
-                     WordPerm._of_checked([("030", "031"), ("031", "030")], 3),
+                     of_checked([("030", "031"), ("031", "030")], 3),
                      id="pi-on-letter-words"),
         pytest.param(explicit(["030", "031"]), HEAD_MARKER,
-                     WordPerm.from_pairs((), 6), id="pi-of-the-wrong-length"),
+                     from_pairs((), 6), id="pi-of-the-wrong-length"),
         pytest.param(SIGMA3_TAU_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_PI"),
                      id="pi-rule-on-the-tau-family"),
         pytest.param(SIGMA3_PI_WORDS, HEAD_MARKER, RuleWordMap("SIGMA3_TAU"),
                      id="tau-rule-on-the-pi-family"),
         pytest.param(explicit(["001000", "000100"]), NonzeroWords(2),
-                     WordPerm.from_pairs((), 6), id="zero-padded-core-at-two-offsets"),
+                     from_pairs((), 6), id="zero-padded-core-at-two-offsets"),
         pytest.param(explicit(["110"]), NonzeroWords(1), NO_MOVE,
                      id="zero-padded-nonzero-padding"),
         pytest.param(explicit(["010", "011"]), NonzeroWords(1), NO_MOVE,
@@ -625,7 +626,7 @@ class TestSpecChecksItself:
         pytest.param(explicit(["030"]), NonzeroWords(4), NO_MOVE,
                      id="k-below-h"),
         pytest.param(explicit(["0300", "0310"]), HEAD_MARKER,
-                     WordPerm.from_pairs((), 4), id="head-marker-length-not-divisible-by-3"),
+                     from_pairs((), 4), id="head-marker-length-not-divisible-by-3"),
         pytest.param(HeadLayoutWords(21.0, SIGMA3_PI_WORDS.layouts), HEAD_MARKER,
                      RuleWordMap("SIGMA3_PI"), id="float-word-length"),
         pytest.param(SIGMA3_PI_WORDS, HeadLayoutWords(True, HEAD_MARKER.layouts),
@@ -643,7 +644,7 @@ class TestSpecChecksItself:
                            RuleWordMap("SIGMA3_PI")) == SIGMA3_PI_SPEC
         assert SafeRewrite(
             explicit(["001000", "000200"]), NonzeroWords(2),
-            WordPerm.from_pairs((), 6)).m_rad == 4**2 + 1 + 12 + 2
+            from_pairs((), 6)).m_rad == 4**2 + 1 + 12 + 2
 
 
 class TestInverse:
@@ -693,7 +694,7 @@ class TestHeadShift:
         for _ in range(300):
             x = rand_single_head(rng)
             q = next(p for p, s in x.cells if s == 3)
-            want = x.as_dict()
+            want = dict(x.cells)
             displaced = want.pop(q + 1, 0)
             del want[q]
             want[q + 1] = 3

@@ -18,17 +18,17 @@ from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
                                   Particle, SymbolPerm, TransportWord,
                                   apply_word, invert_word)
 from fourshift.orbitperm import orbit_permutation_instruction
-from fourshift.permbuild import WordPerm
 from fourshift.safety import (HEAD_GAP_FAMILIES, HEAD_MARKER, SIGMA3_PI_SPEC,
                               SIGMA3_PI_WORDS, SIGMA3_TAU_SPEC, ExplicitWords,
                               HeadLayoutWords, NonzeroWords, RuleWordMap,
-                              SafeRewrite, make_explicit_spec)
+                              SafeRewrite)
 from fourshift.serial import (ParseError, emit_config, emit_tuple, emit_word,
                               parse_config, parse_tuple, parse_word)
 from fourshift.transporter import transport
 
-from conftest import (dense, explicit, head_local, key, key_pairs,
-                      line_by_line_word, rand_config, rand_tuple)
+from conftest import (dense, explicit, from_pairs, head_local, key, key_pairs,
+                      line_by_line_word, make_explicit_spec, of_checked,
+                      rand_config, rand_tuple)
 
 
 def cfg(offset, digits):
@@ -497,7 +497,7 @@ def cycle_pairs(words):
 def head_local_of(r, windows, length, plain):
     """HeadLocal(r, wp) for wp the cycle through `windows` of `length`,
     given as its dict of images when `plain`."""
-    wp = WordPerm.from_pairs(cycle_pairs(windows), length)
+    wp = from_pairs(cycle_pairs(windows), length)
     return HeadLocal(r, wp.images if plain else wp)
 
 
@@ -505,7 +505,7 @@ def listed_rewrite(keys, length, V):
     """The safe rewrite of the word keys `keys` of `length`, guarded by V,
     permuted as one cycle."""
     return SafeRewrite(ExplicitWords(length, frozenset(keys)), V,
-                       WordPerm._of_checked(cycle_pairs(keys), length))
+                       of_checked(cycle_pairs(keys), length))
 
 
 @st.composite
