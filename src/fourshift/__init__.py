@@ -4,7 +4,7 @@ words between tuples of pairwise distinct orbits."""
 
 from .core import (Config, ZERO, ClassFlags, DomainError, OrbitCollision,
                    PositionOverflow, TupleK, ZeroPoint, canonical_form,
-                   classify, orbit_equal, shift, tracks, validate_tuple)
+                   classify, orbit_equal, shift, validate_tuple)
 from .generators import (SWAP_12, SWAP_13, SWAP_23, HeadLocal, HeadShift,
                          Particle, SafeRewrite, SymbolPerm, TransportWord,
                          apply_instruction, apply_word, invert_word,
@@ -16,7 +16,7 @@ from .orbitperm import orbit_permutation_instruction
 __all__ = [
     "Config", "ZERO", "ClassFlags", "DomainError", "OrbitCollision",
     "PositionOverflow", "TupleK", "ZeroPoint", "canonical_form", "classify",
-    "orbit_equal", "shift", "tracks", "validate_tuple",
+    "orbit_equal", "shift", "validate_tuple",
     "SWAP_12", "SWAP_13", "SWAP_23", "HeadLocal", "HeadShift", "Particle",
     "SafeRewrite", "SymbolPerm", "TransportWord",
     "apply_instruction", "apply_word", "invert_word",

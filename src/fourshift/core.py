@@ -119,6 +119,21 @@ class Config:
         """Configuration whose symbols are `digits` starting at `offset`."""
         return Config.from_cells(digit_cells(offset, digits))
 
+    @staticmethod
+    def _of_increasing(cells: tuple[tuple[int, int], ...]) -> "Config":
+        """The point of `cells`, (int position, symbol 1-3) pairs that the
+        caller lays out itself.  Only their order, strictly increasing
+        positions, and the two end positions are checked: the trusted
+        builder of points whose layout is fixed in code, with no dict,
+        sort or per-cell check."""
+        for (p1, _), (p2, _) in zip(cells, cells[1:]):
+            if not p1 < p2:
+                raise DomainError(f"cell at {quoted(p2)} does not follow {quoted(p1)}")
+        if cells:
+            _check_pos(cells[0][0])
+            _check_pos(cells[-1][0])
+        return Config(cells)
+
     def is_zero(self) -> bool:
         return not self.cells
 
@@ -183,13 +198,26 @@ class Config:
         q - i, and that insertion point advances by e.  Only the cells
         between the first and the last head's paths move, and only the
         heads' end positions are range-checked: a passed cell lands on a
-        cell some head walked over."""
+        cell some head walked over.  A lone head is spliced in by slices,
+        the cells it passes each shifted one cell towards where it came
+        from, with no sort."""
         heads = self.heads()
         if not e or not heads:
             return self
+        cells, n = self.cells, len(heads)
+        if n == 1:
+            q = heads[0]
+            t = _check_pos(q + e)
+            i = bisect_left(cells, (q,))  # the head's cell
+            if e > 0:
+                j = bisect_left(cells, (t + 1,), i)
+                passed = tuple([(p - 1, s) for p, s in cells[i + 1:j]])
+                return Config(cells[:i] + passed + ((t, HEAD),) + cells[j:])
+            j = bisect_left(cells, (t,), 0, i)
+            passed = tuple([(p + 1, s) for p, s in cells[j:i]])
+            return Config(cells[:j] + ((t, HEAD),) + passed + cells[i + 1:])
         _check_pos(heads[0] + e)
         _check_pos(heads[-1] + e)
-        cells, n = self.cells, len(heads)
         lo = bisect_left(cells, (min(heads[0], heads[0] + e),))
         hi = bisect_left(cells, (max(heads[-1], heads[-1] + e) + 1,), lo)
         ends = [q + e - i for i, q in enumerate(heads)]  # new insertion points
@@ -351,13 +379,6 @@ def orbit_equal(x: Config, y: Config) -> bool:
     return canonical_form(x)[0] == canonical_form(y)[0]
 
 
-def tracks(x: Config) -> tuple[frozenset[int], frozenset[int]]:
-    """Split x into its particle and wall tracks (heads appear in both)."""
-    particles = frozenset(p for p, s in x.cells if s in (PARTICLE, HEAD))
-    walls = frozenset(p for p, s in x.cells if s in (WALL, HEAD))
-    return particles, walls
-
-
 @dataclass(frozen=True)
 class ClassFlags:
     prepregood: bool
@@ -370,6 +391,8 @@ class ClassFlags:
 def classify(x: Config) -> ClassFlags:
     """Staged normal-form flags of a nonzero finite point, in one pass: it is
     prepregood when it has no head and no particle follows its first wall."""
+    if not isinstance(x, Config):
+        raise DomainError(f"only a Config is classified, not {quoted(x)}")
     if x.is_zero():
         raise ZeroPoint("cannot classify the zero point")
     heads, prev, late = [], PARTICLE, False

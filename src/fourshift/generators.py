@@ -30,7 +30,7 @@ def head_cells(cells, q: int) -> tuple[tuple[int, int], ...]:
     """The window of a head at q, read from `cells` (sorted cells of a
     configuration around q): each cell but the head's, as (offset from q,
     symbol)."""
-    return tuple((p - q, s) for p, s in cells if p != q)
+    return tuple([(p - q, s) for p, s in cells if p != q])
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,17 +175,23 @@ class HeadShift(_Power):
 
     def apply(self, x: Config) -> Config:
         """Every point with no head is fixed.  The first step is one
-        `safety.head_shift_once`; if every head is then isolated, the other
-        |e| - 1 steps are one `Config.slide`, as a step keeps the heads'
-        spacing, and else each is one more `head_shift_once`."""
-        if not self.e:
+        `safety.head_shift_once`.  A step keeps the spacing of isolated
+        heads, so if every head is isolated before it, the other |e| - 1
+        steps are one `Config.slide`; else the heads are read again after
+        it, and the rest is one slide if they are isolated then, or one
+        more `head_shift_once` per step."""
+        heads = x.heads()
+        if not self.e or not heads:
             return x
         step = 1 if self.e > 0 else -1
         y = safety.head_shift_once(x, step)
+        m_rad = safety.SIGMA3_TAU_SPEC.m_rad
+        if len(isolated(heads, m_rad)) == len(heads):
+            return y.slide(self.e - step)
         if y == x:  # a fixed point of one step is fixed by every power
             return x
         heads = y.heads()
-        if len(isolated(heads, safety.SIGMA3_TAU_SPEC.m_rad)) == len(heads):
+        if len(isolated(heads, m_rad)) == len(heads):
             return y.slide(self.e - step)
         for _ in range(abs(self.e) - 1):
             x, y = y, safety.head_shift_once(y, step)
@@ -225,8 +231,16 @@ def apply_instruction(x: Config, ins: Instruction) -> Config:
     return ins.apply(x)
 
 
+def check_word(word) -> None:
+    """DomainError unless `word` is a TransportWord: the check of every
+    function that takes a word."""
+    if not isinstance(word, TransportWord):
+        raise DomainError(f"not a TransportWord: {quoted(word)}")
+
+
 def apply_word(target: Config | TupleK, word: TransportWord):
     """Left-to-right fold of apply_instruction, componentwise on tuples."""
+    check_word(word)
     if isinstance(target, TupleK):
         return TupleK(tuple(apply_word(c, word) for c in target))
     if not isinstance(target, Config):
@@ -237,6 +251,7 @@ def apply_word(target: Config | TupleK, word: TransportWord):
 
 
 def invert_word(word: TransportWord) -> TransportWord:
+    check_word(word)
     return TransportWord(tuple(ins.inverse() for ins in reversed(word.steps)))
 
 
@@ -263,4 +278,5 @@ def fuse(word: TransportWord) -> TransportWord:
 
 def size_report(word: TransportWord) -> dict[str, int]:
     """Instruction counts by tag, for word-length reporting."""
+    check_word(word)
     return dict(Counter(type(ins).__name__ for ins in word.steps))

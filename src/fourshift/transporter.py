@@ -9,15 +9,14 @@ it can move, so the returned tuple is always the exact replay result.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (PARTICLE, WALL, Config, DomainError, TupleK, classify,
-                   quoted, tracks, validate_tuple)
+from .core import (HEAD, PARTICLE, WALL, Config, DomainError, TupleK,
+                   classify, quoted, validate_tuple)
 from .generators import (SWAP_13, SWAP_23, HeadLocal, HeadShift, Particle,
-                         TransportWord, apply_instruction, apply_word, fuse,
-                         head_cells, invert_word)
+                         TransportWord, apply_instruction, apply_word,
+                         check_word, fuse, head_cells, invert_word)
 from .permbuild import _mapping_perm
 
 
@@ -48,15 +47,24 @@ class Reading:
 
 def phi_clock(x: Config) -> Optional[Reading]:
     """Closed-form clock reading; None when the point is not clock-like.
-    Each wall's nearest particle on its left is found by bisect."""
+    One pass over the cells: each wall (a head is a wall and a particle)
+    is measured against the last particle strictly before it, and the
+    reading is the wall of the unique least gap, if one is unique."""
+    if not isinstance(x, Config):
+        raise DomainError(f"only a Config has a clock reading, not {quoted(x)}")
     if x.is_zero():
         raise DomainError("zero point has no clock reading")
-    particles, walls = tracks(x)
-    ps = sorted(particles)
-    s = min((w - ps[n - 1] for w in walls if (n := bisect_left(ps, w))),
-            default=None)
-    hits = [w for w in walls if w - s in particles] if s else []
-    return Reading(hits[0], s - 1) if len(hits) == 1 else None
+    last, least, wall, tied = float("-inf"), float("inf"), None, False
+    for p, s in x.cells:
+        if s != PARTICLE:
+            gap = p - last
+            if gap < least:
+                least, wall, tied = gap, p, False
+            elif gap == least:
+                tied = True
+        if s != WALL:
+            last = p
+    return None if wall is None or tied else Reading(wall, least - 1)
 
 
 def _align_amount(comps) -> int:
@@ -77,10 +85,22 @@ def _replay(steps: list, comps: list, ins, which=None) -> None:
         comps[i] = apply_instruction(comps[i], ins)
 
 
+def _read_tuple(t) -> TupleK:
+    """A nonempty TupleK as built, once its components are seen to be
+    Configs; anything else read by `validate_tuple`."""
+    if not (isinstance(t, TupleK) and t.components):
+        return validate_tuple(t)
+    for j, c in enumerate(t.components):
+        if not isinstance(c, Config):
+            raise DomainError(f"not a Config or a TupleK of Configs: "
+                              f"component {j} is {quoted(c)}")
+    return t
+
+
 def make_good(t: TupleK) -> tuple[TransportWord, TupleK]:
     """Particle moves and symbol swaps producing a good tuple; phases whose
     target already holds are skipped."""
-    steps, comps = [], list(t)
+    steps, comps = [], list(_read_tuple(t))
     for flag, swap in (("prepregood", None), ("pregood", SWAP_23),
                        ("good", SWAP_13)):
         if not all(getattr(classify(c), flag) for c in comps):
@@ -98,11 +118,12 @@ def _head_local(comps, targets, heads) -> HeadLocal:
     other cell of both, so a window is every cell but the head.  Both
     callers check or build that single head just before, so each window
     is already one of radius r (increasing int offsets within +-r, none
-    at 0, symbols 1 or 2), and the map is built by the private
+    at 0, symbols 1 or 2), so its farthest offset is one of its two
+    ends, and the map is built by the private
     `permbuild._mapping_perm`, which trusts its windows."""
     pairs = [(head_cells(c.cells, q), head_cells(g.cells, q))
              for c, g, q in zip(comps, targets, heads)]
-    r = max([1, *(abs(o) for pair in pairs for w in pair for o, _ in w)])
+    r = max([1, *(max(-w[0][0], w[-1][0]) for pair in pairs for w in pair if w)])
     return HeadLocal(r, _mapping_perm(pairs, 2 * r))
 
 
@@ -115,6 +136,7 @@ def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
     buzzing heads are shifted clear of the origin and rewritten so that
     all of them buzz again at 0 at the horizon, one step after the last
     first buzz."""
+    t = _read_tuple(t)
     buzz = []  # (a_i, tau_i), tau_i >= 1
     for c in t:
         if not classify(c).good:
@@ -146,12 +168,12 @@ def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
             if comps[i].heads() != (kpos[i],):
                 raise InternalScheduleViolation("head shift missed its target")
         targets = {
-            i: Config.from_cells({
-                0: 2,                      # wall for the rescheduled collision
-                -(horizon - tau): 1,       # particle that buzzes at 0 at horizon
-                kpos[i]: 3,                # the head stays put
-                kpos[i] + i + 2: 1,        # orbit-separating companion
-            })
+            i: Config._of_increasing((
+                (-(horizon - tau), PARTICLE),  # buzzes at 0 at the horizon
+                (0, WALL),                     # wall for the rescheduled collision
+                (kpos[i], HEAD),               # the head stays put
+                (kpos[i] + i + 2, PARTICLE),   # orbit-separating companion
+            ))
             for i in buzzing
         }
         _replay(steps, comps, _head_local([comps[i] for i in buzzing],
@@ -169,8 +191,8 @@ def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
 
 def canonical_great(k: int) -> TupleK:
     """The target vector: component i has a head at 0 and a particle at i."""
-    if k < 1:
-        raise DomainError("k must be positive")
+    if type(k) is not int or k < 1:
+        raise DomainError(f"k must be positive and an int, not {quoted(k)}")
     return TupleK(tuple(
         Config.from_cells({0: 3, i: 1}) for i in range(1, k + 1)))
 
@@ -178,6 +200,7 @@ def canonical_great(k: int) -> TupleK:
 def make_canonical(t: TupleK, goal: TupleK) -> tuple[TransportWord, TupleK]:
     """One head-local rewrite taking a great tuple to a great goal of the
     same length: the splice of every transport word."""
+    t, goal = _read_tuple(t), _read_tuple(goal)
     if len(t) != len(goal):
         raise LengthMismatch("tuples have different arity")
     if not all(classify(c).great for c in (*t, *goal)):
@@ -210,12 +233,10 @@ def transport(src: TupleK, dst: TupleK) -> TransportWord:
 
 
 def verify(word: TransportWord, src: TupleK, dst: TupleK) -> bool:
-    """Exact componentwise equality of the replay result with dst; a
-    nonempty TupleK is taken as built, anything else read by `validate_tuple`."""
-    if not isinstance(word, TransportWord):
-        raise DomainError(f"not a TransportWord: {quoted(word)}")
-    src, dst = (t if isinstance(t, TupleK) and t.components else validate_tuple(t)
-                for t in (src, dst))
+    """Exact componentwise equality of the replay result with dst; each
+    tuple is read by `_read_tuple`, so a nonempty TupleK is taken as built."""
+    check_word(word)
+    src, dst = _read_tuple(src), _read_tuple(dst)
     if len(src) != len(dst):
         return False
     return apply_word(src, word).components == dst.components

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 import pytest
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, ClassFlags,
                             Config, DomainError, ParseError, PositionOverflow,
                             TupleK, ZeroPoint, digit_cells, isolated,
-                            parse_runs, quoted, tracks, validate_tuple)
+                            parse_runs, quoted, validate_tuple)
 from fourshift.generators import HeadLocal, head_cells
 from fourshift.permbuild import Word, WordPerm, _one_to_one, checked_word, parity
 from fourshift.safety import (HEAD_MARKER, SIGMA3_M, SIGMA3_PI_SPEC,
                               SIGMA3_TAU_SPEC, ExplicitWords, IllFormedSpec,
                               Key, NonzeroWords, SafeRewrite,
                               apply_safe_rewrite, chi_sites, head_shift_once)
+from fourshift.transporter import Reading
 
 
 # --- builders of instructions from pairs in code --------------------------
@@ -257,6 +259,27 @@ def same_or_overflow(fast, oracle, *args) -> None:
             fast(*args)
     else:
         assert fast(*args) == want
+
+
+def tracks(x: Config) -> tuple[frozenset[int], frozenset[int]]:
+    """Split x into its particle and wall tracks (heads appear in both)."""
+    particles = frozenset(p for p, s in x.cells if s in (PARTICLE, HEAD))
+    walls = frozenset(p for p, s in x.cells if s in (WALL, HEAD))
+    return particles, walls
+
+
+def phi_clock_by_tracks(x: Config):
+    """Closed-form clock reading; None when the point is not clock-like.
+    Each wall's nearest particle on its left is found by bisect.  The
+    oracle of the one-pass `transporter.phi_clock`."""
+    if x.is_zero():
+        raise DomainError("zero point has no clock reading")
+    particles, walls = tracks(x)
+    ps = sorted(particles)
+    s = min((w - ps[n - 1] for w in walls if (n := bisect_left(ps, w))),
+            default=None)
+    hits = [w for w in walls if w - s in particles] if s else []
+    return Reading(hits[0], s - 1) if len(hits) == 1 else None
 
 
 def from_tracks(particles, walls) -> Config:

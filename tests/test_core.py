@@ -10,14 +10,13 @@ from hypothesis import given, strategies as st
 from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
                             OrbitCollision, ParseError, PositionOverflow,
                             ZeroPoint, canonical_form, classify, digit_cells,
-                            isolated, orbit_equal, shift, tracks,
-                            validate_tuple)
+                            isolated, orbit_equal, shift, validate_tuple)
 from fourshift.transporter import transport, verify
 
 from conftest import (SYMBOL_MIXES, classify_by_tracks, dict_overwrite,
                       dict_slide, edge_cells, from_cells_shift, from_tracks,
                       rand_config, rand_config_over, same_or_overflow,
-                      sym_window)
+                      sym_window, tracks)
 
 
 def cfg(offset: int, digits: str) -> Config:
@@ -79,6 +78,50 @@ class TestConfig:
         assert time.perf_counter() - start < 0.05
         assert y == dict_slide(x, 1000)
         assert y.slide(-1000) == x
+
+    def test_lone_head_slide_matches_the_dict_form(self, rng):
+        # one head slid |e| <= 200 cells either way, past up to 30 cells,
+        # and in some draws within |e| of an end of the position range:
+        # the slices and the dict walk agree, or both overflow
+        near = over = 0
+        for _ in range(600):
+            e = rng.choice((1, -1)) * rng.randrange(1, 201)
+            if rng.random() < 0.4:
+                end = rng.choice((POSITION_LIMIT, -POSITION_LIMIT))
+                q = end - (1 if end > 0 else -1) * rng.randrange(abs(e) + 1)
+                near += 1
+            else:
+                q = rng.randrange(-50, 51)
+            cells = {p: rng.randrange(1, 3)
+                     for p in (q + rng.randrange(-210, 211)
+                               for _ in range(rng.randrange(30)))
+                     if abs(p) <= POSITION_LIMIT}
+            x = Config.from_cells({**cells, q: 3})
+            over += abs(q + e) > POSITION_LIMIT
+            same_or_overflow(Config.slide, dict_slide, x, e)
+        assert near > 100 and over > 20
+
+    def test_of_increasing_matches_from_cells(self, rng):
+        # the trusted builder of laid-out cells against the full check,
+        # cells near either end of the position range included: the same
+        # point, or both raise PositionOverflow
+        over = 0
+        for _ in range(1000):
+            p = rng.choice((-POSITION_LIMIT - 3, -8, POSITION_LIMIT - 12))
+            cells = []
+            for _ in range(rng.randrange(6)):
+                p += rng.randrange(1, 6)
+                cells.append((p, rng.randrange(1, 4)))
+            cells = tuple(cells)
+            over += any(abs(p) > POSITION_LIMIT for p, _ in cells)
+            same_or_overflow(Config._of_increasing, Config.from_cells, cells)
+        assert over > 100
+
+    @pytest.mark.parametrize("cells", [((1, 1), (1, 2)), ((2, 1), (1, 3)),
+                                       ((0, 2), (5, 1), (3, 1))])
+    def test_of_increasing_refuses_cells_out_of_order(self, cells):
+        with pytest.raises(DomainError, match="does not follow"):
+            Config._of_increasing(cells)
 
     def test_word_trims_padding(self):
         assert cfg(-2, "00100") == cfg(0, "1")
@@ -316,6 +359,12 @@ class TestClassify:
     def test_rejects_zero(self):
         with pytest.raises(ZeroPoint):
             classify(ZERO)
+
+    @pytest.mark.parametrize("x", [None, "@0:1", ((0, 1),), validate_tuple(
+        (cfg(0, "1"),))])
+    def test_rejects_a_non_config(self, x):
+        with pytest.raises(DomainError, match="only a Config is classified"):
+            classify(x)
 
     def test_flag_implications(self, rng):
         for _ in range(300):

@@ -4,13 +4,14 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fourshift.core import (CELLS, POSITION_LIMIT, Config, DomainError,
                             ParseError, PositionOverflow, TupleK, ZERO, shift,
-                            tracks, validate_tuple)
+                            validate_tuple)
 from fourshift.generators import (SWAP_12, SWAP_13, SWAP_23, HeadLocal,
                                   HeadShift, IllFormedInstruction, Particle,
                                   SymbolPerm, TransportWord, _window_of_line,
@@ -26,7 +27,7 @@ from conftest import (dense, dict_overwrite, edge_cells, explicit,
                       key_pairs, make_explicit_spec, overwrite_head_local, rand_config, rand_config_over,
                       rand_even_perm, rand_tuple,
                       same_or_overflow, stepwise_head_shift, sym_window,
-                      two_pass_head_local, two_pass_window, two_rewrite_shift,
+                      tracks, two_pass_head_local, two_pass_window, two_rewrite_shift,
                       window)
 
 
@@ -226,6 +227,28 @@ class TestHeadShift:
              **dict.fromkeys(heads, 3)})
         same_or_overflow(lambda x, e: HeadShift(e).apply(x),
                          stepwise_head_shift, x, e)
+
+    def test_matches_the_step_oracle_by_kind(self, rng):
+        # headless, lone-head, isolated multi-head (heads 49 or more cells
+        # apart) and close-head points (two heads at most 48 apart); an
+        # isolated point takes one step and one slide, a close one steps on
+        kinds = Counter()
+        for _ in range(800):
+            kind = rng.choice(("headless", "lone", "isolated", "close"))
+            gaps = {"isolated": [rng.randrange(49, 130)
+                                 for _ in range(rng.randrange(1, 3))],
+                    "close": [rng.randrange(1, 49),
+                              *rng.sample((3, 60), rng.randrange(2))]}.get(kind, [])
+            heads = list(itertools.accumulate([rng.randrange(-5, 6), *gaps]))
+            cells = {rng.randrange(heads[0] - 60, heads[-1] + 61): rng.randrange(1, 3)
+                     for _ in range(rng.randrange(kind == "headless", 12))}
+            if kind != "headless":
+                cells.update(dict.fromkeys(heads, 3))
+            x = Config.from_cells(cells)
+            e = rng.randrange(-15, 16) if kind == "close" else rng.randrange(-80, 81)
+            assert HeadShift(e).apply(x) == stepwise_head_shift(x, e), (x, e)
+            kinds[kind] += 1
+        assert min(kinds.values()) > 150, kinds
 
     @pytest.mark.parametrize("e", [10**9, -10**9])
     def test_lone_head_power_is_one_slide(self, e):
@@ -615,6 +638,14 @@ class TestApplyWord:
                                        for _ in range(4)))
             x = rand_config(rng)
             assert apply_word(apply_word(x, word), invert_word(word)) == x
+
+    @pytest.mark.parametrize("word", [None, [], (Particle(1),), "[]"])
+    def test_word_functions_refuse_a_non_word(self, word):
+        for call in (lambda: apply_word(DEMO3[0], word),
+                     lambda: apply_word(validate_tuple(DEMO3), word),
+                     lambda: invert_word(word), lambda: size_report(word)):
+            with pytest.raises(DomainError, match="not a TransportWord"):
+                call()
 
 
 class TestInvert:

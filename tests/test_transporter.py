@@ -1,13 +1,14 @@
 """Clock readings, the good / great / canonical stages, and transport."""
 
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from fourshift import transporter
-from fourshift.core import (Config, ZERO, DomainError, classify, shift, tracks,
-                            validate_tuple)
+from fourshift.core import (Config, ZERO, DomainError, TupleK, classify,
+                            shift, validate_tuple)
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift, Particle,
                                   TransportWord, apply_instruction,
                                   apply_word, fuse, head_cells, invert_word)
@@ -18,8 +19,8 @@ from fourshift.transporter import (LengthMismatch, NotGood, NotGreat, Reading,
                                    make_canonical, make_good, make_great,
                                    phi_clock, transport, verify)
 
-from conftest import (SYMBOL_MIXES, align_by_tracks, rand_config,
-                      rand_config_over, rand_tuple)
+from conftest import (SYMBOL_MIXES, align_by_tracks, phi_clock_by_tracks,
+                      rand_config, rand_config_over, rand_tuple, tracks)
 
 
 def cfg(offset, digits):
@@ -94,6 +95,30 @@ class TestPhiClock:
             readings += want is not None
             with_heads += bool(x.heads())
         assert readings > 500 and with_heads > 500
+
+    def test_matches_the_track_form(self, rng):
+        # the one pass against the old form over track sets and bisect, on
+        # every mix of symbols: points with heads, wall-only and
+        # particle-only points, and least gaps tied between two walls
+        kinds = Counter()
+        for _ in range(2000):
+            x = rand_config_over(rng, rng.choice(SYMBOL_MIXES),
+                                 span=rng.choice((4, 9, 40)),
+                                 max_cells=rng.randrange(1, 13))
+            want = phi_clock_by_tracks(x)
+            assert phi_clock(x) == want, x
+            particles, walls = tracks(x)
+            gaps = sorted(w - max(p for p in particles if p < w)
+                          for w in walls if any(p < w for p in particles))
+            kinds.update({"heads": bool(x.heads()), "walls only": not particles,
+                          "particles only": not walls, "reading": bool(want),
+                          "tied": len(gaps) > 1 and gaps[0] == gaps[1]})
+        assert min(kinds.values()) > 100, kinds
+
+    @pytest.mark.parametrize("x", [None, "@0:12", ((0, 1), (1, 2)), DEMO3])
+    def test_rejects_a_non_config(self, x):
+        with pytest.raises(DomainError, match="only a Config has a clock reading"):
+            phi_clock(x)
 
     def test_long_run_in_linear_time(self):
         n = 20_000
@@ -223,6 +248,11 @@ class TestCanonical:
         with pytest.raises(LengthMismatch):
             make_canonical(canonical_great(2), canonical_great(3))
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "3", None])
+    def test_canonical_great_needs_an_int(self, k):
+        with pytest.raises(DomainError, match="k must be positive and an int"):
+            canonical_great(k)
+
     def test_canonical_great_needs_a_component(self):
         with pytest.raises(DomainError, match="k must be positive"):
             canonical_great(0)
@@ -346,6 +376,33 @@ class TestPythonApi:
     def test_word_that_is_not_a_transport_word(self, word):
         with pytest.raises(DomainError, match="not a TransportWord"):
             verify(word, DEMO3, DEMO3)
+
+    def test_verify_refuses_a_destination_holding_a_non_config(self):
+        # its source is replayed and so checked; the destination is not
+        t = validate_tuple((cfg(0, "1"),))
+        for dst in (TupleK((None,)), TupleK((cfg(0, "1"), "@0:1"))):
+            with pytest.raises(DomainError, match="TupleK of Configs"):
+                verify(TransportWord(()), t, dst)
+
+    @pytest.mark.parametrize("bad", [
+        None, TupleK(()), TupleK((None,)), TupleK((cfg(0, "1"), 1)), [], "x",
+        (cfg(0, "1"), None)])
+    def test_stages_read_tuples_as_verify_does(self, bad):
+        great = make_great(make_good(DEMO3)[1])[1]
+        for stage, args in ((make_good, (bad,)), (make_great, (bad,)),
+                            (make_canonical, (bad, great)),
+                            (make_canonical, (great, bad))):
+            with pytest.raises(DomainError):
+                stage(*args)
+
+    def test_stages_take_sequences_of_configs(self):
+        good = make_good(DEMO3)
+        assert make_good(list(DEMO3.components)) == good
+        great = make_great(good[1])
+        assert make_great(list(good[1].components)) == great
+        assert make_canonical(list(great[1].components),
+                              tuple(great[1].components)) == make_canonical(
+                                  great[1], great[1])
 
 
 class TestVerify:
