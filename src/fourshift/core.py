@@ -93,6 +93,13 @@ def digit_cells(offset: int, digits: str) -> list[tuple[int, int]]:
     return [(offset + m.start(), int(m[0])) for m in _NONZERO_RE.finditer(digits)]
 
 
+def head_cells(cells, q: int) -> tuple[tuple[int, int], ...]:
+    """The window of a head at q, read from `cells` (sorted cells of a
+    configuration around q): each cell but the head's, as (offset from q,
+    symbol)."""
+    return tuple([(p - q, s) for p, s in cells if p != q])
+
+
 @dataclass(frozen=True, slots=True)
 class Config:
     """A finite-support point, stored as sorted (position, symbol) pairs.
@@ -118,21 +125,6 @@ class Config:
     def from_word(offset: int, digits: str) -> "Config":
         """Configuration whose symbols are `digits` starting at `offset`."""
         return Config.from_cells(digit_cells(offset, digits))
-
-    @staticmethod
-    def _of_increasing(cells: tuple[tuple[int, int], ...]) -> "Config":
-        """The point of `cells`, (int position, symbol 1-3) pairs that the
-        caller lays out itself.  Only their order, strictly increasing
-        positions, and the two end positions are checked: the trusted
-        builder of points whose layout is fixed in code, with no dict,
-        sort or per-cell check."""
-        for (p1, _), (p2, _) in zip(cells, cells[1:]):
-            if not p1 < p2:
-                raise DomainError(f"cell at {quoted(p2)} does not follow {quoted(p1)}")
-        if cells:
-            _check_pos(cells[0][0])
-            _check_pos(cells[-1][0])
-        return Config(cells)
 
     def is_zero(self) -> bool:
         return not self.cells
@@ -238,19 +230,19 @@ class Config:
         head within 2r + 2 cells, its cells at q - r .. q + r but the
         head's as (offset from q, symbol), replaced by its image in
         `images` where it has one.  Each window is read by one bisect
-        pair and looked up once, and its image is spliced in by slices
-        with the head put back at offset 0.  An image is checked by its
-        ends only: first offset >= -r, last offset <= r, none at 0, and
-        the first and last written positions in range.  That suffices
-        because every `WordPerm` builder checks each word once, with
-        increasing int offsets and symbols 1-3."""
+        pair and `head_cells` and looked up once, and its image is
+        spliced in by slices with the head put back at offset 0.  An
+        image is checked by its ends only: first offset >= -r, last
+        offset <= r, none at 0, and the first and last written positions
+        in range.  That suffices because every `WordPerm` builder checks
+        each word once, with increasing int offsets and symbols 1-3."""
         if not images:
             return self
         cells, out, lo = self.cells, [], 0
         for q in isolated(self.heads(), 2 * r + 2):
             i = bisect_left(cells, (q - r,), lo)
             j = bisect_left(cells, (q + r + 1,), i)
-            image = images.get(tuple([(p - q, s) for p, s in cells[i:j] if p != q]))
+            image = images.get(head_cells(cells[i:j], q))
             if image is None:
                 continue
             h = bisect_left(image, (0,))

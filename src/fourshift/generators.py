@@ -26,13 +26,6 @@ class IllFormedInstruction(DomainError):
     pass
 
 
-def head_cells(cells, q: int) -> tuple[tuple[int, int], ...]:
-    """The window of a head at q, read from `cells` (sorted cells of a
-    configuration around q): each cell but the head's, as (offset from q,
-    symbol)."""
-    return tuple([(p - q, s) for p, s in cells if p != q])
-
-
 @dataclass(frozen=True, slots=True)
 class _Power:
     """The e-th power of one generator, e an int: inverted by negating e,
@@ -177,22 +170,19 @@ class HeadShift(_Power):
         """Every point with no head is fixed.  The first step is one
         `safety.head_shift_once`.  A step keeps the spacing of isolated
         heads, so if every head is isolated before it, the other |e| - 1
-        steps are one `Config.slide`; else the heads are read again after
-        it, and the rest is one slide if they are isolated then, or one
-        more `head_shift_once` per step."""
+        steps are one `Config.slide`; else each step is one more
+        `head_shift_once`, up to a fixed point.  A step leaves a close
+        pair of heads a close pair, so heads that are not all isolated
+        stay so."""
         heads = x.heads()
         if not self.e or not heads:
             return x
         step = 1 if self.e > 0 else -1
         y = safety.head_shift_once(x, step)
-        m_rad = safety.SIGMA3_TAU_SPEC.m_rad
-        if len(isolated(heads, m_rad)) == len(heads):
+        if len(isolated(heads, safety.SIGMA3_TAU_SPEC.m_rad)) == len(heads):
             return y.slide(self.e - step)
         if y == x:  # a fixed point of one step is fixed by every power
             return x
-        heads = y.heads()
-        if len(isolated(heads, m_rad)) == len(heads):
-            return y.slide(self.e - step)
         for _ in range(abs(self.e) - 1):
             x, y = y, safety.head_shift_once(y, step)
             if y == x:

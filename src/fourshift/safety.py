@@ -198,14 +198,13 @@ WordMap = WordPerm | RuleWordMap
 def _check_head_layouts(U: WordSetDesc) -> None:
     """Third-anchored sufficient condition for {3}-safety: every word of U
     has a head, all heads sit in the middle third, and equal head counts
-    agree on the leftmost head."""
+    agree on the leftmost head.  U is a head-gap family or listed words,
+    the only word sets that `SafeRewrite` lets through its check of pi."""
     if isinstance(U, HeadLayoutWords):
         layouts = U.layouts
-    elif isinstance(U, ExplicitWords):
+    else:
         layouts = [frozenset(o for o, s in key if s == HEAD)
                    for key in sorted(U.keys)]
-    else:
-        raise IllFormedSpec("the head marker needs listed words or layouts")
     if U.length % 3 != 0:
         raise IllFormedSpec("length not divisible by three")
     k3 = U.length // 3

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (HEAD, PARTICLE, WALL, Config, DomainError, TupleK,
-                   classify, quoted, validate_tuple)
+                   classify, head_cells, quoted, validate_tuple)
 from .generators import (SWAP_13, SWAP_23, HeadLocal, HeadShift, Particle,
                          TransportWord, apply_instruction, apply_word,
-                         check_word, fuse, head_cells, invert_word)
+                         check_word, fuse, invert_word)
 from .permbuild import _mapping_perm
 
 
@@ -113,15 +113,16 @@ def make_good(t: TupleK) -> tuple[TransportWord, TupleK]:
 
 
 def _head_local(comps, targets, heads) -> HeadLocal:
-    """One head-local rewrite taking each component to its target, both
-    with a single head at the same position; the radius covers every
-    other cell of both, so a window is every cell but the head.  Both
-    callers check or build that single head just before, so each window
-    is already one of radius r (increasing int offsets within +-r, none
-    at 0, symbols 1 or 2), so its farthest offset is one of its two
-    ends, and the map is built by the private
-    `permbuild._mapping_perm`, which trusts its windows."""
-    pairs = [(head_cells(c.cells, q), head_cells(g.cells, q))
+    """One head-local rewrite taking the cells of each component to those
+    of its target, both with a single head at the same position; the
+    radius covers every other cell of both, so a window, read by
+    `head_cells`, is every cell but the head.  Both callers check or
+    build that single head just before, so each window is already one of
+    radius r (increasing int offsets within +-r, none at 0, symbols 1 or
+    2), so its farthest offset is one of its two ends, and the map is
+    built by the private `permbuild._mapping_perm`, which trusts its
+    windows."""
+    pairs = [(head_cells(c, q), head_cells(g, q))
              for c, g, q in zip(comps, targets, heads)]
     r = max([1, *(max(-w[0][0], w[-1][0]) for pair in pairs for w in pair if w)])
     return HeadLocal(r, _mapping_perm(pairs, 2 * r))
@@ -163,24 +164,20 @@ def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
         # the other components have no head, so both head steps fix them
         e = max(1, 2 - min(buzz[i][0] for i in buzzing))
         _replay(steps, comps, HeadShift(e), buzzing)
-        kpos = {i: buzz[i][0] + e for i in buzzing}
-        for i in buzzing:
-            if comps[i].heads() != (kpos[i],):
+        kpos = [buzz[i][0] + e for i in buzzing]
+        for i, q in zip(buzzing, kpos):
+            if comps[i].heads() != (q,):
                 raise InternalScheduleViolation("head shift missed its target")
-        targets = {
-            i: Config._of_increasing((
-                (-(horizon - tau), PARTICLE),  # buzzes at 0 at the horizon
-                (0, WALL),                     # wall for the rescheduled collision
-                (kpos[i], HEAD),               # the head stays put
-                (kpos[i] + i + 2, PARTICLE),   # orbit-separating companion
-            ))
-            for i in buzzing
-        }
-        _replay(steps, comps, _head_local([comps[i] for i in buzzing],
-                                          [targets[i] for i in buzzing],
-                                          [kpos[i] for i in buzzing]), buzzing)
-        for i in buzzing:
-            if comps[i] != targets[i]:
+        targets = [(
+            (-(horizon - tau), PARTICLE),  # buzzes at 0 at the horizon
+            (0, WALL),                     # wall for the rescheduled collision
+            (q, HEAD),                     # the head stays put
+            (q + i + 2, PARTICLE),         # orbit-separating companion
+        ) for i, q in zip(buzzing, kpos)]
+        _replay(steps, comps, _head_local([comps[i].cells for i in buzzing],
+                                          targets, kpos), buzzing)
+        for i, g in zip(buzzing, targets):
+            if comps[i].cells != g:
                 raise InternalScheduleViolation("reset rewrite missed its target")
 
     _replay(steps, comps, Particle(-(horizon - now)))
@@ -205,7 +202,8 @@ def make_canonical(t: TupleK, goal: TupleK) -> tuple[TransportWord, TupleK]:
         raise LengthMismatch("tuples have different arity")
     if not all(classify(c).great for c in (*t, *goal)):
         raise NotGreat("the splice joins two great tuples")
-    word = TransportWord((_head_local(t, goal, [0] * len(t)),))
+    word = TransportWord((_head_local([c.cells for c in t],
+                                      [g.cells for g in goal], [0] * len(t)),))
     if apply_word(t, word) != goal:
         raise InternalScheduleViolation("splice rewrite missed its goal")
     return word, goal

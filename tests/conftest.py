@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, ClassFlags,
                             Config, DomainError, ParseError, PositionOverflow,
-                            TupleK, ZeroPoint, digit_cells, isolated,
-                            parse_runs, quoted, validate_tuple)
-from fourshift.generators import HeadLocal, head_cells
+                            TupleK, ZeroPoint, digit_cells, head_cells,
+                            isolated, parse_runs, quoted, validate_tuple)
+from fourshift.generators import HeadLocal
 from fourshift.permbuild import Word, WordPerm, _one_to_one, checked_word, parity
 from fourshift.safety import (HEAD_MARKER, SIGMA3_M, SIGMA3_PI_SPEC,
                               SIGMA3_TAU_SPEC, ExplicitWords, IllFormedSpec,

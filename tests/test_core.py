@@ -101,33 +101,16 @@ class TestConfig:
             same_or_overflow(Config.slide, dict_slide, x, e)
         assert near > 100 and over > 20
 
-    def test_of_increasing_matches_from_cells(self, rng):
-        # the trusted builder of laid-out cells against the full check,
-        # cells near either end of the position range included: the same
-        # point, or both raise PositionOverflow
-        over = 0
-        for _ in range(1000):
-            p = rng.choice((-POSITION_LIMIT - 3, -8, POSITION_LIMIT - 12))
-            cells = []
-            for _ in range(rng.randrange(6)):
-                p += rng.randrange(1, 6)
-                cells.append((p, rng.randrange(1, 4)))
-            cells = tuple(cells)
-            over += any(abs(p) > POSITION_LIMIT for p, _ in cells)
-            same_or_overflow(Config._of_increasing, Config.from_cells, cells)
-        assert over > 100
-
-    @pytest.mark.parametrize("cells", [((1, 1), (1, 2)), ((2, 1), (1, 3)),
-                                       ((0, 2), (5, 1), (3, 1))])
-    def test_of_increasing_refuses_cells_out_of_order(self, cells):
-        with pytest.raises(DomainError, match="does not follow"):
-            Config._of_increasing(cells)
-
     def test_word_trims_padding(self):
         assert cfg(-2, "00100") == cfg(0, "1")
 
     def test_zero(self):
         assert ZERO.is_zero() and not cfg(0, "1").is_zero()
+
+    @pytest.mark.parametrize("end", [Config.min_pos, Config.max_pos])
+    def test_zero_has_no_support_end(self, end):
+        with pytest.raises(ZeroPoint):
+            end(ZERO)
 
     def test_bad_symbol_rejected(self):
         with pytest.raises(Exception):

@@ -7,8 +7,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourshift.core import (POSITION_LIMIT, Config, PositionOverflow, ZERO,
-                            digit_cells, isolated, shift)
+from fourshift.core import (POSITION_LIMIT, Config, DomainError,
+                            PositionOverflow, ZERO, digit_cells, isolated,
+                            shift)
 from fourshift.generators import HeadShift
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.permbuild import WordPerm
@@ -689,6 +690,11 @@ class TestHeadShift:
     def test_round_trip(self):
         assert head_shift_once(head_shift_once(cfg(0, "3"), +1), -1) == \
             cfg(0, "3")
+
+    @pytest.mark.parametrize("direction", [2, 0, -2])
+    def test_one_step_only(self, direction):
+        with pytest.raises(DomainError, match="direction must be"):
+            head_shift_once(cfg(0, "3"), direction)
 
     def test_single_head_law(self, rng):
         for _ in range(300):

@@ -313,6 +313,11 @@ class TestWordFiles:
         with pytest.raises(ParseError):
             parse_word(text)
 
+    @pytest.mark.parametrize("fields", [{"k": 20}, {"h": 2}])
+    def test_k_and_h_are_the_word_lengths(self, fields):
+        with pytest.raises(ParseError, match="k and h do not match"):
+            parse_word(sr_obj(**fields))
+
     def test_inverse_word_undoes_every_op(self, rng):
         # the named rewrite is inverted by its own rule
         word = all_ops_word()
@@ -764,7 +769,9 @@ class TestCli:
         pytest.param(ORBIT_MERGING, id="orbit-merging-map"), '[{"op":"P","e":1e999}]',
         pytest.param(ZERO_PADDED_FOREIGN_SOURCE, id="zero-padded-foreign-source"),
         pytest.param(CONTRADICTORY, id="contradictory-map"),
-        pytest.param(LETTER_SWAP, id="letter-form-sr")])
+        pytest.param(LETTER_SWAP, id="letter-form-sr"),
+        pytest.param(sr_obj(k=20), id="sr-k-not-the-word-length"),
+        pytest.param(sr_obj(h=2), id="sr-h-not-the-marker-length")])
     def test_apply_bad_word_exit_2(self, tmp_path, capsys, text):
         src = tmp_path / "src.tuple"
         word = tmp_path / "w.json"

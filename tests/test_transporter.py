@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 from fourshift import transporter
-from fourshift.core import (Config, ZERO, DomainError, TupleK, classify,
+from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
+                            PositionOverflow, TupleK, classify, head_cells,
                             shift, validate_tuple)
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift, Particle,
                                   TransportWord, apply_instruction,
-                                  apply_word, fuse, head_cells, invert_word)
+                                  apply_word, fuse, invert_word)
 from fourshift.permbuild import build_mapping_perm
 from fourshift.serial import emit_word, parse_word
 from fourshift.transporter import (LengthMismatch, NotGood, NotGreat, Reading,
@@ -191,6 +192,13 @@ class TestMakeGreat:
         with pytest.raises(NotGood):
             make_great(validate_tuple((cfg(0, "1"),)))
 
+    def test_reset_target_past_the_limit(self):
+        # the head shift puts the head at the limit, and the reset target's
+        # companion two cells past it: the rewrite refuses to write it
+        x = Config.from_cells({POSITION_LIMIT - 10: 1, POSITION_LIMIT - 1: 2})
+        with pytest.raises(PositionOverflow):
+            make_great(validate_tuple((x,)))
+
     def test_simultaneous_buzz(self):
         # two components with equal first-buzz times share one event
         t = validate_tuple((cfg(-1, "12"), cfg(-1, "122")))
@@ -286,10 +294,10 @@ class TestHeadLocalMaps:
             transport(rand_tuple(rng, k, span=5), rand_tuple(rng, k, span=5))
         assert len(built) > 300
         for comps, targets, heads, ins in built:
-            pairs = [(head_cells(c.cells, q), head_cells(g.cells, q))
+            pairs = [(head_cells(c, q), head_cells(g, q))
                      for c, g, q in zip(comps, targets, heads)]
             r = max(1, *(abs(p - q) for x, q in zip((*comps, *targets), heads * 2)
-                         for p, _ in x.cells))
+                         for p, _ in x))
             assert ins == HeadLocal(r, build_mapping_perm(pairs, 2 * r))
 
 
