@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 PARTICLE, WALL, HEAD = 1, 2, 3
@@ -128,9 +128,6 @@ class Config:
 
     def is_zero(self) -> bool:
         return not self.cells
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.cells)
 
     def min_pos(self) -> int:
         if not self.cells:
@@ -257,6 +254,43 @@ class Config:
             out += block
             lo = j
         if not out:  # no window had an image
+            return self
+        out += cells[lo:]
+        return Config(tuple(out))
+
+    def rewrite_blocks(self, k: int, starts: Iterable[int],
+                       image: Callable[[tuple], tuple]) -> "Config":
+        """The safe-rewrite law: the cells of the block [i, i + k) at each
+        of the `starts`, as (offset from i, symbol), replaced by `image`
+        of them where that differs.  The starts increase at least k at a
+        time, else DomainError.  Each block is read by one bisect pair
+        from where the one before ended and looked up once, and a moved
+        image is spliced in by slices.  An image is checked by its ends
+        only: first offset >= 0, last offset < k, and the first and last
+        written positions in range.  That suffices because a `WordPerm`
+        word is checked once, where it enters the package, and a head-gap
+        rule builds its image from a key that was read here."""
+        cells, out, lo, b, end = self.cells, [], 0, 0, float("-inf")
+        for i in starts:
+            if i < end:
+                raise DomainError(f"the block at {i} starts before the end of "
+                                  f"the one before, {end}")
+            end = i + k
+            a = bisect_left(cells, (i,), b)
+            b = bisect_left(cells, (end,), a)
+            key = tuple([(p - i, s) for p, s in cells[a:b]])
+            new = image(key)
+            if new == key:
+                continue
+            if new:
+                if new[0][0] < 0 or new[-1][0] >= k:
+                    raise DomainError(f"not a block of length {k}: {quoted(new)}")
+                _check_pos(i + new[0][0])
+                _check_pos(i + new[-1][0])
+            out += cells[lo:a]
+            out += [(i + o, s) for o, s in new]
+            lo = b
+        if not lo and not out:  # no block moved: a moved one read or wrote a cell
             return self
         out += cells[lo:]
         return Config(tuple(out))

@@ -229,15 +229,18 @@ def check_word(word) -> None:
 
 
 def apply_word(target: Config | TupleK, word: TransportWord):
-    """Left-to-right fold of apply_instruction, componentwise on tuples."""
+    """Left-to-right fold of apply_instruction, componentwise on tuples:
+    the word is checked once and each component folded in one loop."""
     check_word(word)
-    if isinstance(target, TupleK):
-        return TupleK(tuple(apply_word(c, word) for c in target))
-    if not isinstance(target, Config):
-        raise DomainError(f"not a Config or a TupleK: {quoted(target)}")
-    for ins in word.steps:
-        target = apply_instruction(target, ins)
-    return target
+    many = isinstance(target, TupleK)
+    out = []
+    for x in target.components if many else (target,):
+        if not isinstance(x, Config):
+            raise DomainError(f"not a Config or a TupleK: {quoted(x)}")
+        for ins in word.steps:
+            x = apply_instruction(x, ins)
+        out.append(x)
+    return TupleK(tuple(out)) if many else out[0]
 
 
 def invert_word(word: TransportWord) -> TransportWord:

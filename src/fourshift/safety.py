@@ -18,11 +18,11 @@ lines from their first letter; a listed map is their disjoint cycles.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .core import (CELLS, HEAD, PARTICLE, WALL, Config, DomainError, ParseError,
+from .core import (CELLS, HEAD, Config, DomainError, ParseError,
                    emit_runs, isolated, json_int, parse_runs, quoted, shift)
 from .permbuild import WordPerm
 
@@ -46,10 +46,11 @@ Key = tuple[tuple[int, int], ...]
 class ExplicitWords:
     """A finite, explicitly listed set of words over {0,1,2,3}, each held
     by its key: its nonzero cells, (offset, symbol) pairs with increasing
-    offsets in [0, length).  `shapes` maps each
-    key's cells relative to its first cell to the first offsets where that
-    shape starts in a word, and `sizes` holds (least first offset of a
-    key of that count, cell count) pairs in increasing order."""
+    offsets in [0, length).  `shapes` maps each key's cells relative to
+    its first cell, the cell objects of CELLS shared, to the first
+    offsets where that shape starts in a word, and `sizes` holds (least
+    first offset of a key of that count, cell count) pairs in increasing
+    order.  Each key is checked and its shape built in one pass."""
 
     length: int
     keys: frozenset[Key]
@@ -61,20 +62,20 @@ class ExplicitWords:
     def __post_init__(self):
         if not self.keys:
             raise IllFormedWordSet("empty word set")
-        shapes, least = {}, {}
+        n, shapes, least = self.length, {}, {}
         for key in self.keys:
             if not key:
                 raise IllFormedWordSet("word set contains the all-zero word")
             try:  # (offset, symbol) pairs: increasing int offsets in [0, length), symbols 1-3
-                f, prev = key[0][0], -1
+                f, prev, shape = key[0][0], -1, []
                 for o, s in key:
-                    if not (type(o) is int and type(s) is int and prev < o < self.length
-                            and s in (PARTICLE, WALL, HEAD)):
+                    if not (type(o) is int and type(s) is int and prev < o < n and 0 < s < 4):
                         raise ValueError
-                    prev = o
-            except (TypeError, ValueError):
-                raise IllFormedWordSet(f"{quoted(key)} is not a word key in [0, {self.length})") from None
-            shape = cell_key(key, f)
+                    prev, c = o, (o - f, s)
+                    shape.append(CELLS.get(c, c))
+            except (TypeError, ValueError, IndexError):
+                raise IllFormedWordSet(f"{quoted(key)} is not a word key in [0, {n})") from None
+            shape = tuple(shape)
             shapes[shape] = (*shapes.get(shape, ()), f)
             least[len(key)] = min(least.get(len(key), f), f)
         object.__setattr__(self, "shapes", shapes)
@@ -336,43 +337,41 @@ class SafeRewrite:
 
 # --- chi-site selection and rewriting ---------------------------------------
 
-def chi_sites(x: Config, spec: SafeRewrite) -> frozenset[int]:
-    """Rewrite sites: U-occurrences alone within m_rad whose nearby
-    V-occurrences all lie inside the rewritten block.
+def chi_sites(x: Config, spec: SafeRewrite) -> tuple[int, ...]:
+    """Rewrite sites, in increasing order: U-occurrences alone within
+    m_rad whose nearby V-occurrences all lie inside the rewritten block.
 
     A V-word starts at j when a marker cell (a head for the head marker,
     any cell for the nonzero words) lies in [j, j + h); so the marker cells
-    in [i - ell, i + k + ell + h - 2], one bisect slice, must lie in
-    [i + h - 1, i + k - h]."""
+    in [i - ell, i + k + ell + h - 2], one bisect slice of the heads or
+    of the cells, must lie in [i + h - 1, i + k - h].  That band holds
+    the markers of the U-word at i, since every word of U holds one, so
+    it is never empty."""
     occ_u = sorted(occurrences(x, spec.U))
     if not occ_u:
-        return frozenset()
-    marks = x.heads() if spec.V == HEAD_MARKER else x.support()
+        return ()
+    heads = x.heads() if spec.V == HEAD_MARKER else None
     k, h, ell = spec.k, spec.h, spec.ell
     sites = []
     for i in isolated(occ_u, spec.m_rad):
         # markers within ell of EITHER block edge must lie inside the block,
         # else a rewrite could make or break a U-word straddling that edge
-        lo = bisect_left(marks, i - ell)
-        hi = bisect_right(marks, i + k + ell + h - 2, lo)
-        if lo == hi or (marks[lo] >= i + h - 1 and marks[hi - 1] <= i + k - h):
+        lo, hi = i - ell, i + k + ell + h - 1
+        if heads is None:
+            band = x.cells_in(lo, hi)
+            first, last = band[0][0], band[-1][0]
+        else:
+            band = heads[bisect_left(heads, lo):bisect_left(heads, hi)]
+            first, last = band[0], band[-1]
+        if first >= i + h - 1 and last <= i + k - h:
             sites.append(i)
-    return frozenset(sites)
+    return tuple(sites)
 
 
 def apply_safe_rewrite(x: Config, spec: SafeRewrite) -> Config:
     """Replace the k-block at every chi site by its image under the spec's
-    permutation; all other cells are unchanged.  Each block is read once as
-    a key, `x.cells_in(i, i + k)` shifted to offsets from i, and the moved
-    blocks' image cells are written by one `Config.overwrite`."""
-    sites = sorted(chi_sites(x, spec))
-    k, pi, blocks = spec.k, spec.pi, []
-    for i in sites:
-        key = tuple([(p - i, s) for p, s in x.cells_in(i, i + k)])
-        image = pi.apply(key)
-        if image != key:
-            blocks.append((i, i + k, [(i + o, s) for o, s in image]))
-    return x.overwrite(blocks) if blocks else x
+    permutation; all other cells are unchanged (`Config.rewrite_blocks`)."""
+    return x.rewrite_blocks(spec.k, chi_sites(x, spec), spec.pi.apply)
 
 
 # --- the simulated head shift ------------------------------------------------

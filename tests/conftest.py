@@ -20,7 +20,8 @@ from fourshift.permbuild import Word, WordPerm, _one_to_one, checked_word, parit
 from fourshift.safety import (HEAD_MARKER, SIGMA3_M, SIGMA3_PI_SPEC,
                               SIGMA3_TAU_SPEC, ExplicitWords, IllFormedSpec,
                               Key, NonzeroWords, SafeRewrite,
-                              apply_safe_rewrite, chi_sites, head_shift_once)
+                              apply_safe_rewrite, cell_key, chi_sites,
+                              head_shift_once)
 from fourshift.transporter import Reading
 
 
@@ -112,6 +113,34 @@ def two_rewrite_shift(x: Config, direction: int) -> Config:
     first, second = ((SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC) if direction == 1
                      else (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC))
     return apply_safe_rewrite(apply_safe_rewrite(x, first), second)
+
+
+def overwrite_safe_rewrite(x: Config, spec) -> Config:
+    """The safe rewrite `spec` on x by the block route: the k-block at
+    each chi site read by `cells_in` as a key, mapped by `spec.pi.apply`,
+    and the image cells of the moved blocks written by one
+    `Config.overwrite`, which checks every written cell.  The oracle of
+    `Config.rewrite_blocks`."""
+    k, blocks = spec.k, []
+    for i in sorted(chi_sites(x, spec)):
+        key = tuple([(p - i, s) for p, s in x.cells_in(i, i + k)])
+        image = spec.pi.apply(key)
+        if image != key:
+            blocks.append((i, i + k, [(i + o, s) for o, s in image]))
+    return x.overwrite(blocks) if blocks else x
+
+
+def two_pass_shapes(keys) -> tuple[dict, tuple]:
+    """The `shapes` and `sizes` of checked word keys, each shape built by
+    `cell_key` in a pass of its own: the oracle of the one-pass
+    `ExplicitWords`."""
+    shapes, least = {}, {}
+    for key in keys:
+        f = key[0][0]
+        shape = cell_key(key, f)
+        shapes[shape] = (*shapes.get(shape, ()), f)
+        least[len(key)] = min(least.get(len(key), f), f)
+    return shapes, tuple(sorted((f, n) for n, f in least.items()))
 
 
 def letter_rule(tag: str, w: str) -> str:

@@ -270,6 +270,82 @@ class TestHeadLocal:
             Config.from_cells({q: 3, q - 1 if q > 0 else q + 1: 1})
 
 
+class TestRewriteBlocks:
+    """`Config.rewrite_blocks` on raw image maps, against one checked
+    `Config.overwrite` of the moved blocks: each image is checked by its
+    ends only, so these cover what no `WordPerm` builder lets through."""
+
+    @staticmethod
+    def by_overwrite(x, k, starts, images):
+        """The oracle: each block's key read by `cells_in`, and the image
+        cells of the moved blocks written by one `Config.overwrite`."""
+        blocks = []
+        for i in starts:
+            key = tuple([(p - i, s) for p, s in x.cells_in(i, i + k)])
+            image = images.get(key, key)
+            if image != key:
+                blocks.append((i, i + k, [(i + o, s) for o, s in image]))
+        return x.overwrite(blocks)
+
+    def test_matches_one_overwrite(self, rng):
+        # strips near 0 and reaching both limits; blocks k or more apart,
+        # each mapped to random cells of [0, k), possibly none, or kept
+        counts = dict.fromkeys(("erased", "written from nothing",
+                                "cells at both ends", "unchanged",
+                                "past a limit"), 0)
+        for case in range(1500):
+            base = (0, POSITION_LIMIT - 30, -POSITION_LIMIT)[case % 3]
+            k = rng.randrange(1, 6)
+            x = rand_config(rng, span=15, max_cells=12)
+            x = Config.from_cells((base + 15 + p, s) for p, s in x.cells)
+            starts, i = [], base + rng.randrange(-k, 3)
+            while i + k <= base + 31:
+                starts.append(i)
+                i += k + rng.randrange(0, 4)
+            images = {}
+            for i in starts:
+                key = tuple([(p - i, s) for p, s in x.cells_in(i, i + k)])
+                images[key] = key if rng.random() < 0.3 else tuple(sorted(dict(
+                    (rng.randrange(k), rng.randrange(1, 4))
+                    for _ in range(rng.randrange(0, k + 1))).items()))
+                counts["erased"] += bool(key) and not images[key]
+                counts["written from nothing"] += not key and bool(images[key])
+                counts["cells at both ends"] += len(images[key]) > 1 and (
+                    images[key][0][0] == 0 and images[key][-1][0] == k - 1)
+            try:
+                want = self.by_overwrite(x, k, starts, images)
+            except PositionOverflow:
+                with pytest.raises(PositionOverflow):
+                    x.rewrite_blocks(k, starts, lambda key: images.get(key, key))
+                counts["past a limit"] += 1
+                continue
+            got = x.rewrite_blocks(k, starts, lambda key: images.get(key, key))
+            assert got == want, (x, k, starts)
+            unchanged = x.rewrite_blocks(k, starts, lambda key: key)
+            assert unchanged is x
+            counts["unchanged"] += got == x
+        assert min(counts.values()) > 40, counts
+
+    @pytest.mark.parametrize("starts", [[0, 2], [4, 0], [0, 0]],
+                             ids=["overlapping", "decreasing", "repeated"])
+    def test_blocks_out_of_order_refused(self, starts):
+        with pytest.raises(DomainError, match="starts before the end"):
+            cfg(0, "31").rewrite_blocks(3, starts, lambda key: key)
+
+    @pytest.mark.parametrize("image", [((-1, 1),), ((3, 1),), ((0, 1), (3, 2))])
+    def test_image_outside_the_block_refused(self, image):
+        with pytest.raises(DomainError, match="not a block of length 3"):
+            cfg(0, "31").rewrite_blocks(3, [0], lambda key: image)
+
+    @pytest.mark.parametrize("i, image", [
+        (POSITION_LIMIT - 1, ((2, 1),)), (-POSITION_LIMIT - 2, ((0, 1),)),
+        (POSITION_LIMIT, ((0, 2), (1, 1)))])
+    def test_written_ends_range_checked(self, i, image):
+        x = Config.from_cells({max(-POSITION_LIMIT, min(i + 1, POSITION_LIMIT)): 3})
+        with pytest.raises(PositionOverflow):
+            x.rewrite_blocks(3, [i], lambda key: image)
+
+
 class TestShift:
     def test_identity(self):
         assert shift(cfg(0, "3"), 0) == cfg(0, "3")

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourshift.core import (POSITION_LIMIT, Config, DomainError,
+from fourshift.core import (CELLS, POSITION_LIMIT, Config, DomainError,
                             PositionOverflow, ZERO, digit_cells, isolated,
                             shift)
 from fourshift.generators import HeadShift
@@ -22,10 +22,10 @@ from fourshift.safety import (HEAD_GAP_FAMILIES, HEAD_MARKER, ExplicitWords,
 
 from conftest import (explicit, from_pairs, key_pairs, letter_rule,
                       make_explicit_spec, make_zero_padded_spec, of_checked,
-                      rand_config, rand_even_perm,
+                      overwrite_safe_rewrite, rand_config, rand_even_perm,
                       rand_head_spec, rand_single_head, rand_tuple,
                       same_or_overflow, string_rewrite, string_shift,
-                      sym_window, two_rewrite_shift)
+                      sym_window, two_pass_shapes, two_rewrite_shift)
 
 
 def cfg(offset, digits):
@@ -93,13 +93,32 @@ class TestOccurrences:
     @pytest.mark.parametrize("key", [
         ((3, 1),), ((-1, 1), (1, 3)), ((0, 2), (5, 1)), (), ((1, 0),),
         ((1, 4),), ((0, 1), (0, 2)), ((2, 1), (0, 2)), ((1, True),),
-        ((1, 3), (True, 1)), ((1, 3), (2, 1.0)), ((1, 3), (2.0, 1))])
+        ((1, 3), (True, 1)), ((1, 3), (2, 1.0)), ((1, 3), (2.0, 1)),
+        ((),), ((1, 3), ()), ((1, 3, 1),)])
     def test_keys_that_are_no_word_rejected(self, key):
         # an offset before 0 or at the length or past it, no cell, a
-        # symbol that is no nonzero letter, offsets not increasing, or an
-        # offset or symbol that is not an int
+        # symbol that is no nonzero letter, offsets not increasing, an
+        # offset or symbol that is not an int, or a cell that is no pair
         with pytest.raises(IllFormedWordSet):
             ExplicitWords(3, frozenset({((1, 3),), key}))
+
+    def test_one_pass_shapes_match_the_two_pass_builder(self, rng):
+        # listed words of random lengths and cells, the words of listed
+        # head rewrites, and the keys of orbit rewrites
+        for case in range(300):
+            if case % 3 == 0:
+                n = rng.randrange(1, 40)
+                keys = frozenset(
+                    tuple(sorted(dict((rng.randrange(n), rng.randrange(1, 4))
+                                      for _ in range(rng.randrange(1, 6))).items()))
+                    for _ in range(rng.randrange(1, 9)))
+                U = ExplicitWords(n, keys)
+            else:
+                U = (rand_head_spec(rng) if case % 3 == 1
+                     else rand_orbit_spec(rng)[0]).U
+            assert (U.shapes, U.sizes) == two_pass_shapes(U.keys), U
+            assert all(c is CELLS.get(c, c)
+                       for shape in U.shapes for c in shape), U
 
     def test_empty_and_mixed_word_sets_rejected(self):
         # a key is checked against the set's one length: the key of a
@@ -294,6 +313,14 @@ def pairwise_sites(occ_u, occ_v, spec):
                 if i - spec.ell <= j <= i + spec.k - 1 + spec.ell))
 
 
+def increasing_sites(x, spec):
+    """The sites of `chi_sites(x, spec)` as a set, once it is checked to
+    list them in increasing order, each once."""
+    sites = chi_sites(x, spec)
+    assert type(sites) is tuple and list(sites) == sorted(set(sites)), sites
+    return frozenset(sites)
+
+
 def v_occurrences(x, spec):
     """The V-occurrences of x, window by window: the explicit scan of {3}
     for the head marker, the windows over a nonzero cell for the nonzero
@@ -328,7 +355,7 @@ class TestChiSites:
                 x = Config.from_cells(cells)
                 want = pairwise_sites(occurrences(x, spec.U),
                                       v_occurrences(x, spec), spec)
-                assert chi_sites(x, spec) == want, (x, spec)
+                assert increasing_sites(x, spec) == want, (x, spec)
                 sites += len(want)
         assert sites > 100
 
@@ -362,21 +389,21 @@ class TestChiSites:
                 x = Config.from_cells(cells)
                 occ_u = occurrences(x, spec.U)
                 want = pairwise_sites(occ_u, v_occurrences(x, spec), spec)
-                assert chi_sites(x, spec) == want, (x, spec)
+                assert increasing_sites(x, spec) == want, (x, spec)
                 kept += len(want)
                 # alone within m_rad, but a marker is out of place
                 dropped += len(pairwise_sites(occ_u, (), spec) - want)
             assert kept > 100 and dropped > 100, (spec, kept, dropped)
 
     def test_single_site(self):
-        assert chi_sites(cfg(1, "3"), demo_spec()) == frozenset({0})
+        assert increasing_sites(cfg(1, "3"), demo_spec()) == {0}
 
     def test_close_occurrences_blocked(self):
         x = Config.from_cells({1: 3, 5: 3})
-        assert chi_sites(x, demo_spec()) == frozenset()
+        assert increasing_sites(x, demo_spec()) == set()
 
     def test_zero_point(self):
-        assert chi_sites(ZERO, demo_spec()) == frozenset()
+        assert increasing_sites(ZERO, demo_spec()) == set()
 
 
 class TestApplySafeRewrite:
@@ -421,14 +448,44 @@ def rand_orbit_spec(rng):
     return orbit_permutation_instruction(t, rand_even_perm(rng, k)), t
 
 
+def three_routes(x, spec):
+    """`apply_safe_rewrite(x, spec)` once it is checked to equal both
+    oracles, `overwrite_safe_rewrite` and `string_rewrite`; None when all
+    three raise PositionOverflow."""
+    try:
+        want = overwrite_safe_rewrite(x, spec)
+    except PositionOverflow:
+        for route in (apply_safe_rewrite, string_rewrite):
+            with pytest.raises(PositionOverflow):
+                route(x, spec)
+        return None
+    got = apply_safe_rewrite(x, spec)
+    assert got == want == string_rewrite(x, spec), (x, spec)
+    return got
+
+
+def copies_of(rng, spec, pieces):
+    """Copies of the cell tuples `pieces` m_rad or more apart, or closer,
+    near 0 and near +-10^9, with a few cells of noise among them."""
+    gaps = (1, spec.k, spec.m_rad, spec.m_rad + 1, 3 * spec.m_rad, 10**8)
+    at = rng.choice((0, 10**9, -10**9)) + rng.randrange(-99, 100)
+    cells = {}
+    for _ in range(rng.randrange(1, 6)):
+        cells.update((at + p, s) for p, s in rng.choice(pieces))
+        at += rng.choice(gaps)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        cells[rng.choice(list(cells)) + rng.randrange(-9, 10)] = \
+            rng.randrange(1, 4)
+    return Config.from_cells(cells)
+
+
 class TestListedRewrites:
     """The key route of `apply_safe_rewrite` equals the string route of
     `conftest.string_rewrite` on listed maps and their inverses."""
 
     def test_matches_the_string_route(self, rng):
-        # copies of the words of U (and of the components an orbit rewrite
-        # permutes) m_rad or more apart, or closer, near 0 and near
-        # +-10^9, with a few cells of noise among them
+        # copies of the words of U, or of the components an orbit rewrite
+        # permutes
         sites = several = moved = 0
         for case in range(400):
             if case % 2:
@@ -437,16 +494,7 @@ class TestListedRewrites:
             else:
                 spec = rand_head_spec(rng)
                 pieces = sorted(spec.U.keys)
-            gaps = (1, spec.k, spec.m_rad, spec.m_rad + 1, 3 * spec.m_rad, 10**8)
-            at = rng.choice((0, 10**9, -10**9)) + rng.randrange(-99, 100)
-            cells = {}
-            for _ in range(rng.randrange(1, 6)):
-                cells.update((at + p, s) for p, s in rng.choice(pieces))
-                at += rng.choice(gaps)
-            for _ in range(rng.choice((0, 0, 1, 2))):
-                cells[rng.choice(list(cells)) + rng.randrange(-9, 10)] = \
-                    rng.randrange(1, 4)
-            x = Config.from_cells(cells)
+            x = copies_of(rng, spec, pieces)
             for sp in (spec, spec.inverse()):
                 got = apply_safe_rewrite(x, sp)
                 assert got == string_rewrite(x, sp), (x, sp)
@@ -473,6 +521,94 @@ class TestListedRewrites:
                         except PositionOverflow:
                             overflows += 1
         assert overflows > 500
+
+
+class TestRewriteBlocks:
+    """`Config.rewrite_blocks`, the law of `apply_safe_rewrite`, against
+    the block route of `conftest.overwrite_safe_rewrite` and the letter
+    route of `conftest.string_rewrite`."""
+
+    def test_orbit_rewrites_match_both_oracles(self, rng):
+        # 320 orbit rewrites of k = 5 to 8 components and their inverses
+        rewrites, moved, ks = 0, 0, set()
+        for _ in range(320):
+            spec, t = rand_orbit_spec(rng)
+            ks.add(len(t))
+            for sp in (spec, spec.inverse()):
+                rewrites += 1
+                for x in [t[0], *(copies_of(rng, sp, [c.cells for c in t])
+                                  for _ in range(3))]:
+                    increasing_sites(x, sp)
+                    moved += three_routes(x, sp) != x
+        assert rewrites >= 600 and moved > 600 and ks == {5, 6, 7, 8}
+
+    def test_listed_head_rewrites_match_both_oracles(self, rng):
+        moved = 0
+        for _ in range(300):
+            spec = rand_head_spec(rng)
+            for sp in (spec, spec.inverse()):
+                for _ in range(3):
+                    x = copies_of(rng, sp, sorted(sp.U.keys))
+                    increasing_sites(x, sp)
+                    moved += three_routes(x, sp) != x
+        assert moved > 600
+
+    def test_named_rules_on_close_heads_match_both_oracles(self, rng):
+        moved = 0
+        for _ in range(600):
+            x = TestNamedRules.close_heads(rng)
+            for spec in (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC):
+                increasing_sites(x, spec)
+                moved += three_routes(x, spec) != x
+        assert moved > 600
+
+    def test_images_at_both_ends_of_the_block(self, rng):
+        # words with a cell at offset 0 or k - 1, or both, cycled; cells
+        # next to a block on either side are outside it and stay
+        words = ["130", "032", "132", "231", "030"]
+        spec = make_explicit_spec(explicit(words), key_pairs(
+            zip(words, words[1:] + words[:1])))
+        ends = 0
+        for sp in (spec, spec.inverse()):
+            for w in words:
+                for left, right in itertools.product("0123", repeat=2):
+                    x = cfg(-1, left + w + right)
+                    y = three_routes(x, sp)
+                    assert y.cells_in(-1, 0) == x.cells_in(-1, 0)
+                    assert y.cells_in(3, 4) == x.cells_in(3, 4)
+                    ends += bool(y.cells_in(0, 1) and y.cells_in(2, 3)
+                                 and y != x)
+        assert ends > 20
+
+    def test_sites_within_k_of_the_limits(self, rng):
+        # each word of U with its last cell 0, 1, k - 2, k - 1 or a random
+        # d < k cells before +POSITION_LIMIT, or its first cell that far
+        # after -POSITION_LIMIT: where an image reaches past the limit, the
+        # same PositionOverflow on all three routes, else the same result
+        overflows = 0
+        for case in range(60):
+            spec = rand_orbit_spec(rng)[0] if case % 2 else rand_head_spec(rng)
+            for sp in (spec, spec.inverse()):
+                for key in sp.U.keys:
+                    for d in {0, 1, rng.randrange(sp.k), sp.k - 2, sp.k - 1}:
+                        for i in (POSITION_LIMIT - key[-1][0] - d,
+                                  -POSITION_LIMIT - key[0][0] + d):
+                            x = Config.from_cells((i + o, s) for o, s in key)
+                            overflows += three_routes(x, sp) is None
+        assert overflows > 300, overflows
+
+    @pytest.mark.parametrize("image", [((1, 3), (3, 1)), ((-1, 1), (1, 3))],
+                             ids=["past-the-block", "before-the-block"])
+    def test_trusted_image_leaving_its_block_refused(self, image):
+        # WordPerm._of trusts its words: an image outside [0, k) gets
+        # past SafeRewrite, which checks the moved words only
+        spec = SafeRewrite(explicit(["030", "031"]), HEAD_MARKER,
+                           WordPerm._of(3, {((1, 3),): image}))
+        x = cfg(1, "3")
+        with pytest.raises(DomainError, match="not a block of length 3"):
+            apply_safe_rewrite(x, spec)
+        with pytest.raises(DomainError):
+            overwrite_safe_rewrite(x, spec)
 
 
 class TestNamedRules:

@@ -107,6 +107,11 @@ def sample_words(rng):
 # per line, each HL map as disjoint cycles of run lines, the one form an
 # HL map is read in.
 GOLDEN = Path(__file__).parent / "data" / "all_ops_word_cycles.json"
+# One orbit permutation at the CLI: a k = 5 tuple, the word file of
+# beta = (1, 2, 0, 3, 4) on it and `fourshift apply`'s output, pinned.
+ORBIT5_SRC, ORBIT5_WORD, ORBIT5_DST = (
+    GOLDEN.parent / name for name in (
+        "orbit5_src.txt", "orbit5_beta120_word.json", "orbit5_beta120_dst.txt"))
 
 # The words 030 and 031 swapped: each word a run line from its first
 # letter, the map its one cycle.
@@ -631,6 +636,19 @@ class TestCli:
         assert main(["apply", "--src", str(src), "--word", str(word)]) == 0
         out = capsys.readouterr().out
         assert out.splitlines() == ["@0:31", "@0:301", "@0:3001"]
+
+    def test_apply_orbit_word_matches_the_pinned_output(self, tmp_path, capsys):
+        # the SR law at the CLI: the word file of one orbit permutation,
+        # beta = (1, 2, 0, 3, 4) on a k = 5 tuple, and its output, pinned
+        t = parse_tuple(ORBIT5_SRC.read_text())
+        word = TransportWord((orbit_permutation_instruction(t, (1, 2, 0, 3, 4)),))
+        assert emit_word(word) + "\n" == ORBIT5_WORD.read_text()
+        out = tmp_path / "out.txt"
+        assert main(["apply", "--src", str(ORBIT5_SRC), "--word", str(ORBIT5_WORD),
+                     "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ORBIT5_DST.read_text()
+        assert out.read_bytes() == ORBIT5_DST.read_bytes()
+        assert [t[j] for j in (2, 0, 1, 3, 4)] == list(parse_tuple(out.read_text()))
 
     def test_transport_orbit_collision_exit_2(self, tmp_path, capsys):
         src = tmp_path / "src.tuple"
