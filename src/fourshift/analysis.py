@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
-from .core import Config, DomainError, orbit_equal
+from .core import Config, DomainError, orbit_equal, quoted
 from .generators import TransportWord, apply_word
 
 
@@ -27,10 +27,11 @@ class CycleSpec:
 
     @staticmethod
     def of(lengths: Iterable[int]) -> "CycleSpec":
-        lengths = tuple(sorted(lengths))
-        if not lengths or lengths[0] < 1:
-            raise DomainError("need at least one cycle, every length >= 1")
-        return CycleSpec(lengths)
+        lengths = tuple(lengths)
+        if not lengths or any(type(n) is not int or n < 1 for n in lengths):
+            raise DomainError(f"need at least one cycle, every length an int "
+                              f">= 1, not {quoted(lengths)}")
+        return CycleSpec(tuple(sorted(lengths)))
 
     @property
     def c1(self) -> int:
@@ -185,6 +186,9 @@ def find_nonshift_witness(word: TransportWord, support_bound: int = 2,
     """First (in lexicographic word order) nonzero finite point moved out
     of its own orbit; IsShift(n) when every tested point is shifted by the
     same n, Inconclusive otherwise."""
+    if type(support_bound) is not int or type(width_bound) is not int:
+        raise DomainError(f"the bounds must be ints, not {quoted(support_bound)} "
+                          f"and {quoted(width_bound)}")
     if width_bound > WIDTH_LIMIT:
         raise TooLarge(f"width bound {width_bound} exceeds {WIDTH_LIMIT}")
     if min(support_bound, width_bound) < 1:

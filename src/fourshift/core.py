@@ -28,6 +28,7 @@ _NONZERO_RE = re.compile("[123]")
 # stored window or word key made of them costs a pointer per cell.
 CELLS = {(o, s): (o, s)
          for o in range(-64, 65) for s in (PARTICLE, WALL, HEAD)}
+_NO_END = -math.inf  # where the block before the first one ends
 
 
 class DomainError(Exception):
@@ -94,10 +95,10 @@ def digit_cells(offset: int, digits: str) -> list[tuple[int, int]]:
 
 
 def head_cells(cells, q: int) -> tuple[tuple[int, int], ...]:
-    """The window of a head at q, read from `cells` (sorted cells of a
-    configuration around q): each cell but the head's, as (offset from q,
-    symbol)."""
-    return tuple([(p - q, s) for p, s in cells if p != q])
+    """The key of a block around q, read from `cells` (sorted cells of a
+    configuration around q): each cell as (offset from q, symbol), but a
+    head at q, which is left out; any other cell at q is kept."""
+    return tuple([(p - q, s) for p, s in cells if s != HEAD or p != q])
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,6 +155,10 @@ class Config:
         lo = bisect_left(cells, (start,))
         return cells[lo:bisect_left(cells, (stop,), lo)]
 
+    def restrict(self, start: int, stop: int) -> "Config":
+        """The cells at start .. stop - 1 alone: one bisect slice."""
+        return Config(self.cells_in(start, stop))
+
     def overwrite(self, blocks: Iterable[tuple[int, int, Iterable]]) -> "Config":
         """This configuration with the cells at start .. stop - 1 replaced
         by `cells`, for each block `(start, stop, cells)`.  Blocks come in
@@ -161,7 +166,7 @@ class Config:
         before.  The cells of a block lie inside it, in increasing order,
         with symbols 1-3.  Only the written cells are checked; anything
         else raises DomainError."""
-        cells, kept, lo, end = self.cells, [], 0, float("-inf")
+        cells, kept, lo, end = self.cells, [], 0, _NO_END
         for start, stop, written in blocks:
             if not end <= start <= stop:
                 raise DomainError(f"the block at {start} starts before the end of "
@@ -222,77 +227,51 @@ class Config:
         mid.sort()
         return Config(cells[:lo] + tuple(mid) + cells[hi:])
 
-    def head_local(self, r: int, images: Mapping) -> "Config":
-        """The head-local law: the window of each head q with no other
-        head within 2r + 2 cells, its cells at q - r .. q + r but the
-        head's as (offset from q, symbol), replaced by its image in
-        `images` where it has one.  Each window is read by one bisect
-        pair and `head_cells` and looked up once, and its image is
-        spliced in by slices with the head put back at offset 0.  An
-        image is checked by its ends only: first offset >= -r, last
-        offset <= r, none at 0, and the first and last written positions
-        in range.  That suffices because every `WordPerm` builder checks
-        each word once, with increasing int offsets and symbols 1-3."""
-        if not images:
-            return self
-        cells, out, lo = self.cells, [], 0
-        for q in isolated(self.heads(), 2 * r + 2):
-            i = bisect_left(cells, (q - r,), lo)
-            j = bisect_left(cells, (q + r + 1,), i)
-            image = images.get(head_cells(cells[i:j], q))
-            if image is None:
-                continue
-            h = bisect_left(image, (0,))
-            if image and (image[0][0] < -r or image[-1][0] > r
-                          or h < len(image) and image[h][0] == 0):
-                raise DomainError(f"not a window of radius {r}: {quoted(image)}")
-            block = [(q + o, s) for o, s in image]
-            block.insert(h, (q, HEAD))
-            _check_pos(block[0][0])
-            _check_pos(block[-1][0])
-            out += cells[lo:i]
-            out += block
-            lo = j
-        if not out:  # no window had an image
-            return self
-        out += cells[lo:]
-        return Config(tuple(out))
-
-    def rewrite_blocks(self, k: int, starts: Iterable[int],
-                       image: Callable[[tuple], tuple]) -> "Config":
-        """The safe-rewrite law: the cells of the block [i, i + k) at each
-        of the `starts`, as (offset from i, symbol), replaced by `image`
-        of them where that differs.  The starts increase at least k at a
-        time, else DomainError.  Each block is read by one bisect pair
+    def rewrite_blocks(self, lo: int, hi: int, origins: Iterable[int],
+                       image: Callable[[tuple], tuple | None]) -> "Config":
+        """The one block law of `HL` and `SR`: the block [o + lo, o + hi) at
+        each of the `origins`, read by `head_cells` as its key, replaced by
+        `image(key)` unless that is None or the key itself; a head at o,
+        left out of the key, is put back.  The blocks must increase and not
+        overlap, else DomainError.  Each block is read by one bisect pair
         from where the one before ended and looked up once, and a moved
         image is spliced in by slices.  An image is checked by its ends
-        only: first offset >= 0, last offset < k, and the first and last
-        written positions in range.  That suffices because a `WordPerm`
-        word is checked once, where it enters the package, and a head-gap
-        rule builds its image from a key that was read here."""
-        cells, out, lo, b, end = self.cells, [], 0, 0, float("-inf")
-        for i in starts:
-            if i < end:
-                raise DomainError(f"the block at {i} starts before the end of "
-                                  f"the one before, {end}")
-            end = i + k
-            a = bisect_left(cells, (i,), b)
+        only: offsets in [lo, hi), none at 0 where a head was left out,
+        and the first and last written positions in range.  That suffices
+        because a `WordPerm` word is checked once, where it enters the
+        package, and a head-gap rule builds its image from a key read
+        here."""
+        cells, out, done, b, end = self.cells, [], 0, 0, _NO_END
+        for o in origins:
+            start = o + lo
+            if start < end:
+                raise DomainError(f"the block at {start} starts before the end "
+                                  f"of the one before, {end}")
+            end = o + hi
+            a = bisect_left(cells, (start,), b)
             b = bisect_left(cells, (end,), a)
-            key = tuple([(p - i, s) for p, s in cells[a:b]])
+            key = head_cells(cells[a:b], o)
             new = image(key)
-            if new == key:
+            if new is None or new is key:
                 continue
             if new:
-                if new[0][0] < 0 or new[-1][0] >= k:
-                    raise DomainError(f"not a block of length {k}: {quoted(new)}")
-                _check_pos(i + new[0][0])
-                _check_pos(i + new[-1][0])
-            out += cells[lo:a]
-            out += [(i + o, s) for o, s in new]
-            lo = b
-        if not lo and not out:  # no block moved: a moved one read or wrote a cell
+                if new[0][0] < lo or new[-1][0] >= hi:
+                    raise DomainError(f"not a block of length {hi - lo} from "
+                                      f"offset {lo}: {quoted(new)}")
+                _check_pos(o + new[0][0])
+                _check_pos(o + new[-1][0])
+            block = [(o + p, s) for p, s in new]
+            if len(key) < b - a:  # the head at o was left out
+                h = bisect_left(new, (0,))
+                if h < len(new) and new[h][0] == 0:
+                    raise DomainError(f"an image writes onto its head: {quoted(new)}")
+                block.insert(h, (o, HEAD))
+            out += cells[done:a]
+            out += block
+            done = b
+        if not done and not out:  # no block moved: a moved one read or wrote a cell
             return self
-        out += cells[lo:]
+        out += cells[done:]
         return Config(tuple(out))
 
     def move_particles(self, e: int) -> "Config":
@@ -381,8 +360,17 @@ def isolated(points: Sequence[int], gap: int) -> list[int]:
             if q - a > gap and b - q > gap]
 
 
+def _check_config(x) -> Config:
+    if not isinstance(x, Config):
+        raise DomainError(f"not a Config: {quoted(x)}")
+    return x
+
+
 def shift(x: Config, n: int) -> Config:
     """The shift power sigma^n: the result holds x's symbol from i+n at i."""
+    if type(n) is not int or not isinstance(x, Config):
+        raise DomainError(f"not a Config and an int shift amount: "
+                          f"{quoted(x)}, {quoted(n)}")
     if n == 0 or not x.cells:
         return x
     _check_pos(x.cells[0][0] - n)
@@ -392,16 +380,17 @@ def shift(x: Config, n: int) -> Config:
 
 def canonical_form(x: Config) -> tuple[Config, int]:
     """Shift x so its leftmost nonzero cell sits at 0; returns (result, offset)."""
-    if x.is_zero():
+    if _check_config(x).is_zero():
         raise ZeroPoint("zero point has no canonical form")
-    off = x.min_pos()
+    off = x.cells[0][0]
     return shift(x, off), off
 
 
 def orbit_equal(x: Config, y: Config) -> bool:
     """True iff y is a shift of x.  The zero point is orbit-equal only to itself."""
-    if x.is_zero() or y.is_zero():
-        return x.is_zero() and y.is_zero()
+    zx, zy = _check_config(x).is_zero(), _check_config(y).is_zero()
+    if zx or zy:
+        return zx and zy
     return canonical_form(x)[0] == canonical_form(y)[0]
 
 

@@ -110,9 +110,13 @@ class HeadLocal:
             raise IllFormedInstruction("window permutation length must be 2r")
 
     def apply(self, x: Config) -> Config:
-        """Every point with no head is fixed: only the windows of heads
-        isolated at gap 2r + 2 are read (`Config.head_local`)."""
-        return x.head_local(self.r, self.wp.images)
+        """Every point with no head is fixed: only the window q - r ..
+        q + r of each head q isolated at gap 2r + 2 is read, as a block
+        of `Config.rewrite_blocks` with its origin at the head."""
+        heads, images, r = x.heads(), self.wp.images, self.r
+        if not heads or not images:
+            return x
+        return x.rewrite_blocks(-r, r + 1, isolated(heads, 2 * r + 2), images.get)
 
     def inverse(self) -> "HeadLocal":
         return HeadLocal(self.r, self.wp.inverse())
@@ -260,6 +264,7 @@ def fuse(word: TransportWord) -> TransportWord:
     P^a P^b = P^(a+b), and P^0, HS^0 and head-local steps that move no
     window are dropped; a drop can bring two particle powers together,
     and they merge too."""
+    check_word(word)
     out: list[Instruction] = []
     for ins in word.steps:
         if out and isinstance(ins, Particle) and isinstance(out[-1], Particle):

@@ -371,7 +371,7 @@ def chi_sites(x: Config, spec: SafeRewrite) -> tuple[int, ...]:
 def apply_safe_rewrite(x: Config, spec: SafeRewrite) -> Config:
     """Replace the k-block at every chi site by its image under the spec's
     permutation; all other cells are unchanged (`Config.rewrite_blocks`)."""
-    return x.rewrite_blocks(spec.k, chi_sites(x, spec), spec.pi.apply)
+    return x.rewrite_blocks(0, spec.k, chi_sites(x, spec), spec.pi.apply)
 
 
 # --- the simulated head shift ------------------------------------------------
@@ -406,7 +406,8 @@ def head_shift_once(x: Config, direction: int) -> Config:
     range-checks the cells it writes.  Other heads step by the two
     head-gap rewrites, TAU then PI for +1, which -1 inverts exactly.  A
     rewrite reads within m_rad + k cells of a head, so each group of cells
-    more than twice that from the others steps alone, centred on 0."""
+    more than twice that from the others steps alone, sliced out of x and
+    centred on 0."""
     if direction not in (1, -1):
         raise DomainError("direction must be +1 or -1")
     heads = x.heads()
@@ -426,7 +427,7 @@ def head_shift_once(x: Config, direction: int) -> Config:
     for lo, hi in zip(cuts, cuts[1:]):
         start, stop = cells[lo][0], cells[hi - 1][0] + 1
         c = (start + stop) // 2
-        y = shift(x.overwrite(((first, start, ()), (stop, end, ()))), c)
+        y = shift(x.restrict(start, stop), c)
         for spec in (SIGMA3_TAU_SPEC, SIGMA3_PI_SPEC)[::direction]:
             y = apply_safe_rewrite(y, spec)
         out += shift(y, -c).cells

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, ClassFlags,
                             Config, DomainError, ParseError, PositionOverflow,
-                            TupleK, ZeroPoint, digit_cells, head_cells,
-                            isolated, parse_runs, quoted, validate_tuple)
+                            TupleK, ZeroPoint, digit_cells, isolated,
+                            parse_runs, quoted, validate_tuple)
 from fourshift.generators import HeadLocal
 from fourshift.permbuild import Word, WordPerm, _one_to_one, checked_word, parity
 from fourshift.safety import (HEAD_MARKER, SIGMA3_M, SIGMA3_PI_SPEC,
@@ -120,7 +120,7 @@ def overwrite_safe_rewrite(x: Config, spec) -> Config:
     each chi site read by `cells_in` as a key, mapped by `spec.pi.apply`,
     and the image cells of the moved blocks written by one
     `Config.overwrite`, which checks every written cell.  The oracle of
-    `Config.rewrite_blocks`."""
+    `apply_safe_rewrite`, the law `Config.rewrite_blocks` on chi sites."""
     k, blocks = spec.k, []
     for i in sorted(chi_sites(x, spec)):
         key = tuple([(p - i, s) for p, s in x.cells_in(i, i + k)])
@@ -246,13 +246,15 @@ def dict_overwrite(x: Config, blocks) -> Config:
 
 def overwrite_head_local(x: Config, ins: HeadLocal) -> Config:
     """`HeadLocal(r, wp)` on x by the block route: the window of each head
-    isolated at gap 2r + 2 read by `cells_in` and `head_cells`, mapped by
-    `wp.apply`, and each moved window written back with its head by one
-    `Config.overwrite`, which checks every written cell.  The oracle of
-    `Config.head_local`."""
+    isolated at gap 2r + 2 read by `cells_in`, every cell but the head's
+    as (offset from the head, symbol), mapped by `wp.apply`, and each
+    moved window written back with its head by one `Config.overwrite`,
+    which checks every written cell.  The oracle of `HeadLocal.apply`,
+    sharing no reader with `Config.rewrite_blocks`."""
     r, blocks = ins.r, []
     for q in isolated(x.heads(), 2 * r + 2):
-        window = head_cells(x.cells_in(q - r, q + r + 1), q)
+        window = tuple([(p - q, s) for p, s in x.cells_in(q - r, q + r + 1)
+                        if p != q])
         image = ins.wp.apply(window)
         if image != window:
             blocks.append((q - r, q + r + 1, sorted(

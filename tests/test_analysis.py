@@ -5,7 +5,7 @@ import pytest
 from fourshift.analysis import (CycleSpec, IsShift, KValue, TooLarge,
                                 Witness, find_nonshift_witness, k_of_finite,
                                 k_of_finite_bruteforce)
-from fourshift.core import Config, orbit_equal
+from fourshift.core import Config, DomainError, orbit_equal
 from fourshift.generators import SWAP_12, Particle, TransportWord, apply_word
 
 
@@ -47,6 +47,12 @@ class TestCaseTable:
     def test_derived_quantities(self):
         cs = CycleSpec.of([1, 1, 2, 2, 3])
         assert cs.c1 == 2 and cs.total == 9
+
+    @pytest.mark.parametrize("lengths", [[1.5], [2.0], ["a"], [True], [2, "a"],
+                                         [0], [], [3, -1]])
+    def test_lengths_not_positive_ints_refused(self, lengths):
+        with pytest.raises(DomainError, match="every length an int >= 1"):
+            CycleSpec.of(lengths)
 
 
 class TestBruteForce:
@@ -97,3 +103,8 @@ class TestWitness:
         assert find_nonshift_witness(
             TransportWord(()), support_bound=4, width_bound=4) == IsShift(0)
 
+    @pytest.mark.parametrize("bounds", [("2", 2), (2, "2"), (2.0, 2), (2, 1.5),
+                                        (True, 2), (2, True), (None, 2)])
+    def test_bounds_not_ints_refused(self, bounds):
+        with pytest.raises(DomainError, match="the bounds must be ints"):
+            find_nonshift_witness(TransportWord(()), *bounds)

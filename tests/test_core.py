@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
                             OrbitCollision, ParseError, PositionOverflow,
                             ZeroPoint, canonical_form, classify, digit_cells,
-                            isolated, orbit_equal, shift, validate_tuple)
+                            head_cells, isolated, orbit_equal, shift,
+                            validate_tuple)
 from fourshift.transporter import transport, verify
 
 from conftest import (SYMBOL_MIXES, classify_by_tracks, dict_overwrite,
@@ -240,24 +241,33 @@ class TestConfigWindow:
             digit_cells(0, "1" + digits)
 
 
+def head_local(x, r, images):
+    """The law of `HeadLocal.apply` on a raw image map: the window of
+    each head isolated at gap 2r + 2 as a block of `rewrite_blocks`."""
+    return x.rewrite_blocks(-r, r + 1, isolated(x.heads(), 2 * r + 2), images.get)
+
+
 class TestHeadLocal:
-    """`Config.head_local` on raw image maps: each image is checked by its
-    ends only, so these cover what no `WordPerm` builder lets through."""
+    """`Config.rewrite_blocks` with its origins at the heads, on raw image
+    maps: each image is checked by its ends only, so these cover what no
+    `WordPerm` builder lets through."""
 
     def test_isolated_heads_only(self):
         images = {((1, 1),): ((-1, 2), (1, 1))}
         # heads 7 then 6 apart: only the first is isolated at gap 2r + 2 = 6
         x = cfg(0, "31" + "0" * 5 + "31" + "0" * 4 + "31")
-        assert x.head_local(2, images) == cfg(-1, "231" + "0" * 5 + "31" + "0" * 4 + "31")
-        assert x.head_local(1, {}) is x
-        assert x.head_local(2, {((2, 1),): ()}) is x  # no window has an image
+        assert head_local(x, 2, images) == cfg(-1, "231" + "0" * 5 + "31" + "0" * 4 + "31")
+        assert head_local(x, 1, {}) is x
+        assert head_local(x, 2, {((2, 1),): ()}) is x  # no window has an image
 
     @pytest.mark.parametrize("image", [
         ((-2, 1),), ((2, 1),), ((0, 1),), ((-1, 1), (0, 2)), ((0, 2), (1, 1)),
         ((-1, 1), (0, 2), (1, 1))])
     def test_image_past_the_radius_or_at_the_head_refused(self, image):
-        with pytest.raises(DomainError, match="not a window of radius 1"):
-            cfg(0, "31").head_local(1, {((1, 1),): image})
+        inside = -1 <= image[0][0] and image[-1][0] <= 1
+        with pytest.raises(DomainError, match="writes onto its head" if inside
+                           else "not a block of length 3 from offset -1"):
+            head_local(cfg(0, "31"), 1, {((1, 1),): image})
 
     @pytest.mark.parametrize("q, image", [
         (POSITION_LIMIT, ((1, 1),)), (-POSITION_LIMIT, ((-1, 1),)),
@@ -265,8 +275,8 @@ class TestHeadLocal:
     def test_written_ends_range_checked(self, q, image):
         x = Config.from_cells({q: 3})
         with pytest.raises(PositionOverflow):
-            x.head_local(2, {(): image})
-        assert x.head_local(2, {(): ((-1, 1),) if q > 0 else ((1, 1),)}) == \
+            head_local(x, 2, {(): image})
+        assert head_local(x, 2, {(): ((-1, 1),) if q > 0 else ((1, 1),)}) == \
             Config.from_cells({q: 3, q - 1 if q > 0 else q + 1: 1})
 
 
@@ -276,23 +286,36 @@ class TestRewriteBlocks:
     ends only, so these cover what no `WordPerm` builder lets through."""
 
     @staticmethod
-    def by_overwrite(x, k, starts, images):
+    def key_at(x, i, k):
+        """The block [i, i + k) as (offset from i, symbol) pairs, but a
+        head at i, and whether there was one."""
+        cells = x.cells_in(i, i + k)
+        key = tuple([(p - i, s) for p, s in cells if (p, s) != (i, 3)])
+        return key, len(key) < len(cells)
+
+    @classmethod
+    def by_overwrite(cls, x, k, starts, images):
         """The oracle: each block's key read by `cells_in`, and the image
-        cells of the moved blocks written by one `Config.overwrite`."""
+        cells of the moved blocks, with a head at the start put back,
+        written by one `Config.overwrite`, which refuses two cells at one
+        position."""
         blocks = []
         for i in starts:
-            key = tuple([(p - i, s) for p, s in x.cells_in(i, i + k)])
+            key, head = cls.key_at(x, i, k)
             image = images.get(key, key)
             if image != key:
-                blocks.append((i, i + k, [(i + o, s) for o, s in image]))
+                blocks.append((i, i + k, sorted(
+                    [(i + o, s) for o, s in image] + [(i, 3)] * head)))
         return x.overwrite(blocks)
 
     def test_matches_one_overwrite(self, rng):
         # strips near 0 and reaching both limits; blocks k or more apart,
-        # each mapped to random cells of [0, k), possibly none, or kept
+        # each mapped to random cells of [0, k), possibly none, or kept;
+        # a block that starts on a head keeps it, and an image with a
+        # cell there is refused
         counts = dict.fromkeys(("erased", "written from nothing",
                                 "cells at both ends", "unchanged",
-                                "past a limit"), 0)
+                                "past a limit", "head kept", "onto the head"), 0)
         for case in range(1500):
             base = (0, POSITION_LIMIT - 30, -POSITION_LIMIT)[case % 3]
             k = rng.randrange(1, 6)
@@ -304,7 +327,7 @@ class TestRewriteBlocks:
                 i += k + rng.randrange(0, 4)
             images = {}
             for i in starts:
-                key = tuple([(p - i, s) for p, s in x.cells_in(i, i + k)])
+                key, head = self.key_at(x, i, k)
                 images[key] = key if rng.random() < 0.3 else tuple(sorted(dict(
                     (rng.randrange(k), rng.randrange(1, 4))
                     for _ in range(rng.randrange(0, k + 1))).items()))
@@ -312,16 +335,22 @@ class TestRewriteBlocks:
                 counts["written from nothing"] += not key and bool(images[key])
                 counts["cells at both ends"] += len(images[key]) > 1 and (
                     images[key][0][0] == 0 and images[key][-1][0] == k - 1)
+                counts["head kept"] += head and images[key] != key
             try:
                 want = self.by_overwrite(x, k, starts, images)
             except PositionOverflow:
                 with pytest.raises(PositionOverflow):
-                    x.rewrite_blocks(k, starts, lambda key: images.get(key, key))
+                    x.rewrite_blocks(0, k, starts, lambda key: images.get(key, key))
                 counts["past a limit"] += 1
                 continue
-            got = x.rewrite_blocks(k, starts, lambda key: images.get(key, key))
+            except DomainError:  # an image cell on a kept head
+                with pytest.raises(DomainError):
+                    x.rewrite_blocks(0, k, starts, lambda key: images.get(key, key))
+                counts["onto the head"] += 1
+                continue
+            got = x.rewrite_blocks(0, k, starts, lambda key: images.get(key, key))
             assert got == want, (x, k, starts)
-            unchanged = x.rewrite_blocks(k, starts, lambda key: key)
+            unchanged = x.rewrite_blocks(0, k, starts, lambda key: key)
             assert unchanged is x
             counts["unchanged"] += got == x
         assert min(counts.values()) > 40, counts
@@ -330,12 +359,14 @@ class TestRewriteBlocks:
                              ids=["overlapping", "decreasing", "repeated"])
     def test_blocks_out_of_order_refused(self, starts):
         with pytest.raises(DomainError, match="starts before the end"):
-            cfg(0, "31").rewrite_blocks(3, starts, lambda key: key)
+            cfg(0, "31").rewrite_blocks(0, 3, starts, lambda key: key)
+        with pytest.raises(DomainError, match="starts before the end"):
+            cfg(0, "31").rewrite_blocks(-1, 2, starts, lambda key: key)
 
     @pytest.mark.parametrize("image", [((-1, 1),), ((3, 1),), ((0, 1), (3, 2))])
     def test_image_outside_the_block_refused(self, image):
         with pytest.raises(DomainError, match="not a block of length 3"):
-            cfg(0, "31").rewrite_blocks(3, [0], lambda key: image)
+            cfg(0, "31").rewrite_blocks(0, 3, [0], lambda key: image)
 
     @pytest.mark.parametrize("i, image", [
         (POSITION_LIMIT - 1, ((2, 1),)), (-POSITION_LIMIT - 2, ((0, 1),)),
@@ -343,7 +374,68 @@ class TestRewriteBlocks:
     def test_written_ends_range_checked(self, i, image):
         x = Config.from_cells({max(-POSITION_LIMIT, min(i + 1, POSITION_LIMIT)): 3})
         with pytest.raises(PositionOverflow):
-            x.rewrite_blocks(3, [i], lambda key: image)
+            x.rewrite_blocks(0, 3, [i], lambda key: image)
+
+
+class TestOneBlockLaw:
+    """The key rule of `rewrite_blocks`, `head_cells`: a head at the origin
+    is left out of the key and put back under the image; any other cell
+    at the origin is part of the key."""
+
+    def test_head_at_the_origin_left_out_and_put_back(self):
+        x = cfg(-1, "131")
+        seen = []
+
+        def image(key):
+            seen.append(key)
+            return ((-1, 2), (1, 2))
+
+        assert x.rewrite_blocks(-1, 2, [0], image) == cfg(-1, "232")
+        assert seen == [((-1, 1), (1, 1))]
+        assert head_cells(x.cells, 0) == ((-1, 1), (1, 1))
+        # a head away from the origin is a cell of the key like any other
+        assert x.rewrite_blocks(-2, 1, [1], lambda key: ((-2, 2),)) == cfg(-1, "2")
+        assert head_cells(x.cells, 1) == ((-2, 1), (-1, 3), (0, 1))
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_particle_or_wall_at_the_origin_stays_in_the_key(self, s):
+        x = Config.from_cells({0: s, 1: 1})
+        seen = []
+
+        def image(key):
+            seen.append(key)
+            return ((1, s),)
+
+        assert head_cells(x.cells, 0) == ((0, s), (1, 1))
+        assert x.rewrite_blocks(-1, 2, [0], image) == Config.from_cells({1: s})
+        assert seen == [((0, s), (1, 1))]
+
+    @pytest.mark.parametrize("image", [((0, 1),), ((0, 3),), ((-1, 2), (0, 2))])
+    def test_image_onto_the_head_refused(self, image):
+        with pytest.raises(DomainError, match="writes onto its head"):
+            cfg(0, "31").rewrite_blocks(-1, 2, [0], lambda key: image)
+        # with no head at the origin, offset 0 is an ordinary cell
+        assert cfg(0, "1").rewrite_blocks(-1, 2, [0], lambda key: image) == \
+            Config.from_cells(image)
+
+    @pytest.mark.parametrize("lo, hi, image", [
+        (-1, 2, ((-2, 1),)), (-1, 2, ((2, 1),)), (0, 3, ((-1, 2),)),
+        (0, 3, ((1, 1), (3, 2))), (-3, -1, ((-1, 1),))])
+    def test_image_outside_the_span_refused(self, lo, hi, image):
+        with pytest.raises(DomainError, match=f"not a block of length {hi - lo} "
+                                              f"from offset {lo}"):
+            cfg(5, "31").rewrite_blocks(lo, hi, [5], lambda key: image)
+
+    def test_nothing_moved_returns_self(self):
+        x = cfg(-3, "1203102")
+        for lo, hi, origins in ((-1, 2, [0]), (0, 3, [-3, 0, 3]), (-2, 1, []),
+                                (-2, 2, [-10, 0, 20])):
+            assert x.rewrite_blocks(lo, hi, origins, lambda key: None) is x
+            assert x.rewrite_blocks(lo, hi, origins, lambda key: key) is x
+        # an emptied block or a block written from nothing moved
+        assert x.rewrite_blocks(-1, 2, [0], lambda key: ()) == cfg(-3, "1203002")
+        assert x.rewrite_blocks(0, 3, [10], lambda key: ((0, 1),)) == \
+            cfg(-3, "1203102" + "0" * 6 + "1")
 
 
 class TestShift:
@@ -367,6 +459,20 @@ class TestShift:
         same_or_overflow(shift, from_cells_shift, x, n)
 
 
+    @pytest.mark.parametrize("n", [1.5, 1.0, True, False, "1", None],
+                             ids=["float", "whole-float", "true", "false", "str", "none"])
+    def test_amount_not_an_int_refused(self, n):
+        with pytest.raises(DomainError, match="not a Config and an int shift amount"):
+            shift(Config.from_cells({0: 3, 1: 1}), n)
+
+    @pytest.mark.parametrize("x", [None, ((0, 3),), {0: 3}, "@0:3"],
+                             ids=["none", "cells", "dict", "run-line"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_non_config_refused(self, x, n):
+        with pytest.raises(DomainError, match="not a Config and an int shift amount"):
+            shift(x, n)
+
+
 class TestOrbit:
     def test_canonical_form(self):
         assert canonical_form(cfg(5, "13")) == (cfg(0, "13"), 5)
@@ -382,6 +488,15 @@ class TestOrbit:
         assert not orbit_equal(cfg(0, "12"), cfg(3, "21"))
         assert not orbit_equal(cfg(0, "3"), cfg(0, "1"))
         assert orbit_equal(ZERO, ZERO) and not orbit_equal(ZERO, cfg(0, "1"))
+
+    @pytest.mark.parametrize("x", [None, ((0, 3),), {0: 3}, "@0:3"],
+                             ids=["none", "cells", "dict", "run-line"])
+    def test_non_config_refused(self, x):
+        for call in (lambda: canonical_form(x), lambda: orbit_equal(x, cfg(0, "3")),
+                     lambda: orbit_equal(cfg(0, "3"), x), lambda: orbit_equal(x, ZERO),
+                     lambda: orbit_equal(ZERO, x)):
+            with pytest.raises(DomainError, match="not a Config"):
+                call()
 
     @given(configs, st.integers(-30, 30))
     def test_orbit_contains_shifts(self, x, n):

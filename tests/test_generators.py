@@ -370,9 +370,10 @@ def with_windows(rng, heads, sources):
 
 
 class TestHeadLocalLaw:
-    """`Config.head_local`, the one-pass head-local law, against the block
-    route `overwrite_head_local`: `cells_in`, `head_cells`, `wp.apply` and
-    one checked `overwrite`."""
+    """`HeadLocal.apply`, the one block law `Config.rewrite_blocks` with
+    its origins at the heads, against the block route
+    `overwrite_head_local`: `cells_in`, its own window comprehension,
+    `wp.apply` and one checked `overwrite`."""
 
     def test_matches_the_block_route(self, rng):
         moved = crowded = 0
@@ -643,7 +644,8 @@ class TestApplyWord:
     def test_word_functions_refuse_a_non_word(self, word):
         for call in (lambda: apply_word(DEMO3[0], word),
                      lambda: apply_word(validate_tuple(DEMO3), word),
-                     lambda: invert_word(word), lambda: size_report(word)):
+                     lambda: invert_word(word), lambda: size_report(word),
+                     lambda: fuse(word)):
             with pytest.raises(DomainError, match="not a TransportWord"):
                 call()
 

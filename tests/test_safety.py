@@ -611,6 +611,60 @@ class TestRewriteBlocks:
             overwrite_safe_rewrite(x, spec)
 
 
+class TestNoHeadAtTheOrigin:
+    """`Config.rewrite_blocks` leaves a head at a block's origin out of
+    its key.  No safe-rewrite site holds one, so for `SR` that rule
+    changes nothing: a head-marked U keeps its heads in its middle third,
+    k/3 >= 1 cells from the origin, and a zero-padded U has no cell in
+    [0, n)."""
+
+    @staticmethod
+    def no_head_at_0(keys):
+        return all((0, 3) not in key for key in keys)
+
+    def test_head_gap_families(self):
+        for family in HEAD_GAP_FAMILIES.values():
+            assert min(min(lay) for lay in family.layouts) >= SIGMA3_LEN // 3
+
+    def test_listed_head_rewrites(self, rng):
+        for _ in range(300):
+            spec = rand_head_spec(rng)
+            assert self.no_head_at_0(spec.U.keys)
+            assert self.no_head_at_0(spec.pi.images.values())
+
+    def test_orbit_permutations(self, rng):
+        for _ in range(100):
+            spec = rand_orbit_spec(rng)[0]
+            n = spec.h
+            assert min(key[0][0] for key in spec.U.keys) >= n >= 1
+            assert self.no_head_at_0(spec.pi.images.values())
+
+    def test_no_site_holds_a_head(self, rng):
+        sites = 0
+        for case in range(300):
+            if case % 3 == 0:
+                x, specs = TestNamedRules.close_heads(rng), (SIGMA3_PI_SPEC, SIGMA3_TAU_SPEC)
+            else:
+                spec, t = rand_orbit_spec(rng) if case % 3 == 1 else (rand_head_spec(rng), None)
+                pieces = [c.cells for c in t] if t else sorted(spec.U.keys)
+                x, specs = copies_of(rng, spec, pieces), (spec, spec.inverse())
+            for sp in specs:
+                for i in chi_sites(x, sp):
+                    assert x.sym(i) != 3, (x, sp, i)
+                    sites += 1
+        assert sites > 300
+
+    @pytest.mark.parametrize("words", [
+        ["300", "030"], ["300030", "003000"], ["310200", "002300"],
+        ["300030000", "000300000"]])
+    def test_listed_head_at_0_refused(self, words):
+        with pytest.raises(IllFormedSpec, match="marker outside the middle third"):
+            SafeRewrite(explicit(words), HEAD_MARKER, from_pairs((), len(words[0])))
+        with pytest.raises(IllFormedSpec, match="outside the middle third"):
+            SafeRewrite(explicit(words[:1]), NonzeroWords(len(words[0]) // 3),
+                        from_pairs((), len(words[0])))
+
+
 class TestNamedRules:
     """The head-gap rules on keys against `conftest.letter_rule`, and the
     named rewrites and the close-head step against the string route."""
@@ -976,6 +1030,32 @@ class TestHeadShift:
         positions = itertools.accumulate(gap for gap, _ in cells)
         x = Config.from_cells(zip(positions, (s for _, s in cells)))
         assert head_shift_once(x, direction) == two_rewrite_shift(x, direction)
+
+    def test_three_or_more_groups_match_both_oracles(self, rng):
+        # 3-5 groups more than 138 cells apart, each a close pair of heads,
+        # a lone head or no head, with particles and walls around it; the
+        # first is a close pair, so the groups step one by one
+        counts = [0] * 6
+        for _ in range(150):
+            cells, at, n = {}, rng.randrange(-50, 51), rng.randrange(3, 6)
+            for g in range(n):
+                kind = rng.choice(("pair", "lone", "none")) if g else "pair"
+                if kind != "none":
+                    cells[at] = 3
+                if kind == "pair":
+                    cells[at + rng.choice((1, 2, 3, 4, 5, 47, 48))] = 3
+                for _ in range(rng.randrange(1, 6)):
+                    cells.setdefault(at + rng.randrange(-12, 13), rng.randrange(1, 3))
+                at += 213 + rng.randrange(0, 200)  # group cells span at - 12 .. at + 62
+            x = Config.from_cells(cells)
+            ps = [p for p, _ in x.cells]
+            assert sum(b - a > 138 for a, b in zip(ps, ps[1:])) == n - 1
+            for direction in (1, -1):
+                want = two_rewrite_shift(x, direction)
+                assert head_shift_once(x, direction) == want == \
+                    string_shift(x, direction), (x, direction)
+            counts[n] += 1
+        assert min(counts[3:]) > 30, counts
 
     def test_close_pair_and_far_head_across_the_whole_range(self):
         # a close pair next to the upper limit steps near 0, apart from the

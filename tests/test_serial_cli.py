@@ -112,6 +112,10 @@ GOLDEN = Path(__file__).parent / "data" / "all_ops_word_cycles.json"
 ORBIT5_SRC, ORBIT5_WORD, ORBIT5_DST = (
     GOLDEN.parent / name for name in (
         "orbit5_src.txt", "orbit5_beta120_word.json", "orbit5_beta120_dst.txt"))
+# A tuple on which every step of the GOLDEN word moves some component, and
+# `fourshift apply`'s output of the GOLDEN word on it, pinned.
+ALL_OPS_SRC, ALL_OPS_DST = (GOLDEN.parent / name for name in (
+    "all_ops_src.txt", "all_ops_dst.txt"))
 
 # The words 030 and 031 swapped: each word a run line from its first
 # letter, the map its one cycle.
@@ -649,6 +653,23 @@ class TestCli:
         assert capsys.readouterr().out == ORBIT5_DST.read_text()
         assert out.read_bytes() == ORBIT5_DST.read_bytes()
         assert [t[j] for j in (2, 0, 1, 3, 4)] == list(parse_tuple(out.read_text()))
+
+    def test_apply_golden_word_matches_the_pinned_output(self, tmp_path, capsys):
+        # both laws of Config.rewrite_blocks, HL and SR (listed and
+        # named), and the other three kinds at the CLI, each step moving
+        # some component of the pinned tuple
+        word, t = parse_word(GOLDEN.read_text()), list(parse_tuple(ALL_OPS_SRC.read_text()))
+        assert [ins.OP for ins in word.steps] == ["P", "SYM", "HL", "HS", "SR", "SR"]
+        for ins in word.steps:
+            moved = [ins.apply(c) for c in t]
+            assert moved != t, ins
+            t = moved
+        out = tmp_path / "out.txt"
+        assert main(["apply", "--src", str(ALL_OPS_SRC), "--word", str(GOLDEN),
+                     "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ALL_OPS_DST.read_text()
+        assert out.read_bytes() == ALL_OPS_DST.read_bytes()
+        assert list(parse_tuple(out.read_text())) == t
 
     def test_transport_orbit_collision_exit_2(self, tmp_path, capsys):
         src = tmp_path / "src.tuple"
