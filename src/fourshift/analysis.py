@@ -27,7 +27,11 @@ class CycleSpec:
 
     @staticmethod
     def of(lengths: Iterable[int]) -> "CycleSpec":
-        lengths = tuple(lengths)
+        try:
+            lengths = tuple(lengths)
+        except TypeError as exc:  # not iterable
+            raise DomainError(f"cycle lengths are a sequence, not "
+                              f"{quoted(lengths)}") from exc
         if not lengths or any(type(n) is not int or n < 1 for n in lengths):
             raise DomainError(f"need at least one cycle, every length an int "
                               f">= 1, not {quoted(lengths)}")

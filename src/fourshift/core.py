@@ -101,21 +101,31 @@ def head_cells(cells, q: int) -> tuple[tuple[int, int], ...]:
     return tuple([(p - q, s) for p, s in cells if s != HEAD or p != q])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Config:
     """A finite-support point, stored as sorted (position, symbol) pairs.
 
     No stored cell carries symbol 0, so structural equality coincides with
-    pointwise equality of configurations.
+    pointwise equality of configurations.  The one constructor trusts its
+    cells and writes them with one slot store; `from_cells`, `from_word`
+    and `from_runs` check what comes from outside.
     """
 
     cells: tuple[tuple[int, int], ...] = ()
 
+    def __init__(self, cells: tuple[tuple[int, int], ...] = ()) -> None:
+        _set_cells(self, cells)
+
     @staticmethod
     def from_cells(cells: Mapping[int, int] | Iterable[tuple[int, int]]) -> "Config":
-        items = cells.items() if isinstance(cells, Mapping) else cells
-        kept = [_check_cell(p, s) for p, s in items
-                if s != 0 or type(s) is not int]  # an int 0 is no cell
+        """The full check: every cell checked, sorted and scanned for
+        duplicates."""
+        try:
+            items = cells.items() if isinstance(cells, Mapping) else cells
+            kept = [_check_cell(p, s) for p, s in items
+                    if s != 0 or type(s) is not int]  # an int 0 is no cell
+        except (TypeError, ValueError) as exc:  # no iterable of pairs
+            raise DomainError(f"not cells: {quoted(cells)}") from exc
         kept.sort()
         for (p1, _), (p2, _) in zip(kept, kept[1:]):
             if p1 == p2:
@@ -125,7 +135,21 @@ class Config:
     @staticmethod
     def from_word(offset: int, digits: str) -> "Config":
         """Configuration whose symbols are `digits` starting at `offset`."""
+        if type(offset) is not int or not isinstance(digits, str):
+            raise DomainError(f"not an int offset and a digit string: "
+                              f"{quoted(offset)}, {quoted(digits)}")
         return Config.from_cells(digit_cells(offset, digits))
+
+    @staticmethod
+    def from_runs(text: str) -> "Config":
+        """The configuration of a run line.  `parse_runs` yields int
+        positions in strictly increasing order with symbols 1-3, so only
+        the first and last positions are range-checked."""
+        cells = parse_runs(text)
+        if cells and (cells[0][0] < -POSITION_LIMIT or cells[-1][0] > POSITION_LIMIT):
+            _check_pos(cells[0][0])  # each raises on the first cell out of range
+            _check_pos(cells[bisect_left(cells, (POSITION_LIMIT + 1,))][0])
+        return Config(tuple(cells))
 
     def is_zero(self) -> bool:
         return not self.cells
@@ -307,6 +331,7 @@ class Config:
         return Config(tuple([(p, img[s]) for p, s in self.cells]))
 
 
+_set_cells = Config.cells.__set__  # the slot's own store, past the frozen guard
 ZERO = Config()
 
 
@@ -330,6 +355,8 @@ def emit_runs(cells: Sequence[tuple[int, int]]) -> str:
 def parse_runs(text: str) -> list[tuple[int, int]]:
     """The nonzero cells of a run line, in order: "ZERO", or runs separated
     by whitespace, each starting after the last cell of the one before."""
+    if not isinstance(text, str):
+        raise ParseError(f"a run line is text, not {quoted(text)}")
     if text == "ZERO":
         return []
     runs = text.split()
@@ -447,14 +474,21 @@ def validate_tuple(components: Iterable[Config]) -> TupleK:
                           f"{type(components).__name__}") from exc
     if not comps:
         raise DomainError("a tuple needs at least one component")
-    first: dict[Config, int] = {}  # canonical form -> first component
+    # orbit key -> first component; the key is the cells of the canonical
+    # form, shifted to start at 0, as a plain tuple: no Config is built
+    first: dict[tuple, int] = {}
     mates = []
     for j, c in enumerate(comps):
         if not isinstance(c, Config):
             raise DomainError(f"component {j} is not a Config: {quoted(c)}")
-        if c.is_zero():
+        cells = c.cells
+        if not cells:
             raise ZeroPoint(f"component {j} is the zero point")
-        i = first.setdefault(canonical_form(c)[0], j)
+        off = cells[0][0]
+        if off:
+            _check_pos(cells[-1][0] - off)  # as `shift` checks its last cell
+            cells = tuple([(p - off, s) for p, s in cells])
+        i = first.setdefault(cells, j)
         if i != j:
             mates.append((i, j))
     if mates:

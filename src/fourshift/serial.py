@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import json
 
-from .core import (Config, DomainError, ParseError, TupleK, emit_runs,
-                   parse_runs, quoted, validate_tuple)
+from .core import (Config, DomainError, ParseError, TupleK, emit_runs, quoted,
+                   validate_tuple)
 from .generators import OPS, Instruction, TransportWord
 
 
@@ -16,7 +16,9 @@ def emit_config(x: Config) -> str:
 
 
 def parse_config(text: str) -> Config:
-    return Config.from_cells(parse_runs(text.strip()))
+    if not isinstance(text, str):
+        raise ParseError(f"a configuration line is text, not {quoted(text)}")
+    return Config.from_runs(text.strip())
 
 
 def emit_tuple(t: TupleK) -> str:
@@ -24,11 +26,13 @@ def emit_tuple(t: TupleK) -> str:
 
 
 def parse_tuple(text: str) -> TupleK:
+    if not isinstance(text, str):
+        raise ParseError(f"a tuple file is text, not {quoted(text)}")
     configs = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
-            configs.append(parse_config(line))
+            configs.append(Config.from_runs(line))
     if not configs:
         raise ParseError("no configurations in tuple file")
     return validate_tuple(tuple(configs))
@@ -62,8 +66,9 @@ def emit_word(word: TransportWord) -> str:
 def parse_word(text: str) -> TransportWord:
     try:
         data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # nesting beyond the stack
+    # RecursionError: nesting beyond the stack; TypeError: no str or bytes
+    except (ValueError, RecursionError, TypeError) as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ParseError("word file must be a JSON array")
-    return TransportWord(tuple(_instruction_from_obj(o) for o in data))
+    return TransportWord(tuple([_instruction_from_obj(o) for o in data]))

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import strategies as st
 
 from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, ClassFlags,
-                            Config, DomainError, ParseError, PositionOverflow,
-                            TupleK, ZeroPoint, digit_cells, isolated,
-                            parse_runs, quoted, validate_tuple)
+                            Config, DomainError, OrbitCollision, ParseError,
+                            PositionOverflow, TupleK, ZeroPoint,
+                            canonical_form, digit_cells, isolated, parse_runs,
+                            quoted, validate_tuple)
 from fourshift.generators import HeadLocal
 from fourshift.permbuild import Word, WordPerm, _one_to_one, checked_word, parity
 from fourshift.safety import (HEAD_MARKER, SIGMA3_M, SIGMA3_PI_SPEC,
@@ -279,6 +280,44 @@ def from_cells_shift(x: Config, n: int) -> Config:
     """sigma^n of x with every moved cell checked by `Config.from_cells`:
     the oracle of `core.shift`."""
     return Config.from_cells((p - n, s) for p, s in x.cells)
+
+
+def canonical_validate_tuple(components) -> TupleK:
+    """`validate_tuple` with each orbit keyed by the `Config` that
+    `canonical_form` builds: the oracle of its plain-tuple orbit key."""
+    try:
+        comps = tuple(components)
+    except TypeError as exc:  # not iterable
+        raise DomainError(f"a tuple is a sequence of Configs, not a "
+                          f"{type(components).__name__}") from exc
+    if not comps:
+        raise DomainError("a tuple needs at least one component")
+    first, mates = {}, []
+    for j, c in enumerate(comps):
+        if not isinstance(c, Config):
+            raise DomainError(f"component {j} is not a Config: {quoted(c)}")
+        if c.is_zero():
+            raise ZeroPoint(f"component {j} is the zero point")
+        i = first.setdefault(canonical_form(c)[0], j)
+        if i != j:
+            mates.append((i, j))
+    if mates:
+        raise OrbitCollision(*min(mates))
+    return TupleK(comps)
+
+
+def same_outcome(fast, oracle, *args):
+    """fast(*args) == oracle(*args), or both raise the same exception class
+    with the same message; the outcome's class name is returned, for counts."""
+    try:
+        want = oracle(*args)
+    except DomainError as exc:
+        with pytest.raises(type(exc)) as got:
+            fast(*args)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return type(exc).__name__
+    assert fast(*args) == want
+    return "ok"
 
 
 def same_or_overflow(fast, oracle, *args) -> None:

@@ -1,23 +1,29 @@
 """Configurations, orbits, tracks, and classification flags."""
 
+import copy
 import itertools
+import pickle
 import time
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fourshift import core
 from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
                             OrbitCollision, ParseError, PositionOverflow,
                             ZeroPoint, canonical_form, classify, digit_cells,
-                            head_cells, isolated, orbit_equal, shift,
-                            validate_tuple)
+                            head_cells, isolated, orbit_equal, parse_runs,
+                            shift, validate_tuple)
 from fourshift.transporter import transport, verify
 
-from conftest import (SYMBOL_MIXES, classify_by_tracks, dict_overwrite,
-                      dict_slide, edge_cells, from_cells_shift, from_tracks,
-                      rand_config, rand_config_over, same_or_overflow,
+from conftest import (SYMBOL_MIXES, canonical_validate_tuple,
+                      classify_by_tracks, dict_overwrite, dict_slide,
+                      edge_cells, from_cells_shift, from_tracks, rand_config,
+                      rand_config_over, same_or_overflow, same_outcome,
                       sym_window, tracks)
+
+L = POSITION_LIMIT
 
 
 def cfg(offset: int, digits: str) -> Config:
@@ -133,6 +139,105 @@ class TestConfig:
         # {0.5: 1} used to be stored, and a later window read raised TypeError
         with pytest.raises(DomainError):
             Config.from_cells(cells)
+
+
+class TestConstruction:
+    """The one constructor writes its slot once; the value behaves as the
+    frozen dataclass it is."""
+
+    def test_cells_cannot_be_assigned(self):
+        x = cfg(0, "12")
+        with pytest.raises(FrozenInstanceError):
+            x.cells = ()
+        with pytest.raises(FrozenInstanceError):
+            del x.cells
+        assert x == cfg(0, "12")
+
+    def test_no_cells_is_zero(self):
+        assert Config() == ZERO and Config().cells == ()
+        assert hash(Config()) == hash(ZERO)
+
+    def test_round_trips(self):
+        x = cfg(-3, "10203")
+        copies = [pickle.loads(pickle.dumps(x, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(x), copy.deepcopy(x), replace(x),
+                   Config(cells=x.cells), Config(x.cells)]
+        for y in copies:
+            assert type(y) is Config and y == x and hash(y) == hash(x)
+        assert replace(x, cells=()) == ZERO
+        assert repr(x) == "Config(cells=((-3, 1), (-1, 2), (1, 3)))"
+        assert astuple(x) == (x.cells,)
+
+    def test_every_law_builds_what_from_cells_builds(self, rng):
+        laws = {
+            "move_particles": lambda x: x.move_particles(rng.randrange(-4, 5)),
+            "relabel": lambda x: x.relabel((0, *rng.sample((1, 2, 3), 3))),
+            "slide": lambda x: x.slide(rng.randrange(-4, 5)),
+            "rewrite_blocks": lambda x: x.rewrite_blocks(
+                0, 3, range(-9, 9, 3 * rng.randrange(1, 3)),
+                # offsets 1 and 2 swapped: nothing is written at offset 0
+                lambda key: tuple(sorted([(3 - p if p else 0, s)
+                                          for p, s in key]))),
+            "overwrite": lambda x: x.overwrite([(-2, 2, [
+                (p, rng.randrange(1, 4)) for p in (-2, 0, 1)
+                if rng.random() < 0.5])]),
+            "restrict": lambda x: x.restrict(rng.randrange(-9, 1),
+                                             rng.randrange(0, 10)),
+            "shift": lambda x: shift(x, rng.randrange(-4, 5)),
+        }
+        for name, law in laws.items():
+            moved = 0
+            for _ in range(150):
+                x = rand_config(rng, span=9, max_cells=8)
+                y = law(x)
+                want = Config.from_cells(y.cells)
+                assert type(y.cells) is tuple, name
+                assert y == want and hash(y) == hash(want), name
+                moved += y != x
+            assert moved > 50, name
+
+
+class TestFromRuns:
+    """`Config.from_runs` range-checks a parsed run line by its ends only;
+    the full check `Config.from_cells(parse_runs(line))` is its oracle,
+    down to the class and message of an overflow."""
+
+    @staticmethod
+    def oracle(line):
+        return Config.from_cells(parse_runs(line))
+
+    @pytest.mark.parametrize("line", [
+        "ZERO", "@0:1", "@-3:0020301", "@0:1 @5:3 @100:2",
+        "@0:12 @2:3",  # adjacent runs
+        "@5:000", "@0:00 @2:0",  # runs of zeros
+        f"@{L}:1", f"@{L + 1}:1", f"@{-L}:1", f"@{-L - 1}:1",
+        f"@{L - 1}:11", f"@{L - 1}:101", f"@{L - 2}:003", f"@{L - 2}:0003",
+        f"@{-L - 1}:01", f"@{-L - 2}:11", f"@{-L - 1}:1 @{L + 1}:1",
+        f"@0:1 @{L}:1 @{L + 1}:2 @{L + 5}:3", f"@{-L}:1 @{L}:3"])
+    def test_edge_lines_match_the_full_check(self, line):
+        same_outcome(Config.from_runs, self.oracle, line)
+
+    def test_seeded_lines_match_the_full_check(self, rng):
+        outcomes = {}
+        for _ in range(2000):
+            base = rng.choice((0, -40, L - 30, -L - 10, L + 2, -L - 60))
+            runs, p = [], base
+            for _ in range(rng.randrange(1, 5)):
+                p += rng.randrange(0, 20)
+                digits = "".join(rng.choice("00123") for _ in range(rng.randrange(1, 12)))
+                runs.append(f"@{p}:{digits}")
+                p += len(digits)
+            name = same_outcome(Config.from_runs, self.oracle, " ".join(runs))
+            outcomes[name] = outcomes.get(name, 0) + 1
+        assert outcomes.keys() == {"ok", "PositionOverflow"}
+        assert min(outcomes.values()) > 500, outcomes
+
+    @pytest.mark.parametrize("text", [None, 5, 1.5, b"@0:1", ["@0:1"], ("ZERO",)],
+                             ids=["none", "int", "float", "bytes", "list", "tuple"])
+    def test_non_text_refused(self, text):
+        with pytest.raises(ParseError, match="a run line is text"):
+            Config.from_runs(text)
 
 
 class TestDigitCells:
@@ -627,6 +732,42 @@ class TestValidateTuple:
             assert (e.value.i, e.value.j) == want
             collided += 1
         assert collided > 200
+
+    def test_matches_the_canonical_form_oracle(self, rng):
+        # orbit mates, one object twice, zero points, non-Configs, and
+        # components spanning up to and past the position limit
+        pool = [cfg(0, w) for w in ("1", "2", "12", "102", "3", "2001")]
+        odd = [ZERO, None, "@0:1", (0, 1), Config.from_cells({-L: 1, 1: 2}),
+               Config.from_cells({-L: 3, L: 1}), Config.from_cells({0: 1, L: 2}),
+               Config.from_cells({L - 1: 2, L: 1})]
+        outcomes = {}
+        for _ in range(1500):
+            comps = []
+            for _ in range(rng.randrange(1, 7)):
+                r = rng.random()
+                if r < 0.04 and comps:
+                    comps.append(comps[-1])
+                elif r < 0.1:
+                    comps.append(rng.choice(odd))
+                else:
+                    comps.append(shift(rng.choice(pool), rng.randrange(-9, 10)))
+            name = same_outcome(validate_tuple, canonical_validate_tuple, comps)
+            outcomes[name] = outcomes.get(name, 0) + 1
+        assert outcomes.keys() == {"ok", "OrbitCollision", "ZeroPoint",
+                                   "DomainError", "PositionOverflow"}
+        assert min(outcomes.values()) > 15, outcomes
+
+    def test_builds_no_config_per_component(self, monkeypatch):
+        comps = [cfg(n, f"{n:b}".replace("0", "2")) for n in range(1, 200)]
+
+        def refused(*args):
+            raise AssertionError("a component was shifted into a Config")
+        monkeypatch.setattr(core, "shift", refused)
+        monkeypatch.setattr(core, "canonical_form", refused)
+        assert validate_tuple(comps).components == tuple(comps)
+        with pytest.raises(OrbitCollision) as e:
+            validate_tuple([*comps, cfg(-5, "1")])
+        assert (e.value.i, e.value.j) == (0, 199)
 
     def test_many_components_in_linear_time(self):
         # words of ones and twos, no zero: distinct words, distinct orbits

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fourshift import generators, permbuild
+from fourshift import core, generators, permbuild
+from fourshift.analysis import CycleSpec
 from fourshift.cli import main
-from fourshift.core import RUN_GAP, Config, DomainError, ZERO, parse_runs
+from fourshift.core import (POSITION_LIMIT, RUN_GAP, Config, DomainError, ZERO,
+                            parse_runs)
 from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
                                   Particle, SymbolPerm, TransportWord,
                                   apply_word, invert_word)
@@ -471,6 +473,46 @@ class TestReplayChecksNoCellTwice:
             assert apply_word(dst, invert_word(word)) == src
 
 
+class TestTupleReadChecksEachCellOnce:
+    """A tuple file's line is checked once, by `parse_runs` and the two ends
+    that `Config.from_runs` range-checks: the read builds no cell list
+    through `Config.from_cells` and no shifted `Config` per component."""
+
+    def test_tuple_files_read_without_a_second_check(self, rng, monkeypatch):
+        tuples = [rand_tuple(rng, rng.randrange(1, 6), span=150, max_cells=6)
+                  for _ in range(100)]
+        texts = [emit_tuple(t) for t in tuples]
+        assert sum(" @" in text for text in texts) > 50  # multi-run lines
+
+        def refused(*args):
+            raise AssertionError("a tuple file was checked twice")
+        monkeypatch.setattr(Config, "from_cells", refused)
+        monkeypatch.setattr(core, "shift", refused)
+        monkeypatch.setattr(core, "canonical_form", refused)
+        assert [parse_tuple(text).components for text in texts] == \
+            [t.components for t in tuples]
+
+
+class TestReadSurfacesRefuseJunk:
+    """Each read surface refuses a value that is no text, or no cells, with
+    a DomainError, not a TypeError or AttributeError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: parse_tuple(None), lambda: parse_config(None),
+        lambda: parse_word(None), lambda: parse_runs(None),
+        lambda: Config.from_cells(None), lambda: Config.from_cells([1]),
+        lambda: Config.from_cells([(0, 1, 2)]),
+        lambda: Config.from_word(0, None), lambda: Config.from_word("a", "13"),
+        lambda: Config.from_word(True, "1"), lambda: CycleSpec.of(None)],
+        ids=["parse_tuple", "parse_config", "parse_word", "parse_runs",
+             "from_cells", "from_cells-no-pair",
+             "from_cells-triple", "from_word-digits", "from_word-offset",
+             "from_word-bool-offset", "CycleSpec.of"])
+    def test_refused_with_a_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+
 class TestReadChecksNoWindowTwice:
     """A window line of one run is checked as text when it is read, so a
     word file reads without the cell-by-cell check of `checked_word`, and
@@ -670,6 +712,29 @@ class TestCli:
         assert capsys.readouterr().out == ALL_OPS_DST.read_text()
         assert out.read_bytes() == ALL_OPS_DST.read_bytes()
         assert list(parse_tuple(out.read_text())) == t
+
+    def test_multi_run_line_with_a_comment_verifies(self, demo_files, capsys):
+        _, dst, tmp = demo_files
+        src, word = tmp / "multi.tuple", tmp / "word.json"
+        src.write_text("# a far particle: two runs on one line\n"
+                       "@0:3 @100:1\n@-1:201  # inline\n@0:22\n")
+        assert main(["transport", "--src", str(src), "--dst", str(dst),
+                     "-o", str(word)]) == 0
+        assert main(["verify", "--src", str(src), "--dst", str(dst),
+                     "--word", str(word)]) == 0
+        assert parse_tuple(src.read_text())[0] == Config.from_cells({0: 3, 100: 1})
+
+    @pytest.mark.parametrize("line, error", [
+        (f"@{POSITION_LIMIT - 1}:11\n@0:1 @{POSITION_LIMIT}:01\n", "PositionOverflow"),
+        ("@0:3\n@0:12 @1:1\n", "ParseError")], ids=["past-the-limit", "overlapping"])
+    def test_bad_tuple_file_exit_2(self, demo_files, capsys, line, error):
+        _, _, tmp = demo_files
+        src, word = tmp / "bad.tuple", tmp / "w.json"
+        src.write_text(line)
+        word.write_text("[]")
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 2
+        err = capsys.readouterr().err
+        assert error in err and len(err.splitlines()) == 1
 
     def test_transport_orbit_collision_exit_2(self, tmp_path, capsys):
         src = tmp_path / "src.tuple"
