@@ -378,6 +378,47 @@ def parse_runs(text: str) -> list[tuple[int, int]]:
     return cells
 
 
+def check_key(cells, lo: int, hi: int, symbols, hole=None) -> tuple[tuple[int, int], ...]:
+    """`cells` as a stored key, checked cell by cell: a tuple of int pairs
+    (no bools), offsets increasing in [lo, hi) and none at `hole`, every
+    symbol in `symbols`; its cells are shared from CELLS."""
+    if isinstance(cells, tuple):
+        stored, prev = [], lo - 1
+        for c in cells:
+            o, s = c if type(c) is tuple and len(c) == 2 else (None, None)
+            if not (type(o) is int and type(s) is int and prev < o < hi
+                    and o != hole and s in symbols):
+                break
+            prev = o
+            stored.append(CELLS.get(c, c))
+        else:
+            return tuple(stored)
+    raise DomainError(f"not a key in [{lo}, {hi}): {quoted(cells)}")
+
+
+# Window and listed-word symbols, one run of each, CELLS by digit at offset + 64.
+WINDOW_SYMBOLS, WORD_SYMBOLS = frozenset({PARTICLE, WALL}), frozenset({PARTICLE, WALL, HEAD})
+_KEY_RUNS = {WINDOW_SYMBOLS: re.compile(r"@(-?[0-9]{1,20}):([012]+)"),
+             WORD_SYMBOLS: re.compile(r"@(-?[0-9]{1,20}):([0-3]+)")}
+_CELLS_BY_DIGIT = {str(s): [CELLS[o, s] for o in range(-64, 65)] for s in (PARTICLE, WALL, HEAD)}
+
+
+def read_key(text, lo: int, hi: int, symbols, hole=None) -> tuple[tuple[int, int], ...]:
+    """The key of a run line, as `check_key` stores it: "ZERO"; one run of
+    `_KEY_RUNS` checked as text, when [lo, hi) lies within CELLS: its ends
+    in [lo, hi) and a 0 at `hole`; else `parse_runs` and `check_key`."""
+    m = isinstance(text, str) and symbols in _KEY_RUNS and _KEY_RUNS[symbols].fullmatch(text)
+    if not m or lo < -64 or hi > 65:
+        return () if text == "ZERO" else check_key(tuple(parse_runs(text)), lo, hi, symbols, hole)
+    offset, digits = int(m[1]), m[2]
+    first = offset + len(digits) - len(digits.lstrip("0"))
+    last = offset + len(digits.rstrip("0")) - 1
+    if first <= last and (first < lo or last >= hi or (
+            hole is not None and first <= hole <= last and digits[hole - offset] != "0")):
+        raise ParseError(f"not a key in [{lo}, {hi}): {quoted(text)}")
+    return tuple([_CELLS_BY_DIGIT[c][i] for i, c in enumerate(digits, offset + 64) if c != "0"])
+
+
 def isolated(points: Sequence[int], gap: int) -> list[int]:
     """The points of an increasing sequence with no other point within gap."""
     if len(points) < 2:  # the common case: one head, one U-occurrence

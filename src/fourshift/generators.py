@@ -10,15 +10,14 @@ so words invert by reversing the list of inverted steps.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import get_args
 
 from . import safety
-from .core import (CELLS, PARTICLE, WALL, Config, DomainError, ParseError,
-                   TupleK, isolated, json_int, parse_runs, quoted)
-from .permbuild import WordPerm, checked_word
+from .core import (WINDOW_SYMBOLS, Config, DomainError, ParseError, TupleK,
+                   isolated, json_int, quoted, read_key)
+from .permbuild import WordPerm
 from .safety import SafeRewrite
 
 
@@ -131,37 +130,13 @@ class HeadLocal:
     def from_obj(cls, obj) -> "HeadLocal":
         """Inverse of to_obj: the map is read from `"cycles"` only, by
         `WordPerm._read_cycles`, and each window is checked once, when
-        read."""
+        read by `core.read_key`."""
         r = json_int(obj["r"])
         for form in ("map", "cells"):
             if form in obj:
                 raise ParseError(f"an HL map is written as cycles, not as {form!r}")
         return cls(r, WordPerm._read_cycles(
-            obj["cycles"], lambda w: _window_of_line(w, r), 2 * r))
-
-
-# One run of digits 0-2, and the cells of CELLS by digit at offset + 64.
-_WINDOW_RUN = re.compile(r"@(-?[0-9]{1,20}):([012]+)")
-_CELL_ROWS = {str(s): [CELLS[o, s] for o in range(-64, 65)] for s in (PARTICLE, WALL)}
-
-
-def _window_of_line(text, r: int) -> tuple[tuple[int, int], ...]:
-    """The cells of a window run line of radius r: "ZERO", or for r <= 64
-    one run checked as text (digits 0-2, a 0 at the head's offset, the ends
-    within +-r) with its cells from CELLS; else parse_runs and checked_word."""
-    if not isinstance(text, str):
-        raise ParseError(f"a window is a run line, not a {type(text).__name__}")
-    m = _WINDOW_RUN.fullmatch(text)
-    if m is None or r > 64:
-        return () if text == "ZERO" else checked_word(tuple(parse_runs(text)), 2 * r)
-    offset, digits = int(m[1]), m[2]
-    first = offset + len(digits) - len(digits.lstrip("0"))
-    last = offset + len(digits.rstrip("0")) - 1
-    if first <= last and (first < -r or last > r or (
-            first <= 0 <= last and digits[-offset] != "0")):
-        raise ParseError(f"not a window of radius {r}: {quoted(text)}")
-    return tuple([_CELL_ROWS[c][i]
-                  for i, c in enumerate(digits, offset + 64) if c != "0"])
+            obj["cycles"], lambda w: read_key(w, -r, r + 1, WINDOW_SYMBOLS, hole=0), 2 * r))
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,7 +197,12 @@ class TransportWord:
 
 
 def apply_instruction(x: Config, ins: Instruction) -> Config:
-    return ins.apply(x)
+    try:
+        return ins.apply(x)
+    except AttributeError:  # x and ins are checked only when the apply fails
+        if type(ins) in _KINDS and isinstance(x, Config):
+            raise
+        raise DomainError(f"not a Config and an instruction: {quoted(x)}, {quoted(ins)}") from None
 
 
 def check_word(word) -> None:

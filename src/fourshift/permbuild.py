@@ -11,8 +11,9 @@ words given as pairs in code follows one rule: a word is a source at
 most once and a target at most once, and fixed points are allowed.  A
 word file holds every map of both rewrites as disjoint cycles of run
 lines, which name each moved word once; `to_cycles` writes them and
-`_read_cycles` reads them.  The main construction closes each chain of
-requested pairs into a cycle and, if the result is odd, adds one
+`_read_cycles` reads them by `core.read_key`, whose `core.check_key`
+checks the words of `build_mapping_perm`.  The main construction closes
+each chain of requested pairs into a cycle and, if odd, adds one
 transposition of words no pair names.
 """
 
@@ -22,7 +23,7 @@ import itertools
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .core import CELLS, PARTICLE, WALL, DomainError, ParseError, emit_runs, quoted
+from .core import WINDOW_SYMBOLS, DomainError, ParseError, check_key, emit_runs
 
 Word = tuple[tuple[int, int], ...]
 
@@ -37,25 +38,6 @@ class DuplicateTarget(DomainError):
 
 class NoRoom(DomainError):
     """Not enough untouched words are left for a parity-fixing transposition."""
-
-
-def checked_word(w: Word, length: int) -> Word:
-    """w as stored, checked cell by cell to be a window of {0,1,2}^length,
-    its offsets and symbols ints (no bools), its cells near the head taken
-    from CELLS."""
-    if isinstance(w, tuple):
-        r, stored = length // 2, []
-        prev = -r - 1
-        for c in w:
-            o, s = c
-            if not (type(o) is int and type(s) is int and prev < o <= r
-                    and o != 0 and s in (PARTICLE, WALL)):
-                break
-            prev = o
-            stored.append(CELLS.get(c, c))
-        else:
-            return tuple(stored)
-    raise DomainError(f"not a window of length {length}: {quoted(w)}")
 
 
 def _one_to_one(pairs: Sequence[tuple[Word, Word]]) -> dict:
@@ -141,21 +123,17 @@ class WordPerm:
 
 
 def parity(mapping: Mapping) -> int:
-    """0 for even, 1 for odd: sum of (cycle length - 1) over the cycles of
-    a mapping that permutes its own keys."""
-    seen = set()
-    sign = 0
+    """0 for even, 1 for odd: the number of keys less the number of cycles
+    of a mapping that permutes its own keys."""
+    seen, cycles = set(), 0
     for start in mapping:
-        if start in seen:
-            continue
-        n = 0
-        w = start
-        while w not in seen:
-            seen.add(w)
-            w = mapping[w]
-            n += 1
-        sign ^= (n - 1) & 1
-    return sign
+        if start not in seen:
+            cycles += 1
+            w = start
+            while w not in seen:
+                seen.add(w)
+                w = mapping[w]
+    return (len(mapping) - cycles) & 1
 
 
 def _windows(length: int) -> Iterable[Word]:
@@ -181,12 +159,13 @@ def build_mapping_perm(pairs: Sequence[tuple[Word, Word]],
     """Even permutation of the windows of {0,1,2}^length realizing every
     requested pair.
 
-    Each window is checked by `checked_word`, and `_mapping_perm` builds
-    the map: each maximal chain s0 -> ... -> sm (sm not a source) is
-    closed by sm -> s0; an odd result also swaps the two smallest
+    Each window is checked by `core.check_key`, and `_mapping_perm`
+    builds the map: each maximal chain s0 -> ... -> sm (sm not a source)
+    is closed by sm -> s0; an odd result also swaps the two smallest
     windows, in the order of the dense words, that no pair names."""
-    return _mapping_perm([(checked_word(s, length), checked_word(d, length))
-                          for s, d in pairs], length)
+    lo, hi = -(length // 2), length // 2 + 1
+    return _mapping_perm([(check_key(s, lo, hi, WINDOW_SYMBOLS, 0),
+                           check_key(d, lo, hi, WINDOW_SYMBOLS, 0)) for s, d in pairs], length)
 
 
 def _mapping_perm(pairs: Sequence[tuple[Word, Word]], length: int) -> WordPerm:

@@ -22,8 +22,8 @@ from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .core import (CELLS, HEAD, Config, DomainError, ParseError,
-                   emit_runs, isolated, json_int, parse_runs, quoted, shift)
+from .core import (CELLS, HEAD, WORD_SYMBOLS, Config, DomainError, ParseError,
+                   emit_runs, isolated, json_int, quoted, read_key, shift)
 from .permbuild import WordPerm
 
 SIGMA_SIZE = 4
@@ -85,13 +85,6 @@ class ExplicitWords:
 def cell_key(cells: Iterable[tuple[int, int]], start: int = 0) -> Key:
     """The cells relative to `start`, sharing the cell objects of CELLS."""
     return tuple([CELLS.get(c, c) for c in [(p - start, s) for p, s in cells]])
-
-
-def _key_of_line(line) -> Key:
-    """The key of a word's run line, checked by `ExplicitWords` or `SafeRewrite`."""
-    if not isinstance(line, str):
-        raise ParseError(f"a word is a run line, not a {type(line).__name__}")
-    return cell_key(parse_runs(line))
 
 
 @dataclass(frozen=True)
@@ -308,16 +301,16 @@ class SafeRewrite:
         """Inverse of to_obj, one field rule for named and listed rewrites:
         U is a name in HEAD_GAP_FAMILIES or a list of run lines, each word
         named once, V is "HEAD" or "NONZERO_N", and map a rule name or
-        disjoint cycles of run lines, each word read as those of U are.
-        The constructor refuses every unsafe (U, V, pi), a cycle word
-        outside U included; then k and h must be the word lengths.  An
-        object that holds radii is refused."""
+        disjoint cycles of run lines, each a word of U.  Each listed word
+        is read by `core.read_key`, a key in [0, k).  The constructor
+        refuses every unsafe (U, V, pi); then k and h must be the word
+        lengths.  An object that holds radii is refused."""
         k, h = json_int(obj["k"]), json_int(obj["h"])
         if "ell" in obj or "mrad" in obj:
             raise ParseError("an SR object holds no radii: they are always the strict ones")
         words, markers, rule = obj["U"], obj["V"], obj["map"]
         if isinstance(words, list):
-            U = ExplicitWords(k, frozenset([_key_of_line(w) for w in words]))
+            U = ExplicitWords(k, frozenset([read_key(w, 0, k, WORD_SYMBOLS) for w in words]))
             if len(U.keys) != len(words):
                 raise IllFormedSpec("a word is named twice in U")
         elif isinstance(words, str) and words in HEAD_GAP_FAMILIES:
@@ -327,8 +320,12 @@ class SafeRewrite:
         if markers not in ("HEAD", "NONZERO_N"):
             raise IllFormedSpec(f"bad marker set {quoted(markers)}: not \"HEAD\" or \"NONZERO_N\"")
         V = HEAD_MARKER if markers == "HEAD" else NonzeroWords(h)
+        def cycle_word(w) -> Key:
+            if (key := read_key(w, 0, k, WORD_SYMBOLS)) not in getattr(U, "keys", ()):
+                raise ParseError(f"the cycle word {quoted(w)} is not a word of U")
+            return key
         pi = (RuleWordMap(rule) if isinstance(rule, str)
-              else WordPerm._read_cycles(rule, _key_of_line, U.length))
+              else WordPerm._read_cycles(rule, cycle_word, U.length))
         rewrite = SafeRewrite(U, V, pi)
         if (k, h) != (rewrite.k, rewrite.h):
             raise IllFormedSpec("k and h do not match the word lengths")

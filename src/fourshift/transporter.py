@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (HEAD, PARTICLE, WALL, Config, DomainError, TupleK,
-                   classify, head_cells, quoted, validate_tuple)
+                   _check_pos, classify, head_cells, quoted, validate_tuple)
 from .generators import (SWAP_13, SWAP_23, HeadLocal, HeadShift, Particle,
                          TransportWord, apply_instruction, apply_word,
                          check_word, fuse, invert_word)
@@ -187,9 +187,11 @@ def make_great(t: TupleK) -> tuple[TransportWord, TupleK]:
 
 
 def canonical_great(k: int) -> TupleK:
-    """The target vector: component i has a head at 0 and a particle at i."""
+    """The target vector: component i has a head at 0 and a particle at i.
+    Time and memory grow with k; PositionOverflow past POSITION_LIMIT."""
     if type(k) is not int or k < 1:
         raise DomainError(f"k must be positive and an int, not {quoted(k)}")
+    _check_pos(k)  # the last particle, checked before any component is built
     return TupleK(tuple(
         Config.from_cells({0: 3, i: 1}) for i in range(1, k + 1)))
 

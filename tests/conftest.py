@@ -11,13 +11,14 @@ from collections.abc import Iterable, Sequence
 import pytest
 from hypothesis import strategies as st
 
-from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL, ClassFlags,
-                            Config, DomainError, OrbitCollision, ParseError,
-                            PositionOverflow, TupleK, ZeroPoint,
-                            canonical_form, digit_cells, isolated, parse_runs,
-                            quoted, validate_tuple)
+from fourshift.core import (HEAD, PARTICLE, POSITION_LIMIT, WALL,
+                            WINDOW_SYMBOLS, ClassFlags, Config, DomainError,
+                            OrbitCollision, ParseError, PositionOverflow,
+                            TupleK, ZeroPoint, canonical_form, check_key,
+                            digit_cells, isolated, parse_runs, quoted,
+                            validate_tuple)
 from fourshift.generators import HeadLocal
-from fourshift.permbuild import Word, WordPerm, _one_to_one, checked_word, parity
+from fourshift.permbuild import Word, WordPerm, _one_to_one, parity
 from fourshift.safety import (HEAD_MARKER, SIGMA3_M, SIGMA3_PI_SPEC,
                               SIGMA3_TAU_SPEC, ExplicitWords, IllFormedSpec,
                               Key, NonzeroWords, SafeRewrite,
@@ -35,8 +36,11 @@ from fourshift.transporter import Reading
 
 def from_pairs(pairs: Iterable[tuple[Word, Word]], length: int) -> WordPerm:
     """The permutation of windows listed by `pairs`, fixed points
-    included, each window checked by `checked_word`."""
-    return of_checked([(checked_word(s, length), checked_word(d, length))
+    included, each window checked by `check_key` as a window of radius
+    length // 2."""
+    r = length // 2
+    return of_checked([(check_key(s, -r, r + 1, WINDOW_SYMBOLS, hole=0),
+                        check_key(d, -r, r + 1, WINDOW_SYMBOLS, hole=0))
                        for s, d in pairs], length)
 
 
@@ -476,19 +480,25 @@ def head_local(r: int, pairs) -> HeadLocal:
         [(window(s), window(d)) for s, d in pairs], 2 * r))
 
 
-def two_pass_window(text, r: int) -> tuple[tuple[int, int], ...]:
-    """The cells of a window run line of radius r read by `parse_runs`,
-    then checked cell by cell in a second pass: increasing offsets,
-    0 < |offset| <= r and symbol 1 or 2, else DomainError.  The oracle of
-    the one-pass window reader of `HeadLocal.from_obj`."""
+def two_pass_key(text, lo: int, hi: int, symbols, hole=None) -> tuple[tuple[int, int], ...]:
+    """The cells of a key's run line read by `parse_runs`, then checked
+    cell by cell in a second pass: increasing offsets in [lo, hi), none at
+    `hole`, every symbol in `symbols`, else DomainError.  The oracle of
+    the one-pass reader `core.read_key`."""
     if not isinstance(text, str):
-        raise ParseError(f"a window is a run line, not {text!r}")
-    cells, prev = tuple(parse_runs(text)), -r - 1
+        raise ParseError(f"a key is a run line, not {text!r}")
+    cells, prev = tuple(parse_runs(text)), lo - 1
     for o, s in cells:
-        if not (prev < o <= r and o != 0 and s in (PARTICLE, WALL)):
-            raise DomainError(f"not a window of radius {r}: {text!r}")
+        if not (prev < o < hi and o != hole and s in symbols):
+            raise DomainError(f"not a key in [{lo}, {hi}): {text!r}")
         prev = o
     return cells
+
+
+def two_pass_window(text, r: int) -> tuple[tuple[int, int], ...]:
+    """`two_pass_key` of a window of radius r: offsets in [-r, r + 1),
+    none at the head's 0, symbols 1 and 2."""
+    return two_pass_key(text, -r, r + 1, {PARTICLE, WALL}, hole=0)
 
 
 def two_pass_head_local(obj) -> dict:

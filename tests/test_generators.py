@@ -9,12 +9,12 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fourshift.core import (CELLS, POSITION_LIMIT, Config, DomainError,
-                            ParseError, PositionOverflow, TupleK, ZERO, shift,
-                            validate_tuple)
+from fourshift.core import (CELLS, POSITION_LIMIT, WINDOW_SYMBOLS, WORD_SYMBOLS,
+                            Config, DomainError, ParseError, PositionOverflow,
+                            TupleK, ZERO, read_key, shift, validate_tuple)
 from fourshift.generators import (SWAP_12, SWAP_13, SWAP_23, HeadLocal,
                                   HeadShift, IllFormedInstruction, Particle,
-                                  SymbolPerm, TransportWord, _window_of_line,
+                                  SymbolPerm, TransportWord,
                                   apply_instruction, apply_word, fuse,
                                   invert_word, size_report)
 from fourshift.orbitperm import orbit_permutation_instruction
@@ -27,7 +27,7 @@ from conftest import (dense, dict_overwrite, edge_cells, explicit,
                       key_pairs, make_explicit_spec, overwrite_head_local, rand_config, rand_config_over,
                       rand_even_perm, rand_tuple,
                       same_or_overflow, stepwise_head_shift, sym_window,
-                      tracks, two_pass_head_local, two_pass_window, two_rewrite_shift,
+                      tracks, two_pass_head_local, two_pass_key, two_pass_window, two_rewrite_shift,
                       window)
 
 
@@ -472,15 +472,16 @@ class TestHeadStepsFixHeadlessPoints:
                 assert ins.apply(x) == x, (ins, x)
 
 
-def window_lines(r: int):
-    """Window run lines around radius r: one run with offsets at and past
-    +-r and at the head, leading and trailing zeros and the digit 3; two
+def key_lines(lo: int, hi: int):
+    """Key run lines around [lo, hi): one run with offsets at and past
+    either end and at 0, leading and trailing zeros and the digit 3; two
     runs, in order or not; near misses of the run syntax; and values that
     are not strings."""
-    offsets = (st.sampled_from([-r - 1, -r, -1, 0, 1, r, r + 1])
-               | st.integers(-r - 3, r + 3))
+    offsets = (st.sampled_from([lo - 1, lo, -1, 0, 1, hi - 1, hi])
+               | st.integers(lo - 3, hi + 2))
     digits = st.text("0123", min_size=1, max_size=6) | st.text(
-        "00012", min_size=1, max_size=2 * r + 3)
+        "00012", min_size=1, max_size=hi - lo + 2) | st.text(
+        "000123", min_size=1, max_size=hi - lo + 2)
     run = st.builds("@{}:{}".format, offsets, digits)
     return (run | st.builds("{} {}".format, run, run)
             | st.sampled_from(["ZERO", "@0:0", "@-0:1", "@+1:1", "@01:1", "@1:",
@@ -495,22 +496,45 @@ HL_LINES = ["ZERO", "@0:0", "@1:1", "@-1:2", "@2:1", "@-2:1", "@1:12",
             "@-2:10002", "@-1:1", "@0:1", "@3:1", "@1:3", "@1:1 @2:1"]
 
 
+def read_window(text, r):
+    return read_key(text, -r, r + 1, WINDOW_SYMBOLS, hole=0)
+
+
 class TestWindowReader:
-    """The one-pass reader of HL windows against the two-pass one it
-    replaced: `parse_runs`, then a check of every cell."""
+    """`core.read_key`, the one reader of `HL` windows and listed `SR`
+    words, against a two-pass one: `parse_runs`, then a check of every
+    cell.  A window of radius r has offsets in [-r, r + 1), none at the
+    head's 0, and symbols 1 and 2; a word of length k has offsets in
+    [0, k) and symbols 1 to 3."""
 
     @settings(max_examples=600, deadline=None)
     @given(st.data())
     def test_matches_the_two_pass_reader(self, data):
         r = data.draw(st.sampled_from([1, 2, 3, 5, 64, 65]))
-        text = data.draw(window_lines(r))
+        text = data.draw(key_lines(-r, r + 1))
         try:
             want = two_pass_window(text, r)
         except DomainError:
             with pytest.raises(DomainError):
-                _window_of_line(text, r)
+                read_window(text, r)
             return
-        got = _window_of_line(text, r)
+        got = read_window(text, r)
+        assert got == want and type(got) is tuple
+        assert all(CELLS.get(c, c) is c for c in got)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_words_match_the_two_pass_reader(self, data):
+        # word lengths below and above 64, and at the edge of CELLS
+        k = data.draw(st.sampled_from([1, 3, 12, 21, 63, 64, 65, 66, 90]))
+        text = data.draw(key_lines(0, k))
+        try:
+            want = two_pass_key(text, 0, k, {1, 2, 3})
+        except DomainError:
+            with pytest.raises(DomainError):
+                read_key(text, 0, k, WORD_SYMBOLS)
+            return
+        got = read_key(text, 0, k, WORD_SYMBOLS)
         assert got == want and type(got) is tuple
         assert all(CELLS.get(c, c) is c for c in got)
 
@@ -526,11 +550,30 @@ class TestWindowReader:
         # one run at +-r and past it, leading zeros, all zeros, a cell at
         # the head or overlapping runs, radii beyond CELLS
         if want is None:
-            for read in (_window_of_line, two_pass_window):
+            for read in (read_window, two_pass_window):
                 with pytest.raises(DomainError):
                     read(text, r)
         else:
-            assert _window_of_line(text, r) == two_pass_window(text, r) == want
+            assert read_window(text, r) == two_pass_window(text, r) == want
+
+    @pytest.mark.parametrize("text, k, want", [
+        ("@0:3", 1, ((0, 3),)), ("@0:030", 3, ((1, 3),)),
+        ("@-2:00123", 3, ((0, 1), (1, 2), (2, 3))), ("@0:0", 3, ()), ("ZERO", 3, ()),
+        ("@64:3", 65, ((64, 3),)), ("@0:1 @80:3", 90, ((0, 1), (80, 3))),
+        ("@-1:10", 3, None), ("@2:01", 3, None), ("@0:4", 3, None),
+        ("@1:1 @0:1", 3, None), ("@65:3", 65, None), ("@0:1 @80:3", 80, None),
+        (3, 3, None)])
+    def test_word_edges(self, text, k, want):
+        # a head anywhere, both ends of [0, k) and past them, a digit above
+        # 3, runs out of order, word lengths beyond CELLS
+        if want is None:
+            with pytest.raises(DomainError):
+                read_key(text, 0, k, WORD_SYMBOLS)
+            with pytest.raises(DomainError):
+                two_pass_key(text, 0, k, {1, 2, 3})
+        else:
+            assert read_key(text, 0, k, WORD_SYMBOLS) == want
+            assert two_pass_key(text, 0, k, {1, 2, 3}) == want
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(HL_LINES), max_size=4), max_size=3))

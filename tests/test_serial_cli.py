@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache, partial
@@ -11,14 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fourshift import core, generators, permbuild
+from fourshift import core
 from fourshift.analysis import CycleSpec
 from fourshift.cli import main
 from fourshift.core import (POSITION_LIMIT, RUN_GAP, Config, DomainError, ZERO,
                             parse_runs)
 from fourshift.generators import (OPS, SWAP_13, HeadLocal, HeadShift,
                                   Particle, SymbolPerm, TransportWord,
-                                  apply_word, invert_word)
+                                  apply_instruction, apply_word, invert_word)
 from fourshift.orbitperm import orbit_permutation_instruction
 from fourshift.safety import (HEAD_GAP_FAMILIES, HEAD_MARKER, SIGMA3_PI_SPEC,
                               SIGMA3_PI_WORDS, SIGMA3_TAU_SPEC, ExplicitWords,
@@ -503,27 +504,34 @@ class TestReadSurfacesRefuseJunk:
         lambda: Config.from_cells(None), lambda: Config.from_cells([1]),
         lambda: Config.from_cells([(0, 1, 2)]),
         lambda: Config.from_word(0, None), lambda: Config.from_word("a", "13"),
-        lambda: Config.from_word(True, "1"), lambda: CycleSpec.of(None)],
+        lambda: Config.from_word(True, "1"), lambda: CycleSpec.of(None),
+        lambda: apply_instruction(ZERO, None),
+        lambda: apply_instruction(None, Particle(1))],
         ids=["parse_tuple", "parse_config", "parse_word", "parse_runs",
              "from_cells", "from_cells-no-pair",
              "from_cells-triple", "from_word-digits", "from_word-offset",
-             "from_word-bool-offset", "CycleSpec.of"])
+             "from_word-bool-offset", "CycleSpec.of",
+             "apply_instruction-no-instruction", "apply_instruction-no-config"])
     def test_refused_with_a_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
 
 
 class TestReadChecksNoWindowTwice:
-    """A window line of one run is checked as text when it is read, so a
-    word file reads without the cell-by-cell check of `checked_word`, and
-    no map of checked windows is checked again."""
+    """A window or listed word line of one run is checked as text when
+    `core.read_key` reads it, so a word file reads without the
+    cell-by-cell check of `core.check_key`, and no map of checked windows
+    is checked again."""
 
     @staticmethod
     def refuse_window_checks(monkeypatch):
-        def refuse(w, length):
-            raise AssertionError(f"window {w!r} checked cell by cell")
-        for module in (permbuild, generators):
-            monkeypatch.setattr(module, "checked_word", refuse)
+        def refuse(cells, *args, **kwargs):
+            raise AssertionError(f"key {cells!r} checked cell by cell")
+        bound = [m for name, m in sys.modules.items() if name.startswith("fourshift")
+                 and getattr(m, "check_key", None) is core.check_key]
+        assert core in bound and len(bound) > 1
+        for module in bound:
+            monkeypatch.setattr(module, "check_key", refuse)
 
     def test_cells_files_and_transport_words(self, rng, monkeypatch):
         texts = [p.read_text() for p in sorted(GOLDEN.parent.glob("*.json"))]
@@ -535,9 +543,39 @@ class TestReadChecksNoWindowTwice:
         emitted = [emit_word(word) for word in words]
         assert sum(isinstance(ins, HeadLocal) and bool(ins.wp.images)
                    for word in [*want, *words] for ins in word.steps) > 60
+        assert sum(isinstance(ins, SafeRewrite) and isinstance(ins.U, ExplicitWords)
+                   for word in want for ins in word.steps) >= 2
         self.refuse_window_checks(monkeypatch)
         assert [parse_word(text) for text in texts] == want
         assert [parse_word(text) for text in emitted] == words
+
+
+class TestListedWordsRefusedWhereRead:
+    """A listed `SR` word is checked where `core.read_key` reads it, as a
+    key in [0, k), and a cycle word must be a word of U: a bad word file is
+    refused by `parse_word` with a ParseError that quotes the offending
+    line, and `fourshift apply` exits 2 on it."""
+
+    @pytest.mark.parametrize("fields, line", [
+        pytest.param({"U": ["@1:1", "@3:2"], "map": [["@1:1", "@3:2"]]}, "@3:2",
+                     id="word-past-k"),
+        pytest.param({"U": ["@-1:10", "@1:2"], "map": [["@-1:10", "@1:2"]]}, "@-1:10",
+                     id="word-before-0"),
+        pytest.param({"U": ["@1:1", "@1:4"], "map": [["@1:1", "@1:4"]]}, "@1:4",
+                     id="digit-above-3"),
+        pytest.param({"map": [["@1:1", "@1:3"]]}, "@1:3", id="cycle-word-outside-U")])
+    def test_refused_quoting_the_line(self, tmp_path, capsys, fields, line):
+        text = sr_obj(**{**ZERO_PADDED, **fields})
+        with pytest.raises(ParseError) as info:
+            parse_word(text)
+        assert repr(line) in str(info.value)
+        src, word = tmp_path / "src.tuple", tmp_path / "w.json"
+        src.write_text("@0:1\n")
+        word.write_text(text)
+        assert main(["apply", "--src", str(src), "--word", str(word)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError") and repr(line) in captured.err
 
 
 def near(n):

@@ -265,6 +265,16 @@ class TestCanonical:
         with pytest.raises(DomainError, match="k must be positive"):
             canonical_great(0)
 
+    @pytest.mark.parametrize("k", [POSITION_LIMIT + 1, 10**30])
+    def test_canonical_great_refuses_k_past_the_limit(self, k, monkeypatch):
+        # refused before any component is built: the last particle would
+        # sit past the limit, and time and memory grow with k
+        def refused(cells):
+            raise AssertionError("a component was built")
+        monkeypatch.setattr(Config, "from_cells", refused)
+        with pytest.raises(PositionOverflow):
+            canonical_great(k)
+
     def test_demo_pipeline_word_pinned(self):
         good, t1 = make_good(DEMO3)
         great, t2 = make_great(t1)
