@@ -406,17 +406,26 @@ _CELLS_BY_DIGIT = {str(s): [CELLS[o, s] for o in range(-64, 65)] for s in (PARTI
 def read_key(text, lo: int, hi: int, symbols, hole=None) -> tuple[tuple[int, int], ...]:
     """The key of a run line, as `check_key` stores it: "ZERO"; one run of
     `_KEY_RUNS` checked as text, when [lo, hi) lies within CELLS: its ends
-    in [lo, hi) and a 0 at `hole`; else `parse_runs` and `check_key`."""
+    in [lo, hi) and a 0 at `hole`; else `parse_runs` and `check_key`.  A
+    line that reads as runs but is no key is refused on both paths by one
+    ParseError quoting the line."""
     m = isinstance(text, str) and symbols in _KEY_RUNS and _KEY_RUNS[symbols].fullmatch(text)
     if not m or lo < -64 or hi > 65:
-        return () if text == "ZERO" else check_key(tuple(parse_runs(text)), lo, hi, symbols, hole)
-    offset, digits = int(m[1]), m[2]
-    first = offset + len(digits) - len(digits.lstrip("0"))
-    last = offset + len(digits.rstrip("0")) - 1
-    if first <= last and (first < lo or last >= hi or (
-            hole is not None and first <= hole <= last and digits[hole - offset] != "0")):
-        raise ParseError(f"not a key in [{lo}, {hi}): {quoted(text)}")
-    return tuple([_CELLS_BY_DIGIT[c][i] for i, c in enumerate(digits, offset + 64) if c != "0"])
+        if text == "ZERO":
+            return ()
+        cells = tuple(parse_runs(text))
+        try:
+            return check_key(cells, lo, hi, symbols, hole)
+        except DomainError:
+            pass
+    else:
+        offset, digits = int(m[1]), m[2]
+        first = offset + len(digits) - len(digits.lstrip("0"))
+        last = offset + len(digits.rstrip("0")) - 1
+        if first > last or not (first < lo or last >= hi or (
+                hole is not None and first <= hole <= last and digits[hole - offset] != "0")):
+            return tuple([_CELLS_BY_DIGIT[c][i] for i, c in enumerate(digits, offset + 64) if c != "0"])
+    raise ParseError(f"not a key in [{lo}, {hi}): {quoted(text)}")
 
 
 def isolated(points: Sequence[int], gap: int) -> list[int]:

@@ -1,10 +1,14 @@
 """Transport of distinct-orbit tuples: classify, make good and make great
 on both sides, then splice the two great tuples with one head-local
-rewrite (`make_canonical`) followed by the inverted destination word, and
-fuse the whole word once before it is verified.
+rewrite, built by `_head_local` as `make_canonical` builds it, followed by
+the inverted destination word, and fuse the whole word once before it is
+verified.
 
 Every emitted word is built by replaying each step once, on the components
-it can move, so the returned tuple is always the exact replay result.
+it can move, so the returned tuple is always the exact replay result.  The
+splice is the one step `transport` does not replay: the closing `verify`
+of the whole word is its only replay, and a splice that misses its goal
+fails it.  `make_canonical` is the checked public form of the splice.
 """
 
 from __future__ import annotations
@@ -99,15 +103,18 @@ def _read_tuple(t) -> TupleK:
 
 def make_good(t: TupleK) -> tuple[TransportWord, TupleK]:
     """Particle moves and symbol swaps producing a good tuple; phases whose
-    target already holds are skipped."""
+    target already holds are skipped.  Each state is classified once: at
+    the start and after each phase's replay."""
     steps, comps = [], list(_read_tuple(t))
+    flags = [classify(c) for c in comps]
     for flag, swap in (("prepregood", None), ("pregood", SWAP_23),
                        ("good", SWAP_13)):
-        if not all(getattr(classify(c), flag) for c in comps):
+        if not all(getattr(f, flag) for f in flags):
             if swap is not None:
                 _replay(steps, comps, swap)
             _replay(steps, comps, Particle(_align_amount(comps)))
-    if not all(classify(c).good for c in comps):
+            flags = [classify(c) for c in comps]
+    if not all(f.good for f in flags):
         raise InternalScheduleViolation("good phase failed")
     return TransportWord(tuple(steps)), TupleK(tuple(comps))
 
@@ -116,8 +123,9 @@ def _head_local(comps, targets, heads) -> HeadLocal:
     """One head-local rewrite taking the cells of each component to those
     of its target, both with a single head at the same position; the
     radius covers every other cell of both, so a window, read by
-    `head_cells`, is every cell but the head.  Both callers check or
-    build that single head just before, so each window is already one of
+    `head_cells`, is every cell but the head.  Each caller checks or
+    builds that single head just before (`transport` by `make_great`'s
+    closing check), so each window is already one of
     radius r (increasing int offsets within +-r, none at 0, symbols 1 or
     2), so its farthest offset is one of its two ends, and the map is
     built by the private `permbuild._mapping_perm`, which trusts its
@@ -198,7 +206,8 @@ def canonical_great(k: int) -> TupleK:
 
 def make_canonical(t: TupleK, goal: TupleK) -> tuple[TransportWord, TupleK]:
     """One head-local rewrite taking a great tuple to a great goal of the
-    same length: the splice of every transport word."""
+    same length, its tuples and its replay checked: the splice of every
+    transport word, which `transport` builds unchecked."""
     t, goal = _read_tuple(t), _read_tuple(goal)
     if len(t) != len(goal):
         raise LengthMismatch("tuples have different arity")
@@ -213,10 +222,11 @@ def make_canonical(t: TupleK, goal: TupleK) -> tuple[TransportWord, TupleK]:
 
 def transport(src: TupleK, dst: TupleK) -> TransportWord:
     """A word whose replay maps src to dst exactly: both tuples are made
-    good and then great, the great ones are spliced, and the destination's
-    word is inverted.  The whole word is fused once (`generators.fuse`),
-    so it holds no P right after a P and no identity step, and the closing
-    `verify` replays the fused word."""
+    good and then great, the great ones are spliced as `make_canonical`
+    splices them, and the destination's word is inverted.  The whole word
+    is fused once (`generators.fuse`), so it holds no P right after a P
+    and no identity step, and the closing `verify` replays the fused
+    word, the splice's only replay."""
     src = validate_tuple(src)
     dst = validate_tuple(dst)
     if len(src) != len(dst):
@@ -225,8 +235,10 @@ def transport(src: TupleK, dst: TupleK) -> TransportWord:
     great_s, src2 = make_great(src1)
     good_d, dst1 = make_good(dst)
     great_d, dst2 = make_great(dst1)
-    splice, _ = make_canonical(src2, dst2)
-    word = fuse(good_s + great_s + splice + invert_word(good_d + great_d))
+    splice = _head_local([c.cells for c in src2], [g.cells for g in dst2],
+                         [0] * len(src))
+    word = fuse(good_s + great_s + TransportWord((splice,))
+                + invert_word(good_d + great_d))
     if not verify(word, src, dst):
         raise InternalScheduleViolation("transport word failed replay")
     return word

@@ -578,6 +578,31 @@ class TestListedWordsRefusedWhereRead:
         assert captured.err.startswith("error: ParseError") and repr(line) in captured.err
 
 
+class TestKeysRefusedQuotingTheLine:
+    """`core.read_key` refuses a line that is no key with one ParseError,
+    `not a key in [lo, hi): <quoted line>`, on both of its paths: the
+    one-run text path, and `parse_runs` plus `check_key` for a line of
+    several runs or a [lo, hi) outside CELLS."""
+
+    @pytest.mark.parametrize("obj, lo, hi, line", [
+        pytest.param({"op": "SR", "k": 70, "h": 1, "U": ["@75:1", "@1:1"],
+                      "V": "NONZERO_N", "map": [["@75:1", "@1:1"]]},
+                     0, 70, "@75:1", id="SR-k70-past-CELLS"),
+        pytest.param({"op": "HL", "r": 70, "cycles": [["@-80:1", "@1:1"]]},
+                     -70, 71, "@-80:1", id="HL-r70-past-CELLS"),
+        pytest.param({"op": "SR", "k": 3, "h": 1, "U": ["@0:1 @2:3 @4:1", "@1:1"],
+                      "V": "NONZERO_N", "map": [["@0:1 @2:3 @4:1", "@1:1"]]},
+                     0, 3, "@0:1 @2:3 @4:1", id="SR-several-runs"),
+        pytest.param({"op": "HL", "r": 3, "cycles": [["@-3:1 @2:1 @4:1", "@1:1"]]},
+                     -3, 4, "@-3:1 @2:1 @4:1", id="HL-several-runs"),
+        pytest.param({"op": "HL", "r": 3, "cycles": [["@-3:1", "@4:1"]]},
+                     -3, 4, "@4:1", id="HL-one-run")])
+    def test_the_line_is_quoted(self, obj, lo, hi, line):
+        with pytest.raises(ParseError) as info:
+            parse_word(json.dumps([obj]))
+        assert str(info.value) == f"not a key in [{lo}, {hi}): {line!r}"
+
+
 def near(n):
     """n as an int most often, else as the float or the bool equal to it."""
     return st.sampled_from([n] * 6 + [float(n)] + [bool(n)] * (n in (0, 1)))

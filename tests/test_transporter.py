@@ -2,20 +2,22 @@
 
 import time
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from fourshift import transporter
 from fourshift.core import (POSITION_LIMIT, Config, ZERO, DomainError,
-                            PositionOverflow, TupleK, classify, head_cells,
-                            shift, validate_tuple)
+                            OrbitCollision, PositionOverflow, TupleK, classify,
+                            head_cells, shift, validate_tuple)
 from fourshift.generators import (SWAP_23, HeadLocal, HeadShift, Particle,
                                   TransportWord, apply_instruction,
                                   apply_word, fuse, invert_word)
 from fourshift.permbuild import build_mapping_perm
 from fourshift.serial import emit_word, parse_word
-from fourshift.transporter import (LengthMismatch, NotGood, NotGreat, Reading,
+from fourshift.transporter import (InternalScheduleViolation, LengthMismatch,
+                                   NotGood, NotGreat, Reading,
                                    _align_amount, canonical_great,
                                    make_canonical, make_good, make_great,
                                    phi_clock, transport, verify)
@@ -158,6 +160,25 @@ class TestMakeGood:
             word, out = make_good(t)
             assert all(classify(c).good for c in out)
             assert apply_word(t, word).components == out.components
+
+    def test_each_state_classified_once(self, rng, monkeypatch):
+        # k components at the start and after each phase's replay; a phase
+        # replayed ends in one particle step
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return classify(x)
+
+        monkeypatch.setattr(transporter, "classify", counted)
+        replayed = Counter()
+        for t in [DEMO3_GOOD, *(rand_tuple(rng, 1 + n % 6) for n in range(300))]:
+            calls.clear()
+            word, _ = make_good(t)
+            phases = sum(isinstance(ins, Particle) for ins in word.steps)
+            replayed[phases] += 1
+            assert len(calls) <= len(t) * (phases + 1), (t, word)
+        assert sorted(replayed) == [0, 1, 2, 3], replayed
 
 
 class TestMakeGreat:
@@ -336,29 +357,62 @@ class TestTransport:
             assert not any(ins in (Particle(0), HeadShift(0)) or (
                 isinstance(ins, HeadLocal) and not ins.wp.images) for ins in steps)
 
-    def test_one_head_local_at_the_splice(self, rng):
-        """The word before fusion is the source's good and great words, one
-        head-local splice and the destination's inverted words; transport
-        returns that word fused."""
-        for _ in range(30):
-            k = rng.randrange(1, 5)
-            s, d = rand_tuple(rng, k), rand_tuple(rng, k)
+    def test_one_head_local_at_the_splice(self, rng, monkeypatch):
+        """The word `transport` hands to `fuse` is the source's good and
+        great words, one head-local splice and the destination's inverted
+        words, and transport returns that word fused.  `make_canonical` is
+        the oracle of the splice: on DEMO3 and on seeded pairs of k 1 to 8
+        the splice step is its word."""
+        unfused = []
+
+        def recorded(word):
+            unfused.append(word)
+            return fuse(word)
+
+        monkeypatch.setattr(transporter, "fuse", recorded)
+        pairs = [(DEMO3, canonical_great(3)), (canonical_great(3), DEMO3)]
+        pairs += [(rand_tuple(rng, k), rand_tuple(rng, k))
+                  for k in (1 + n % 8 for n in range(400))]
+        for s, d in pairs:
+            word = transport(s, d)
             good_s, gs = make_good(s)
             great_s, gs = make_great(gs)
             good_d, gd = make_good(d)
             great_d, gd = make_great(gd)
+            splice, _ = make_canonical(gs, gd)
             head = (good_s + great_s).steps
             tail = invert_word(good_d + great_d).steps
-            splice, _ = make_canonical(gs, gd)
-            unfused = good_s + great_s + splice + invert_word(good_d + great_d)
-            steps = unfused.steps
-            assert len(steps) == len(head) + 1 + len(tail)
-            assert steps[:len(head)] == head
-            assert steps[len(head):len(head) + 1] == splice.steps
-            assert steps[len(head) + 1:] == tail
+            steps = unfused[-1].steps
+            assert steps == (*head, *splice.steps, *tail)
             assert not any(isinstance(a, HeadLocal) and isinstance(b, HeadLocal)
                            for a, b in zip(steps, steps[1:]))
-            assert transport(s, d) == fuse(unfused)
+            assert word == fuse(unfused[-1])
+        assert len(unfused) == len(pairs)
+
+    def test_a_splice_missing_its_goal_fails_replay(self, rng, monkeypatch):
+        """The closing `verify` is the splice's only replay: a splice built
+        as the identity fails it wherever the true one moves a window."""
+        head_local, moved = transporter._head_local, []
+
+        def identity_splice(comps, targets, heads):
+            ins = head_local(comps, targets, heads)
+            if any(heads):  # a reset rewrite of make_great, kept
+                return ins
+            moved.append(bool(ins.wp.images))
+            return HeadLocal(1, build_mapping_perm([], 2))
+
+        monkeypatch.setattr(transporter, "_head_local", identity_splice)
+        pairs = [(DEMO3, canonical_great(3))]
+        pairs += [(rand_tuple(rng, k), rand_tuple(rng, k))
+                  for k in (1 + n % 5 for n in range(60))]
+        for s, d in pairs:
+            try:
+                transport(s, d)
+            except InternalScheduleViolation as exc:
+                assert moved[-1] and str(exc) == "transport word failed replay"
+            else:
+                assert not moved[-1]
+        assert moved[0] and sum(moved) > 50
 
     def test_inverse_word_transports_back(self, rng):
         for _ in range(30):
@@ -367,6 +421,30 @@ class TestTransport:
             word = transport(s, d)
             assert verify(word, s, d)
             assert verify(invert_word(word), d, s)
+
+
+class TestSmallBox:
+    """Every tuple whose cells lie in [-1, 1], with k at most 2, reaches
+    `canonical_great(k)`, and the inverted word carries it back; a pair
+    of one orbit is refused with OrbitCollision."""
+
+    POINTS = [Config.from_cells(dict(zip((-1, 0, 1), digits)))
+              for digits in product(range(4), repeat=3) if any(digits)]
+
+    def test_every_tuple_reaches_the_canonical_goal(self):
+        assert len(self.POINTS) == 63
+        tuples = [(x,) for x in self.POINTS] + list(product(self.POINTS, repeat=2))
+        transported = refused = 0
+        for t in tuples:
+            goal = canonical_great(len(t))
+            try:
+                word = transport(t, goal)
+            except OrbitCollision:
+                refused += 1
+                continue
+            assert verify(word, t, goal) and verify(invert_word(word), goal, t), t
+            transported += 1
+        assert (transported, refused) == (63 + 3870, 99)
 
 
 class TestPythonApi:
